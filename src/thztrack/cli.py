@@ -11,11 +11,14 @@ import numpy as np
 from .beampattern import angle_map, array_gain, peak_map
 from .codebook import build_codebook, snap
 from .harness import (
+    CONFIG_KEYS,
+    SCHEMES,
     ScenarioConfig,
     beamforming_gain,
-    scenario_from_file,
+    load_key_values,
     scenario_from_mapping,
     sweep,
+    write_table,
 )
 from .leakage import build_cpr_problem, objective, objective_gradient, refine, CprState
 from .pairing import make_pairing, radius_bounds
@@ -28,8 +31,6 @@ from .physmodel import (
     default_config,
 )
 from .tracker import coarse_estimate, plan_tracking, run_tracking
-
-_SYSTEM_FLAGS = ("n_bs", "n_ttd", "p", "f_c", "bandwidth", "m_half")
 
 
 def _add_system_args(parser: argparse.ArgumentParser):
@@ -55,73 +56,32 @@ def _add_scenario_args(parser: argparse.ArgumentParser, require_seed: bool):
     parser.add_argument("--users", type=int)
     parser.add_argument("--trials", type=int)
     parser.add_argument("--zeta-max", type=float, dest="zeta_max")
-    parser.add_argument("--scheme", choices=("forward_backward", "forward_only", "exhaustive_sweep"))
+    parser.add_argument("--scheme", choices=SCHEMES)
     parser.add_argument("--compensation", action="store_true", default=None)
     parser.add_argument("--no-compensation", dest="compensation", action="store_false")
     parser.add_argument("--codebook", action="store_true", default=None)
     parser.add_argument("--snr-db", type=_float_list, dest="snr_db", metavar="LIST")
-    parser.add_argument("--slots-list", type=_int_list, dest="slots_list", metavar="LIST")
+    parser.add_argument("--slots-list", type=_int_list, dest="slots", metavar="LIST")
     parser.add_argument("--theta-grid", type=_float_list, dest="theta_grid", metavar="LIST")
     parser.add_argument("--gain-sigma", type=float, dest="gain_sigma")
     parser.add_argument("--mobility")
     parser.add_argument("--seed", type=int, required=require_seed)
 
 
-def _system_from_args(args) -> SystemConfig:
-    data = {}
-    if getattr(args, "config", None):
-        from .harness import load_key_values
-
-        data.update(load_key_values(args.config))
-    for key in _SYSTEM_FLAGS:
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
-    keys = {k: data[k] for k in _SYSTEM_FLAGS if k in data}
-    if not keys:
-        return default_config()
-    for k in ("n_bs", "n_ttd", "p", "m_half"):
-        if k in keys:
-            keys[k] = int(keys[k])
-    return SystemConfig(**keys)
-
-
 def _scenario_from_args(args) -> ScenarioConfig:
-    overrides = {}
-    for key in (
-        "users",
-        "trials",
-        "zeta_max",
-        "scheme",
-        "compensation",
-        "codebook",
-        "snr_db",
-        "theta_grid",
-        "gain_sigma",
-        "mobility",
-        "seed",
-        *_SYSTEM_FLAGS,
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "slots_list", None) is not None:
-        overrides["slots"] = args.slots_list
-    if getattr(args, "config", None):
-        return scenario_from_file(args.config, overrides)
-    return scenario_from_mapping(overrides)
+    """Scenario from the ``--config`` file, with every given flag on top."""
+    data = load_key_values(args.config) if args.config else {}
+    data.update({k: getattr(args, k) for k in CONFIG_KEYS if getattr(args, k, None) is not None})
+    return scenario_from_mapping(data)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {path} ({len(lines) - 1} rows)")
+def _save_csv(path: Path, header: list[str], rows) -> None:
+    n_rows = write_table(path, header, rows)
+    print(f"wrote {path} ({n_rows} rows)")
 
 
 def _cmd_beam_pattern(args) -> int:
-    cfg = _system_from_args(args)
+    cfg = _scenario_from_args(args).system
     if args.psi is not None and args.t is not None:
         pc = PrecoderConfig(args.psi, args.t)
         label = f"psi={args.psi} t={args.t}"
@@ -143,12 +103,12 @@ def _cmd_beam_pattern(args) -> int:
             gains = array_gain(f, thetas, pc, cfg)
             rows.extend((int(m), float(f), float(th), float(g)) for th, g in zip(thetas, gains))
     print(f"beam pattern for {label}")
-    _write_csv(args.out, ["m", "f_m", "theta", "gain"], rows)
+    _save_csv(args.out, ["m", "f_m", "theta", "gain"], rows)
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    cfg = _system_from_args(args)
+    cfg = _scenario_from_args(args).system
     thetas = np.linspace(args.theta_min, args.theta_max, args.points)
     rows = []
     for theta0 in thetas:
@@ -165,7 +125,7 @@ def _cmd_bounds(args) -> int:
                 b.quasi_fixed,
             )
         )
-    _write_csv(
+    _save_csv(
         args.out,
         ["theta0", "forward", "backward", "fb", "forward_single_slot", "large_angle", "fixed", "quasi_fixed"],
         rows,
@@ -174,7 +134,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_codebook(args) -> int:
-    cfg = _system_from_args(args)
+    cfg = _scenario_from_args(args).system
     cb = build_codebook(cfg)
     rows = []
     for i, v in enumerate(cb.psi_grid.values):
@@ -188,7 +148,7 @@ def _cmd_codebook(args) -> int:
         else:
             seg = "inner"
         rows.append((i, "t", float(v), seg))
-    _write_csv(args.out, ["index", "psi_or_t", "value", "segment"], rows)
+    _save_csv(args.out, ["index", "psi_or_t", "value", "segment"], rows)
     print(
         f"psi codewords: {len(cb.psi_grid.values)}, t codewords: {len(cb.t_grid.values)}, "
         f"t range [{cb.t_grid.values[0]:.6g}, {cb.t_grid.values[-1]:.6g}], coarse step {coarse:.6g}"
@@ -204,7 +164,7 @@ def _cmd_track(args) -> int:
     theta_r = args.theta_r if args.theta_r is not None else float(rng.uniform(-0.8, 0.8))
     center = args.theta0 if args.theta0 is not None else theta_r
     alpha = args.alpha if args.alpha is not None else scn.zeta_max
-    slots = args.slots if args.slots is not None else scn.slots[0]
+    slots = args.frame_slots if args.frame_slots is not None else scn.slots[0]
     snr = args.snr if args.snr is not None else scn.snr_db[0]
     cb = build_codebook(cfg) if scn.codebook else None
     plan = plan_tracking(center, alpha, slots, cfg, codebook=cb, pairing_mode="auto")
@@ -228,7 +188,7 @@ def _cmd_track(args) -> int:
             f"residual {state.residual:.4e}, {state.iterations} iterations)"
         )
         if args.trace:
-            _write_csv(args.trace, ["iteration", "theta", "g", "residual"], trace)
+            _save_csv(args.trace, ["iteration", "theta", "g", "residual"], trace)
         final = state.theta
     else:
         final = est.theta_hat
@@ -239,7 +199,7 @@ def _cmd_track(args) -> int:
         rows = [
             [l + 1] + [float(a) for a in np.abs(obs.y[l])] for l in range(plan.slots)
         ]
-        _write_csv(args.dump_y, header, rows)
+        _save_csv(args.dump_y, header, rows)
     return 0
 
 
@@ -381,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-r", type=float, dest="theta_r")
     p.add_argument("--theta0", type=float)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--slots", type=int)
+    p.add_argument("--slots", type=int, dest="frame_slots")
     p.add_argument("--snr", type=float)
     p.add_argument("--trace", type=Path, help="CSV of refinement iterations")
     p.add_argument("--dump-y", type=Path, dest="dump_y", help="CSV heatmap of |Y|")

@@ -39,6 +39,8 @@ __all__ = [
     "ScenarioConfig",
     "TrialRecord",
     "MetricsReport",
+    "CONFIG_KEYS",
+    "write_table",
     "load_key_values",
     "scenario_from_file",
     "scenario_from_mapping",
@@ -233,6 +235,18 @@ def beamforming_gain(channel: ChannelResponse, theta_hat: float, cfg: SystemConf
     return float(np.mean(np.abs(inner) ** 2))
 
 
+def write_table(path, header, rows) -> int:
+    """Write a CSV file: the header line, then one line per row; returns the row count.
+
+    Floats are written with ``repr`` (round-trip exact), every other cell with ``str``.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+    return len(lines) - 1
+
+
 @dataclass
 class MetricsReport:
     """Aggregated sweep output: one row per axis point, optional raw records."""
@@ -255,10 +269,7 @@ class MetricsReport:
             "n_records",
             "n_excluded",
         ]
-        lines = [",".join(cols)]
-        for row in self.rows:
-            lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols))
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_table(path, cols, ([row[c] for c in cols] for row in self.rows))
 
     def write_json(self, path, full: bool = False):
         payload = {"axis": self.axis, "rows": self.rows}
@@ -350,6 +361,8 @@ _SCENARIO_KEYS = (
     "theta_grid",
     "seed",
 )
+CONFIG_KEYS = _SYSTEM_KEYS + _SCENARIO_KEYS
+_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def load_key_values(path) -> dict:
@@ -369,34 +382,46 @@ def load_key_values(path) -> dict:
     return out
 
 
+def _as_bool(key: str, value) -> bool:
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, str)) and str(value) in _BOOL_WORDS:
+        return _BOOL_WORDS[str(value)]
+    raise ValueError(f"config key {key!r} must be true/false, yes/no or 0/1, got {value!r}")
+
+
+def _as_tuple(value, kind) -> tuple:
+    return tuple(kind(x) for x in (value if isinstance(value, (list, tuple)) else [value]))
+
+
 def scenario_from_mapping(data: dict) -> ScenarioConfig:
-    """Build a scenario from a flat mapping of config keys."""
-    unknown = set(data) - set(_SYSTEM_KEYS) - set(_SCENARIO_KEYS)
+    """Build a scenario from a flat mapping of config keys.
+
+    System keys overlay the reference setup of :func:`default_config`;
+    ``f_d`` is derived from ``bandwidth`` and ``m_half`` unless given, and a
+    given ``f_d`` must agree with them.
+    """
+    unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    sys_kwargs = {k: data[k] for k in _SYSTEM_KEYS if k in data}
+    sys_kwargs = asdict(default_config())
+    del sys_kwargs["f_d"]
+    sys_kwargs.update({k: data[k] for k in _SYSTEM_KEYS if k in data})
     for k in ("n_bs", "n_ttd", "p", "m_half"):
-        if k in sys_kwargs:
-            sys_kwargs[k] = int(sys_kwargs[k])
-    system = SystemConfig(**sys_kwargs) if sys_kwargs else default_config()
-    scn_kwargs = {}
-    for k in _SCENARIO_KEYS:
-        if k in data:
-            scn_kwargs[k] = data[k]
+        sys_kwargs[k] = int(sys_kwargs[k])
+    scn_kwargs = {k: data[k] for k in _SCENARIO_KEYS if k in data}
     for k in ("snr_db", "theta_grid"):
         if k in scn_kwargs:
-            v = scn_kwargs[k]
-            scn_kwargs[k] = tuple(float(x) for x in (v if isinstance(v, (list, tuple)) else [v]))
+            scn_kwargs[k] = _as_tuple(scn_kwargs[k], float)
     if "slots" in scn_kwargs:
-        v = scn_kwargs["slots"]
-        scn_kwargs["slots"] = tuple(int(x) for x in (v if isinstance(v, (list, tuple)) else [v]))
+        scn_kwargs["slots"] = _as_tuple(scn_kwargs["slots"], int)
     for k in ("users", "trials", "seed"):
         if k in scn_kwargs:
             scn_kwargs[k] = int(scn_kwargs[k])
     for k in ("compensation", "codebook"):
         if k in scn_kwargs:
-            scn_kwargs[k] = bool(scn_kwargs[k])
-    return ScenarioConfig(system=system, **scn_kwargs)
+            scn_kwargs[k] = _as_bool(k, scn_kwargs[k])
+    return ScenarioConfig(system=SystemConfig(**sys_kwargs), **scn_kwargs)
 
 
 def scenario_from_file(path, overrides: dict | None = None) -> ScenarioConfig:

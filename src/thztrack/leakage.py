@@ -108,11 +108,26 @@ def _residual_matrix(prob: CprProblem, c: np.ndarray, g: float, taus: np.ndarray
     return prob.y_hat - (g * np.exp(1j * taus))[:, None] * c
 
 
+def _sq_residual(prob: CprProblem, c: np.ndarray, g: float, taus: np.ndarray) -> float:
+    return float(np.sum(np.abs(_residual_matrix(prob, c, g, taus)) ** 2))
+
+
+def _gain(prob: CprProblem, c: np.ndarray) -> float:
+    den = float(np.sum(np.abs(c) ** 2))
+    if den == 0.0:
+        raise ValueError("degenerate geometry: all slot responses vanish at this angle")
+    return float(np.sum(np.abs(prob.y_hat) * np.abs(c))) / den
+
+
+def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Phases tau_m = angle(c_m^H y_hat_m) and whether any inner product vanished."""
+    z = np.sum(c.conj() * prob.y_hat, axis=1)
+    return np.angle(z), bool(np.any(z == 0))
+
+
 def objective(prob: CprProblem, theta: float, g: float, taus: np.ndarray) -> float:
     """Sum of squared residuals of the single-ray fit at the given parameters."""
-    c = _response(prob, _steering_all(prob, theta))
-    r = _residual_matrix(prob, c, g, taus)
-    return float(np.sum(np.abs(r) ** 2))
+    return _sq_residual(prob, _response(prob, _steering_all(prob, theta)), g, taus)
 
 
 def modulus_objective(prob: CprProblem, theta: float, g: float) -> float:
@@ -128,12 +143,7 @@ def update_gain(prob: CprProblem, state: CprState) -> float:
     g = sum_m <|y_hat_m|, |c_m|> / sum_m ||c_m||^2; nonnegative because both
     factors in the numerator are.
     """
-    c = _response(prob, _steering_all(prob, state.theta))
-    den = float(np.sum(np.abs(c) ** 2))
-    if den == 0.0:
-        raise ValueError("degenerate geometry: all slot responses vanish at this angle")
-    num = float(np.sum(np.abs(prob.y_hat) * np.abs(c)))
-    return num / den
+    return _gain(prob, _response(prob, _steering_all(prob, state.theta)))
 
 
 def update_phases(prob: CprProblem, state: CprState) -> np.ndarray:
@@ -141,9 +151,7 @@ def update_phases(prob: CprProblem, state: CprState) -> np.ndarray:
 
     A zero inner product leaves tau_m = 0 (flagged by refine as degenerate).
     """
-    c = _response(prob, _steering_all(prob, state.theta))
-    z = np.sum(c.conj() * prob.y_hat, axis=1)
-    return np.angle(z)
+    return _phases(prob, _response(prob, _steering_all(prob, state.theta)))[0]
 
 
 def _gradient(prob: CprProblem, a: np.ndarray, c: np.ndarray, g: float, taus: np.ndarray) -> float:
@@ -202,15 +210,10 @@ def refine(
 
     for it in range(1, max_iter + 1):
         iterations = it
-        den = float(np.sum(np.abs(c) ** 2))
-        if den == 0.0:
-            raise ValueError("degenerate geometry: all slot responses vanish at this angle")
-        g = float(np.sum(np.abs(prob.y_hat) * np.abs(c))) / den
-        z = np.sum(c.conj() * prob.y_hat, axis=1)
-        if np.any(z == 0):
-            degenerate = True
-        taus = np.angle(z)
-        eps = float(np.sum(np.abs(_residual_matrix(prob, c, g, taus)) ** 2))
+        g = _gain(prob, c)
+        taus, vanished = _phases(prob, c)
+        degenerate = degenerate or vanished
+        eps = _sq_residual(prob, c, g, taus)
         grad = _gradient(prob, a, c, g, taus)
 
         # backtracking line search on theta, simple-decrease criterion; stop
@@ -225,7 +228,7 @@ def refine(
             cand = theta - eta * grad
             a_c = _steering_all(prob, cand)
             c_c = _response(prob, a_c)
-            eps_c = float(np.sum(np.abs(_residual_matrix(prob, c_c, g, taus)) ** 2))
+            eps_c = _sq_residual(prob, c_c, g, taus)
             if eps_c < eps:
                 theta_new, a_new, c_new, eps_new = cand, a_c, c_c, eps_c
                 moved = True

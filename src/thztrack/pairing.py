@@ -63,32 +63,35 @@ class PairingConfig:
     over_bound: bool = False
 
 
-def make_pairing(theta0: float, alpha: float, cfg: SystemConfig) -> PairingConfig:
+def make_pairing(theta0: float, alpha: float, cfg: SystemConfig, mode: str = "auto") -> PairingConfig:
     """Pairing for the interval [theta0 - alpha, theta0 + alpha].
 
-    Backward pairing is used for theta0 >= 0, forward otherwise.  The slopes
-    solve the two edge-mapping conditions:
+    ``mode`` is "forward", "backward" or "auto" (backward for theta0 >= 0,
+    forward otherwise).  The slopes solve the two edge-mapping conditions:
 
         forward:  psi = theta0 + r*alpha,  t = theta0 + alpha/r
         backward: psi = theta0 - r*alpha,  t = theta0 - alpha/r
 
     with r = m_half*f_d/f_c.
     """
+    if mode == "auto":
+        mode = BACKWARD if theta0 >= 0 else FORWARD
+    elif mode not in (FORWARD, BACKWARD):
+        raise ValueError(f"unknown pairing mode {mode!r}")
     if abs(theta0) > 1:
         raise ValueError("theta0 must lie in [-1, 1]")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     r = cfg.edge_ratio
-    if theta0 >= 0:
-        mode = BACKWARD
-        psi = theta0 - r * alpha
-        t = theta0 - alpha / r
-    else:
-        mode = FORWARD
-        psi = theta0 + r * alpha
-        t = theta0 + alpha / r
-    flag = alpha > large_angle_bound(theta0, cfg)
-    return PairingConfig(mode=mode, theta0=theta0, alpha=alpha, psi=psi, t_aux=t, over_bound=flag)
+    sign = 1.0 if mode == FORWARD else -1.0
+    return PairingConfig(
+        mode=mode,
+        theta0=theta0,
+        alpha=alpha,
+        psi=theta0 + sign * r * alpha,
+        t_aux=theta0 + sign * alpha / r,
+        over_bound=alpha > large_angle_bound(theta0, cfg),
+    )
 
 
 def forward_bound(theta0: float, cfg: SystemConfig) -> float:

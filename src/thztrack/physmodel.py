@@ -122,11 +122,6 @@ class ChannelResponse:
 
     h: np.ndarray
 
-    def row(self, m: int) -> np.ndarray:
-        """Channel vector at subcarrier index m (signed, -M..M)."""
-        half = (self.h.shape[0] - 1) // 2
-        return self.h[m + half]
-
 
 @dataclass(frozen=True)
 class PrecoderConfig:

@@ -61,34 +61,11 @@ class TrackingObservation:
 
 @dataclass(frozen=True)
 class TrackingEstimate:
-    """Strongest-cell indices and the coarse angle; refinement is filled in later."""
+    """Strongest-cell indices and the coarse angle."""
 
     l_hat: int
     m_hat: int
     theta_hat: float
-    theta_refined: float | None = None
-
-
-def _slot_pairing(center: float, radius: float, cfg: SystemConfig, mode: str) -> PairingConfig:
-    if mode == "auto":
-        return pairing_mod.make_pairing(center, radius, cfg)
-    if mode in (FORWARD, BACKWARD):
-        r = cfg.edge_ratio
-        sign = 1.0 if mode == FORWARD else -1.0
-        pc = PairingConfig(
-            mode=mode,
-            theta0=center,
-            alpha=radius,
-            psi=center + sign * r * radius,
-            t_aux=center + sign * radius / r,
-            over_bound=radius > large_angle_bound(center, cfg),
-        )
-        return pc
-    if mode == "sweep":
-        # one beam per slot: both slopes point at the fraction center, so every
-        # subcarrier maps to the same angle
-        return PairingConfig(mode=BACKWARD, theta0=center, alpha=0.0, psi=center, t_aux=center)
-    raise ValueError(f"unknown pairing mode {mode!r}")
 
 
 def plan_tracking(
@@ -116,8 +93,12 @@ def plan_tracking(
     radius = alpha / slots
     pairings = []
     for c in centers:
-        pc = _slot_pairing(float(c), radius, cfg, pairing_mode)
-        if pairing_mode != "sweep":
+        if pairing_mode == "sweep":
+            # one beam per slot: both slopes point at the fraction center, so
+            # every subcarrier maps to the same angle
+            pc = PairingConfig(mode=BACKWARD, theta0=float(c), alpha=0.0, psi=float(c), t_aux=float(c))
+        else:
+            pc = pairing_mod.make_pairing(float(c), radius, cfg, pairing_mode)
             bound = forward_bound(pc.theta0, cfg) if pc.mode == FORWARD else large_angle_bound(pc.theta0, cfg)
             if radius > bound:
                 warnings.warn(

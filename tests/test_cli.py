@@ -71,6 +71,30 @@ class TestCodebookDump:
         assert len(psi_rows) == 257
         assert {r["segment"] for r in t_rows} == {"outer-", "inner", "outer+"}
 
+    def test_partial_system_flag_overlays_reference_setup(self, tmp_path):
+        out = tmp_path / "cb32.csv"
+        assert main(["codebook", "--m-half", "32", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        # 256 antennas still give 257 phase-slope codewords; t_max doubles to 2*f_c/(B*p)
+        assert sum(r["psi_or_t"] == "psi" for r in rows) == 257
+        assert float(rows[-1]["value"]) == pytest.approx(1.25)
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("command", ["beam-pattern", "bounds", "codebook", "sweep-nmse"])
+    @pytest.mark.parametrize(
+        "text, match",
+        [("m_half = 32\nf_d = 78125000.0\n", "f_d"), ("n_bss = 64\n", "unknown config keys")],
+    )
+    def test_bad_config_file_rejected(self, tmp_path, command, text, match):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        args = [command, "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")]
+        if command == "sweep-nmse":
+            args += ["--seed", "1"]
+        with pytest.raises(ValueError, match=match):
+            main(args)
+
 
 class TestTrack:
     def test_track_run_with_outputs(self, tmp_path, capsys):

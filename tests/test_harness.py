@@ -251,6 +251,40 @@ seed = 3
         with pytest.raises(ValueError):
             scenario_from_mapping({"warp_factor": 9})
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("true", True), ("false", False), ('"false"', False), ("no", False), ("yes", True),
+         ("0", False), ("1", True)],
+    )
+    def test_boolean_spellings(self, tmp_path, text, expected):
+        p = tmp_path / "flags.cfg"
+        p.write_text(f"compensation = {text}\ncodebook = {text}\n")
+        scn = scenario_from_file(p)
+        assert scn.compensation is expected
+        assert scn.codebook is expected
+
+    @pytest.mark.parametrize("value", ["maybe", '"on"', "2", "0.0", "[]"])
+    def test_other_boolean_values_rejected_by_key(self, tmp_path, value):
+        p = tmp_path / "flags.cfg"
+        p.write_text(f"codebook = {value}\n")
+        with pytest.raises(ValueError, match="codebook"):
+            scenario_from_file(p)
+
+    def test_partial_system_keys_overlay_reference_setup(self, tmp_path):
+        p = tmp_path / "partial.cfg"
+        p.write_text("m_half = 32\n")
+        system = scenario_from_file(p).system
+        ref = default_config()
+        assert system.m_half == 32
+        assert (system.n_bs, system.n_ttd, system.p, system.f_c, system.bandwidth) == (
+            ref.n_bs, ref.n_ttd, ref.p, ref.f_c, ref.bandwidth,
+        )
+        assert system.f_d == pytest.approx(ref.bandwidth / 64)
+
+    def test_inconsistent_f_d_rejected(self):
+        with pytest.raises(ValueError, match="f_d"):
+            scenario_from_mapping({"m_half": 32, "f_d": default_config().f_d})
+
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("this is not a key value pair\n")

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thztrack import (
     PrecoderConfig,
@@ -14,6 +18,7 @@ from thztrack import (
     inter_fraction_ok,
     large_angle_bound,
     make_pairing,
+    plan_tracking,
     quasi_fixed_radius,
     radius_bounds,
     sidelobe_locations,
@@ -53,6 +58,61 @@ class TestMakePairing:
             make_pairing(1.2, 0.05, cfg)
         with pytest.raises(ValueError):
             make_pairing(0.5, 0.0, cfg)
+        with pytest.raises(ValueError, match="pairing mode"):
+            make_pairing(0.5, 0.05, cfg, "sideways")
+
+
+_MODES = ("auto", "forward", "backward")
+
+
+@st.composite
+def _systems(draw):
+    """Random array and band: any (p, n_ttd, m_half), edge ratio m_half*f_d/f_c in [0.01, 0.45]."""
+    p = draw(st.integers(1, 32))
+    n_ttd = draw(st.integers(1, 32))
+    edge_ratio = draw(st.floats(0.01, 0.45))
+    return SystemConfig(
+        n_bs=p * n_ttd, n_ttd=n_ttd, p=p, f_c=100e9, bandwidth=2 * edge_ratio * 100e9,
+        m_half=draw(st.integers(1, 128)),
+    )
+
+
+class TestMakePairingProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        system=_systems(),
+        theta0=st.floats(-0.95, 0.95),
+        alpha=st.floats(1e-3, 0.5),
+        mode=st.sampled_from(_MODES),
+    )
+    def test_band_edges_map_to_interval_edges(self, system, theta0, alpha, mode):
+        pairing = make_pairing(theta0, alpha, system, mode)
+        if mode == "auto":
+            assert pairing.mode == ("backward" if theta0 >= 0 else "forward")
+        else:
+            assert pairing.mode == mode
+        # forward pairing sends the lowest subcarrier to the lowest angle, backward reverses it
+        low, high = theta0 - alpha, theta0 + alpha
+        first, last = (low, high) if pairing.mode == "forward" else (high, low)
+        pc = PrecoderConfig(pairing.psi, pairing.t_aux)
+        assert angle_map(-system.m_half, pc, system) == pytest.approx(first, abs=1e-12)
+        assert angle_map(system.m_half, pc, system) == pytest.approx(last, abs=1e-12)
+        assert pairing.over_bound == (alpha > large_angle_bound(theta0, system))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        system=_systems(),
+        theta0=st.floats(-0.9, 0.9),
+        alpha=st.floats(1e-3, 0.1),
+        slots=st.integers(1, 8),
+        mode=st.sampled_from(_MODES),
+    )
+    def test_plan_slots_are_make_pairing(self, system, theta0, alpha, slots, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            plan = plan_tracking(theta0, alpha, slots, system, pairing_mode=mode)
+        expected = tuple(make_pairing(float(c), alpha / slots, system, mode) for c in plan.slot_centers)
+        assert plan.pairings == expected
 
 
 class TestSimpleBounds:

@@ -81,7 +81,7 @@ class TestChannelResponse:
     def test_center_subcarrier_is_pure_steering(self, cfg, grid):
         ch = channel_response(PathComponent(1.0 + 0j, 0.3, 0.0), grid, cfg)
         np.testing.assert_allclose(
-            ch.row(0), steering_vector(cfg.f_c, 0.3, cfg.n_bs, cfg.f_c), atol=1e-14
+            ch.h[cfg.m_half], steering_vector(cfg.f_c, 0.3, cfg.n_bs, cfg.f_c), atol=1e-14
         )
 
     def test_complex_gain_scales_all_entries(self, cfg, grid):
@@ -93,7 +93,7 @@ class TestChannelResponse:
         ch = channel_response(PathComponent(1.0 + 0j, 0.3, tau), grid, cfg)
         base = steering_vector(cfg.f_c + cfg.m_half * cfg.f_d, 0.3, cfg.n_bs, cfg.f_c)
         factor = np.exp(-2j * np.pi * cfg.m_half * cfg.f_d * tau)
-        np.testing.assert_allclose(ch.row(cfg.m_half), factor * base, atol=1e-13)
+        np.testing.assert_allclose(ch.h[2 * cfg.m_half], factor * base, atol=1e-13)
 
     def test_unit_modulus_for_unit_gain_zero_delay(self, cfg, grid):
         ch = channel_response(PathComponent(1.0 + 0j, -0.7, 0.0), grid, cfg)

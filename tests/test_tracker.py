@@ -57,6 +57,10 @@ class TestPlanTracking:
         with pytest.raises(ValueError):
             plan_tracking(0.9, 0.2, 4, cfg)
 
+    def test_unknown_pairing_mode_raises(self, cfg):
+        with pytest.raises(ValueError, match="pairing mode"):
+            plan_tracking(0.4, 0.2, 4, cfg, pairing_mode="sideways")
+
     def test_over_bound_slot_warns(self, cfg):
         # slot radius 0.15 far exceeds the forward limit at positive centers
         with pytest.warns(RuntimeWarning):
