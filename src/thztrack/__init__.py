@@ -45,6 +45,7 @@ from .pairing import (
     inter_fraction_ok,
     large_angle_bound,
     make_pairing,
+    mode_bound,
     quasi_fixed_radius,
     radius_bounds,
     sidelobe_mainlobe_frequency,
@@ -60,6 +61,7 @@ from .physmodel import (
     default_config,
     from_physical,
     precoder_matrix,
+    ray_response,
     simulate_rx,
     steering_vector,
     to_physical,

@@ -15,10 +15,11 @@ form, theta by a gradient step with a backtracking line search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .physmodel import SubcarrierGrid, SystemConfig, precoder_matrix, PrecoderConfig
+from .physmodel import PrecoderConfig, SubcarrierGrid, SystemConfig, precoder_matrix, ray_response
 from .tracker import TrackingObservation
 
 __all__ = [
@@ -36,38 +37,49 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CprProblem:
-    """Stacked observations y_hat (2M+1, L), precoders b_mats (2M+1, n_bs, L)."""
+    """Stacked observations y_hat (2M+1, L) and the slot slopes psi, t_aux (L,).
+
+    The solver evaluates the slot responses in closed form (:meth:`response`).
+    ``b_mats``, the dense precoders of shape (2M+1, n_bs, L), is built on
+    first use as an oracle view.
+    """
 
     y_hat: np.ndarray
-    b_mats: np.ndarray
+    psi: np.ndarray
+    t_aux: np.ndarray
     grid: SubcarrierGrid
     cfg: SystemConfig
-
-    def __post_init__(self):
-        # (2M+1, n_bs) matrix R with a_m(theta) = exp(-j*pi*theta*R), cached
-        ratios = self.grid.frequencies / self.cfg.f_c
-        ramp = np.pi * np.outer(ratios, np.arange(self.cfg.n_bs))
-        object.__setattr__(self, "_ratios", ratios)
-        object.__setattr__(self, "_ramp", ramp)
 
     @property
     def n_slots(self) -> int:
         return self.y_hat.shape[1]
 
+    @cached_property
+    def b_mats(self) -> np.ndarray:
+        b = np.empty((len(self.grid), self.cfg.n_bs, self.n_slots), dtype=complex)
+        for l, (psi, t_aux) in enumerate(zip(self.psi, self.t_aux)):
+            b[:, :, l] = precoder_matrix(PrecoderConfig(float(psi), float(t_aux)), self.grid, self.cfg)
+        return b
+
+    def response(self, theta: float, derivative: bool = False):
+        """Per-slot responses c[m, l] = a_m(theta)^H f_{l,m}, and dc/dtheta when ``derivative``."""
+        return ray_response(theta, self.psi, self.t_aux, self.cfg, derivative)
+
 
 def build_cpr_problem(obs: TrackingObservation) -> CprProblem:
     """Reshape a tracking observation into per-subcarrier stacks.
 
-    y_hat[m, l] equals obs.y[l, m] exactly; column l of b_mats[m] is the
-    precoder of slot l at subcarrier m.
+    y_hat[m, l] equals obs.y[l, m] exactly; psi[l] and t_aux[l] are the
+    slopes of slot l.
     """
     cfg = obs.plan.cfg
-    grid = SubcarrierGrid.from_config(cfg)
-    n_sub = len(grid)
-    b = np.empty((n_sub, cfg.n_bs, obs.plan.slots), dtype=complex)
-    for l, pc in enumerate(obs.plan.pairings):
-        b[:, :, l] = precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), grid, cfg)
-    return CprProblem(y_hat=obs.y.T.copy(), b_mats=b, grid=grid, cfg=cfg)
+    return CprProblem(
+        y_hat=obs.y.T.copy(),
+        psi=np.array([pc.psi for pc in obs.plan.pairings]),
+        t_aux=np.array([pc.t_aux for pc in obs.plan.pairings]),
+        grid=SubcarrierGrid.from_config(cfg),
+        cfg=cfg,
+    )
 
 
 @dataclass(frozen=True)
@@ -84,26 +96,6 @@ class CprState:
     degenerate_phases: bool = False
 
 
-def _steering_all(prob: CprProblem, theta: float) -> np.ndarray:
-    """Steering vectors of all subcarriers at one angle, shape (2M+1, n_bs).
-
-    Row m holds powers of one unit complex number, so a cumulative product
-    needs only 2M+1 transcendentals instead of (2M+1)*n_bs (entrywise error
-    ~1e-13, well below every tolerance used here).
-    """
-    u = np.exp(-1j * np.pi * theta * prob._ratios)
-    n_sub, n_bs = prob._ramp.shape
-    a = np.empty((n_sub, n_bs), dtype=complex)
-    a[:, 0] = 1.0
-    np.cumprod(np.broadcast_to(u[:, None], (n_sub, n_bs - 1)), axis=1, out=a[:, 1:])
-    return a
-
-
-def _response(prob: CprProblem, a: np.ndarray) -> np.ndarray:
-    """Per-slot responses c[m, l] = a_m^H f_{l,m} for stacked steering rows."""
-    return np.matmul(a.conj()[:, None, :], prob.b_mats)[:, 0, :]
-
-
 def _residual_matrix(prob: CprProblem, c: np.ndarray, g: float, taus: np.ndarray) -> np.ndarray:
     return prob.y_hat - (g * np.exp(1j * taus))[:, None] * c
 
@@ -113,10 +105,11 @@ def _sq_residual(prob: CprProblem, c: np.ndarray, g: float, taus: np.ndarray) ->
 
 
 def _gain(prob: CprProblem, c: np.ndarray) -> float:
-    den = float(np.sum(np.abs(c) ** 2))
-    if den == 0.0:
+    abs_c = np.abs(c)
+    # below n_bs^2*eps a closed-form response is rounding error of an exact zero
+    if np.all(abs_c < prob.cfg.n_bs**2 * np.finfo(float).eps):
         raise ValueError("degenerate geometry: all slot responses vanish at this angle")
-    return float(np.sum(np.abs(prob.y_hat) * np.abs(c))) / den
+    return float(np.sum(np.abs(prob.y_hat) * abs_c)) / float(np.sum(abs_c**2))
 
 
 def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -127,12 +120,12 @@ def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def objective(prob: CprProblem, theta: float, g: float, taus: np.ndarray) -> float:
     """Sum of squared residuals of the single-ray fit at the given parameters."""
-    return _sq_residual(prob, _response(prob, _steering_all(prob, theta)), g, taus)
+    return _sq_residual(prob, prob.response(theta), g, taus)
 
 
 def modulus_objective(prob: CprProblem, theta: float, g: float) -> float:
     """Phase-blind objective sum_m || |y_hat_m| - g*|c_m(theta)| ||^2."""
-    c = _response(prob, _steering_all(prob, theta))
+    c = prob.response(theta)
     d = np.abs(prob.y_hat) - g * np.abs(c)
     return float(np.sum(d**2))
 
@@ -143,7 +136,7 @@ def update_gain(prob: CprProblem, state: CprState) -> float:
     g = sum_m <|y_hat_m|, |c_m|> / sum_m ||c_m||^2; nonnegative because both
     factors in the numerator are.
     """
-    return _gain(prob, _response(prob, _steering_all(prob, state.theta)))
+    return _gain(prob, prob.response(state.theta))
 
 
 def update_phases(prob: CprProblem, state: CprState) -> np.ndarray:
@@ -151,13 +144,11 @@ def update_phases(prob: CprProblem, state: CprState) -> np.ndarray:
 
     A zero inner product leaves tau_m = 0 (flagged by refine as degenerate).
     """
-    return _phases(prob, _response(prob, _steering_all(prob, state.theta)))[0]
+    return _phases(prob, prob.response(state.theta))[0]
 
 
-def _gradient(prob: CprProblem, a: np.ndarray, c: np.ndarray, g: float, taus: np.ndarray) -> float:
+def _gradient(prob: CprProblem, c: np.ndarray, dc: np.ndarray, g: float, taus: np.ndarray) -> float:
     """d(residual)/d(theta): 2*Re sum conj(r) * dr/dtheta, a real number."""
-    da = (-1j * prob._ramp) * a
-    dc = _response(prob, da)
     r = _residual_matrix(prob, c, g, taus)
     dr = -(g * np.exp(1j * taus))[:, None] * dc
     return float(2.0 * np.real(np.sum(r.conj() * dr)))
@@ -165,9 +156,8 @@ def _gradient(prob: CprProblem, a: np.ndarray, c: np.ndarray, g: float, taus: np
 
 def objective_gradient(prob: CprProblem, state: CprState) -> float:
     """Derivative of the residual with respect to the angle at the current state."""
-    a = _steering_all(prob, state.theta)
-    c = _response(prob, a)
-    return _gradient(prob, a, c, state.g, state.taus)
+    c, dc = prob.response(state.theta, derivative=True)
+    return _gradient(prob, c, dc, state.g, state.taus)
 
 
 def refine(
@@ -191,8 +181,7 @@ def refine(
     returned with ``diverged`` set.
     """
     theta = float(theta_init)
-    a = _steering_all(prob, theta)
-    c = _response(prob, a)
+    c, dc = prob.response(theta, derivative=True)
     g_prev = 0.0
     taus = np.zeros(len(prob.grid))
     eta = step
@@ -214,7 +203,7 @@ def refine(
         taus, vanished = _phases(prob, c)
         degenerate = degenerate or vanished
         eps = _sq_residual(prob, c, g, taus)
-        grad = _gradient(prob, a, c, g, taus)
+        grad = _gradient(prob, c, dc, g, taus)
 
         # backtracking line search on theta, simple-decrease criterion; stop
         # once the first-order decrease eta*grad^2 falls below the float
@@ -222,19 +211,20 @@ def refine(
         eta = min(step, 2.0 * eta)
         if grad != 0.0:
             eta = min(eta, max_move / abs(grad))
-        theta_new, a_new, c_new, eps_new = theta, a, c, eps
+        theta_new, eps_new = theta, eps
         moved = False
         while grad != 0.0 and eta * grad * grad > eps * 1e-14:
             cand = theta - eta * grad
-            a_c = _steering_all(prob, cand)
-            c_c = _response(prob, a_c)
-            eps_c = _sq_residual(prob, c_c, g, taus)
+            eps_c = _sq_residual(prob, prob.response(cand), g, taus)
             if eps_c < eps:
-                theta_new, a_new, c_new, eps_new = cand, a_c, c_c, eps_c
+                theta_new, eps_new = cand, eps_c
                 moved = True
                 break
             eta *= 0.5
-        if not moved:
+        if moved:
+            # the derivative is needed only at accepted angles
+            c, dc = prob.response(theta_new, derivative=True)
+        else:
             # numerically stationary along this direction; a later iteration
             # may move again once the gain/phase blocks shift, so restart the
             # search scale rather than leaving eta microscopic
@@ -246,7 +236,7 @@ def refine(
             best = (eps_new, theta_new, g, taus.copy())
 
         delta = (g - g_prev) ** 2 + (theta_new - theta) ** 2
-        theta, a, c = theta_new, a_new, c_new
+        theta = theta_new
         g_prev = g
         eps = eps_new
 

@@ -25,6 +25,7 @@ __all__ = [
     "PairingConfig",
     "RadiusBounds",
     "make_pairing",
+    "mode_bound",
     "forward_bound",
     "backward_bound",
     "forward_backward_bound",
@@ -51,8 +52,8 @@ _SIDELOBE_CROSSING = 1.620
 class PairingConfig:
     """One subcarrier-angle pairing: mode, searched interval and the two slopes.
 
-    ``over_bound`` flags radii beyond the large-angle limit; tracking with such
-    a config may fail, but it is allowed (useful for demonstrating diffusion).
+    ``over_bound`` flags radii beyond :func:`mode_bound`; tracking with such a
+    config may fail, but it is allowed (useful for demonstrating diffusion).
     """
 
     mode: str
@@ -90,8 +91,23 @@ def make_pairing(theta0: float, alpha: float, cfg: SystemConfig, mode: str = "au
         alpha=alpha,
         psi=theta0 + sign * r * alpha,
         t_aux=theta0 + sign * alpha / r,
-        over_bound=alpha > large_angle_bound(theta0, cfg),
+        over_bound=alpha > mode_bound(theta0, mode, cfg),
     )
+
+
+def mode_bound(theta0: float, mode: str, cfg: SystemConfig) -> float:
+    """Radius limit of a ``mode`` pairing centered at theta0.
+
+    The enhanced :func:`large_angle_bound` holds for the mode the "auto" rule
+    picks: backward for theta0 >= 0 and, by its symmetry, forward for
+    theta0 <= 0.  A mode forced against the sign of theta0 gets its plain
+    limit, :func:`forward_bound` or :func:`backward_bound`.
+    """
+    if mode == FORWARD:
+        return large_angle_bound(theta0, cfg) if theta0 <= 0 else forward_bound(theta0, cfg)
+    if mode == BACKWARD:
+        return large_angle_bound(theta0, cfg) if theta0 >= 0 else backward_bound(theta0, cfg)
+    raise ValueError(f"unknown pairing mode {mode!r}")
 
 
 def forward_bound(theta0: float, cfg: SystemConfig) -> float:

@@ -8,6 +8,7 @@ are spatial directions in [-1, 1] (normalized sine of the physical angle).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "steering_vector",
     "steering_matrix",
     "channel_response",
+    "ray_response",
     "assemble_precoder",
     "precoder_matrix",
     "to_physical",
@@ -118,9 +120,40 @@ class PathComponent:
 
 @dataclass(frozen=True)
 class ChannelResponse:
-    """Per-subcarrier frequency-domain channel vectors, shape (2M+1, n_bs)."""
+    """A ray channel on the subcarrier grid of ``cfg``.
 
-    h: np.ndarray
+    Only the rays are stored: :meth:`precoded` evaluates the pilot response
+    in closed form.  ``h``, the dense per-subcarrier channel matrix of shape
+    (2M+1, n_bs), is built on first use and serves as the brute-force oracle.
+    """
+
+    paths: tuple[PathComponent, ...]
+    grid: SubcarrierGrid
+    cfg: SystemConfig
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """Dense channel vectors h_m as rows (2M+1, n_bs); the oracle of :meth:`precoded`."""
+        h = np.zeros((len(self.grid), self.cfg.n_bs), dtype=complex)
+        for path in self.paths:
+            steering = steering_matrix(self.grid, path.direction, self.cfg)
+            h += (path.gain * self._delay_phase(path))[:, None] * steering
+        return h
+
+    def _delay_phase(self, path: PathComponent) -> np.ndarray:
+        return np.exp(-2j * np.pi * self.grid.baseband * path.delay)
+
+    def precoded(self, psi, t_aux) -> np.ndarray:
+        """Received responses h_m^H f_{l,m} for slot slopes ``psi``, ``t_aux`` (L,); shape (2M+1, L).
+
+        Each ray adds conj(gain * exp(-j*2*pi*f_b*delay)) times its
+        :func:`ray_response`.
+        """
+        out = np.zeros((len(self.grid), np.size(psi)), dtype=complex)
+        for path in self.paths:
+            weight = np.conj(path.gain * self._delay_phase(path))
+            out += weight[:, None] * ray_response(path.direction, psi, t_aux, self.cfg)
+        return out
 
 
 @dataclass(frozen=True)
@@ -173,11 +206,82 @@ def channel_response(
     """
     if isinstance(paths, PathComponent):
         paths = [paths]
-    h = np.zeros((len(grid), cfg.n_bs), dtype=complex)
-    for path in paths:
-        phase = np.exp(-2j * np.pi * grid.baseband * path.delay)
-        h += path.gain * phase[:, None] * steering_matrix(grid, path.direction, cfg)
-    return ChannelResponse(h=h)
+    return ChannelResponse(paths=tuple(paths), grid=grid, cfg=cfg)
+
+
+# |n*u| below which the Dirichlet ratio D_n(u) = sin(n*u)/sin(u) and its
+# derivative are summed term by term.  The quotient-rule derivative cancels
+# there (it is O(u) from terms of size n) and loses ~eps/|n*u| relative.
+_NEAR_SINGULAR = 0.5
+
+
+def _dirichlet_ratio(n: int, z: np.ndarray, derivative: bool):
+    """Real amplitude D_n(u), u = pi*z/2, of G_n(z) = sum_{i<n} exp(j*pi*z*i) = exp(j*pi*(n-1)*z/2) * D_n(u).
+
+    G_n has period 2, so z is first reduced to [-1, 1], where only z = 0 is
+    singular.  Returns the reduced z, D_n(u) and, with ``derivative``,
+    dD_n/du.  Near z = 0, D_n = sum_j cos(j*u) and D_n' = -sum_j j*sin(j*u)
+    over the n offsets j = 1-n, 3-n, ..., n-1; these sums do not cancel and
+    give D_n(0) = n.
+    """
+    z = z - 2.0 * np.rint(0.5 * z)
+    u = 0.5 * np.pi * z
+    near = np.abs(u) < _NEAR_SINGULAR / n
+    any_near = near.any()
+    sin_u = np.sin(u)
+    if any_near:
+        sin_u[near] = 1.0  # placeholder; these entries are summed directly below
+    ratio = np.sin(n * u) / sin_u
+    d_ratio = (n * np.cos(n * u) - ratio * np.cos(u)) / sin_u if derivative else None
+    if any_near:
+        j = np.arange(1 - n, n, 2)
+        ju = u[near][:, None] * j
+        ratio[near] = np.sum(np.cos(ju), axis=1)
+        if derivative:
+            d_ratio[near] = -np.sum(j * np.sin(ju), axis=1)
+    return z, ratio, d_ratio
+
+
+@lru_cache(maxsize=16)
+def _subcarrier_ratios(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-subcarrier f_m/f_c and f_b/f_c as read-only columns (2M+1, 1), shared by every caller."""
+    grid = SubcarrierGrid.from_config(cfg)
+    ratios = (grid.frequencies / cfg.f_c)[:, None], (grid.baseband / cfg.f_c)[:, None]
+    for r in ratios:
+        r.flags.writeable = False
+    return ratios
+
+
+def ray_response(theta: float, psi, t_aux, cfg: SystemConfig, derivative: bool = False):
+    """Unit-gain responses c[m, l] = a_m(theta)^H f_{l,m} of one ray, shape (2M+1, L).
+
+    ``psi`` and ``t_aux`` hold the L slot slopes.  The n_bs-term inner product
+    factors into a p-element phase-shifter window and an n_ttd-element delay
+    beam,
+
+        c = G_p(x) * G_{n_ttd}(p*(x - (f_b/f_c)*t_aux)),  x = (f_m/f_c)*theta - psi,
+
+    so the cost is O(L*(2M+1)).  With ``derivative`` the pair (c, dc/dtheta)
+    is returned.
+    """
+    rho, fb_ratio = _subcarrier_ratios(cfg)
+    psi = np.atleast_1d(np.asarray(psi, dtype=float))
+    t_aux = np.atleast_1d(np.asarray(t_aux, dtype=float))
+    x = rho * theta - psi
+    # reducing x moves the beam argument by a multiple of 2*p, a period of G_{n_ttd}
+    x, window, d_window = _dirichlet_ratio(cfg.p, x, derivative)
+    z, beam, d_beam = _dirichlet_ratio(cfg.n_ttd, cfg.p * (x - fb_ratio * t_aux), derivative)
+    # the two phase centers exp(j*pi*(n-1)*z/2) combine into one rotation
+    rot = np.exp(0.5j * np.pi * ((cfg.p - 1) * x + (cfg.n_ttd - 1) * z))
+    c = rot * (window * beam)
+    if not derivative:
+        return c
+    # dc/dtheta = (f_m/f_c) * (G_p' G_N + p G_p G_N'); the phase-center terms
+    # add up to j*(n_bs - 1) * D_p * D_N
+    dc = (0.5 * np.pi * rho) * rot * (
+        d_window * beam + cfg.p * window * d_beam + 1j * (cfg.n_bs - 1) * window * beam
+    )
+    return c, dc
 
 
 def assemble_precoder(pc: PrecoderConfig, f_m: float, cfg: SystemConfig) -> np.ndarray:

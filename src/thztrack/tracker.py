@@ -16,15 +16,14 @@ import numpy as np
 from . import pairing as pairing_mod
 from .beampattern import angle_map
 from .codebook import JointCodebook, quantized_pairing
-from .pairing import BACKWARD, FORWARD, PairingConfig, forward_bound, large_angle_bound
-from .physmodel import (
-    ChannelResponse,
-    PrecoderConfig,
-    SubcarrierGrid,
-    SystemConfig,
-    make_rng,
-    precoder_matrix,
-)
+from .pairing import BACKWARD, PairingConfig
+from .physmodel import ChannelResponse, PrecoderConfig, SystemConfig, make_rng
+
+# Not called in this module: kept as its attributes only so that span tracers
+# wrapping tracker.forward_bound, tracker.large_angle_bound and
+# tracker.precoder_matrix still find them.
+from .pairing import forward_bound, large_angle_bound  # noqa: F401
+from .physmodel import precoder_matrix  # noqa: F401
 
 __all__ = [
     "TrackingPlan",
@@ -99,8 +98,8 @@ def plan_tracking(
             pc = PairingConfig(mode=BACKWARD, theta0=float(c), alpha=0.0, psi=float(c), t_aux=float(c))
         else:
             pc = pairing_mod.make_pairing(float(c), radius, cfg, pairing_mode)
-            bound = forward_bound(pc.theta0, cfg) if pc.mode == FORWARD else large_angle_bound(pc.theta0, cfg)
-            if radius > bound:
+            if pc.over_bound:
+                bound = pairing_mod.mode_bound(pc.theta0, pc.mode, cfg)
                 warnings.warn(
                     f"slot radius {radius:.4g} exceeds the {pc.mode} bound {bound:.4g} "
                     f"at center {pc.theta0:.3f}; tracking may fail",
@@ -129,23 +128,21 @@ def run_tracking(
 ) -> TrackingObservation:
     """Simulate the received pilot matrix Y, one row per slot, unit pilots.
 
-    Y[l, m] is h_m^H f_{l,m} plus circular complex noise of variance
-    noise_std**2; reproducible for a given seed.
+    Y[l, m] is h_m^H f_{l,m} (closed form, :meth:`ChannelResponse.precoded`)
+    plus circular complex noise of variance noise_std**2; reproducible for a
+    given seed.
     """
     cfg = plan.cfg
-    grid = SubcarrierGrid.from_config(cfg)
-    if channel.h.shape != (len(grid), cfg.n_bs):
-        raise ValueError(f"channel shape {channel.h.shape} does not match the config grid")
+    if channel.cfg != cfg:
+        raise ValueError("channel was built for a different system config than the plan")
     if noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
-    y = np.empty((plan.slots, len(grid)), dtype=complex)
-    hc = channel.h.conj()
-    for i, pc in enumerate(plan.pairings):
-        f = precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), grid, cfg)
-        y[i] = np.einsum("mn,mn->m", hc, f)
+    psi = [pc.psi for pc in plan.pairings]
+    t_aux = [pc.t_aux for pc in plan.pairings]
+    y = channel.precoded(psi, t_aux).T.copy()
     if noise_std > 0:
         gen = make_rng(rng)
-        noise = gen.standard_normal((plan.slots, len(grid), 2))
+        noise = gen.standard_normal((plan.slots, cfg.n_subcarriers, 2))
         y += noise_std / np.sqrt(2.0) * (noise[..., 0] + 1j * noise[..., 1])
     return TrackingObservation(y=y, plan=plan)
 

@@ -290,3 +290,22 @@ seed = 3
         p.write_text("this is not a key value pair\n")
         with pytest.raises(ValueError):
             load_key_values(p)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("users", 1.7), ("n_bs", "abc"), ("m_half", 64.5), ("trials", True), ("seed", "1.5"),
+         ("slots", [2, 2.5])],
+    )
+    def test_integer_keys_reject_non_integral_values(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            scenario_from_mapping({key: value})
+
+    def test_integer_keys_from_file_named_in_error(self, tmp_path):
+        p = tmp_path / "users.cfg"
+        p.write_text("users = 1.7\n")
+        with pytest.raises(ValueError, match="users"):
+            scenario_from_file(p)
+
+    def test_integral_values_accepted(self):
+        scn = scenario_from_mapping({"users": 2.0, "trials": "3", "slots": [2, 4.0], "n_bs": 256.0})
+        assert (scn.users, scn.trials, scn.slots, scn.system.n_bs) == (2, 3, (2, 4), 256)

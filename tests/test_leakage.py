@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,8 +55,7 @@ def synthetic_problem(plan, cfg, grid, theta, g0, taus0):
             c = np.vdot(a, assemble_precoder(PrecoderConfig(pc.psi, pc.t_aux), f_m, cfg))
             y_hat[i, l] = g0 * np.exp(1j * taus0[i]) * c
     obs = run_tracking(plan, channel_response(PathComponent(1.0 + 0j, theta, 0.0), grid, cfg), 0.0)
-    prob = build_cpr_problem(obs)
-    return type(prob)(y_hat=y_hat, b_mats=prob.b_mats, grid=prob.grid, cfg=prob.cfg)
+    return replace(build_cpr_problem(obs), y_hat=y_hat)
 
 
 @pytest.fixture(scope="module")
@@ -103,12 +104,7 @@ class TestUpdateGain:
     def test_homogeneous_in_data_scale(self, noisy_problem, grid):
         state = CprState(theta=0.4321, g=0.0, taus=np.zeros(len(grid)), residual=0.0)
         g1 = update_gain(noisy_problem, state)
-        doubled = type(noisy_problem)(
-            y_hat=2.0 * noisy_problem.y_hat,
-            b_mats=noisy_problem.b_mats,
-            grid=noisy_problem.grid,
-            cfg=noisy_problem.cfg,
-        )
+        doubled = replace(noisy_problem, y_hat=2.0 * noisy_problem.y_hat)
         assert update_gain(doubled, state) == pytest.approx(2.0 * g1, rel=1e-12)
 
     def test_never_increases_modulus_objective(self, noisy_problem, grid):
@@ -132,12 +128,7 @@ class TestUpdatePhases:
     def test_global_phase_shift_equivariance(self, noisy_problem, grid):
         state = CprState(theta=0.4321, g=1.0, taus=np.zeros(len(grid)), residual=0.0)
         base = update_phases(noisy_problem, state)
-        shifted_prob = type(noisy_problem)(
-            y_hat=np.exp(1j * 0.71) * noisy_problem.y_hat,
-            b_mats=noisy_problem.b_mats,
-            grid=noisy_problem.grid,
-            cfg=noisy_problem.cfg,
-        )
+        shifted_prob = replace(noisy_problem, y_hat=np.exp(1j * 0.71) * noisy_problem.y_hat)
         shifted = update_phases(shifted_prob, state)
         wrapped = np.angle(np.exp(1j * (shifted - base - 0.71)))
         np.testing.assert_allclose(wrapped, 0.0, atol=1e-12)
@@ -161,9 +152,9 @@ class TestDegenerateGeometry:
     def test_all_zero_responses_raise(self, cfg, grid, plan):
         taus0 = np.zeros(len(grid))
         prob = synthetic_problem(plan, cfg, grid, 0.413, 1.0, taus0)
-        dead = type(prob)(
-            y_hat=prob.y_hat, b_mats=np.zeros_like(prob.b_mats), grid=prob.grid, cfg=prob.cfg
-        )
+        # every slot steers its beam null onto theta: psi = theta - 2/n_bs, t = theta
+        slopes = np.full(plan.slots, 0.413)
+        dead = replace(prob, psi=slopes - 2.0 / cfg.n_bs, t_aux=slopes)
         state = CprState(theta=0.413, g=1.0, taus=taus0, residual=0.0)
         with pytest.raises(ValueError):
             update_gain(dead, state)

@@ -18,6 +18,7 @@ from thztrack import (
     inter_fraction_ok,
     large_angle_bound,
     make_pairing,
+    mode_bound,
     plan_tracking,
     quasi_fixed_radius,
     radius_bounds,
@@ -52,6 +53,21 @@ class TestMakePairing:
     def test_over_bound_flag(self, cfg):
         assert not make_pairing(0.6, 0.05, cfg).over_bound
         assert make_pairing(0.6, 0.14, cfg).over_bound
+
+    def test_auto_negative_center_uses_large_angle_bound(self, cfg):
+        # forward is auto's mode at theta0 < 0: 0.1 is within the large-angle
+        # limit 0.13125 though beyond the plain forward limit 0.0925
+        assert not make_pairing(-0.6, 0.1, cfg).over_bound
+        assert mode_bound(-0.6, "forward", cfg) == large_angle_bound(-0.6, cfg)
+
+    def test_forced_off_sign_modes_use_plain_bounds(self, cfg):
+        # forced forward at theta0 > 0 and forced backward at theta0 < 0 get
+        # the plain per-mode limit 1/p - 0.05*0.6 = 0.0325
+        assert mode_bound(0.6, "forward", cfg) == forward_bound(0.6, cfg)
+        assert mode_bound(-0.6, "backward", cfg) == backward_bound(-0.6, cfg)
+        assert make_pairing(0.6, 0.05, cfg, "forward").over_bound
+        assert make_pairing(-0.6, 0.05, cfg, "backward").over_bound
+        assert not make_pairing(0.6, 0.03, cfg, "forward").over_bound
 
     def test_rejects_bad_inputs(self, cfg):
         with pytest.raises(ValueError):
@@ -97,7 +113,10 @@ class TestMakePairingProperties:
         pc = PrecoderConfig(pairing.psi, pairing.t_aux)
         assert angle_map(-system.m_half, pc, system) == pytest.approx(first, abs=1e-12)
         assert angle_map(system.m_half, pc, system) == pytest.approx(last, abs=1e-12)
-        assert pairing.over_bound == (alpha > large_angle_bound(theta0, system))
+        assert pairing.over_bound == (alpha > mode_bound(theta0, pairing.mode, system))
+        if mode == "auto":
+            # the mode auto picks always gets the enhanced large-angle limit
+            assert mode_bound(theta0, pairing.mode, system) == large_angle_bound(theta0, system)
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thztrack import (
     PathComponent,
@@ -11,6 +13,8 @@ from thztrack import (
     default_config,
     from_physical,
     peak_map,
+    precoder_matrix,
+    ray_response,
     simulate_rx,
     steering_vector,
     to_physical,
@@ -189,3 +193,87 @@ class TestWidebandBeamforming:
         pm = peak_map(PrecoderConfig(theta0, theta0), cfg, grid_step=1e-3)
         assert np.all(np.abs(pm.angles - theta0) <= 5e-4 + 1e-12)
         assert np.all(pm.gains > 0.9)
+
+
+# Tolerances fixed from the dtype before any measurement.  The dense oracle
+# sums n_bs terms whose phases reach ~pi*n_bs*(|theta| + |psi| + |t|), each
+# rounded to eps relative, so its own error scale is n_bs^2*eps for c and
+# pi*n_bs^3*eps for dc/dtheta (term k carries the extra factor pi*(f_m/f_c)*k).
+# With C = 8 the largest ratio seen over 1500 random configs was 3.2 (c) and
+# 2.8 (dc/dtheta); the quotient-rule derivative without the near-singular
+# branch is off by ~1e-8 relative at 1e-9 from a singularity and fails.
+_RAY_TOL_C = 8.0
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def _ray_cases(draw):
+    """Random array/band and slot slopes, a third of them exactly on and a third within 1e-9 of
+    the removable singularities theta = psi = t."""
+    p = draw(st.integers(1, 16))
+    n_ttd = draw(st.integers(1, 16))
+    f_c = draw(st.floats(1e9, 1e12))
+    edge_ratio = draw(st.floats(0.01, 0.45))
+    system = SystemConfig(
+        n_bs=p * n_ttd, n_ttd=n_ttd, p=p, f_c=f_c, bandwidth=2 * edge_ratio * f_c,
+        m_half=draw(st.integers(1, 32)),
+    )
+    theta = draw(st.floats(-1.0, 1.0))
+    kind = draw(st.sampled_from(("random", "singular", "near")))
+    slots = 3
+    if kind == "random":
+        psi = draw(st.lists(st.floats(-1.0, 1.0), min_size=slots, max_size=slots))
+        t_aux = draw(st.lists(st.floats(-4.0, 4.0), min_size=slots, max_size=slots))
+    elif kind == "singular":
+        psi = t_aux = [theta] * slots
+    else:
+        offsets = st.lists(st.floats(-1e-9, 1e-9), min_size=slots, max_size=slots)
+        psi = [theta + d for d in draw(offsets)]
+        t_aux = [theta + d for d in draw(offsets)]
+    return system, theta, np.array(psi), np.array(t_aux)
+
+
+def _dense_ray_response(system, theta, psi, t_aux):
+    """c and dc/dtheta from explicit steering/precoder inner products."""
+    grid = SubcarrierGrid.from_config(system)
+    k = np.arange(system.n_bs)
+    c = np.empty((len(grid), len(psi)), dtype=complex)
+    dc = np.empty_like(c)
+    for i, f_m in enumerate(grid.frequencies):
+        a = steering_vector(f_m, theta, system.n_bs, system.f_c)
+        for l, (ps, t) in enumerate(zip(psi, t_aux)):
+            f = assemble_precoder(PrecoderConfig(ps, t), f_m, system)
+            c[i, l] = np.vdot(a, f)
+            dc[i, l] = np.sum(1j * np.pi * (f_m / system.f_c) * k * a.conj() * f)
+    return c, dc
+
+
+class TestRayResponse:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_ray_cases())
+    def test_matches_dense_inner_products(self, case):
+        system, theta, psi, t_aux = case
+        c, dc = ray_response(theta, psi, t_aux, system, derivative=True)
+        want_c, want_dc = _dense_ray_response(system, theta, psi, t_aux)
+        n = system.n_bs
+        assert np.max(np.abs(c - want_c)) <= _RAY_TOL_C * n**2 * _EPS
+        assert np.max(np.abs(dc - want_dc)) <= _RAY_TOL_C * np.pi * n**3 * _EPS
+        np.testing.assert_array_equal(ray_response(theta, psi, t_aux, system), c)
+
+    def test_full_array_gain_at_exact_singularity(self, cfg):
+        c = ray_response(0.3, [0.3, 0.3], [0.3, 0.3], cfg)
+        assert c.shape == (cfg.n_subcarriers, 2)
+        assert c[cfg.m_half, 0] == cfg.n_bs
+
+    def test_channel_pilots_match_dense_channel(self, cfg, grid):
+        paths = [PathComponent(0.8 - 0.3j, 0.2, 0.0), PathComponent(0.5j, -0.4, 1e-10)]
+        ch = channel_response(paths, grid, cfg)
+        psi, t_aux = [0.21, -0.35], [0.6, -1.1]
+        dense = np.stack(
+            [np.einsum("mn,mn->m", ch.h.conj(), precoder_matrix(PrecoderConfig(ps, t), grid, cfg))
+             for ps, t in zip(psi, t_aux)],
+            axis=1,
+        )
+        # two rays, each within the single-ray tolerance
+        atol = 2 * _RAY_TOL_C * cfg.n_bs**2 * _EPS
+        np.testing.assert_allclose(ch.precoded(psi, t_aux), dense, rtol=0, atol=atol)

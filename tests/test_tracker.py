@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from thztrack import (
     PathComponent,
     PrecoderConfig,
     SubcarrierGrid,
+    SystemConfig,
     TrackingObservation,
     angle_map,
     build_codebook,
@@ -65,6 +68,19 @@ class TestPlanTracking:
         # slot radius 0.15 far exceeds the forward limit at positive centers
         with pytest.warns(RuntimeWarning):
             plan_tracking(0.6, 0.3, 2, cfg, pairing_mode="forward")
+
+    def test_auto_negative_slot_warning_agrees_with_flag(self, cfg):
+        # auto picks forward at -0.6, whose limit is the large-angle bound 0.13125
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            plan = plan_tracking(-0.6, 0.1, 1, cfg)
+        assert not plan.pairings[0].over_bound
+
+    @pytest.mark.parametrize("theta0, mode", [(0.6, "forward"), (-0.6, "backward")])
+    def test_forced_off_sign_slot_warns_and_flags(self, cfg, theta0, mode):
+        with pytest.warns(RuntimeWarning, match=f"{mode} bound 0.0325"):
+            plan = plan_tracking(theta0, 0.05, 1, cfg, pairing_mode=mode)
+        assert plan.pairings[0].over_bound
 
     def test_codebook_snapping_applied(self, cfg):
         cb = build_codebook(cfg)
@@ -129,14 +145,10 @@ class TestRunTracking:
 
     def test_config_mismatch_raises(self, cfg):
         plan = plan_tracking(0.2, 0.1, 2, cfg)
-        bad = channel_response(
-            PathComponent(1.0 + 0j, 0.2, 0.0),
-            SubcarrierGrid.from_config(cfg),
-            cfg,
-        )
-        truncated = type(bad)(h=bad.h[:, :-1])
+        other = SystemConfig(n_bs=128, n_ttd=8, p=16, f_c=cfg.f_c, bandwidth=cfg.bandwidth, m_half=cfg.m_half)
+        bad = channel_response(PathComponent(1.0 + 0j, 0.2, 0.0), SubcarrierGrid.from_config(other), other)
         with pytest.raises(ValueError):
-            run_tracking(plan, truncated, 0.0)
+            run_tracking(plan, bad, 0.0)
 
 
 class TestSelectStrongest:
