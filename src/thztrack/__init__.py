@@ -62,7 +62,6 @@ from .physmodel import (
     from_physical,
     precoder_matrix,
     ray_response,
-    simulate_rx,
     steering_vector,
     to_physical,
 )

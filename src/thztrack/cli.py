@@ -14,6 +14,7 @@ from .harness import (
     CONFIG_KEYS,
     SCHEMES,
     ScenarioConfig,
+    _as_int,
     beamforming_gain,
     load_key_values,
     scenario_from_mapping,
@@ -210,7 +211,7 @@ def _run_sweep(args, default_axis: str) -> int:
     if args.values:
         values = [float(v) for v in args.values.split(",")]
         if axis == "slots":
-            values = [int(v) for v in values]
+            values = [_as_int("--values", v) for v in values]
     report = sweep(scn, axis, values=values, keep_records=args.full is not None)
     report.write_csv(args.out)
     if args.full:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import build_codebook, snap
-from .leakage import build_cpr_problem, refine
+from .leakage import DegenerateGeometryError, build_cpr_problem, refine
 from .physmodel import (
     ChannelResponse,
     PathComponent,
@@ -96,7 +96,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Per-user outcome of one tracking frame."""
+    """Per-user outcome of one tracking frame.
+
+    The refinement outcome: ``iterations`` run, whether it ``converged`` or
+    ``diverged``, and whether the geometry was ``degenerate`` (every slot
+    response vanished, so the coarse estimate was kept).  All stay at their
+    defaults without compensation.
+    """
 
     trial: int
     user: int
@@ -104,6 +110,10 @@ class TrialRecord:
     theta_hat: float
     theta_refined: float | None
     gain: float
+    iterations: int = 0
+    converged: bool = False
+    diverged: bool = False
+    degenerate: bool = False
 
     @property
     def theta_final(self) -> float:
@@ -174,14 +184,24 @@ def run_trial(
         obs = run_tracking(plan, channel, noise_std, rng)
         est = coarse_estimate(obs)
         theta_refined = None
+        outcome = {}
         if scn.compensation:
             prob = build_cpr_problem(obs)
-            if noise_std == 0.0:
-                # noiseless data supports convergence to machine precision
-                state = refine(prob, est.theta_hat, max_iter=200, tol=1e-18)
+            try:
+                if noise_std == 0.0:
+                    # noiseless data supports convergence to machine precision
+                    state = refine(prob, est.theta_hat, max_iter=200, tol=1e-18)
+                else:
+                    state = refine(prob, est.theta_hat)
+            except DegenerateGeometryError:
+                outcome = {"degenerate": True}
             else:
-                state = refine(prob, est.theta_hat)
-            theta_refined = float(state.theta)
+                theta_refined = float(state.theta)
+                outcome = {
+                    "iterations": state.iterations,
+                    "converged": state.converged,
+                    "diverged": state.diverged,
+                }
         theta_final = theta_refined if theta_refined is not None else est.theta_hat
         aim = snap(theta_final, cb.psi_grid) if scn.codebook else theta_final
         gain = beamforming_gain(channel, aim, cfg)
@@ -193,6 +213,7 @@ def run_trial(
                 theta_hat=est.theta_hat,
                 theta_refined=theta_refined,
                 gain=gain,
+                **outcome,
             )
         )
     return records
@@ -271,6 +292,10 @@ class MetricsReport:
             "mean_gain",
             "n_records",
             "n_excluded",
+            "mean_iterations",
+            "n_unconverged",
+            "n_diverged",
+            "n_degenerate",
         ]
         write_table(path, cols, ([row[c] for c in cols] for row in self.rows))
 
@@ -302,7 +327,9 @@ def sweep(scn: ScenarioConfig, axis: str, values=None, keep_records: bool = Fals
 
     Off-axis parameters take the first entry of their scenario list.  Rows
     carry the NMSE of the reported estimate and, when compensation is on, of
-    the coarse estimate as well.
+    the coarse estimate as well, plus how the refinements ended: the mean
+    iteration count and the numbers that ran out of iterations, diverged, or
+    kept the coarse estimate on a degenerate geometry.
     """
     vals = _axis_values(scn, axis, values)
     base_snr = scn.snr_db[0] if scn.snr_db else 10.0
@@ -313,7 +340,7 @@ def sweep(scn: ScenarioConfig, axis: str, values=None, keep_records: bool = Fals
     all_records: dict = {}
     for value in vals:
         snr = value if axis == "snr" else base_snr
-        n_slots = int(value) if axis == "slots" else int(base_slots)
+        n_slots = _as_int("slots", value if axis == "slots" else base_slots)
         target = float(value) if axis == "theta" else None
         records: list[TrialRecord] = []
         for trial in range(scn.trials):
@@ -340,6 +367,12 @@ def sweep(scn: ScenarioConfig, axis: str, values=None, keep_records: bool = Fals
                 "mean_gain": float(np.mean([r.gain for r in records])),
                 "n_records": len(records),
                 "n_excluded": excluded,
+                "mean_iterations": float(np.mean([r.iterations for r in records])),
+                "n_unconverged": sum(
+                    r.theta_refined is not None and not (r.converged or r.diverged) for r in records
+                ),
+                "n_diverged": sum(r.diverged for r in records),
+                "n_degenerate": sum(r.degenerate for r in records),
             }
         )
         if keep_records:
@@ -404,7 +437,7 @@ def _as_int(key: str, value) -> int:
             return int(value.strip())
         except ValueError:
             pass
-    raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    raise ValueError(f"{key!r} must be an integer, got {value!r}")
 
 
 def _as_tuple(value, kind) -> tuple:

@@ -19,12 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .physmodel import PrecoderConfig, SubcarrierGrid, SystemConfig, precoder_matrix, ray_response
+from .physmodel import PrecoderConfig, RayKernel, SubcarrierGrid, SystemConfig, precoder_matrix
 from .tracker import TrackingObservation
 
 __all__ = [
     "CprProblem",
     "CprState",
+    "DegenerateGeometryError",
     "build_cpr_problem",
     "objective",
     "modulus_objective",
@@ -39,7 +40,10 @@ __all__ = [
 class CprProblem:
     """Stacked observations y_hat (2M+1, L) and the slot slopes psi, t_aux (L,).
 
-    The solver evaluates the slot responses in closed form (:meth:`response`).
+    The solver evaluates the slot responses in closed form through
+    ``kernel``, a :class:`RayKernel` holding the slot terms, and reuses
+    ``abs_y`` = |y_hat|; both are built on first use and belong to this
+    instance, so ``dataclasses.replace`` starts a new problem afresh.
     ``b_mats``, the dense precoders of shape (2M+1, n_bs, L), is built on
     first use as an oracle view.
     """
@@ -61,9 +65,17 @@ class CprProblem:
             b[:, :, l] = precoder_matrix(PrecoderConfig(float(psi), float(t_aux)), self.grid, self.cfg)
         return b
 
+    @cached_property
+    def kernel(self) -> RayKernel:
+        return RayKernel(self.psi, self.t_aux, self.cfg)
+
+    @cached_property
+    def abs_y(self) -> np.ndarray:
+        return np.abs(self.y_hat)
+
     def response(self, theta: float, derivative: bool = False):
         """Per-slot responses c[m, l] = a_m(theta)^H f_{l,m}, and dc/dtheta when ``derivative``."""
-        return ray_response(theta, self.psi, self.t_aux, self.cfg, derivative)
+        return self.kernel(theta, derivative)
 
 
 def build_cpr_problem(obs: TrackingObservation) -> CprProblem:
@@ -96,20 +108,29 @@ class CprState:
     degenerate_phases: bool = False
 
 
-def _residual_matrix(prob: CprProblem, c: np.ndarray, g: float, taus: np.ndarray) -> np.ndarray:
-    return prob.y_hat - (g * np.exp(1j * taus))[:, None] * c
+class DegenerateGeometryError(ValueError):
+    """Every slot response vanishes at the angle, so the amplitude fit is undefined."""
 
 
-def _sq_residual(prob: CprProblem, c: np.ndarray, g: float, taus: np.ndarray) -> float:
-    return float(np.sum(np.abs(_residual_matrix(prob, c, g, taus)) ** 2))
+def _model(g: float, taus: np.ndarray) -> np.ndarray:
+    """The per-subcarrier factor g*exp(j*tau_m) of the single-ray model, as a column."""
+    return (g * np.exp(1j * taus))[:, None]
+
+
+def _residual_matrix(prob: CprProblem, c: np.ndarray, model: np.ndarray) -> np.ndarray:
+    return prob.y_hat - model * c
+
+
+def _sum_sq(r: np.ndarray) -> float:
+    return float(np.sum(np.abs(r) ** 2))
 
 
 def _gain(prob: CprProblem, c: np.ndarray) -> float:
     abs_c = np.abs(c)
     # below n_bs^2*eps a closed-form response is rounding error of an exact zero
     if np.all(abs_c < prob.cfg.n_bs**2 * np.finfo(float).eps):
-        raise ValueError("degenerate geometry: all slot responses vanish at this angle")
-    return float(np.sum(np.abs(prob.y_hat) * abs_c)) / float(np.sum(abs_c**2))
+        raise DegenerateGeometryError("degenerate geometry: all slot responses vanish at this angle")
+    return float(np.sum(prob.abs_y * abs_c)) / float(np.sum(abs_c**2))
 
 
 def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -120,13 +141,13 @@ def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def objective(prob: CprProblem, theta: float, g: float, taus: np.ndarray) -> float:
     """Sum of squared residuals of the single-ray fit at the given parameters."""
-    return _sq_residual(prob, prob.response(theta), g, taus)
+    return _sum_sq(_residual_matrix(prob, prob.response(theta), _model(g, taus)))
 
 
 def modulus_objective(prob: CprProblem, theta: float, g: float) -> float:
     """Phase-blind objective sum_m || |y_hat_m| - g*|c_m(theta)| ||^2."""
     c = prob.response(theta)
-    d = np.abs(prob.y_hat) - g * np.abs(c)
+    d = prob.abs_y - g * np.abs(c)
     return float(np.sum(d**2))
 
 
@@ -147,17 +168,17 @@ def update_phases(prob: CprProblem, state: CprState) -> np.ndarray:
     return _phases(prob, prob.response(state.theta))[0]
 
 
-def _gradient(prob: CprProblem, c: np.ndarray, dc: np.ndarray, g: float, taus: np.ndarray) -> float:
-    """d(residual)/d(theta): 2*Re sum conj(r) * dr/dtheta, a real number."""
-    r = _residual_matrix(prob, c, g, taus)
-    dr = -(g * np.exp(1j * taus))[:, None] * dc
+def _gradient(r: np.ndarray, model: np.ndarray, dc: np.ndarray) -> float:
+    """d(residual)/d(theta) from the residual matrix r: 2*Re sum conj(r) * dr/dtheta, a real number."""
+    dr = -model * dc
     return float(2.0 * np.real(np.sum(r.conj() * dr)))
 
 
 def objective_gradient(prob: CprProblem, state: CprState) -> float:
     """Derivative of the residual with respect to the angle at the current state."""
     c, dc = prob.response(state.theta, derivative=True)
-    return _gradient(prob, c, dc, state.g, state.taus)
+    model = _model(state.g, state.taus)
+    return _gradient(_residual_matrix(prob, c, model), model, dc)
 
 
 def refine(
@@ -175,13 +196,19 @@ def refine(
     residual decreases).  The trial step is warm-started from the last
     accepted one and capped both at ``step`` and at a trust region of a
     quarter beam semi-width per move, which keeps the search short when the
-    residual scale is large.  Stops when the squared change of [g, theta]
+    residual scale is large.  Every line-search angle is evaluated once
+    (:meth:`RayKernel.evaluate`); the accepted angle's evaluation serves the
+    next iteration's gain, phases and residual, and only its derivative is
+    added.  Each iteration forms the residual once, for both the objective
+    and the gradient.  Stops when the squared change of [g, theta]
     drops below ``tol`` or after ``max_iter`` iterations.  If the residual
     grows over five consecutive iterations the best state seen so far is
     returned with ``diverged`` set.
     """
+    kernel = prob.kernel
     theta = float(theta_init)
-    c, dc = prob.response(theta, derivative=True)
+    ev = kernel.evaluate(theta)
+    dc = kernel.slope(ev)
     g_prev = 0.0
     taus = np.zeros(len(prob.grid))
     eta = step
@@ -192,18 +219,21 @@ def refine(
     prev_eps = np.inf
     grow_streak = 0
     degenerate = False
-    eps = float(np.sum(np.abs(prob.y_hat) ** 2))
+    eps = float(np.sum(prob.abs_y**2))
     iterations = 0
     converged = False
     diverged = False
 
     for it in range(1, max_iter + 1):
         iterations = it
-        g = _gain(prob, c)
-        taus, vanished = _phases(prob, c)
+        # ev and dc belong to theta: the start's, or the last accepted candidate's
+        g = _gain(prob, ev.c)
+        taus, vanished = _phases(prob, ev.c)
         degenerate = degenerate or vanished
-        eps = _sq_residual(prob, c, g, taus)
-        grad = _gradient(prob, c, dc, g, taus)
+        model = _model(g, taus)
+        r = _residual_matrix(prob, ev.c, model)
+        eps = _sum_sq(r)
+        grad = _gradient(r, model, dc)
 
         # backtracking line search on theta, simple-decrease criterion; stop
         # once the first-order decrease eta*grad^2 falls below the float
@@ -215,15 +245,17 @@ def refine(
         moved = False
         while grad != 0.0 and eta * grad * grad > eps * 1e-14:
             cand = theta - eta * grad
-            eps_c = _sq_residual(prob, prob.response(cand), g, taus)
+            ev_c = kernel.evaluate(cand)
+            eps_c = _sum_sq(_residual_matrix(prob, ev_c.c, model))
             if eps_c < eps:
-                theta_new, eps_new = cand, eps_c
+                theta_new, eps_new, ev = cand, eps_c, ev_c
                 moved = True
                 break
             eta *= 0.5
         if moved:
-            # the derivative is needed only at accepted angles
-            c, dc = prob.response(theta_new, derivative=True)
+            # the derivative is needed only at accepted angles; it reuses the
+            # candidate's evaluation
+            dc = kernel.slope(ev)
         else:
             # numerically stationary along this direction; a later iteration
             # may move again once the gain/phase blocks shift, so restart the
@@ -255,11 +287,13 @@ def refine(
 
     if diverged and best is not None:
         eps, theta, g_prev, taus = best
+    # eps is the objective at (theta, g_prev, taus): every residual above is
+    # computed exactly as objective() computes it
     return CprState(
         theta=theta,
         g=g_prev,
         taus=taus,
-        residual=objective(prob, theta, g_prev, taus),
+        residual=eps,
         iterations=iterations,
         converged=converged,
         diverged=diverged,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,12 +24,13 @@ __all__ = [
     "steering_vector",
     "steering_matrix",
     "channel_response",
+    "RayEval",
+    "RayKernel",
     "ray_response",
     "assemble_precoder",
     "precoder_matrix",
     "to_physical",
     "from_physical",
-    "simulate_rx",
 ]
 
 
@@ -209,37 +210,54 @@ def channel_response(
     return ChannelResponse(paths=tuple(paths), grid=grid, cfg=cfg)
 
 
-# |n*u| below which the Dirichlet ratio D_n(u) = sin(n*u)/sin(u) and its
-# derivative are summed term by term.  The quotient-rule derivative cancels
-# there (it is O(u) from terms of size n) and loses ~eps/|n*u| relative.
+# |n*u| below which the derivative of the Dirichlet ratio D_n(u) = sin(n*u)/sin(u)
+# is summed term by term.  The quotient-rule derivative cancels there (it is
+# O(u) from terms of size n) and loses ~eps/|n*u| relative.
 _NEAR_SINGULAR = 0.5
 
 
-def _dirichlet_ratio(n: int, z: np.ndarray, derivative: bool):
+class _Dirichlet(NamedTuple):
+    """D_n(u) at u = pi*z/2 with z reduced to [-1, 1], plus what its slope reuses."""
+
+    z: np.ndarray
+    u: np.ndarray
+    sin_u: np.ndarray
+    ratio: np.ndarray
+
+
+def _dirichlet(n: int, z: np.ndarray) -> _Dirichlet:
     """Real amplitude D_n(u), u = pi*z/2, of G_n(z) = sum_{i<n} exp(j*pi*z*i) = exp(j*pi*(n-1)*z/2) * D_n(u).
 
     G_n has period 2, so z is first reduced to [-1, 1], where only z = 0 is
-    singular.  Returns the reduced z, D_n(u) and, with ``derivative``,
-    dD_n/du.  Near z = 0, D_n = sum_j cos(j*u) and D_n' = -sum_j j*sin(j*u)
-    over the n offsets j = 1-n, 3-n, ..., n-1; these sums do not cancel and
-    give D_n(0) = n.
+    singular.  The quotient sin(n*u)/sin(u) keeps a few ulps of relative
+    accuracy down to the smallest u (both sines are accurate to an ulp
+    relative), so only u = 0 itself needs its limit D_n(0) = n.
     """
     z = z - 2.0 * np.rint(0.5 * z)
     u = 0.5 * np.pi * z
-    near = np.abs(u) < _NEAR_SINGULAR / n
-    any_near = near.any()
     sin_u = np.sin(u)
-    if any_near:
-        sin_u[near] = 1.0  # placeholder; these entries are summed directly below
+    if sin_u.all():
+        return _Dirichlet(z, u, sin_u, np.sin(n * u) / sin_u)
+    zero = sin_u == 0.0
+    sin_u[zero] = 1.0  # placeholder; the limit is set below
     ratio = np.sin(n * u) / sin_u
-    d_ratio = (n * np.cos(n * u) - ratio * np.cos(u)) / sin_u if derivative else None
-    if any_near:
-        j = np.arange(1 - n, n, 2)
-        ju = u[near][:, None] * j
-        ratio[near] = np.sum(np.cos(ju), axis=1)
-        if derivative:
-            d_ratio[near] = -np.sum(j * np.sin(ju), axis=1)
-    return z, ratio, d_ratio
+    ratio[zero] = n
+    return _Dirichlet(z, u, sin_u, ratio)
+
+
+def _dirichlet_slope(n: int, d: _Dirichlet) -> np.ndarray:
+    """dD_n/du from an evaluated ratio.
+
+    Where |n*u| < _NEAR_SINGULAR the quotient rule cancels, so the slope is
+    summed over the symmetric offset pairs +-j of D_n = sum_j cos(j*u),
+    j = 1-n, 3-n, ..., n-1: dD_n/du = -2 * sum_{j>0} j*sin(j*u).
+    """
+    near = np.abs(d.u) < _NEAR_SINGULAR / n
+    slope = (n * np.cos(n * d.u) - d.ratio * np.cos(d.u)) / np.where(near, 1.0, d.sin_u)
+    if near.any():
+        j = np.arange(n - 1, 0, -2)
+        slope[near] = -2.0 * np.sum(j * np.sin(d.u[near][:, None] * j), axis=1)
+    return slope
 
 
 @lru_cache(maxsize=16)
@@ -252,36 +270,78 @@ def _subcarrier_ratios(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     return ratios
 
 
-def ray_response(theta: float, psi, t_aux, cfg: SystemConfig, derivative: bool = False):
-    """Unit-gain responses c[m, l] = a_m(theta)^H f_{l,m} of one ray, shape (2M+1, L).
+class RayEval(NamedTuple):
+    """One closed-form evaluation: the responses ``c`` = rot * amp and the factors :meth:`RayKernel.slope` reuses."""
 
-    ``psi`` and ``t_aux`` hold the L slot slopes.  The n_bs-term inner product
-    factors into a p-element phase-shifter window and an n_ttd-element delay
-    beam,
+    c: np.ndarray
+    amp: np.ndarray
+    rot: np.ndarray
+    window: _Dirichlet
+    beam: _Dirichlet
+
+
+class RayKernel:
+    """Closed-form responses of one ray against fixed slot slopes ``psi``, ``t_aux`` (L,).
+
+    The n_bs-term inner product c[m, l] = a_m(theta)^H f_{l,m} factors into a
+    p-element phase-shifter window and an n_ttd-element delay beam,
 
         c = G_p(x) * G_{n_ttd}(p*(x - (f_b/f_c)*t_aux)),  x = (f_m/f_c)*theta - psi,
 
-    so the cost is O(L*(2M+1)).  With ``derivative`` the pair (c, dc/dtheta)
-    is returned.
+    so an evaluation costs O(L*(2M+1)).  The kernel holds the terms that do
+    not depend on theta; :meth:`evaluate` keeps the factors of c so that
+    :meth:`slope` adds dc/dtheta without evaluating c again.
     """
-    rho, fb_ratio = _subcarrier_ratios(cfg)
-    psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    t_aux = np.atleast_1d(np.asarray(t_aux, dtype=float))
-    x = rho * theta - psi
-    # reducing x moves the beam argument by a multiple of 2*p, a period of G_{n_ttd}
-    x, window, d_window = _dirichlet_ratio(cfg.p, x, derivative)
-    z, beam, d_beam = _dirichlet_ratio(cfg.n_ttd, cfg.p * (x - fb_ratio * t_aux), derivative)
-    # the two phase centers exp(j*pi*(n-1)*z/2) combine into one rotation
-    rot = np.exp(0.5j * np.pi * ((cfg.p - 1) * x + (cfg.n_ttd - 1) * z))
-    c = rot * (window * beam)
-    if not derivative:
-        return c
-    # dc/dtheta = (f_m/f_c) * (G_p' G_N + p G_p G_N'); the phase-center terms
-    # add up to j*(n_bs - 1) * D_p * D_N
-    dc = (0.5 * np.pi * rho) * rot * (
-        d_window * beam + cfg.p * window * d_beam + 1j * (cfg.n_bs - 1) * window * beam
-    )
-    return c, dc
+
+    def __init__(self, psi, t_aux, cfg: SystemConfig):
+        psi = np.atleast_1d(np.asarray(psi, dtype=float))
+        t_aux = np.atleast_1d(np.asarray(t_aux, dtype=float))
+        if psi.shape != t_aux.shape:
+            raise ValueError(f"slot slope length mismatch: psi {psi.shape} vs t_aux {t_aux.shape}")
+        rho, fb_ratio = _subcarrier_ratios(cfg)
+        self.cfg = cfg
+        self._rho = rho
+        self._psi = psi
+        self._delay = fb_ratio * t_aux
+        self._slope_scale = 0.5 * np.pi * rho
+
+    def evaluate(self, theta: float) -> RayEval:
+        """Responses c (2M+1, L) at ``theta``, with their factors."""
+        cfg = self.cfg
+        window = _dirichlet(cfg.p, self._rho * theta - self._psi)
+        # reducing x moves the beam argument by a multiple of 2*p, a period of G_{n_ttd}
+        beam = _dirichlet(cfg.n_ttd, cfg.p * (window.z - self._delay))
+        # the two phase centers exp(j*pi*(n-1)*z/2) combine into one rotation
+        rot = np.exp(0.5j * np.pi * ((cfg.p - 1) * window.z + (cfg.n_ttd - 1) * beam.z))
+        amp = window.ratio * beam.ratio
+        return RayEval(rot * amp, amp, rot, window, beam)
+
+    def slope(self, ev: RayEval) -> np.ndarray:
+        """dc/dtheta at the angle of ``ev``.
+
+        dc/dtheta = (f_m/f_c) * (G_p' G_N + p G_p G_N'); the phase-center
+        terms add up to j*(n_bs - 1) * D_p * D_N.
+        """
+        cfg = self.cfg
+        d_window = _dirichlet_slope(cfg.p, ev.window)
+        d_beam = _dirichlet_slope(cfg.n_ttd, ev.beam)
+        return self._slope_scale * ev.rot * (
+            d_window * ev.beam.ratio + cfg.p * ev.window.ratio * d_beam + 1j * (cfg.n_bs - 1) * ev.amp
+        )
+
+    def __call__(self, theta: float, derivative: bool = False):
+        """c at ``theta``; with ``derivative`` the pair (c, dc/dtheta)."""
+        ev = self.evaluate(theta)
+        return (ev.c, self.slope(ev)) if derivative else ev.c
+
+
+def ray_response(theta: float, psi, t_aux, cfg: SystemConfig, derivative: bool = False):
+    """Unit-gain responses c[m, l] = a_m(theta)^H f_{l,m} of one ray, shape (2M+1, L).
+
+    ``psi`` and ``t_aux`` hold the L slot slopes; see :class:`RayKernel` for
+    the closed form.  With ``derivative`` the pair (c, dc/dtheta) is returned.
+    """
+    return RayKernel(psi, t_aux, cfg)(theta, derivative)
 
 
 def assemble_precoder(pc: PrecoderConfig, f_m: float, cfg: SystemConfig) -> np.ndarray:
@@ -325,28 +385,3 @@ def from_physical(phi: np.ndarray, t_hat: np.ndarray, cfg: SystemConfig) -> tupl
     psi_vec = np.asarray(phi, dtype=float) + np.repeat(t_vec, cfg.p)
     return psi_vec, t_vec
 
-
-def simulate_rx(
-    h_vec: np.ndarray,
-    f_vec: np.ndarray,
-    pilot: complex = 1.0,
-    noise_std: float = 0.0,
-    rng: np.random.Generator | int | None = None,
-) -> complex:
-    """One received pilot sample: h^H f * pilot plus circular complex noise.
-
-    The noise has total variance noise_std**2 (split evenly between the real
-    and imaginary parts); the result is deterministic for a given seed.
-    """
-    h_vec = np.asarray(h_vec)
-    f_vec = np.asarray(f_vec)
-    if h_vec.shape != f_vec.shape:
-        raise ValueError(f"channel/precoder length mismatch: {h_vec.shape} vs {f_vec.shape}")
-    if noise_std < 0:
-        raise ValueError("noise_std must be nonnegative")
-    y = np.vdot(h_vec, f_vec) * pilot
-    if noise_std > 0:
-        gen = make_rng(rng)
-        re, im = gen.standard_normal(2)
-        y += noise_std / np.sqrt(2.0) * (re + 1j * im)
-    return complex(y)

@@ -161,3 +161,14 @@ class TestSweeps:
         _, rows = read_csv(out)
         assert [r["value"] for r in rows] == ["5.0", "15.0"]
         assert all(r["scheme"] == "forward_only" for r in rows)
+
+    def test_slots_axis_rejects_non_integral_values(self, tmp_path):
+        out = tmp_path / "slots.csv"
+        args = ["sweep-nmse", "--seed", "5", "--trials", "1", "--users", "1",
+                "--axis", "slots", "--out", str(out)]
+        with pytest.raises(ValueError, match="--values"):
+            main(args + ["--values", "2.5,4"])
+        assert not out.exists()
+        assert main(args + ["--values", "2.0,4"]) == 0
+        _, rows = read_csv(out)
+        assert [r["value"] for r in rows] == ["2", "4"]

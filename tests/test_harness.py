@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from thztrack import harness
 from thztrack import (
     PathComponent,
     SubcarrierGrid,
@@ -179,6 +181,51 @@ class TestSweep:
         scn = ScenarioConfig(system=cfg)
         with pytest.raises(ValueError):
             sweep(scn, "users")
+
+    def test_refine_outcome_columns(self, cfg):
+        scn = ScenarioConfig(system=cfg, users=1, trials=3, seed=9, snr_db=(10.0,), compensation=True)
+        rep = sweep(scn, "snr", keep_records=True)
+        row, records = rep.rows[0], rep.records[10.0]
+        assert row["mean_iterations"] == np.mean([r.iterations for r in records]) > 0
+        assert row["n_unconverged"] + row["n_diverged"] + row["n_degenerate"] == sum(
+            not r.converged for r in records
+        )
+        coarse = sweep(replace(scn, compensation=False), "snr").rows[0]
+        assert (coarse["mean_iterations"], coarse["n_unconverged"], coarse["n_diverged"],
+                coarse["n_degenerate"]) == (0.0, 0, 0, 0)
+
+    def test_degenerate_trial_is_counted_not_fatal(self, cfg, monkeypatch):
+        real_refine = harness.refine
+        calls = []
+
+        def refine_second_on_dead_geometry(prob, theta_init, **kwargs):
+            calls.append(theta_init)
+            if len(calls) == 2:
+                # every slot steers its beam null onto the start angle, so all
+                # slot responses vanish there
+                slopes = np.full(prob.n_slots, theta_init)
+                prob = replace(prob, psi=slopes - 2.0 / cfg.n_bs, t_aux=slopes)
+            return real_refine(prob, theta_init, **kwargs)
+
+        monkeypatch.setattr(harness, "refine", refine_second_on_dead_geometry)
+        scn = ScenarioConfig(system=cfg, users=1, trials=3, seed=9, snr_db=(10.0,), compensation=True)
+        rep = sweep(scn, "snr", keep_records=True)
+        row = rep.rows[0]
+        assert row["n_records"] == 3
+        assert row["n_degenerate"] == 1
+        dead = rep.records[10.0][1]
+        assert dead.degenerate and dead.theta_refined is None and dead.iterations == 0
+        assert dead.theta_final == dead.theta_hat
+        assert not any(r.degenerate for i, r in enumerate(rep.records[10.0]) if i != 1)
+
+    def test_other_refine_errors_propagate(self, cfg, monkeypatch):
+        def broken_refine(prob, theta_init, **kwargs):
+            raise ValueError("broken refinement")
+
+        monkeypatch.setattr(harness, "refine", broken_refine)
+        scn = ScenarioConfig(system=cfg, users=1, trials=1, seed=9, snr_db=(10.0,), compensation=True)
+        with pytest.raises(ValueError, match="broken refinement"):
+            sweep(scn, "snr")
 
 
 class TestSchemeOrdering:

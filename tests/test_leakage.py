@@ -1,13 +1,17 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thztrack import (
     CprState,
     PathComponent,
     PrecoderConfig,
     SubcarrierGrid,
+    SystemConfig,
     angle_map,
     assemble_precoder,
     build_cpr_problem,
@@ -23,7 +27,8 @@ from thztrack import (
     update_gain,
     update_phases,
 )
-from thztrack.leakage import modulus_objective
+from thztrack.leakage import DegenerateGeometryError, modulus_objective
+from thztrack.physmodel import ray_response
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +247,131 @@ class TestRefine:
             coarse_sq += (est.theta_hat - theta_r) ** 2
             refined_sq += (state.theta - theta_r) ** 2
         assert refined_sq < coarse_sq
+
+
+class TestProblemCaches:
+    def test_cached_arrays_follow_replace(self, noisy_problem, grid):
+        state = CprState(theta=0.4321, g=1.0, taus=np.zeros(len(grid)), residual=0.0)
+        # fill the caches of the original before deriving new problems from it
+        update_gain(noisy_problem, state)
+        doubled = replace(noisy_problem, y_hat=2.0 * noisy_problem.y_hat)
+        np.testing.assert_array_equal(doubled.abs_y, np.abs(doubled.y_hat))
+        assert update_gain(doubled, state) == 2.0 * update_gain(noisy_problem, state)
+        shifted = replace(noisy_problem, psi=noisy_problem.psi + 0.01)
+        np.testing.assert_array_equal(
+            shifted.response(0.4321),
+            ray_response(0.4321, shifted.psi, shifted.t_aux, shifted.cfg),
+        )
+
+
+def _reference_refine(prob, theta_init, max_iter, tol, step=1e-2):
+    """refine's iteration rule rebuilt from the public blocks, recomputing everything each time.
+
+    Returns (trace, state) like ``refine(..., trace=trace)``.
+    """
+    theta, g_prev, taus, eta = float(theta_init), 0.0, np.zeros(len(prob.grid)), step
+    max_move = 0.5 * prob.cfg.f_c / (prob.cfg.n_bs * float(np.max(prob.grid.frequencies)))
+    trace, best, prev_eps, grow = [], None, np.inf, 0
+    iterations, converged, diverged = 0, False, False
+    eps = float(np.sum(np.abs(prob.y_hat) ** 2))
+    for it in range(1, max_iter + 1):
+        iterations = it
+        at_theta = CprState(theta=theta, g=g_prev, taus=taus, residual=eps)
+        g = update_gain(prob, at_theta)
+        taus = update_phases(prob, at_theta)
+        eps = objective(prob, theta, g, taus)
+        grad = objective_gradient(prob, CprState(theta=theta, g=g, taus=taus, residual=eps))
+        eta = min(step, 2.0 * eta)
+        if grad != 0.0:
+            eta = min(eta, max_move / abs(grad))
+        theta_new, eps_new, moved = theta, eps, False
+        while grad != 0.0 and eta * grad * grad > eps * 1e-14:
+            eps_c = objective(prob, theta - eta * grad, g, taus)
+            if eps_c < eps:
+                theta_new, eps_new, moved = theta - eta * grad, eps_c, True
+                break
+            eta *= 0.5
+        if not moved:
+            eta = step
+        trace.append((it, theta_new, g, eps_new))
+        if best is None or eps_new < best[0]:
+            best = (eps_new, theta_new, g, taus)
+        delta = (g - g_prev) ** 2 + (theta_new - theta) ** 2
+        theta, g_prev, eps = theta_new, g, eps_new
+        grow = grow + 1 if eps > prev_eps else 0
+        if grow >= 5:
+            diverged = True
+            break
+        prev_eps = eps
+        if delta < tol:
+            converged = True
+            break
+    if diverged:
+        eps, theta, g_prev, taus = best
+    state = CprState(theta=theta, g=g_prev, taus=taus, residual=eps, iterations=iterations,
+                     converged=converged, diverged=diverged)
+    return trace, state
+
+
+# Fixed before any run: refine and the reference make the same floating-point
+# operations, so anything beyond a few ulps of the angle, gain and residual
+# scales is a different iteration path.
+_PARITY_RTOL = 1e-12
+
+
+@st.composite
+def _tracking_frames(draw):
+    """A random array/band, a tracking frame on it, and its SNR (None: noiseless)."""
+    p = draw(st.integers(2, 8))
+    n_ttd = draw(st.integers(2, 8))
+    system = SystemConfig(
+        n_bs=p * n_ttd, n_ttd=n_ttd, p=p, f_c=100e9,
+        bandwidth=draw(st.floats(2e9, 20e9)), m_half=draw(st.integers(4, 24)),
+    )
+    alpha = draw(st.floats(0.02, 0.2))
+    theta0 = draw(st.floats(-0.75, 0.75))
+    theta_r = theta0 + draw(st.floats(-1.0, 1.0)) * alpha
+    slots = draw(st.integers(1, 4))
+    snr_db = draw(st.one_of(st.none(), st.floats(-10.0, 30.0)))
+    seed = draw(st.integers(0, 2**16))
+    return system, theta0, alpha, theta_r, slots, snr_db, seed
+
+
+class TestTrajectoryParity:
+    @settings(max_examples=60, deadline=None)
+    @given(frame=_tracking_frames())
+    def test_refine_matches_reference_loop(self, frame):
+        system, theta0, alpha, theta_r, slots, snr_db, seed = frame
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # over-bound slots are fine here
+            plan = plan_tracking(theta0, alpha, slots, system)
+        rng = np.random.default_rng(seed)
+        grid = SubcarrierGrid.from_config(system)
+        ch = channel_response(PathComponent(np.exp(1j * rng.uniform(0, 2 * np.pi)), theta_r), grid, system)
+        noise_std = 0.0 if snr_db is None else system.n_bs / np.sqrt(10.0 ** (snr_db / 10.0))
+        obs = run_tracking(plan, ch, noise_std, rng)
+        prob = build_cpr_problem(obs)
+        start = coarse_estimate(obs).theta_hat
+        kwargs = {"max_iter": 200, "tol": 1e-18} if snr_db is None else {"max_iter": 50, "tol": 1e-10}
+
+        trace = []
+        try:
+            state = refine(prob, start, trace=trace, **kwargs)
+        except DegenerateGeometryError:
+            with pytest.raises(DegenerateGeometryError):
+                _reference_refine(prob, start, **kwargs)
+            return
+        want_trace, want = _reference_refine(prob, start, **kwargs)
+
+        assert (state.iterations, state.converged, state.diverged) == (
+            want.iterations, want.converged, want.diverged)
+        assert len(trace) == len(want_trace) == state.iterations
+        scale = float(np.sum(np.abs(prob.y_hat) ** 2))
+        got, ref = np.array(trace), np.array(want_trace)
+        np.testing.assert_array_equal(got[:, 0], ref[:, 0])
+        np.testing.assert_allclose(got[:, 1], ref[:, 1], rtol=0, atol=_PARITY_RTOL)
+        np.testing.assert_allclose(got[:, 2], ref[:, 2], rtol=_PARITY_RTOL, atol=_PARITY_RTOL)
+        np.testing.assert_allclose(got[:, 3], ref[:, 3], rtol=0, atol=_PARITY_RTOL * scale)
+        assert abs(state.theta - want.theta) <= _PARITY_RTOL
+        assert state.residual == pytest.approx(want.residual, rel=0, abs=_PARITY_RTOL * scale)
+        np.testing.assert_allclose(state.taus, want.taus, rtol=0, atol=_PARITY_RTOL * 2 * np.pi)

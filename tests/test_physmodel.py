@@ -13,9 +13,10 @@ from thztrack import (
     default_config,
     from_physical,
     peak_map,
+    plan_tracking,
     precoder_matrix,
     ray_response,
-    simulate_rx,
+    run_tracking,
     steering_vector,
     to_physical,
 )
@@ -158,32 +159,41 @@ class TestEquivalentModelBijection:
 
 
 class TestSimulateRx:
-    def test_aligned_inner_product(self, cfg):
-        f = assemble_precoder(PrecoderConfig(0.3, 0.3), cfg.f_c, cfg)
-        assert simulate_rx(f, f) == pytest.approx(cfg.n_bs)
+    """Received pilot samples: h^H f from ChannelResponse.precoded, noise from run_tracking."""
 
-    def test_orthogonal_beams(self, cfg):
-        a = steering_vector(cfg.f_c, 0.5, cfg.n_bs, cfg.f_c)
-        b = steering_vector(cfg.f_c, 0.5 + 2.0 / cfg.n_bs, cfg.n_bs, cfg.f_c)
-        assert abs(simulate_rx(a, b)) == pytest.approx(0.0, abs=1e-9)
+    def test_aligned_inner_product(self, cfg, grid):
+        ch = channel_response(PathComponent(1.0 + 0j, 0.3, 0.0), grid, cfg)
+        assert ch.precoded([0.3], [0.3])[cfg.m_half, 0] == pytest.approx(cfg.n_bs)
 
-    def test_noise_reproducible(self, cfg):
-        h = steering_vector(cfg.f_c, 0.2, cfg.n_bs, cfg.f_c)
-        y1 = simulate_rx(h, h, noise_std=0.1, rng=42)
-        y2 = simulate_rx(h, h, noise_std=0.1, rng=42)
-        y3 = simulate_rx(h, h, noise_std=0.1, rng=43)
-        assert y1 == y2
-        assert y1 != y3
+    def test_orthogonal_beams(self, cfg, grid):
+        ch = channel_response(PathComponent(1.0 + 0j, 0.5, 0.0), grid, cfg)
+        psi = 0.5 + 2.0 / cfg.n_bs
+        assert abs(ch.precoded([psi], [psi])[cfg.m_half, 0]) == pytest.approx(0.0, abs=1e-9)
 
-    def test_noise_statistics(self, cfg):
+    def test_noise_reproducible(self, cfg, grid):
+        plan = plan_tracking(0.2, 0.05, 2, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, 0.2, 0.0), grid, cfg)
+        y1 = run_tracking(plan, ch, noise_std=0.1, rng=42).y
+        y2 = run_tracking(plan, ch, noise_std=0.1, rng=42).y
+        y3 = run_tracking(plan, ch, noise_std=0.1, rng=43).y
+        np.testing.assert_array_equal(y1, y2)
+        assert np.all(y1 != y3)
+
+    def test_noise_statistics(self, cfg, grid):
         rng = np.random.default_rng(0)
-        h = np.ones(4)
-        samples = np.array([simulate_rx(h, h, noise_std=2.0, rng=rng) - 4.0 for _ in range(4000)])
+        plan = plan_tracking(0.2, 0.05, 4, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, 0.2, 0.0), grid, cfg)
+        clean = run_tracking(plan, ch, 0.0).y
+        samples = np.concatenate(
+            [(run_tracking(plan, ch, noise_std=2.0, rng=rng).y - clean).ravel() for _ in range(8)]
+        )
+        assert samples.size >= 4000
         assert np.mean(np.abs(samples) ** 2) == pytest.approx(4.0, rel=0.1)
 
-    def test_length_mismatch(self):
+    def test_length_mismatch(self, cfg, grid):
+        ch = channel_response(PathComponent(1.0 + 0j, 0.2, 0.0), grid, cfg)
         with pytest.raises(ValueError):
-            simulate_rx(np.ones(4), np.ones(5))
+            ch.precoded(np.zeros(4), np.zeros(5))
 
 
 class TestWidebandBeamforming:

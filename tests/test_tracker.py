@@ -129,9 +129,10 @@ class TestRunTracking:
         np.testing.assert_allclose(n2, 2.0 * n1, rtol=1e-10)
 
     def test_matches_per_cell_simulation(self, cfg, grid):
-        # the vectorized pilot matrix equals cell-by-cell simulation with a
-        # shared generator consuming draws in row-major order
-        from thztrack import assemble_precoder, simulate_rx
+        # the vectorized pilot matrix equals cell-by-cell simulation, h^H f
+        # plus circular noise, with a shared generator consuming two draws
+        # (real, imaginary) per cell in row-major order
+        from thztrack import assemble_precoder
 
         plan = plan_tracking(0.3, 0.08, 2, cfg)
         ch = channel_response(PathComponent(1.0 + 0j, 0.31, 0.0), grid, cfg)
@@ -140,7 +141,8 @@ class TestRunTracking:
         for l, pc in enumerate(plan.pairings):
             for j, f_m in enumerate(grid.frequencies):
                 f_vec = assemble_precoder(PrecoderConfig(pc.psi, pc.t_aux), f_m, cfg)
-                expected = simulate_rx(ch.h[j], f_vec, 1.0, 2.5, gen)
+                re, im = gen.standard_normal(2)
+                expected = np.vdot(ch.h[j], f_vec) + 2.5 / np.sqrt(2.0) * (re + 1j * im)
                 assert obs.y[l, j] == pytest.approx(expected, rel=1e-12)
 
     def test_config_mismatch_raises(self, cfg):
