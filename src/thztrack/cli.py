@@ -14,6 +14,7 @@ from .harness import (
     CONFIG_KEYS,
     SCHEMES,
     ScenarioConfig,
+    _as_float,
     _as_int,
     beamforming_gain,
     load_key_values,
@@ -209,7 +210,7 @@ def _run_sweep(args, default_axis: str) -> int:
     axis = args.axis or default_axis
     values = None
     if args.values:
-        values = [float(v) for v in args.values.split(",")]
+        values = [_as_float("--values", v) for v in args.values.split(",")]
         if axis == "slots":
             values = [_as_int("--values", v) for v in values]
     report = sweep(scn, axis, values=values, keep_records=args.full is not None)

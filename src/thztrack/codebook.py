@@ -9,7 +9,10 @@ segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,10 +24,18 @@ __all__ = ["QuantGrid", "JointCodebook", "build_codebook", "snap", "quantized_pa
 
 @dataclass(frozen=True)
 class QuantGrid:
-    """Union of closed uniform segments; values sorted ascending, deduplicated."""
+    """Union of closed uniform segments; values sorted ascending, deduplicated.
+
+    ``points`` holds the same values as a list of floats, built on first use,
+    for snapping one scalar at a time.
+    """
 
     segments: tuple[tuple[float, float, float], ...]
     values: np.ndarray
+
+    @cached_property
+    def points(self) -> list[float]:
+        return self.values.tolist()
 
 
 def _uniform_closed(lo: float, hi: float, step: float) -> np.ndarray:
@@ -84,26 +95,32 @@ def build_codebook(cfg: SystemConfig) -> JointCodebook:
 def snap(value: float, grid: QuantGrid) -> float:
     """Nearest codeword to ``value``; ties break toward the smaller codeword.
 
-    Values outside the grid range clamp to the extreme codeword.
+    Values outside the grid range clamp to the extreme codeword; nan has no
+    nearest codeword and raises ``ValueError``.
     """
-    v = grid.values
-    if len(v) == 0:
+    v = grid.points
+    if not v:
         raise ValueError("grid is empty")
-    i = int(np.searchsorted(v, value))
+    if math.isnan(value):
+        raise ValueError("cannot snap nan to a codeword")
+    i = bisect_left(v, value)
     if i == 0:
-        return float(v[0])
+        return v[0]
     if i == len(v):
-        return float(v[-1])
+        return v[-1]
     left, right = v[i - 1], v[i]
     if value - left <= right - value:
-        return float(left)
-    return float(right)
+        return left
+    return right
 
 
 def quantized_pairing(pairing: PairingConfig, cb: JointCodebook) -> PairingConfig:
     """Pairing with both slopes replaced by their nearest codewords."""
-    return replace(
-        pairing,
+    return PairingConfig(
+        mode=pairing.mode,
+        theta0=pairing.theta0,
+        alpha=pairing.alpha,
         psi=snap(pairing.psi, cb.psi_grid),
         t_aux=snap(pairing.t_aux, cb.t_grid),
+        over_bound=pairing.over_bound,
     )

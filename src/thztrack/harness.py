@@ -14,6 +14,7 @@ draws (common random numbers) and sweeps are bit-reproducible.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -87,6 +88,8 @@ class ScenarioConfig:
             raise ValueError("trials and users must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.gain_sigma < 0:
+            raise ValueError("gain_sigma must be nonnegative")
 
     @property
     def center_cap(self) -> float:
@@ -122,6 +125,11 @@ class TrialRecord:
 
 def _scheme_mode(scheme: str) -> str:
     return {"forward_backward": "auto", "forward_only": "forward", "exhaustive_sweep": "sweep"}[scheme]
+
+
+def _clamp(value: float, bound: float) -> float:
+    """``value`` clipped to [-bound, bound]."""
+    return float(min(max(value, -bound), bound))
 
 
 def _draw_gain(rng: np.random.Generator, sigma: float) -> complex:
@@ -165,11 +173,11 @@ def run_trial(
         g = _draw_gain(rng, scn.gain_sigma)
         zeta = rng.uniform(-scn.zeta_max, scn.zeta_max)
         if theta_target is None:
-            theta_prev = float(np.clip(rng.uniform(-cap, cap), -cap, cap))
-            theta_r = float(np.clip(theta_prev + zeta, -_DIRECTION_CAP, _DIRECTION_CAP))
+            theta_prev = _clamp(rng.uniform(-cap, cap), cap)
+            theta_r = _clamp(theta_prev + zeta, _DIRECTION_CAP)
         else:
-            theta_r = float(np.clip(theta_target, -_DIRECTION_CAP, _DIRECTION_CAP))
-            theta_prev = float(np.clip(theta_r - zeta, -cap, cap))
+            theta_r = _clamp(theta_target, _DIRECTION_CAP)
+            theta_prev = _clamp(theta_r - zeta, cap)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             plan = plan_tracking(
@@ -440,6 +448,21 @@ def _as_int(key: str, value) -> int:
     raise ValueError(f"{key!r} must be an integer, got {value!r}")
 
 
+def _as_float(key: str, value) -> float:
+    """A finite real config value: an int, a float or a numeric string, never a bool."""
+    number = math.nan
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        number = float(value)
+    elif isinstance(value, str):
+        try:
+            number = float(value.strip())
+        except ValueError:
+            pass
+    if not math.isfinite(number):
+        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+    return number
+
+
 def _as_tuple(value, kind) -> tuple:
     return tuple(kind(x) for x in (value if isinstance(value, (list, tuple)) else [value]))
 
@@ -459,10 +482,16 @@ def scenario_from_mapping(data: dict) -> ScenarioConfig:
     sys_kwargs.update({k: data[k] for k in _SYSTEM_KEYS if k in data})
     for k in ("n_bs", "n_ttd", "p", "m_half"):
         sys_kwargs[k] = _as_int(k, sys_kwargs[k])
+    for k in ("f_c", "bandwidth", "f_d"):
+        if sys_kwargs.get(k) is not None:
+            sys_kwargs[k] = _as_float(k, sys_kwargs[k])
     scn_kwargs = {k: data[k] for k in _SCENARIO_KEYS if k in data}
     for k in ("snr_db", "theta_grid"):
         if k in scn_kwargs:
-            scn_kwargs[k] = _as_tuple(scn_kwargs[k], float)
+            scn_kwargs[k] = _as_tuple(scn_kwargs[k], lambda v, k=k: _as_float(k, v))
+    for k in ("zeta_max", "gain_sigma"):
+        if k in scn_kwargs:
+            scn_kwargs[k] = _as_float(k, scn_kwargs[k])
     if "slots" in scn_kwargs:
         scn_kwargs["slots"] = _as_tuple(scn_kwargs["slots"], lambda v: _as_int("slots", v))
     for k in ("users", "trials", "seed"):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from sys import float_info
 
 import numpy as np
 
@@ -112,9 +113,12 @@ class DegenerateGeometryError(ValueError):
     """Every slot response vanishes at the angle, so the amplitude fit is undefined."""
 
 
-def _model(g: float, taus: np.ndarray) -> np.ndarray:
-    """The per-subcarrier factor g*exp(j*tau_m) of the single-ray model, as a column."""
-    return (g * np.exp(1j * taus))[:, None]
+_EPS = float_info.epsilon
+
+
+def _model(g: float, phasors: np.ndarray) -> np.ndarray:
+    """The per-subcarrier factor g*exp(j*tau_m) of the single-ray model, as a column, from the phasors exp(j*tau_m)."""
+    return (g * phasors)[:, None]
 
 
 def _residual_matrix(prob: CprProblem, c: np.ndarray, model: np.ndarray) -> np.ndarray:
@@ -122,26 +126,37 @@ def _residual_matrix(prob: CprProblem, c: np.ndarray, model: np.ndarray) -> np.n
 
 
 def _sum_sq(r: np.ndarray) -> float:
-    return float(np.sum(np.abs(r) ** 2))
+    return float(np.vdot(r, r).real)
 
 
-def _gain(prob: CprProblem, c: np.ndarray) -> float:
-    abs_c = np.abs(c)
+def _gain(prob: CprProblem, amp: np.ndarray) -> float:
+    """Modulus-fit amplitude from the real amplitudes ``amp`` of the responses (|c| = |amp|)."""
+    abs_amp = np.abs(amp)
     # below n_bs^2*eps a closed-form response is rounding error of an exact zero
-    if np.all(abs_c < prob.cfg.n_bs**2 * np.finfo(float).eps):
+    if abs_amp.max() < prob.cfg.n_bs**2 * _EPS:
         raise DegenerateGeometryError("degenerate geometry: all slot responses vanish at this angle")
-    return float(np.sum(prob.abs_y * abs_c)) / float(np.sum(abs_c**2))
+    return float(np.vdot(prob.abs_y, abs_amp) / np.vdot(amp, amp))
 
 
-def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Phases tau_m = angle(c_m^H y_hat_m) and whether any inner product vanished."""
-    z = np.sum(c.conj() * prob.y_hat, axis=1)
-    return np.angle(z), bool(np.any(z == 0))
+def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Inner products z_m = c_m^H y_hat_m, their phasors exp(j*tau_m) = z_m/|z_m|, and whether any z_m vanished.
+
+    A vanished z_m has tau_m = angle(0) = 0, so its phasor is 1.
+    """
+    z = np.einsum("ml,ml->m", c.conj(), prob.y_hat)
+    abs_z = np.abs(z)
+    if np.count_nonzero(abs_z) == abs_z.size:
+        return z, z / abs_z, False
+    zero = abs_z == 0.0
+    abs_z[zero] = 1.0
+    phasors = z / abs_z
+    phasors[zero] = 1.0
+    return z, phasors, True
 
 
 def objective(prob: CprProblem, theta: float, g: float, taus: np.ndarray) -> float:
     """Sum of squared residuals of the single-ray fit at the given parameters."""
-    return _sum_sq(_residual_matrix(prob, prob.response(theta), _model(g, taus)))
+    return _sum_sq(_residual_matrix(prob, prob.response(theta), _model(g, np.exp(1j * taus))))
 
 
 def modulus_objective(prob: CprProblem, theta: float, g: float) -> float:
@@ -157,7 +172,7 @@ def update_gain(prob: CprProblem, state: CprState) -> float:
     g = sum_m <|y_hat_m|, |c_m|> / sum_m ||c_m||^2; nonnegative because both
     factors in the numerator are.
     """
-    return _gain(prob, prob.response(state.theta))
+    return _gain(prob, prob.kernel.evaluate(state.theta).amp)
 
 
 def update_phases(prob: CprProblem, state: CprState) -> np.ndarray:
@@ -165,19 +180,18 @@ def update_phases(prob: CprProblem, state: CprState) -> np.ndarray:
 
     A zero inner product leaves tau_m = 0 (flagged by refine as degenerate).
     """
-    return _phases(prob, prob.response(state.theta))[0]
+    return np.angle(_phases(prob, prob.response(state.theta))[0])
 
 
 def _gradient(r: np.ndarray, model: np.ndarray, dc: np.ndarray) -> float:
-    """d(residual)/d(theta) from the residual matrix r: 2*Re sum conj(r) * dr/dtheta, a real number."""
-    dr = -model * dc
-    return float(2.0 * np.real(np.sum(r.conj() * dr)))
+    """d(residual)/d(theta) from the residual matrix r: 2*Re sum conj(r) * dr/dtheta with dr/dtheta = -model*dc."""
+    return float(-2.0 * np.vdot(r, model * dc).real)
 
 
 def objective_gradient(prob: CprProblem, state: CprState) -> float:
     """Derivative of the residual with respect to the angle at the current state."""
     c, dc = prob.response(state.theta, derivative=True)
-    model = _model(state.g, state.taus)
+    model = _model(state.g, np.exp(1j * state.taus))
     return _gradient(_residual_matrix(prob, c, model), model, dc)
 
 
@@ -210,7 +224,8 @@ def refine(
     ev = kernel.evaluate(theta)
     dc = kernel.slope(ev)
     g_prev = 0.0
-    taus = np.zeros(len(prob.grid))
+    # the phases are kept as the inner products z_m, tau_m = angle(z_m); angle(1) = 0 before the first update
+    z = np.ones(len(prob.grid))
     eta = step
     # largest useful theta move: a fraction of the narrowest beam semi-width
     f_high = float(np.max(prob.grid.frequencies))
@@ -219,7 +234,7 @@ def refine(
     prev_eps = np.inf
     grow_streak = 0
     degenerate = False
-    eps = float(np.sum(prob.abs_y**2))
+    eps = _sum_sq(prob.y_hat)
     iterations = 0
     converged = False
     diverged = False
@@ -227,10 +242,10 @@ def refine(
     for it in range(1, max_iter + 1):
         iterations = it
         # ev and dc belong to theta: the start's, or the last accepted candidate's
-        g = _gain(prob, ev.c)
-        taus, vanished = _phases(prob, ev.c)
+        g = _gain(prob, ev.amp)
+        z, phasors, vanished = _phases(prob, ev.c)
         degenerate = degenerate or vanished
-        model = _model(g, taus)
+        model = _model(g, phasors)
         r = _residual_matrix(prob, ev.c, model)
         eps = _sum_sq(r)
         grad = _gradient(r, model, dc)
@@ -265,7 +280,7 @@ def refine(
         if trace is not None:
             trace.append((it, theta_new, g, eps_new))
         if best is None or eps_new < best[0]:
-            best = (eps_new, theta_new, g, taus.copy())
+            best = (eps_new, theta_new, g, z)
 
         delta = (g - g_prev) ** 2 + (theta_new - theta) ** 2
         theta = theta_new
@@ -286,13 +301,13 @@ def refine(
             break
 
     if diverged and best is not None:
-        eps, theta, g_prev, taus = best
-    # eps is the objective at (theta, g_prev, taus): every residual above is
-    # computed exactly as objective() computes it
+        eps, theta, g_prev, z = best
+    # eps is the objective at (theta, g_prev, taus), up to the rounding of the
+    # phasors z_m/|z_m| that stand in for objective()'s exp(j*tau_m)
     return CprState(
         theta=theta,
         g=g_prev,
-        taus=taus,
+        taus=np.angle(z),
         residual=eps,
         iterations=iterations,
         converged=converged,

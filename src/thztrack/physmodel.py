@@ -221,6 +221,7 @@ class _Dirichlet(NamedTuple):
 
     z: np.ndarray
     u: np.ndarray
+    nu: np.ndarray
     sin_u: np.ndarray
     ratio: np.ndarray
 
@@ -235,14 +236,26 @@ def _dirichlet(n: int, z: np.ndarray) -> _Dirichlet:
     """
     z = z - 2.0 * np.rint(0.5 * z)
     u = 0.5 * np.pi * z
+    nu = n * u
     sin_u = np.sin(u)
-    if sin_u.all():
-        return _Dirichlet(z, u, sin_u, np.sin(n * u) / sin_u)
+    ratio = np.sin(nu)
+    if np.count_nonzero(sin_u) == sin_u.size:
+        ratio /= sin_u
+        return _Dirichlet(z, u, nu, sin_u, ratio)
     zero = sin_u == 0.0
     sin_u[zero] = 1.0  # placeholder; the limit is set below
-    ratio = np.sin(n * u) / sin_u
+    ratio /= sin_u
     ratio[zero] = n
-    return _Dirichlet(z, u, sin_u, ratio)
+    return _Dirichlet(z, u, nu, sin_u, ratio)
+
+
+@lru_cache(maxsize=16)
+def _pair_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets j = n-1, n-3, ... > 0 of D_n's symmetric cosine pairs, and the slope weights -2*j."""
+    j = np.arange(n - 1, 0, -2, dtype=float)
+    weights = -2.0 * j
+    j.flags.writeable = weights.flags.writeable = False
+    return j, weights
 
 
 def _dirichlet_slope(n: int, d: _Dirichlet) -> np.ndarray:
@@ -252,11 +265,17 @@ def _dirichlet_slope(n: int, d: _Dirichlet) -> np.ndarray:
     summed over the symmetric offset pairs +-j of D_n = sum_j cos(j*u),
     j = 1-n, 3-n, ..., n-1: dD_n/du = -2 * sum_{j>0} j*sin(j*u).
     """
+    slope = np.cos(d.nu)
+    slope *= n
+    inner = np.cos(d.u)
+    inner *= d.ratio
+    slope -= inner
+    # sin_u holds no zeros (see _dirichlet); the near entries are replaced below
+    slope /= d.sin_u
     near = np.abs(d.u) < _NEAR_SINGULAR / n
-    slope = (n * np.cos(n * d.u) - d.ratio * np.cos(d.u)) / np.where(near, 1.0, d.sin_u)
-    if near.any():
-        j = np.arange(n - 1, 0, -2)
-        slope[near] = -2.0 * np.sum(j * np.sin(d.u[near][:, None] * j), axis=1)
+    if np.count_nonzero(near):
+        j, weights = _pair_offsets(n)
+        slope[near] = np.sin(d.u[near][:, None] * j) @ weights
     return slope
 
 
@@ -312,7 +331,12 @@ class RayKernel:
         # reducing x moves the beam argument by a multiple of 2*p, a period of G_{n_ttd}
         beam = _dirichlet(cfg.n_ttd, cfg.p * (window.z - self._delay))
         # the two phase centers exp(j*pi*(n-1)*z/2) combine into one rotation
-        rot = np.exp(0.5j * np.pi * ((cfg.p - 1) * window.z + (cfg.n_ttd - 1) * beam.z))
+        phase = (cfg.p - 1) * window.z
+        phase += (cfg.n_ttd - 1) * beam.z
+        phase *= 0.5 * np.pi
+        rot = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=rot.real)
+        np.sin(phase, out=rot.imag)
         amp = window.ratio * beam.ratio
         return RayEval(rot * amp, amp, rot, window, beam)
 
@@ -325,9 +349,15 @@ class RayKernel:
         cfg = self.cfg
         d_window = _dirichlet_slope(cfg.p, ev.window)
         d_beam = _dirichlet_slope(cfg.n_ttd, ev.beam)
-        return self._slope_scale * ev.rot * (
-            d_window * ev.beam.ratio + cfg.p * ev.window.ratio * d_beam + 1j * (cfg.n_bs - 1) * ev.amp
-        )
+        # the real part D_p' D_N + p D_p D_N' and the imaginary part (n_bs - 1) D_p D_N
+        inner = np.empty(ev.c.shape, dtype=complex)
+        d_window *= ev.beam.ratio
+        d_beam *= cfg.p * ev.window.ratio
+        np.add(d_window, d_beam, out=inner.real)
+        np.multiply(ev.amp, cfg.n_bs - 1, out=inner.imag)
+        out = self._slope_scale * ev.rot
+        out *= inner
+        return out
 
     def __call__(self, theta: float, derivative: bool = False):
         """c at ``theta``; with ``derivative`` the pair (c, dc/dtheta)."""

@@ -172,3 +172,12 @@ class TestSweeps:
         assert main(args + ["--values", "2.0,4"]) == 0
         _, rows = read_csv(out)
         assert [r["value"] for r in rows] == ["2", "4"]
+
+    @pytest.mark.parametrize("values", ["1,abc", "1,,2", "1,nan", "inf"])
+    def test_values_must_be_finite_numbers(self, tmp_path, values):
+        out = tmp_path / "snr.csv"
+        args = ["sweep-nmse", "--seed", "5", "--trials", "1", "--users", "1",
+                "--out", str(out), "--values", values]
+        with pytest.raises(ValueError, match="--values"):
+            main(args)
+        assert not out.exists()

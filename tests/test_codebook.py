@@ -76,6 +76,20 @@ class TestSnap:
         midpoint = 0.0 + step / 2
         assert snap(midpoint, cb.psi_grid) == 0.0
 
+    def test_nan_rejected(self, cb):
+        with pytest.raises(ValueError, match="nan"):
+            snap(float("nan"), cb.psi_grid)
+
+    def test_matches_nearest_codeword_search(self, cb):
+        rng = np.random.default_rng(5)
+        values = cb.t_grid.values
+        for v in np.concatenate([rng.uniform(-2.0, 2.0, 500), values, values[:-1] + np.diff(values) / 2]):
+            i = int(np.searchsorted(values, v))
+            lo, hi = values[max(i - 1, 0)], values[min(i, len(values) - 1)]
+            want = lo if v - lo <= hi - v else hi
+            got = snap(float(v), cb.t_grid)
+            assert type(got) is float and got == want
+
 
 class TestQuantizedPairing:
     def test_on_grid_pairing_unchanged(self, cfg, cb):

@@ -136,6 +136,10 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(scheme="sideways")
 
+    def test_rejects_negative_gain_sigma(self):
+        with pytest.raises(ValueError, match="gain_sigma"):
+            ScenarioConfig(gain_sigma=-0.5)
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             ScenarioConfig(seed=-1)
@@ -226,6 +230,30 @@ class TestSweep:
         scn = ScenarioConfig(system=cfg, users=1, trials=1, seed=9, snr_db=(10.0,), compensation=True)
         with pytest.raises(ValueError, match="broken refinement"):
             sweep(scn, "snr")
+
+
+# (iterations, converged, diverged) of every refinement in the compensated SNR
+# sweep of seed 1 (256 antennas, 4 slots, 2 trials per SNR).  A change that
+# keeps refine's iterates keeps this table; a solver change that moves it on
+# purpose updates the table and logs the move in CHANGES.md.
+_REFINE_OUTCOMES_SEED_1 = {
+    -10.0: [(32, True, False), (18, False, True)],
+    0.0: [(37, False, True), (24, True, False)],
+    10.0: [(8, True, False), (29, False, True)],
+    20.0: [(8, True, False), (12, True, False)],
+    30.0: [(7, True, False), (12, True, False)],
+}
+
+
+def test_refine_outcomes_of_one_compensated_sweep(cfg):
+    scn = ScenarioConfig(system=cfg, users=1, snr_db=(-10.0, 0.0, 10.0, 20.0, 30.0), slots=(4,),
+                         trials=2, compensation=True, seed=1)
+    report = sweep(scn, "snr", keep_records=True)
+    got = {
+        snr: [(r.iterations, r.converged, r.diverged) for r in records]
+        for snr, records in report.records.items()
+    }
+    assert got == _REFINE_OUTCOMES_SEED_1
 
 
 class TestSchemeOrdering:
@@ -356,3 +384,28 @@ seed = 3
     def test_integral_values_accepted(self):
         scn = scenario_from_mapping({"users": 2.0, "trials": "3", "slots": [2, 4.0], "n_bs": 256.0})
         assert (scn.users, scn.trials, scn.slots, scn.system.n_bs) == (2, 3, (2, 4), 256)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("zeta_max", "abc"), ("f_c", "abc"), ("gain_sigma", "abc"), ("snr_db", "abc"),
+         ("snr_db", [10, "abc"]), ("theta_grid", [0.3, None]), ("bandwidth", True),
+         ("f_c", float("inf")), ("f_d", float("nan")), ("zeta_max", [0.1]), ("gain_sigma", -1)],
+    )
+    def test_float_keys_reject_bad_values(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            scenario_from_mapping({key: value})
+
+    def test_float_keys_from_file_named_in_error(self, tmp_path):
+        p = tmp_path / "sigma.cfg"
+        p.write_text("gain_sigma = abc\n")
+        with pytest.raises(ValueError, match="gain_sigma"):
+            scenario_from_file(p)
+
+    def test_numeric_values_accepted(self):
+        scn = scenario_from_mapping(
+            {"f_c": "1e11", "bandwidth": 10**10, "zeta_max": "0.1", "gain_sigma": 0,
+             "snr_db": ["10", 20, 30.5], "theta_grid": 0.25}
+        )
+        assert (scn.system.f_c, scn.system.bandwidth, scn.zeta_max, scn.gain_sigma) == (1e11, 1e10, 0.1, 0.0)
+        assert scn.snr_db == (10.0, 20.0, 30.5)
+        assert scn.theta_grid == (0.25,)

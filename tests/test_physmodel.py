@@ -20,6 +20,7 @@ from thztrack import (
     steering_vector,
     to_physical,
 )
+from thztrack.physmodel import RayKernel
 
 
 @pytest.fixture(scope="module")
@@ -287,3 +288,51 @@ class TestRayResponse:
         # two rays, each within the single-ray tolerance
         atol = 2 * _RAY_TOL_C * cfg.n_bs**2 * _EPS
         np.testing.assert_allclose(ch.precoded(psi, t_aux), dense, rtol=0, atol=atol)
+
+
+# Fixed before any run, on the same scale as the tolerances above: the term
+# sum carries n*eps of rounding for c and pi*n^2*eps for dc/dtheta, and the
+# kernel's two branches stay within a few times that, so C*n^2*eps and
+# C*pi*n^3*eps with C = 8 leave room while the quotient rule alone (off by
+# ~eps/|u| at the tiny arguments drawn here) fails.
+_BRANCH_TOL_C = 8.0
+
+
+@st.composite
+def _branch_edge_cases(draw):
+    """A one-group array (the p-element window or the n_ttd-element beam, n = 2..32) whose
+    centre-subcarrier argument z = theta - psi sits at the near-singular edge |n*u| = 0.5
+    (u = pi*z/2), on either side of it, far inside it, or exactly at 0."""
+    n = draw(st.integers(2, 32))
+    window = draw(st.booleans())
+    system = SystemConfig(
+        n_bs=n, n_ttd=1 if window else n, p=n if window else 1, f_c=100e9,
+        bandwidth=draw(st.floats(1e6, 1e9)), m_half=draw(st.integers(1, 8)),
+    )
+    edge = 1.0 / (np.pi * n)
+    z = draw(st.one_of(
+        st.just(0.0),
+        st.floats(-1e-3, 1e-3).map(lambda d: edge * (1.0 + d)),
+        st.floats(0.5, 2.0).map(lambda s: edge * s),
+        st.floats(1e-12, 1e-6),
+    ))
+    theta = draw(st.floats(-0.5, 0.5))
+    psi = theta - draw(st.sampled_from((1.0, -1.0))) * z
+    return system, theta, psi
+
+
+class TestSlopeBranches:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_branch_edge_cases())
+    def test_slope_matches_term_sum_across_branch_edge(self, case):
+        system, theta, psi = case
+        n = system.n_bs
+        c, dc = RayKernel([psi], [0.0], system)(theta, derivative=True)
+        # G_n(x) = sum_{i<n} exp(j*pi*x*i) term by term, x = (f_m/f_c)*theta - psi
+        rho = SubcarrierGrid.from_config(system).frequencies / system.f_c
+        i = np.arange(n)
+        terms = np.exp(1j * np.pi * np.outer(rho * theta - psi, i))
+        want_c = terms.sum(axis=1)
+        want_dc = 1j * np.pi * rho * (terms @ i)
+        assert np.max(np.abs(c[:, 0] - want_c)) <= _BRANCH_TOL_C * n**2 * _EPS
+        assert np.max(np.abs(dc[:, 0] - want_dc)) <= _BRANCH_TOL_C * np.pi * n**3 * _EPS
