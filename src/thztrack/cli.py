@@ -45,6 +45,14 @@ def _add_system_args(parser: argparse.ArgumentParser):
     parser.add_argument("--m-half", type=int, dest="m_half")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of a finite real option; argparse names the flag when it raises."""
+    try:
+        return _as_float("value", text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
+
+
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
@@ -309,62 +317,92 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="thztrack", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("beam-pattern", help="emit per-subcarrier gain surfaces as CSV")
+def _beam_pattern_args(p: argparse.ArgumentParser):
     _add_system_args(p)
-    p.add_argument("--theta0", type=float, default=0.6)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--psi", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--grid-step", type=float, default=2e-3)
+    p.add_argument("--theta0", type=_finite_float, default=0.6)
+    p.add_argument("--alpha", type=_finite_float, default=0.05)
+    p.add_argument("--psi", type=_finite_float)
+    p.add_argument("--t", type=_finite_float)
+    p.add_argument("--grid-step", type=_finite_float, default=2e-3)
     p.add_argument("--peaks-only", action="store_true")
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=_cmd_beam_pattern)
 
-    p = sub.add_parser("bounds", help="tabulate all searching-radius bounds over a theta grid")
+
+def _bounds_args(p: argparse.ArgumentParser):
     _add_system_args(p)
-    p.add_argument("--theta-min", type=float, default=-1.0)
-    p.add_argument("--theta-max", type=float, default=1.0)
+    p.add_argument("--theta-min", type=_finite_float, default=-1.0)
+    p.add_argument("--theta-max", type=_finite_float, default=1.0)
     p.add_argument("--points", type=int, default=81)
     p.add_argument("--include-extra", action="store_true")
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("codebook", help="dump the joint codeword grids as CSV")
+
+def _codebook_args(p: argparse.ArgumentParser):
     _add_system_args(p)
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=_cmd_codebook)
 
-    p = sub.add_parser("track", help="run one tracking frame with a verbose trace")
+
+def _track_args(p: argparse.ArgumentParser):
     _add_scenario_args(p, require_seed=True)
-    p.add_argument("--theta-r", type=float, dest="theta_r")
-    p.add_argument("--theta0", type=float)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--theta-r", type=_finite_float, dest="theta_r")
+    p.add_argument("--theta0", type=_finite_float)
+    p.add_argument("--alpha", type=_finite_float)
     p.add_argument("--slots", type=int, dest="frame_slots")
-    p.add_argument("--snr", type=float)
+    p.add_argument("--snr", type=_finite_float)
     p.add_argument("--trace", type=Path, help="CSV of refinement iterations")
     p.add_argument("--dump-y", type=Path, dest="dump_y", help="CSV heatmap of |Y|")
-    p.set_defaults(func=_cmd_track)
 
-    for name, axis in (("sweep-nmse", "snr"), ("sweep-gain", "theta")):
-        p = sub.add_parser(name, help=f"Monte Carlo sweep (default axis: {axis})")
-        _add_scenario_args(p, require_seed=True)
-        p.add_argument("--axis", choices=("snr", "slots", "theta"))
-        p.add_argument("--values", help="comma-separated axis values")
-        p.add_argument("--out", type=Path, required=True)
-        p.add_argument("--full", type=Path, help="also write per-trial records as JSON")
-        p.set_defaults(func=lambda a, _axis=axis: _run_sweep(a, _axis))
 
-    p = sub.add_parser("validate", help="run the built-in oracle/property checks")
-    p.set_defaults(func=_cmd_validate)
+def _sweep_args(p: argparse.ArgumentParser):
+    _add_scenario_args(p, require_seed=True)
+    p.add_argument("--axis", choices=("snr", "slots", "theta"))
+    p.add_argument("--values", help="comma-separated axis values")
+    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--full", type=Path, help="also write per-trial records as JSON")
+
+
+def _cmd_sweep_nmse(args) -> int:
+    return _run_sweep(args, "snr")
+
+
+def _cmd_sweep_gain(args) -> int:
+    return _run_sweep(args, "theta")
+
+
+# name: (help, adds the command's arguments, handler)
+_COMMANDS = {
+    "beam-pattern": ("emit per-subcarrier gain surfaces as CSV", _beam_pattern_args, _cmd_beam_pattern),
+    "bounds": ("tabulate all searching-radius bounds over a theta grid", _bounds_args, _cmd_bounds),
+    "codebook": ("dump the joint codeword grids as CSV", _codebook_args, _cmd_codebook),
+    "track": ("run one tracking frame with a verbose trace", _track_args, _cmd_track),
+    "sweep-nmse": ("Monte Carlo sweep (default axis: snr)", _sweep_args, _cmd_sweep_nmse),
+    "sweep-gain": ("Monte Carlo sweep (default axis: theta)", _sweep_args, _cmd_sweep_gain),
+    "validate": ("run the built-in oracle/property checks", lambda p: None, _cmd_validate),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``thztrack`` parser.
+
+    With a known ``command`` only that subcommand is built, which is all a
+    call needs; otherwise every subcommand is, so that help and usage errors
+    list them all.
+    """
+    parser = argparse.ArgumentParser(prog="thztrack", description=__doc__)
+    # the usage line names every command whichever subparsers are built
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}")
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    for name in names:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     return args.func(args)
 
 

@@ -26,6 +26,7 @@ from .leakage import DegenerateGeometryError, build_cpr_problem, refine
 from .physmodel import (
     ChannelResponse,
     PathComponent,
+    RayKernel,
     SubcarrierGrid,
     SystemConfig,
     channel_response,
@@ -258,11 +259,18 @@ def beamforming_gain(channel: ChannelResponse, theta_hat: float, cfg: SystemConf
     """Average over subcarriers of |h_m^H w_m|^2 for the estimate-aligned precoder.
 
     Both slopes point at theta_hat and the precoder carries the 1/sqrt(n_bs)
-    power normalization, so the gain is mean_m |h_m^H f_m|^2 / n_bs with the
-    closed-form response of :meth:`ChannelResponse.precoded`.
+    power normalization, so the gain is mean_m |h_m^H f_m|^2 / n_bs.  A
+    single ray needs only the real amplitude of its closed-form response
+    (:meth:`RayKernel.amplitude`); several rays interfere, so they go through
+    :meth:`ChannelResponse.precoded`.
     """
     if channel.cfg != cfg:
         raise ValueError("channel was built for a different system config")
+    if len(channel.paths) == 1:
+        # |h_m^H f_m| = |gain| * |D_p * D_N|: the rotation and the delay phasor drop out
+        (path,) = channel.paths
+        amp = RayKernel(theta_hat, theta_hat, cfg).amplitude(path.direction)
+        return abs(path.gain) ** 2 * float(np.vdot(amp, amp)) / amp.size / cfg.n_bs
     inner = channel.precoded([theta_hat], [theta_hat])
     return float(np.mean(np.abs(inner) ** 2)) / cfg.n_bs
 

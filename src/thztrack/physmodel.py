@@ -147,13 +147,19 @@ class ChannelResponse:
     def precoded(self, psi, t_aux) -> np.ndarray:
         """Received responses h_m^H f_{l,m} for slot slopes ``psi``, ``t_aux`` (L,); shape (2M+1, L).
 
-        Each ray adds conj(gain * exp(-j*2*pi*f_b*delay)) times its
-        :func:`ray_response`.
+        Each ray adds conj(gain * exp(-j*2*pi*f_b*delay)) times its unit-gain
+        response; all rays share one :class:`RayKernel`.  A zero-delay ray's
+        phasor is exactly 1, so it is left out.
         """
-        out = np.zeros((len(self.grid), np.size(psi)), dtype=complex)
+        kernel = RayKernel(psi, t_aux, self.cfg)
+        out = None
         for path in self.paths:
-            weight = np.conj(path.gain * self._delay_phase(path))
-            out += weight[:, None] * ray_response(path.direction, psi, t_aux, self.cfg)
+            if path.delay == 0:
+                weight = np.conj(path.gain)
+            else:
+                weight = np.conj(path.gain * self._delay_phase(path))[:, None]
+            term = weight * kernel(path.direction)
+            out = term if out is None else out + term
         return out
 
 
@@ -207,6 +213,8 @@ def channel_response(
     """
     if isinstance(paths, PathComponent):
         paths = [paths]
+    if not paths:
+        raise ValueError("a channel needs at least one ray")
     return ChannelResponse(paths=tuple(paths), grid=grid, cfg=cfg)
 
 
@@ -324,12 +332,22 @@ class RayKernel:
         self._delay = fb_ratio * t_aux
         self._slope_scale = 0.5 * np.pi * rho
 
-    def evaluate(self, theta: float) -> RayEval:
-        """Responses c (2M+1, L) at ``theta``, with their factors."""
+    def _factors(self, theta: float) -> tuple[_Dirichlet, _Dirichlet]:
+        """The window and beam Dirichlet ratios at ``theta``."""
         cfg = self.cfg
         window = _dirichlet(cfg.p, self._rho * theta - self._psi)
         # reducing x moves the beam argument by a multiple of 2*p, a period of G_{n_ttd}
-        beam = _dirichlet(cfg.n_ttd, cfg.p * (window.z - self._delay))
+        return window, _dirichlet(cfg.n_ttd, cfg.p * (window.z - self._delay))
+
+    def amplitude(self, theta: float) -> np.ndarray:
+        """Real amplitude D_p * D_N (2M+1, L) of c at ``theta``: |c| = |amplitude|, without the rotation."""
+        window, beam = self._factors(theta)
+        return window.ratio * beam.ratio
+
+    def evaluate(self, theta: float) -> RayEval:
+        """Responses c (2M+1, L) at ``theta``, with their factors."""
+        cfg = self.cfg
+        window, beam = self._factors(theta)
         # the two phase centers exp(j*pi*(n-1)*z/2) combine into one rotation
         phase = (cfg.p - 1) * window.z
         phase += (cfg.n_ttd - 1) * beam.z

@@ -135,15 +135,17 @@ def run_tracking(
     cfg = plan.cfg
     if channel.cfg != cfg:
         raise ValueError("channel was built for a different system config than the plan")
-    if noise_std < 0:
-        raise ValueError("noise_std must be nonnegative")
+    if not 0.0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std!r}")
     psi = [pc.psi for pc in plan.pairings]
     t_aux = [pc.t_aux for pc in plan.pairings]
     y = channel.precoded(psi, t_aux).T.copy()
     if noise_std > 0:
         gen = make_rng(rng)
         noise = gen.standard_normal((plan.slots, cfg.n_subcarriers, 2))
-        y += noise_std / np.sqrt(2.0) * (noise[..., 0] + 1j * noise[..., 1])
+        noise *= noise_std / np.sqrt(2.0)
+        # each (re, im) pair of draws is read as one complex sample
+        y += noise.view(complex)[..., 0]
     return TrackingObservation(y=y, plan=plan)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from thztrack.cli import main
+from thztrack.cli import _COMMANDS, build_parser, main
 
 
 def read_csv(path):
@@ -181,3 +181,88 @@ class TestSweeps:
         with pytest.raises(ValueError, match="--values"):
             main(args)
         assert not out.exists()
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+# one representative argument list per command
+_ARGV = {
+    "beam-pattern": ["beam-pattern", "--theta0", "0.7", "--grid-step", "1e-3", "--peaks-only", "--out", "p.csv"],
+    "bounds": ["bounds", "--n-bs", "64", "--n-ttd", "8", "--p", "8", "--theta-min", "-0.5", "--out", "b.csv"],
+    "codebook": ["codebook", "--m-half", "32", "--out", "c.csv"],
+    "track": ["track", "--seed", "3", "--theta-r", "0.41", "--snr", "15", "--compensation", "--slots", "2"],
+    "sweep-nmse": ["sweep-nmse", "--seed", "1", "--snr-db", "0,10", "--slots-list", "2,4", "--out", "n.csv"],
+    "sweep-gain": ["sweep-gain", "--seed", "1", "--axis", "theta", "--values", "0.3,-0.3", "--no-compensation",
+                   "--out", "g.csv", "--full", "g.json"],
+    "validate": ["validate"],
+}
+
+
+class TestParser:
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert len(_COMMANDS) == 7
+        for name, (help_text, _, _) in _COMMANDS.items():
+            assert name in out and help_text in out
+
+    @pytest.mark.parametrize("command", sorted(_ARGV))
+    def test_command_help_lists_its_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: thztrack {command}")
+        full = _subparsers(build_parser())[command]
+        options = [opt for action in full._actions for opt in action.option_strings]
+        assert len(options) > 1 or command == "validate"
+        for option in options:
+            assert option in out
+
+    @pytest.mark.parametrize("command", sorted(_ARGV))
+    def test_lazy_parser_matches_full_parser(self, command):
+        argv = _ARGV[command]
+        assert list(_subparsers(build_parser(command))) == [command]
+        assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
+
+    def test_lazy_usage_error_matches_full_parser(self, capsys):
+        argv = ["track", "--seed", "1", "--bogus"]
+        errors = []
+        for parser in (build_parser("track"), build_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            errors.append(capsys.readouterr().err)
+        assert "unrecognized arguments: --bogus" in errors[0]
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("argv", [[], ["trak"], ["--seed", "1"]])
+    def test_missing_or_unknown_command_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: thztrack [-h]")
+        assert all(name in err for name in _COMMANDS)
+
+
+class TestFiniteOptions:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["track", "--seed", "1"], flag) for flag in ("--theta-r", "--theta0", "--alpha", "--snr")]
+        + [(["beam-pattern", "--out", "x.csv"], flag)
+           for flag in ("--theta0", "--alpha", "--psi", "--t", "--grid-step")]
+        + [(["bounds", "--out", "x.csv"], flag) for flag in ("--theta-min", "--theta-max")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+    def test_non_finite_value_rejected_naming_the_flag(self, tmp_path, monkeypatch, capsys, argv, flag, value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a finite number, got '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()

@@ -3,14 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thztrack import harness
 from thztrack import (
     PathComponent,
+    PrecoderConfig,
     SubcarrierGrid,
+    SystemConfig,
     channel_response,
     default_config,
     dirichlet,
+    precoder_matrix,
 )
 from thztrack.harness import (
     ScenarioConfig,
@@ -81,6 +86,53 @@ class TestBeamformingGain:
         at_truth = beamforming_gain(ch, theta_r, cfg)
         assert at_truth > beamforming_gain(ch, theta_r + 0.01, cfg)
         assert at_truth > beamforming_gain(ch, theta_r - 0.01, cfg)
+
+
+# Fixed before any run.  Each ray's closed-form response is within
+# C*n_bs^2*eps of its dense inner product (C = 8, as in test_physmodel.py), and
+# |response| <= n_bs * G with G the sum of the ray gains' moduli, so the mean of
+# |response|^2 / n_bs moves by at most 2*C*n_bs^2*eps*G^2.
+_GAIN_TOL_C = 8.0
+
+
+@st.composite
+def _gain_cases(draw):
+    """A random array and band, 1-3 rays (delayed ones too) and an aim theta_hat."""
+    p = draw(st.integers(1, 16))
+    n_ttd = draw(st.integers(1, 16))
+    f_c = draw(st.floats(1e9, 1e12))
+    system = SystemConfig(
+        n_bs=p * n_ttd, n_ttd=n_ttd, p=p, f_c=f_c,
+        bandwidth=2 * draw(st.floats(0.01, 0.45)) * f_c, m_half=draw(st.integers(1, 32)),
+    )
+    n_rays = draw(st.sampled_from((1, 1, 2, 3)))
+    paths = [
+        PathComponent(
+            draw(st.floats(0.1, 3.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi))),
+            draw(st.floats(-1.0, 1.0)),
+            draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-9))),
+        )
+        for _ in range(n_rays)
+    ]
+    theta = paths[0].direction
+    theta_hat = draw(st.one_of(
+        st.floats(-1.0, 1.0), st.just(theta), st.floats(-1e-9, 1e-9).map(lambda d: theta + d)
+    ))
+    return system, paths, theta_hat
+
+
+class TestBeamformingGainOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_gain_cases())
+    def test_matches_dense_inner_products(self, case):
+        system, paths, theta_hat = case
+        grid = SubcarrierGrid.from_config(system)
+        ch = channel_response(paths, grid, system)
+        f = precoder_matrix(PrecoderConfig(theta_hat, theta_hat), grid, system)
+        want = np.mean(np.abs(np.einsum("mn,mn->m", ch.h.conj(), f)) ** 2) / system.n_bs
+        total = sum(abs(path.gain) for path in paths)
+        tol = 2 * _GAIN_TOL_C * system.n_bs**2 * np.finfo(float).eps * total**2
+        assert abs(beamforming_gain(ch, theta_hat, system) - want) <= tol
 
 
 class TestRunTrial:

@@ -113,6 +113,10 @@ class TestChannelResponse:
             both.h, channel_response(p1, grid, cfg).h + channel_response(p2, grid, cfg).h
         )
 
+    def test_needs_a_ray(self, cfg, grid):
+        with pytest.raises(ValueError, match="at least one ray"):
+            channel_response([], grid, cfg)
+
     def test_direction_out_of_range(self):
         with pytest.raises(ValueError):
             PathComponent(1.0 + 0j, 1.2, 0.0)
@@ -270,6 +274,13 @@ class TestRayResponse:
         assert np.max(np.abs(c - want_c)) <= _RAY_TOL_C * n**2 * _EPS
         assert np.max(np.abs(dc - want_dc)) <= _RAY_TOL_C * np.pi * n**3 * _EPS
         np.testing.assert_array_equal(ray_response(theta, psi, t_aux, system), c)
+
+    def test_amplitude_is_the_evaluated_amplitude(self, cfg):
+        kernel = RayKernel([0.21, -0.35, 0.3], [0.6, -1.1, 0.3], cfg)
+        for theta in (0.3, -0.4, 0.2999999):
+            ev = kernel.evaluate(theta)
+            np.testing.assert_array_equal(kernel.amplitude(theta), ev.amp)
+            np.testing.assert_allclose(np.abs(ev.c), np.abs(ev.amp), rtol=4 * _EPS, atol=0)
 
     def test_full_array_gain_at_exact_singularity(self, cfg):
         c = ray_response(0.3, [0.3, 0.3], [0.3, 0.3], cfg)

@@ -145,6 +145,13 @@ class TestRunTracking:
                 expected = np.vdot(ch.h[j], f_vec) + 2.5 / np.sqrt(2.0) * (re + 1j * im)
                 assert obs.y[l, j] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
+    def test_noise_std_must_be_finite_and_nonnegative(self, cfg, grid, noise_std):
+        plan = plan_tracking(0.2, 0.1, 2, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, 0.21, 0.0), grid, cfg)
+        with pytest.raises(ValueError, match="noise_std"):
+            run_tracking(plan, ch, noise_std, rng=1)
+
     def test_config_mismatch_raises(self, cfg):
         plan = plan_tracking(0.2, 0.1, 2, cfg)
         other = SystemConfig(n_bs=128, n_ttd=8, p=16, f_c=cfg.f_c, bandwidth=cfg.bandwidth, m_half=cfg.m_half)
