@@ -56,12 +56,10 @@ from .physmodel import (
     PrecoderConfig,
     SubcarrierGrid,
     SystemConfig,
-    assemble_precoder,
     channel_response,
     default_config,
     from_physical,
     precoder_matrix,
-    ray_response,
     steering_vector,
     to_physical,
 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physmodel import PrecoderConfig, SubcarrierGrid, SystemConfig
+from .physmodel import PrecoderConfig, SubcarrierGrid, SystemConfig, _dirichlet
 
 __all__ = [
     "LobeGeometry",
@@ -26,23 +26,16 @@ __all__ = [
     "sidelobe_locations",
 ]
 
-# below this the sine denominator is treated as a removable singularity
-_SINGULAR_EPS = 1e-12
-
 
 def dirichlet(n: int, a) -> np.ndarray | float:
     """Normalized Dirichlet kernel |sin(n*pi*a/2)| / (n*|sin(pi*a/2)|).
 
     Even, 2-periodic, bounded in [0, 1]; the removable singularities at even
-    integers evaluate to 1.
+    integers evaluate to 1.  The ratio is the one the ray kernel of ``physmodel`` uses.
     """
     a = np.asarray(a, dtype=float)
-    den = np.sin(np.pi * a / 2)
-    num = np.sin(n * np.pi * a / 2)
-    singular = np.abs(den) < _SINGULAR_EPS
-    safe_den = np.where(singular, 1.0, den)
-    out = np.where(singular, 1.0, np.abs(num) / (n * np.abs(safe_den)))
-    out = np.minimum(out, 1.0)
+    ratio = _dirichlet(n, np.atleast_1d(a)).ratio
+    out = np.minimum(np.abs(ratio) / n, 1.0).reshape(a.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 
-from .beampattern import angle_map, array_gain, peak_map
+from .beampattern import array_gain, peak_map
 from .codebook import build_codebook, snap
 from .harness import (
     CONFIG_KEYS,
@@ -22,8 +23,8 @@ from .harness import (
     sweep,
     write_table,
 )
-from .leakage import build_cpr_problem, objective, objective_gradient, refine, CprState
-from .pairing import make_pairing, radius_bounds
+from .leakage import build_cpr_problem, refine
+from .pairing import RadiusBounds, make_pairing, radius_bounds
 from .physmodel import (
     PathComponent,
     PrecoderConfig,
@@ -51,6 +52,21 @@ def _finite_float(text: str) -> float:
         return _as_float("value", text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of a finite option that must be positive."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _float_list(text: str) -> list[float]:
@@ -120,35 +136,15 @@ def _cmd_beam_pattern(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = _scenario_from_args(args).system
     thetas = np.linspace(args.theta_min, args.theta_max, args.points)
-    rows = []
-    for theta0 in thetas:
-        b = radius_bounds(float(theta0), cfg, include_extra=args.include_extra)
-        rows.append(
-            (
-                float(theta0),
-                b.forward,
-                b.backward,
-                b.fb,
-                b.forward_single_slot,
-                b.large_angle,
-                b.fixed,
-                b.quasi_fixed,
-            )
-        )
-    _save_csv(
-        args.out,
-        ["theta0", "forward", "backward", "fb", "forward_single_slot", "large_angle", "fixed", "quasi_fixed"],
-        rows,
-    )
+    rows = [(float(t), *astuple(radius_bounds(float(t), cfg, include_extra=args.include_extra))) for t in thetas]
+    _save_csv(args.out, ["theta0"] + [f.name for f in fields(RadiusBounds)], rows)
     return 0
 
 
 def _cmd_codebook(args) -> int:
     cfg = _scenario_from_args(args).system
     cb = build_codebook(cfg)
-    rows = []
-    for i, v in enumerate(cb.psi_grid.values):
-        rows.append((i, "psi", float(v), "inner"))
+    rows = [(i, "psi", float(v), "inner") for i, v in enumerate(cb.psi_grid.values)]
     coarse = 2.0 / cfg.p
     for i, v in enumerate(cb.t_grid.values):
         if v < -1.0:
@@ -234,85 +230,40 @@ def _run_sweep(args, default_axis: str) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, detail: str = "") -> bool:
-    print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail and not ok else ""))
-    return ok
-
-
 def _cmd_validate(args) -> int:
-    cfg = default_config()
-    grid = SubcarrierGrid.from_config(cfg)
-    rng = np.random.default_rng(20240811)
-    ok = True
+    from functools import cache
 
-    # closed-form gain vs inner product
-    from .physmodel import assemble_precoder, steering_vector
-
-    worst = 0.0
-    for _ in range(200):
-        psi, t = rng.uniform(-1, 1), rng.uniform(-2, 2)
-        theta = rng.uniform(-1, 1)
-        m = int(rng.integers(-cfg.m_half, cfg.m_half + 1))
-        f_m = cfg.f_c + m * cfg.f_d
-        pc = PrecoderConfig(psi, t)
-        ref = abs(np.vdot(steering_vector(f_m, theta, cfg.n_bs, cfg.f_c), assemble_precoder(pc, f_m, cfg))) / cfg.n_bs
-        worst = max(worst, abs(ref - float(array_gain(f_m, theta, pc, cfg))))
-    ok &= _check("closed-form gain matches inner product (200 draws)", worst < 1e-9, f"max err {worst:.2e}")
-
-    # reference bound values
+    from . import checks
     from .pairing import fixed_radius, forward_bound, large_angle_bound
 
+    cfg = default_config()
     cfg2 = SystemConfig(n_bs=256, n_ttd=16, p=16, f_c=100e9, bandwidth=12.5e9, m_half=64)
-    ok &= _check("forward radius at 0.95 equals 0.003125", abs(forward_bound(0.95, cfg2) - 0.003125) < 1e-12)
-    ok &= _check("large-angle radius near 0.1502", abs(large_angle_bound(1.0, cfg) - 0.150157) < 5e-4)
-    ok &= _check("fixed radius equals 0.0625", fixed_radius(cfg) == 0.0625)
-
-    # subcarrier-angle map vs brute force
     pairing = make_pairing(0.6, 0.04, cfg)
-    pm = peak_map(PrecoderConfig(pairing.psi, pairing.t_aux), cfg, grid_step=2e-4)
-    mapped = angle_map(grid.m_indices, PrecoderConfig(pairing.psi, pairing.t_aux), cfg)
-    dev = float(np.max(np.abs(pm.angles - mapped)))
-    ok &= _check("peak map matches the angle map (backward pairing)", dev <= 2e-4 + 1e-9, f"max dev {dev:.2e}")
-
-    # gradient vs finite differences
-    theta_r = 0.4321
-    channel = channel_response(PathComponent(1.0 + 0j, theta_r, 0.0), grid, cfg)
-    plan = plan_tracking(0.43, 0.05, 2, cfg)
-    obs = run_tracking(plan, channel, noise_std=cfg.n_bs / np.sqrt(10.0), rng=3)
-    prob = build_cpr_problem(obs)
-    worst_rel = 0.0
-    for _ in range(5):
-        state = CprState(
-            theta=theta_r + rng.uniform(-2e-3, 2e-3),
-            g=rng.uniform(0.5, 2.0),
-            taus=rng.uniform(-np.pi, np.pi, len(grid)),
-            residual=0.0,
-        )
-        grad = objective_gradient(prob, state)
-        h = 1e-6
-        fd = (objective(prob, state.theta + h, state.g, state.taus) - objective(prob, state.theta - h, state.g, state.taus)) / (2 * h)
-        worst_rel = max(worst_rel, abs(grad - fd) / max(abs(grad), abs(fd), 1e-12))
-    ok &= _check("angle gradient matches finite differences", worst_rel < 1e-5, f"max rel {worst_rel:.2e}")
-
-    # noiseless recovery
-    plan = plan_tracking(0.37, 0.05, 2, cfg)
-    pc0 = plan.pairings[0]
-    target = float(angle_map(5, PrecoderConfig(pc0.psi, pc0.t_aux), cfg))
-    channel = channel_response(PathComponent(1.0 + 0j, target, 0.0), grid, cfg)
-    est = coarse_estimate(run_tracking(plan, channel, 0.0))
-    ok &= _check("noiseless on-grid recovery is exact", abs(est.theta_hat - target) < 1e-12)
-    off = target + 2.4e-4
-    channel = channel_response(PathComponent(1.0 + 0j, off, 0.0), grid, cfg)
-    obs = run_tracking(plan, channel, 0.0)
-    state = refine(build_cpr_problem(obs), coarse_estimate(obs).theta_hat, max_iter=300, tol=1e-18)
-    ok &= _check("noiseless off-grid refinement below 1e-6", abs(state.theta - off) < 1e-6, f"err {abs(state.theta - off):.1e}")
-
-    # determinism
+    pc = PrecoderConfig(pairing.psi, pairing.t_aux)
+    recovery = cache(checks.recovery_errors)
     scn = ScenarioConfig(system=cfg, users=1, trials=5, seed=11, snr_db=(10.0,), slots=(2,))
-    a = sweep(scn, "snr", values=[0.0, 10.0])
-    b = sweep(scn, "snr", values=[0.0, 10.0])
-    ok &= _check("sweeps are bit-reproducible", a.rows == b.rows)
 
+    def sweep_mismatch() -> float:
+        return float(sweep(scn, "snr", values=[0.0, 10.0]).rows != sweep(scn, "snr", values=[0.0, 10.0]).rows)
+
+    # (label, measured error, bound); a check passes when its error is within the bound
+    table = [
+        ("closed-form gain matches inner product (200 draws)", lambda: checks.gain_oracle_error(200, 20240811), 1e-9),
+        ("forward radius at 0.95 equals 0.003125", lambda: abs(forward_bound(0.95, cfg2) - 0.003125), 1e-12),
+        ("large-angle radius near 0.1502", lambda: abs(large_angle_bound(1.0, cfg) - 0.150157), 5e-4),
+        ("fixed radius equals 0.0625", lambda: abs(fixed_radius(cfg) - 0.0625), 0.0),
+        ("peak map matches angle map (backward pairing)", lambda: checks.angle_map_deviation(pc, 2e-4), 2e-4 + 1e-9),
+        ("angle gradient matches finite differences", lambda: checks.gradient_error(5, 20240811, 3, 2), 1e-5),
+        ("noiseless on-grid recovery is exact", lambda: recovery()[0], 1e-12),
+        ("noiseless off-grid refinement below 1e-6", lambda: recovery()[1], 1e-6),
+        ("sweeps are bit-reproducible", sweep_mismatch, 0.0),
+    ]
+    ok = True
+    for label, error, bound in table:
+        err = error()
+        passed = err <= bound
+        ok &= passed
+        print(f"[{'PASS' if passed else 'FAIL'}] {label}" + ("" if passed else f": error {err:.2e} > {bound:.2e}"))
     print("all checks passed" if ok else "validation FAILED")
     return 0 if ok else 1
 
@@ -323,7 +274,7 @@ def _beam_pattern_args(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=_finite_float, default=0.05)
     p.add_argument("--psi", type=_finite_float)
     p.add_argument("--t", type=_finite_float)
-    p.add_argument("--grid-step", type=_finite_float, default=2e-3)
+    p.add_argument("--grid-step", type=_positive_float, default=2e-3)
     p.add_argument("--peaks-only", action="store_true")
     p.add_argument("--out", type=Path, required=True)
 
@@ -332,7 +283,7 @@ def _bounds_args(p: argparse.ArgumentParser):
     _add_system_args(p)
     p.add_argument("--theta-min", type=_finite_float, default=-1.0)
     p.add_argument("--theta-max", type=_finite_float, default=1.0)
-    p.add_argument("--points", type=int, default=81)
+    p.add_argument("--points", type=_count, default=81)
     p.add_argument("--include-extra", action="store_true")
     p.add_argument("--out", type=Path, required=True)
 
@@ -361,22 +312,14 @@ def _sweep_args(p: argparse.ArgumentParser):
     p.add_argument("--full", type=Path, help="also write per-trial records as JSON")
 
 
-def _cmd_sweep_nmse(args) -> int:
-    return _run_sweep(args, "snr")
-
-
-def _cmd_sweep_gain(args) -> int:
-    return _run_sweep(args, "theta")
-
-
 # name: (help, adds the command's arguments, handler)
 _COMMANDS = {
     "beam-pattern": ("emit per-subcarrier gain surfaces as CSV", _beam_pattern_args, _cmd_beam_pattern),
     "bounds": ("tabulate all searching-radius bounds over a theta grid", _bounds_args, _cmd_bounds),
     "codebook": ("dump the joint codeword grids as CSV", _codebook_args, _cmd_codebook),
     "track": ("run one tracking frame with a verbose trace", _track_args, _cmd_track),
-    "sweep-nmse": ("Monte Carlo sweep (default axis: snr)", _sweep_args, _cmd_sweep_nmse),
-    "sweep-gain": ("Monte Carlo sweep (default axis: theta)", _sweep_args, _cmd_sweep_gain),
+    "sweep-nmse": ("Monte Carlo sweep (default axis: snr)", _sweep_args, lambda args: _run_sweep(args, "snr")),
+    "sweep-gain": ("Monte Carlo sweep (default axis: theta)", _sweep_args, lambda args: _run_sweep(args, "theta")),
     "validate": ("run the built-in oracle/property checks", lambda p: None, _cmd_validate),
 }
 

@@ -74,10 +74,6 @@ class CprProblem:
     def abs_y(self) -> np.ndarray:
         return np.abs(self.y_hat)
 
-    def response(self, theta: float, derivative: bool = False):
-        """Per-slot responses c[m, l] = a_m(theta)^H f_{l,m}, and dc/dtheta when ``derivative``."""
-        return self.kernel(theta, derivative)
-
 
 def build_cpr_problem(obs: TrackingObservation) -> CprProblem:
     """Reshape a tracking observation into per-subcarrier stacks.
@@ -156,12 +152,12 @@ def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, bo
 
 def objective(prob: CprProblem, theta: float, g: float, taus: np.ndarray) -> float:
     """Sum of squared residuals of the single-ray fit at the given parameters."""
-    return _sum_sq(_residual_matrix(prob, prob.response(theta), _model(g, np.exp(1j * taus))))
+    return _sum_sq(_residual_matrix(prob, prob.kernel(theta), _model(g, np.exp(1j * taus))))
 
 
 def modulus_objective(prob: CprProblem, theta: float, g: float) -> float:
     """Phase-blind objective sum_m || |y_hat_m| - g*|c_m(theta)| ||^2."""
-    c = prob.response(theta)
+    c = prob.kernel(theta)
     d = prob.abs_y - g * np.abs(c)
     return float(np.sum(d**2))
 
@@ -180,7 +176,7 @@ def update_phases(prob: CprProblem, state: CprState) -> np.ndarray:
 
     A zero inner product leaves tau_m = 0 (flagged by refine as degenerate).
     """
-    return np.angle(_phases(prob, prob.response(state.theta))[0])
+    return np.angle(_phases(prob, prob.kernel(state.theta))[0])
 
 
 def _gradient(r: np.ndarray, model: np.ndarray, dc: np.ndarray) -> float:
@@ -190,7 +186,7 @@ def _gradient(r: np.ndarray, model: np.ndarray, dc: np.ndarray) -> float:
 
 def objective_gradient(prob: CprProblem, state: CprState) -> float:
     """Derivative of the residual with respect to the angle at the current state."""
-    c, dc = prob.response(state.theta, derivative=True)
+    c, dc = prob.kernel(state.theta, derivative=True)
     model = _model(state.g, np.exp(1j * state.taus))
     return _gradient(_residual_matrix(prob, c, model), model, dc)
 

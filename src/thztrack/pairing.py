@@ -46,6 +46,9 @@ BACKWARD = "backward"
 # window-function argument (times p) whose gain equals the first sinc sidelobe
 # level ~0.2172; enters the large-angle radius bound
 _SIDELOBE_CROSSING = 1.620
+# |theta0| at which the quasi-fixed radius steps up: the directions of 30 and 60 degrees
+_STEP_30_DEG = 0.5
+_STEP_60_DEG = 0.866
 
 
 @dataclass(frozen=True)
@@ -156,22 +159,16 @@ def fixed_radius(cfg: SystemConfig) -> float:
     return 1.0 / cfg.p
 
 
-def quasi_fixed_radius(
-    theta0: float,
-    cfg: SystemConfig,
-    include_extra: bool = False,
-    th1: float = 0.5,
-    th2: float = 0.866,
-) -> float:
+def quasi_fixed_radius(theta0: float, cfg: SystemConfig, include_extra: bool = False) -> float:
     """Piecewise quasi-angle-independent radius: 1/p, 1.620/p, then 2/p.
 
-    The thresholds default to directions of 30 and 60 degrees.  The small
+    The branches switch at directions of 30 and 60 degrees.  The small
     additive term on the last branch is off by default.
     """
     t0 = abs(theta0)
-    if t0 < th1:
+    if t0 < _STEP_30_DEG:
         return 1.0 / cfg.p
-    if t0 < th2:
+    if t0 < _STEP_60_DEG:
         return _SIDELOBE_CROSSING / cfg.p
     out = 2.0 / cfg.p
     if include_extra:

@@ -20,14 +20,10 @@ __all__ = [
     "ChannelResponse",
     "PrecoderConfig",
     "default_config",
-    "make_rng",
     "steering_vector",
-    "steering_matrix",
     "channel_response",
     "RayEval",
     "RayKernel",
-    "ray_response",
-    "assemble_precoder",
     "precoder_matrix",
     "to_physical",
     "from_physical",
@@ -137,7 +133,7 @@ class ChannelResponse:
         """Dense channel vectors h_m as rows (2M+1, n_bs); the oracle of :meth:`precoded`."""
         h = np.zeros((len(self.grid), self.cfg.n_bs), dtype=complex)
         for path in self.paths:
-            steering = steering_matrix(self.grid, path.direction, self.cfg)
+            steering = steering_vector(self.grid.frequencies, path.direction, self.cfg.n_bs, self.cfg.f_c)
             h += (path.gain * self._delay_phase(path))[:, None] * steering
         return h
 
@@ -176,29 +172,18 @@ class PrecoderConfig:
     t_aux: float
 
 
-def make_rng(rng: np.random.Generator | int | Sequence[int] | None) -> np.random.Generator:
-    """Coerce a seed or generator into a numpy Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def steering_vector(f_m: float, psi: float, n: int, f_c: float) -> np.ndarray:
+def steering_vector(f_m, psi: float, n: int, f_c: float) -> np.ndarray:
     """Frequency-dependent ULA steering vector of length n at spatial direction psi.
 
-    Entry k is exp(-j*pi*(f_m/f_c)*k*psi); all entries are unit modulus.
+    Entry k is exp(-j*pi*(f_m/f_c)*k*psi); all entries are unit modulus.  An
+    array of frequencies ``f_m`` gives one vector per frequency, stacked as
+    rows (len(f_m), n).
     """
-    if f_m <= 0:
+    ratio = np.asarray(f_m, dtype=float) / f_c
+    if np.any(ratio <= 0):
         raise ValueError("subcarrier frequency must be positive")
     k = np.arange(n)
-    return np.exp(-1j * np.pi * (f_m / f_c) * k * psi)
-
-
-def steering_matrix(grid: SubcarrierGrid, psi: float, cfg: SystemConfig) -> np.ndarray:
-    """Steering vectors for every subcarrier, stacked as rows (2M+1, n_bs)."""
-    ratios = grid.frequencies / cfg.f_c
-    k = np.arange(cfg.n_bs)
-    return np.exp(-1j * np.pi * psi * np.outer(ratios, k))
+    return np.exp(-1j * np.pi * ratio[..., None] * k * psi)
 
 
 def channel_response(
@@ -383,31 +368,13 @@ class RayKernel:
         return (ev.c, self.slope(ev)) if derivative else ev.c
 
 
-def ray_response(theta: float, psi, t_aux, cfg: SystemConfig, derivative: bool = False):
-    """Unit-gain responses c[m, l] = a_m(theta)^H f_{l,m} of one ray, shape (2M+1, L).
-
-    ``psi`` and ``t_aux`` hold the L slot slopes; see :class:`RayKernel` for
-    the closed form.  With ``derivative`` the pair (c, dc/dtheta) is returned.
-    """
-    return RayKernel(psi, t_aux, cfg)(theta, derivative)
-
-
-def assemble_precoder(pc: PrecoderConfig, f_m: float, cfg: SystemConfig) -> np.ndarray:
-    """Analog precoder at one subcarrier, unit-modulus entries of length n_bs.
+def precoder_matrix(pc: PrecoderConfig, grid: SubcarrierGrid, cfg: SystemConfig) -> np.ndarray:
+    """Analog precoders for every subcarrier, unit-modulus rows (2M+1, n_bs).
 
     Antenna k in delay-line group q carries phase
     -pi*(k*psi + (f_b/f_c)*p*q*t_aux), i.e. a DFT ramp plus the baseband part
     of the per-group delay.
     """
-    k = np.arange(cfg.n_bs)
-    q = k // cfg.p
-    fb_ratio = (f_m - cfg.f_c) / cfg.f_c
-    phase = k * pc.psi + fb_ratio * cfg.p * q * pc.t_aux
-    return np.exp(-1j * np.pi * phase)
-
-
-def precoder_matrix(pc: PrecoderConfig, grid: SubcarrierGrid, cfg: SystemConfig) -> np.ndarray:
-    """Precoders for every subcarrier, stacked as rows (2M+1, n_bs)."""
     k = np.arange(cfg.n_bs)
     q = k // cfg.p
     fb_ratios = grid.baseband / cfg.f_c

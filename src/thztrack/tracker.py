@@ -17,7 +17,7 @@ from . import pairing as pairing_mod
 from .beampattern import angle_map
 from .codebook import JointCodebook, quantized_pairing
 from .pairing import BACKWARD, PairingConfig
-from .physmodel import ChannelResponse, PrecoderConfig, SystemConfig, make_rng
+from .physmodel import ChannelResponse, PrecoderConfig, SystemConfig
 
 # Not called in this module: kept as its attributes only so that span tracers
 # wrapping tracker.forward_bound, tracker.large_angle_bound and
@@ -141,7 +141,7 @@ def run_tracking(
     t_aux = [pc.t_aux for pc in plan.pairings]
     y = channel.precoded(psi, t_aux).T.copy()
     if noise_std > 0:
-        gen = make_rng(rng)
+        gen = np.random.default_rng(rng)
         noise = gen.standard_normal((plan.slots, cfg.n_subcarriers, 2))
         noise *= noise_std / np.sqrt(2.0)
         # each (re, im) pair of draws is read as one complex sample

@@ -10,36 +10,21 @@ import numpy as np
 import pytest
 
 from thztrack import (
-    CprState,
-    PathComponent,
     PrecoderConfig,
-    SubcarrierGrid,
     SystemConfig,
-    angle_map,
     array_gain,
-    assemble_precoder,
-    build_cpr_problem,
-    channel_response,
-    coarse_estimate,
+    checks,
     default_config,
     fixed_radius,
     forward_bound,
     large_angle_bound,
     make_pairing,
-    objective,
-    objective_gradient,
-    peak_map,
-    plan_tracking,
-    refine,
-    run_tracking,
     sidelobe_locations,
-    steering_vector,
 )
 from thztrack.harness import ScenarioConfig, sweep
 from thztrack.pairing import backward_bound
 
 CFG = default_config()  # n_bs=256, n_ttd=p=16, f_c=100 GHz, band 10 GHz, M=64
-GRID = SubcarrierGrid.from_config(CFG)
 
 
 def report(criterion: str, detail: str):
@@ -47,24 +32,8 @@ def report(criterion: str, detail: str):
 
 
 def test_criterion_01_gain_closed_form_vs_inner_product_oracle():
-    rng = np.random.default_rng(101)
     start = time.perf_counter()
-    worst = 0.0
-    for _ in range(1000):
-        pc = PrecoderConfig(rng.uniform(-1, 1), rng.uniform(-2, 2))
-        theta = rng.uniform(-1, 1)
-        m = int(rng.integers(-CFG.m_half, CFG.m_half + 1))
-        f_m = CFG.f_c + m * CFG.f_d
-        brute = (
-            abs(
-                np.vdot(
-                    steering_vector(f_m, theta, CFG.n_bs, CFG.f_c),
-                    assemble_precoder(pc, f_m, CFG),
-                )
-            )
-            / CFG.n_bs
-        )
-        worst = max(worst, abs(brute - float(array_gain(f_m, theta, pc, CFG))))
+    worst = checks.gain_oracle_error(1000, 101)
     elapsed = time.perf_counter() - start
     assert worst < 1e-9
     assert elapsed < 5.0
@@ -86,20 +55,14 @@ def test_criterion_02_subcarrier_angle_bijection_oracle():
         alpha = max((theta0 + rng.uniform(-0.22, 0.22)) / 20.0, 0.004)
         assert alpha < backward_bound(theta0, CFG)
         pairing = make_pairing(theta0, alpha, CFG)
-        pc = PrecoderConfig(pairing.psi, pairing.t_aux)
-        pm = peak_map(pc, CFG, grid_step=step)
-        mapped = angle_map(pm.m_indices, pc, CFG)
-        worst = max(worst, float(np.max(np.abs(pm.angles - mapped))))
+        worst = max(worst, checks.angle_map_deviation(PrecoderConfig(pairing.psi, pairing.t_aux), step))
     assert worst <= step + 1e-9
 
     # ten percent past the forward limit the map must visibly break
     theta0 = 0.8
     alpha = 1.1 * forward_bound(theta0, CFG)
     r = CFG.edge_ratio
-    pc = PrecoderConfig(theta0 + r * alpha, theta0 + alpha / r)
-    pm = peak_map(pc, CFG, grid_step=step)
-    mapped = angle_map(pm.m_indices, pc, CFG)
-    max_dev = float(np.max(np.abs(pm.angles - mapped)))
+    max_dev = checks.angle_map_deviation(PrecoderConfig(theta0 + r * alpha, theta0 + alpha / r), step)
     elapsed = time.perf_counter() - start
     assert max_dev > step
     assert elapsed < 60.0
@@ -150,48 +113,16 @@ def test_criterion_05_sidelobe_geometry_identities():
 
 
 def test_criterion_06_gradient_matches_finite_differences():
-    plan = plan_tracking(0.43, 0.05, 3, CFG)
-    channel = channel_response(PathComponent(1.0 + 0j, 0.4321, 0.0), GRID, CFG)
-    obs = run_tracking(plan, channel, noise_std=CFG.n_bs / np.sqrt(10.0), rng=66)
-    prob = build_cpr_problem(obs)
-    rng = np.random.default_rng(67)
-    h = 1e-6
-    worst = 0.0
-    for _ in range(20):
-        state = CprState(
-            theta=0.4321 + rng.uniform(-2e-3, 2e-3),
-            g=rng.uniform(0.5, 2.0),
-            taus=rng.uniform(-np.pi, np.pi, len(GRID)),
-            residual=0.0,
-        )
-        grad = objective_gradient(prob, state)
-        fd = (
-            objective(prob, state.theta + h, state.g, state.taus)
-            - objective(prob, state.theta - h, state.g, state.taus)
-        ) / (2 * h)
-        worst = max(worst, abs(grad - fd) / max(abs(grad), abs(fd)))
+    worst = checks.gradient_error(draws=20, seed=67, noise_seed=66, slots=3)
     assert worst < 1e-5
     report("6 gradient vs central finite differences", f"max relative error {worst:.2e}")
 
 
 def test_criterion_07_noiseless_end_to_end_recovery():
     start = time.perf_counter()
-    plan = plan_tracking(0.42, 0.1, 3, CFG)
-
-    # on-grid target: exact recovery
-    pc = plan.pairings[1]
-    target = float(angle_map(11, PrecoderConfig(pc.psi, pc.t_aux), CFG))
-    channel = channel_response(PathComponent(1.0 + 0j, target, 0.0), GRID, CFG)
-    est = coarse_estimate(run_tracking(plan, channel, 0.0))
-    on_grid_err = abs(est.theta_hat - target)
+    # on-grid target: exact recovery; off-grid target: refinement below 1e-6
+    on_grid_err, off_grid_err = checks.recovery_errors()
     assert on_grid_err < 1e-12
-
-    # off-grid target: refinement below 1e-6
-    theta_r = target + 2.9e-4
-    channel = channel_response(PathComponent(np.exp(0.7j), theta_r, 0.0), GRID, CFG)
-    obs = run_tracking(plan, channel, 0.0)
-    state = refine(build_cpr_problem(obs), coarse_estimate(obs).theta_hat, max_iter=300, tol=1e-18)
-    off_grid_err = abs(state.theta - theta_r)
     elapsed = time.perf_counter() - start
     assert off_grid_err < 1e-6
     assert elapsed < 10.0

@@ -266,3 +266,25 @@ class TestFiniteOptions:
         assert exc.value.code == 2
         assert f"argument {flag}: must be a finite number, got '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag, value, error",
+        [(["beam-pattern", "--out", "x.csv"], "--grid-step", v, "must be positive") for v in ("0", "-0.1")]
+        + [(["bounds", "--out", "x.csv"], "--points", v, "must be an integer >= 1") for v in ("0", "-3", "2.5")],
+    )
+    def test_nonpositive_step_or_count_rejected_naming_the_flag(
+        self, tmp_path, monkeypatch, capsys, argv, flag, value, error
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {error}, got '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
+def test_validate_passes_every_check(capsys):
+    assert main(["validate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("[PASS] ") for line in lines) == 9
+    assert not any(line.startswith("[FAIL]") for line in lines)

@@ -13,7 +13,6 @@ from thztrack import (
     SubcarrierGrid,
     SystemConfig,
     angle_map,
-    assemble_precoder,
     build_cpr_problem,
     channel_response,
     coarse_estimate,
@@ -28,7 +27,7 @@ from thztrack import (
     update_phases,
 )
 from thztrack.leakage import DegenerateGeometryError, modulus_objective
-from thztrack.physmodel import ray_response
+from thztrack.physmodel import RayKernel, precoder_matrix
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +51,13 @@ def synthetic_problem(plan, cfg, grid, theta, g0, taus0):
     The per-cell response is computed with explicit steering/precoder inner
     products, independently of the solver's own response helper.
     """
-    n_sub = len(grid)
-    y_hat = np.empty((n_sub, plan.slots), dtype=complex)
-    for i, (m, f_m) in enumerate(zip(grid.m_indices, grid.frequencies)):
-        a = steering_vector(f_m, theta, cfg.n_bs, cfg.f_c)
-        for l, pc in enumerate(plan.pairings):
-            c = np.vdot(a, assemble_precoder(PrecoderConfig(pc.psi, pc.t_aux), f_m, cfg))
-            y_hat[i, l] = g0 * np.exp(1j * taus0[i]) * c
+    a = steering_vector(grid.frequencies, theta, cfg.n_bs, cfg.f_c)
+    c = np.stack(
+        [np.einsum("mn,mn->m", a.conj(), precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), grid, cfg))
+         for pc in plan.pairings],
+        axis=1,
+    )
+    y_hat = g0 * np.exp(1j * taus0)[:, None] * c
     obs = run_tracking(plan, channel_response(PathComponent(1.0 + 0j, theta, 0.0), grid, cfg), 0.0)
     return replace(build_cpr_problem(obs), y_hat=y_hat)
 
@@ -89,7 +88,7 @@ class TestBuildProblem:
         prob = build_cpr_problem(run_tracking(plan1, ch, 0.0))
         assert prob.y_hat.shape[1] == 1
         pc = plan1.pairings[0]
-        expected = assemble_precoder(PrecoderConfig(pc.psi, pc.t_aux), grid.frequencies[0], cfg)
+        expected = precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), grid, cfg)[0]
         np.testing.assert_allclose(prob.b_mats[0, :, 0], expected)
 
 
@@ -259,8 +258,8 @@ class TestProblemCaches:
         assert update_gain(doubled, state) == 2.0 * update_gain(noisy_problem, state)
         shifted = replace(noisy_problem, psi=noisy_problem.psi + 0.01)
         np.testing.assert_array_equal(
-            shifted.response(0.4321),
-            ray_response(0.4321, shifted.psi, shifted.t_aux, shifted.cfg),
+            shifted.kernel(0.4321),
+            RayKernel(shifted.psi, shifted.t_aux, shifted.cfg)(0.4321),
         )
 
 

@@ -8,14 +8,12 @@ from thztrack import (
     PrecoderConfig,
     SubcarrierGrid,
     SystemConfig,
-    assemble_precoder,
     channel_response,
     default_config,
     from_physical,
     peak_map,
     plan_tracking,
     precoder_matrix,
-    ray_response,
     run_tracking,
     steering_vector,
     to_physical,
@@ -78,6 +76,12 @@ class TestSteeringVector:
         np.testing.assert_allclose(np.angle(vec[1:]), np.angle(np.exp(1j * expected_phases[1:])))
         np.testing.assert_allclose(np.abs(vec), 1.0, rtol=1e-15)
 
+    def test_array_of_frequencies_stacks_rows(self, cfg, grid):
+        rows = steering_vector(grid.frequencies, 0.3, 8, cfg.f_c)
+        assert rows.shape == (len(grid), 8)
+        for f_m, row in zip(grid.frequencies, rows):
+            np.testing.assert_array_equal(row, steering_vector(f_m, 0.3, 8, cfg.f_c))
+
     def test_rejects_nonpositive_frequency(self, cfg):
         with pytest.raises(ValueError):
             steering_vector(0.0, 0.3, 4, cfg.f_c)
@@ -123,24 +127,25 @@ class TestChannelResponse:
 
 
 class TestAssemblePrecoder:
-    def test_center_subcarrier_is_dft_ramp(self, cfg):
+    """The per-subcarrier precoders: rows of ``precoder_matrix``."""
+
+    def test_center_subcarrier_is_dft_ramp(self, cfg, grid):
         pc = PrecoderConfig(psi=0.4, t_aux=1.6)
-        vec = assemble_precoder(pc, cfg.f_c, cfg)
+        vec = precoder_matrix(pc, grid, cfg)[cfg.m_half]
         expected = np.exp(-1j * np.pi * 0.4 * np.arange(cfg.n_bs))
         np.testing.assert_allclose(vec, expected, atol=1e-13)
 
-    def test_zero_slopes_all_ones(self, cfg):
-        vec = assemble_precoder(PrecoderConfig(0.0, 0.0), cfg.f_c + 3 * cfg.f_d, cfg)
+    def test_zero_slopes_all_ones(self, cfg, grid):
+        vec = precoder_matrix(PrecoderConfig(0.0, 0.0), grid, cfg)[cfg.m_half + 3]
         np.testing.assert_allclose(vec, np.ones(cfg.n_bs), atol=1e-15)
 
-    def test_unit_modulus(self, cfg):
-        vec = assemble_precoder(PrecoderConfig(0.6025, 1.6), cfg.f_c + cfg.m_half * cfg.f_d, cfg)
+    def test_unit_modulus(self, cfg, grid):
+        vec = precoder_matrix(PrecoderConfig(0.6025, 1.6), grid, cfg)[2 * cfg.m_half]
         np.testing.assert_allclose(np.abs(vec), 1.0, rtol=1e-14)
 
-    def test_group_structure(self, cfg):
+    def test_group_structure(self, cfg, grid):
         pc = PrecoderConfig(psi=0.11, t_aux=-0.7)
-        f_m = cfg.f_c - 17 * cfg.f_d
-        vec = assemble_precoder(pc, f_m, cfg)
+        vec = precoder_matrix(pc, grid, cfg)[cfg.m_half - 17]
         fb_ratio = -17 * cfg.f_d / cfg.f_c
         for k in (0, 1, cfg.p - 1, cfg.p, 5 * cfg.p + 3, cfg.n_bs - 1):
             q = k // cfg.p
@@ -252,14 +257,14 @@ def _dense_ray_response(system, theta, psi, t_aux):
     """c and dc/dtheta from explicit steering/precoder inner products."""
     grid = SubcarrierGrid.from_config(system)
     k = np.arange(system.n_bs)
+    a = steering_vector(grid.frequencies, theta, system.n_bs, system.f_c)
+    da = 1j * np.pi * (grid.frequencies / system.f_c)[:, None] * k * a.conj()
     c = np.empty((len(grid), len(psi)), dtype=complex)
     dc = np.empty_like(c)
-    for i, f_m in enumerate(grid.frequencies):
-        a = steering_vector(f_m, theta, system.n_bs, system.f_c)
-        for l, (ps, t) in enumerate(zip(psi, t_aux)):
-            f = assemble_precoder(PrecoderConfig(ps, t), f_m, system)
-            c[i, l] = np.vdot(a, f)
-            dc[i, l] = np.sum(1j * np.pi * (f_m / system.f_c) * k * a.conj() * f)
+    for l, (ps, t) in enumerate(zip(psi, t_aux)):
+        f = precoder_matrix(PrecoderConfig(ps, t), grid, system)
+        c[:, l] = np.einsum("mn,mn->m", a.conj(), f)
+        dc[:, l] = np.einsum("mn,mn->m", da, f)
     return c, dc
 
 
@@ -268,12 +273,13 @@ class TestRayResponse:
     @given(case=_ray_cases())
     def test_matches_dense_inner_products(self, case):
         system, theta, psi, t_aux = case
-        c, dc = ray_response(theta, psi, t_aux, system, derivative=True)
+        kernel = RayKernel(psi, t_aux, system)
+        c, dc = kernel(theta, derivative=True)
         want_c, want_dc = _dense_ray_response(system, theta, psi, t_aux)
         n = system.n_bs
         assert np.max(np.abs(c - want_c)) <= _RAY_TOL_C * n**2 * _EPS
         assert np.max(np.abs(dc - want_dc)) <= _RAY_TOL_C * np.pi * n**3 * _EPS
-        np.testing.assert_array_equal(ray_response(theta, psi, t_aux, system), c)
+        np.testing.assert_array_equal(kernel(theta), c)
 
     def test_amplitude_is_the_evaluated_amplitude(self, cfg):
         kernel = RayKernel([0.21, -0.35, 0.3], [0.6, -1.1, 0.3], cfg)
@@ -283,7 +289,7 @@ class TestRayResponse:
             np.testing.assert_allclose(np.abs(ev.c), np.abs(ev.amp), rtol=4 * _EPS, atol=0)
 
     def test_full_array_gain_at_exact_singularity(self, cfg):
-        c = ray_response(0.3, [0.3, 0.3], [0.3, 0.3], cfg)
+        c = RayKernel([0.3, 0.3], [0.3, 0.3], cfg)(0.3)
         assert c.shape == (cfg.n_subcarriers, 2)
         assert c[cfg.m_half, 0] == cfg.n_bs
 

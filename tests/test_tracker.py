@@ -16,6 +16,7 @@ from thztrack import (
     default_config,
     estimate_angle,
     plan_tracking,
+    precoder_matrix,
     run_tracking,
     select_strongest,
 )
@@ -132,17 +133,15 @@ class TestRunTracking:
         # the vectorized pilot matrix equals cell-by-cell simulation, h^H f
         # plus circular noise, with a shared generator consuming two draws
         # (real, imaginary) per cell in row-major order
-        from thztrack import assemble_precoder
-
         plan = plan_tracking(0.3, 0.08, 2, cfg)
         ch = channel_response(PathComponent(1.0 + 0j, 0.31, 0.0), grid, cfg)
         obs = run_tracking(plan, ch, noise_std=2.5, rng=314)
         gen = np.random.default_rng(314)
         for l, pc in enumerate(plan.pairings):
-            for j, f_m in enumerate(grid.frequencies):
-                f_vec = assemble_precoder(PrecoderConfig(pc.psi, pc.t_aux), f_m, cfg)
+            f_rows = precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), grid, cfg)
+            for j in range(len(grid)):
                 re, im = gen.standard_normal(2)
-                expected = np.vdot(ch.h[j], f_vec) + 2.5 / np.sqrt(2.0) * (re + 1j * im)
+                expected = np.vdot(ch.h[j], f_rows[j]) + 2.5 / np.sqrt(2.0) * (re + 1j * im)
                 assert obs.y[l, j] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
