@@ -1,7 +1,8 @@
 """Oracle checks of acceptance criteria 1, 2, 6 and 7 on the reference setup, each returning the measured error.
 
 ``thztrack validate`` and the acceptance suite call the same functions with
-their own draw counts and seeds, and compare the errors with their bounds.
+their own draw counts (and, for criterion 1, seeds), and compare the errors
+with their bounds.
 """
 
 from __future__ import annotations
@@ -53,19 +54,20 @@ def angle_map_deviation(pc: PrecoderConfig, grid_step: float) -> float:
     return float(np.max(np.abs(pm.angles - angle_map(pm.m_indices, pc, cfg))))
 
 
-def gradient_error(draws: int, seed: int, noise_seed: int, slots: int) -> float:
+def gradient_error(draws: int) -> float:
     """Criterion 6: largest relative gap between ``objective_gradient`` and a central difference of ``objective``.
 
-    The problem is one 10 dB pilot frame of a ray at 0.4321, searched over
-    [0.38, 0.48] in ``slots`` slots; each draw moves the angle by up to 2e-3
-    and picks the amplitude and the per-subcarrier phases at random.
+    The problem is one 10 dB pilot frame (noise seed 66) of a ray at 0.4321,
+    searched over [0.38, 0.48] in three slots; each draw (seed 67) moves the
+    angle by up to 2e-3 and picks the amplitude and the per-subcarrier phases
+    at random, so fewer draws take the first of more.
     """
     cfg = default_config()
     grid = SubcarrierGrid.from_config(cfg)
-    plan = plan_tracking(0.43, 0.05, slots, cfg)
+    plan = plan_tracking(0.43, 0.05, 3, cfg)
     channel = channel_response(PathComponent(1.0 + 0j, 0.4321, 0.0), grid, cfg)
-    prob = build_cpr_problem(run_tracking(plan, channel, noise_std=cfg.n_bs / np.sqrt(10.0), rng=noise_seed))
-    rng = np.random.default_rng(seed)
+    prob = build_cpr_problem(run_tracking(plan, channel, noise_std=cfg.n_bs / np.sqrt(10.0), rng=66))
+    rng = np.random.default_rng(67)
     h = 1e-6
     worst = 0.0
     for _ in range(draws):
@@ -80,7 +82,7 @@ def gradient_error(draws: int, seed: int, noise_seed: int, slots: int) -> float:
             objective(prob, state.theta + h, state.g, state.taus)
             - objective(prob, state.theta - h, state.g, state.taus)
         ) / (2 * h)
-        worst = max(worst, abs(grad - fd) / max(abs(grad), abs(fd), 1e-12))
+        worst = max(worst, abs(grad - fd) / max(abs(grad), abs(fd)))
     return worst
 
 

@@ -144,7 +144,9 @@ def _cmd_bounds(args) -> int:
 def _cmd_codebook(args) -> int:
     cfg = _scenario_from_args(args).system
     cb = build_codebook(cfg)
-    rows = [(i, "psi", float(v), "inner") for i, v in enumerate(cb.psi_grid.values)]
+    rows = []
+    for i, v in enumerate(cb.psi_grid.values):
+        rows.append((i, "psi", float(v), "inner"))
     coarse = 2.0 / cfg.p
     for i, v in enumerate(cb.t_grid.values):
         if v < -1.0:
@@ -231,8 +233,6 @@ def _run_sweep(args, default_axis: str) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from functools import cache
-
     from . import checks
     from .pairing import fixed_radius, forward_bound, large_angle_bound
 
@@ -240,27 +240,23 @@ def _cmd_validate(args) -> int:
     cfg2 = SystemConfig(n_bs=256, n_ttd=16, p=16, f_c=100e9, bandwidth=12.5e9, m_half=64)
     pairing = make_pairing(0.6, 0.04, cfg)
     pc = PrecoderConfig(pairing.psi, pairing.t_aux)
-    recovery = cache(checks.recovery_errors)
+    on_grid, off_grid = checks.recovery_errors()
     scn = ScenarioConfig(system=cfg, users=1, trials=5, seed=11, snr_db=(10.0,), slots=(2,))
-
-    def sweep_mismatch() -> float:
-        return float(sweep(scn, "snr", values=[0.0, 10.0]).rows != sweep(scn, "snr", values=[0.0, 10.0]).rows)
-
+    runs = [sweep(scn, "snr", values=[0.0, 10.0]).rows for _ in range(2)]
     # (label, measured error, bound); a check passes when its error is within the bound
     table = [
-        ("closed-form gain matches inner product (200 draws)", lambda: checks.gain_oracle_error(200, 20240811), 1e-9),
-        ("forward radius at 0.95 equals 0.003125", lambda: abs(forward_bound(0.95, cfg2) - 0.003125), 1e-12),
-        ("large-angle radius near 0.1502", lambda: abs(large_angle_bound(1.0, cfg) - 0.150157), 5e-4),
-        ("fixed radius equals 0.0625", lambda: abs(fixed_radius(cfg) - 0.0625), 0.0),
-        ("peak map matches angle map (backward pairing)", lambda: checks.angle_map_deviation(pc, 2e-4), 2e-4 + 1e-9),
-        ("angle gradient matches finite differences", lambda: checks.gradient_error(5, 20240811, 3, 2), 1e-5),
-        ("noiseless on-grid recovery is exact", lambda: recovery()[0], 1e-12),
-        ("noiseless off-grid refinement below 1e-6", lambda: recovery()[1], 1e-6),
-        ("sweeps are bit-reproducible", sweep_mismatch, 0.0),
+        ("closed-form gain matches inner product (200 draws)", checks.gain_oracle_error(200, 20240811), 1e-9),
+        ("forward radius at 0.95 equals 0.003125", abs(forward_bound(0.95, cfg2) - 0.003125), 1e-12),
+        ("large-angle radius near 0.1502", abs(large_angle_bound(1.0, cfg) - 0.150157), 5e-4),
+        ("fixed radius equals 0.0625", abs(fixed_radius(cfg) - 0.0625), 0.0),
+        ("peak map matches angle map (backward pairing)", checks.angle_map_deviation(pc, 2e-4), 2e-4 + 1e-9),
+        ("angle gradient matches finite differences", checks.gradient_error(5), 1e-5),
+        ("noiseless on-grid recovery is exact", on_grid, 1e-12),
+        ("noiseless off-grid refinement below 1e-6", off_grid, 1e-6),
+        ("sweeps are bit-reproducible", float(runs[0] != runs[1]), 0.0),
     ]
     ok = True
-    for label, error, bound in table:
-        err = error()
+    for label, err, bound in table:
         passed = err <= bound
         ok &= passed
         print(f"[{'PASS' if passed else 'FAIL'}] {label}" + ("" if passed else f": error {err:.2e} > {bound:.2e}"))
@@ -312,14 +308,22 @@ def _sweep_args(p: argparse.ArgumentParser):
     p.add_argument("--full", type=Path, help="also write per-trial records as JSON")
 
 
+def _cmd_sweep_nmse(args) -> int:
+    return _run_sweep(args, "snr")
+
+
+def _cmd_sweep_gain(args) -> int:
+    return _run_sweep(args, "theta")
+
+
 # name: (help, adds the command's arguments, handler)
 _COMMANDS = {
     "beam-pattern": ("emit per-subcarrier gain surfaces as CSV", _beam_pattern_args, _cmd_beam_pattern),
     "bounds": ("tabulate all searching-radius bounds over a theta grid", _bounds_args, _cmd_bounds),
     "codebook": ("dump the joint codeword grids as CSV", _codebook_args, _cmd_codebook),
     "track": ("run one tracking frame with a verbose trace", _track_args, _cmd_track),
-    "sweep-nmse": ("Monte Carlo sweep (default axis: snr)", _sweep_args, lambda args: _run_sweep(args, "snr")),
-    "sweep-gain": ("Monte Carlo sweep (default axis: theta)", _sweep_args, lambda args: _run_sweep(args, "theta")),
+    "sweep-nmse": ("Monte Carlo sweep (default axis: snr)", _sweep_args, _cmd_sweep_nmse),
+    "sweep-gain": ("Monte Carlo sweep (default axis: theta)", _sweep_args, _cmd_sweep_gain),
     "validate": ("run the built-in oracle/property checks", lambda p: None, _cmd_validate),
 }
 

@@ -159,7 +159,11 @@ def fixed_radius(cfg: SystemConfig) -> float:
     return 1.0 / cfg.p
 
 
-def quasi_fixed_radius(theta0: float, cfg: SystemConfig, include_extra: bool = False) -> float:
+def quasi_fixed_radius(
+    theta0: float,
+    cfg: SystemConfig,
+    include_extra: bool = False,
+) -> float:
     """Piecewise quasi-angle-independent radius: 1/p, 1.620/p, then 2/p.
 
     The branches switch at directions of 30 and 60 degrees.  The small

@@ -113,7 +113,7 @@ def test_criterion_05_sidelobe_geometry_identities():
 
 
 def test_criterion_06_gradient_matches_finite_differences():
-    worst = checks.gradient_error(draws=20, seed=67, noise_seed=66, slots=3)
+    worst = checks.gradient_error(20)
     assert worst < 1e-5
     report("6 gradient vs central finite differences", f"max relative error {worst:.2e}")
 
