@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .beampattern import angle_map, array_gain, peak_map
+from .harness import pilot_noise_std
 from .leakage import CprState, build_cpr_problem, objective, objective_gradient, refine
 from .physmodel import (
     PathComponent,
@@ -66,7 +67,7 @@ def gradient_error(draws: int) -> float:
     grid = SubcarrierGrid.from_config(cfg)
     plan = plan_tracking(0.43, 0.05, 3, cfg)
     channel = channel_response(PathComponent(1.0 + 0j, 0.4321, 0.0), grid, cfg)
-    prob = build_cpr_problem(run_tracking(plan, channel, noise_std=cfg.n_bs / np.sqrt(10.0), rng=66))
+    prob = build_cpr_problem(run_tracking(plan, channel, noise_std=pilot_noise_std(10.0, cfg), rng=66))
     rng = np.random.default_rng(67)
     h = 1e-6
     worst = 0.0

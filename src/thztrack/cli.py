@@ -12,14 +12,15 @@ import numpy as np
 from .beampattern import array_gain, peak_map
 from .codebook import build_codebook, snap
 from .harness import (
-    CONFIG_KEYS,
-    SCHEMES,
+    CONFIG_PARSERS,
+    SWEEP_AXES,
     ScenarioConfig,
+    _as_bool,
     _as_float,
-    _as_int,
     beamforming_gain,
-    load_key_values,
-    scenario_from_mapping,
+    parse_config_value,
+    pilot_noise_std,
+    scenario_from_file,
     sweep,
     write_table,
 )
@@ -36,22 +37,17 @@ from .physmodel import (
 from .tracker import coarse_estimate, plan_tracking, run_tracking
 
 
-def _add_system_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", type=Path, help="key=value scenario/system file")
-    parser.add_argument("--n-bs", type=int, dest="n_bs")
-    parser.add_argument("--n-ttd", type=int, dest="n_ttd")
-    parser.add_argument("--p", type=int, dest="p")
-    parser.add_argument("--f-c", type=float, dest="f_c")
-    parser.add_argument("--bandwidth", type=float, dest="bandwidth")
-    parser.add_argument("--m-half", type=int, dest="m_half")
+def _flag_type(parse):
+    """argparse type that reads a flag with a harness parser; argparse names the flag when it raises."""
+    def read_flag(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read_flag
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of a finite real option; argparse names the flag when it raises."""
-    try:
-        return _as_float("value", text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
+_finite_float = _flag_type(_as_float)
 
 
 def _positive_float(text: str) -> float:
@@ -69,36 +65,30 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+# The config keys each command takes as flags (f_d only from a file).
+_SYSTEM_FLAGS = ("n_bs", "n_ttd", "p", "f_c", "bandwidth", "m_half")
+_TRACK_FLAGS = _SYSTEM_FLAGS + ("compensation", "codebook", "seed")
+_SWEEP_FLAGS = tuple(key for key in CONFIG_PARSERS if key != "f_d")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+def _add_config_args(parser: argparse.ArgumentParser, keys):
+    """``--config`` and one flag per config key; a flag reads its value with the key's parser."""
+    parser.add_argument("--config", type=Path, help="key=value scenario/system file")
+    for key in keys:
+        # track's --slots is the frame's slot count, so the slots list is --slots-list
+        flag = "--slots-list" if key == "slots" else "--" + key.replace("_", "-")
+        if CONFIG_PARSERS[key] is _as_bool:
+            parser.add_argument(flag, dest=key, action="store_true", default=None)
+            if key == "compensation":
+                parser.add_argument("--no-compensation", dest=key, action="store_false")
+        else:
+            # every command that takes --seed requires it
+            parser.add_argument(flag, dest=key, type=_flag_type(CONFIG_PARSERS[key]), required=key == "seed")
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser, require_seed: bool):
-    _add_system_args(parser)
-    parser.add_argument("--users", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--zeta-max", type=float, dest="zeta_max")
-    parser.add_argument("--scheme", choices=SCHEMES)
-    parser.add_argument("--compensation", action="store_true", default=None)
-    parser.add_argument("--no-compensation", dest="compensation", action="store_false")
-    parser.add_argument("--codebook", action="store_true", default=None)
-    parser.add_argument("--snr-db", type=_float_list, dest="snr_db", metavar="LIST")
-    parser.add_argument("--slots-list", type=_int_list, dest="slots", metavar="LIST")
-    parser.add_argument("--theta-grid", type=_float_list, dest="theta_grid", metavar="LIST")
-    parser.add_argument("--gain-sigma", type=float, dest="gain_sigma")
-    parser.add_argument("--mobility")
-    parser.add_argument("--seed", type=int, required=require_seed)
-
-
-def _scenario_from_args(args) -> ScenarioConfig:
-    """Scenario from the ``--config`` file, with every given flag on top."""
-    data = load_key_values(args.config) if args.config else {}
-    data.update({k: getattr(args, k) for k in CONFIG_KEYS if getattr(args, k, None) is not None})
-    return scenario_from_mapping(data)
+def _flag_values(args) -> dict:
+    """The config keys given as flags, to lay over the ``--config`` file."""
+    return {key: value for key, value in vars(args).items() if key in CONFIG_PARSERS}
 
 
 def _save_csv(path: Path, header: list[str], rows) -> None:
@@ -107,7 +97,7 @@ def _save_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _cmd_beam_pattern(args) -> int:
-    cfg = _scenario_from_args(args).system
+    cfg = scenario_from_file(args.config, _flag_values(args)).system
     if args.psi is not None and args.t is not None:
         pc = PrecoderConfig(args.psi, args.t)
         label = f"psi={args.psi} t={args.t}"
@@ -134,7 +124,7 @@ def _cmd_beam_pattern(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = _scenario_from_args(args).system
+    cfg = scenario_from_file(args.config, _flag_values(args)).system
     thetas = np.linspace(args.theta_min, args.theta_max, args.points)
     rows = [(float(t), *astuple(radius_bounds(float(t), cfg, include_extra=args.include_extra))) for t in thetas]
     _save_csv(args.out, ["theta0"] + [f.name for f in fields(RadiusBounds)], rows)
@@ -142,7 +132,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_codebook(args) -> int:
-    cfg = _scenario_from_args(args).system
+    cfg = scenario_from_file(args.config, _flag_values(args)).system
     cb = build_codebook(cfg)
     rows = []
     for i, v in enumerate(cb.psi_grid.values):
@@ -165,7 +155,7 @@ def _cmd_codebook(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    scn = _scenario_from_args(args)
+    scn = scenario_from_file(args.config, _flag_values(args))
     cfg = scn.system
     grid = SubcarrierGrid.from_config(cfg)
     rng = np.random.default_rng(scn.seed)
@@ -183,8 +173,7 @@ def _cmd_track(args) -> int:
             f"t {pc.t_aux:+.6f}{'  [over bound]' if pc.over_bound else ''}"
         )
     channel = channel_response(PathComponent(1.0 + 0j, theta_r, 0.0), grid, cfg)
-    noise_std = cfg.n_bs / np.sqrt(10.0 ** (snr / 10.0))
-    obs = run_tracking(plan, channel, noise_std, rng)
+    obs = run_tracking(plan, channel, pilot_noise_std(snr, cfg), rng)
     est = coarse_estimate(obs)
     print(f"strongest cell: slot {est.l_hat}, subcarrier {est.m_hat:+d}")
     print(f"coarse estimate {est.theta_hat:+.6f} (error {est.theta_hat - theta_r:+.3e})")
@@ -212,13 +201,9 @@ def _cmd_track(args) -> int:
 
 
 def _run_sweep(args, default_axis: str) -> int:
-    scn = _scenario_from_args(args)
+    scn = scenario_from_file(args.config, _flag_values(args))
     axis = args.axis or default_axis
-    values = None
-    if args.values:
-        values = [_as_float("--values", v) for v in args.values.split(",")]
-        if axis == "slots":
-            values = [_as_int("--values", v) for v in values]
+    values = None if args.values is None else parse_config_value(SWEEP_AXES[axis], args.values, "--values")
     report = sweep(scn, axis, values=values, keep_records=args.full is not None)
     report.write_csv(args.out)
     if args.full:
@@ -265,7 +250,7 @@ def _cmd_validate(args) -> int:
 
 
 def _beam_pattern_args(p: argparse.ArgumentParser):
-    _add_system_args(p)
+    _add_config_args(p, _SYSTEM_FLAGS)
     p.add_argument("--theta0", type=_finite_float, default=0.6)
     p.add_argument("--alpha", type=_finite_float, default=0.05)
     p.add_argument("--psi", type=_finite_float)
@@ -276,7 +261,7 @@ def _beam_pattern_args(p: argparse.ArgumentParser):
 
 
 def _bounds_args(p: argparse.ArgumentParser):
-    _add_system_args(p)
+    _add_config_args(p, _SYSTEM_FLAGS)
     p.add_argument("--theta-min", type=_finite_float, default=-1.0)
     p.add_argument("--theta-max", type=_finite_float, default=1.0)
     p.add_argument("--points", type=_count, default=81)
@@ -285,24 +270,24 @@ def _bounds_args(p: argparse.ArgumentParser):
 
 
 def _codebook_args(p: argparse.ArgumentParser):
-    _add_system_args(p)
+    _add_config_args(p, _SYSTEM_FLAGS)
     p.add_argument("--out", type=Path, required=True)
 
 
 def _track_args(p: argparse.ArgumentParser):
-    _add_scenario_args(p, require_seed=True)
+    _add_config_args(p, _TRACK_FLAGS)
     p.add_argument("--theta-r", type=_finite_float, dest="theta_r")
     p.add_argument("--theta0", type=_finite_float)
     p.add_argument("--alpha", type=_finite_float)
-    p.add_argument("--slots", type=int, dest="frame_slots")
+    p.add_argument("--slots", type=_count, dest="frame_slots")
     p.add_argument("--snr", type=_finite_float)
     p.add_argument("--trace", type=Path, help="CSV of refinement iterations")
     p.add_argument("--dump-y", type=Path, dest="dump_y", help="CSV heatmap of |Y|")
 
 
 def _sweep_args(p: argparse.ArgumentParser):
-    _add_scenario_args(p, require_seed=True)
-    p.add_argument("--axis", choices=("snr", "slots", "theta"))
+    _add_config_args(p, _SWEEP_FLAGS)
+    p.add_argument("--axis", choices=list(SWEEP_AXES))
     p.add_argument("--values", help="comma-separated axis values")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--full", type=Path, help="also write per-trial records as JSON")

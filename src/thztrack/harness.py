@@ -13,10 +13,11 @@ draws (common random numbers) and sweeps are bit-reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +44,14 @@ __all__ = [
     "ScenarioConfig",
     "TrialRecord",
     "MetricsReport",
-    "CONFIG_KEYS",
+    "CONFIG_PARSERS",
+    "SWEEP_AXES",
     "write_table",
     "load_key_values",
+    "parse_config_value",
     "scenario_from_file",
     "scenario_from_mapping",
+    "pilot_noise_std",
     "run_trial",
     "nmse",
     "nmse_db",
@@ -70,7 +74,6 @@ class ScenarioConfig:
     slots: tuple[int, ...] = (4,)
     trials: int = 500
     zeta_max: float = 0.2
-    mobility: str = "uniform"
     scheme: str = "forward_backward"
     compensation: bool = False
     codebook: bool = False
@@ -81,8 +84,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.mobility != "uniform":
-            raise ValueError("only the uniform mobility distribution is implemented")
+        for key in ("snr_db", "slots"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must not be empty")
         if not 0 < self.zeta_max < 1:
             raise ValueError("zeta_max must lie in (0, 1)")
         if self.trials < 1 or self.users < 1:
@@ -141,6 +145,13 @@ def _draw_gain(rng: np.random.Generator, sigma: float) -> complex:
     return complex(np.exp(1j * phase) + sigma / np.sqrt(2.0) * (re + 1j * im))
 
 
+def pilot_noise_std(snr_db: float, cfg: SystemConfig) -> float:
+    """Pilot noise standard deviation giving a post-beamforming SNR of ``snr_db`` at perfect alignment."""
+    # post-beamforming SNR rho = n_bs/sigma^2 with the 1/sqrt(n_bs)-scaled
+    # precoder; pilots here use the unit-modulus precoder, so scale up
+    return cfg.n_bs / np.sqrt(10.0 ** (snr_db / 10.0))
+
+
 def run_trial(
     scn: ScenarioConfig,
     trial_index: int,
@@ -154,19 +165,18 @@ def run_trial(
 
     ``snr_db`` is the post-beamforming SNR at perfect alignment (None means
     noiseless).  When ``theta_target`` is given the true direction is pinned
-    to it and the previous direction is back-generated from the mobility step.
+    to it and the previous direction is back-generated from the mobility step;
+    a target beyond the direction cap (|theta| > 0.99) is rejected.
     """
+    if theta_target is not None and not abs(theta_target) <= _DIRECTION_CAP:
+        raise ValueError(f"theta_target must lie in [-{_DIRECTION_CAP}, {_DIRECTION_CAP}], got {theta_target!r}")
     cfg = scn.system
     grid = _grid if _grid is not None else SubcarrierGrid.from_config(cfg)
     cb = _codebook
     if scn.codebook and cb is None:
         cb = build_codebook(cfg)
     cap = scn.center_cap
-    noise_std = 0.0
-    if snr_db is not None:
-        # post-beamforming SNR rho = n_bs/sigma^2 with the 1/sqrt(n_bs)-scaled
-        # precoder; pilots here use the unit-modulus precoder, so scale up
-        noise_std = cfg.n_bs / np.sqrt(10.0 ** (snr_db / 10.0))
+    noise_std = 0.0 if snr_db is None else pilot_noise_std(snr_db, cfg)
 
     records = []
     for user in range(scn.users):
@@ -177,7 +187,7 @@ def run_trial(
             theta_prev = _clamp(rng.uniform(-cap, cap), cap)
             theta_r = _clamp(theta_prev + zeta, _DIRECTION_CAP)
         else:
-            theta_r = _clamp(theta_target, _DIRECTION_CAP)
+            theta_r = float(theta_target)
             theta_prev = _clamp(theta_r - zeta, cap)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -296,24 +306,8 @@ class MetricsReport:
     records: dict | None = None
 
     def write_csv(self, path):
-        cols = [
-            "axis",
-            "value",
-            "scheme",
-            "compensation",
-            "nmse_linear",
-            "nmse_db",
-            "nmse_coarse_linear",
-            "nmse_coarse_db",
-            "mean_gain",
-            "n_records",
-            "n_excluded",
-            "mean_iterations",
-            "n_unconverged",
-            "n_diverged",
-            "n_degenerate",
-        ]
-        write_table(path, cols, ([row[c] for c in cols] for row in self.rows))
+        """One line per row; the columns are the row keys, in the order ``sweep`` builds them."""
+        write_table(path, list(self.rows[0]), (row.values() for row in self.rows))
 
     def write_json(self, path, full: bool = False):
         payload = {"axis": self.axis, "rows": self.rows}
@@ -324,40 +318,35 @@ class MetricsReport:
         Path(path).write_text(json.dumps(payload, indent=2, default=str) + "\n")
 
 
-def _axis_values(scn: ScenarioConfig, axis: str, values=None):
-    if values is not None:
-        return list(values)
-    if axis == "snr":
-        return list(scn.snr_db)
-    if axis == "slots":
-        return list(scn.slots)
-    if axis == "theta":
-        if not scn.theta_grid:
-            raise ValueError("theta sweep requires theta_grid values")
-        return list(scn.theta_grid)
-    raise ValueError(f"unknown sweep axis {axis!r}")
+# each sweep axis and the config key that lists its points
+SWEEP_AXES = {"snr": "snr_db", "slots": "slots", "theta": "theta_grid"}
 
 
 def sweep(scn: ScenarioConfig, axis: str, values=None, keep_records: bool = False) -> MetricsReport:
     """Monte Carlo sweep along one axis ("snr", "slots" or "theta").
 
-    Off-axis parameters take the first entry of their scenario list.  Rows
-    carry the NMSE of the reported estimate and, when compensation is on, of
-    the coarse estimate as well, plus how the refinements ended: the mean
-    iteration count and the numbers that ran out of iterations, diverged, or
-    kept the coarse estimate on a degenerate geometry.
+    The points are ``values``, read by the parser of the axis's config key
+    (:data:`SWEEP_AXES`), or else that key's list; off-axis parameters take
+    the first entry of their list.  Rows carry the NMSE of the reported
+    estimate and, when compensation is on, of the coarse estimate as well,
+    plus how the refinements ended: the mean iteration count and the numbers
+    that ran out of iterations, diverged, or kept the coarse estimate on a
+    degenerate geometry.
     """
-    vals = _axis_values(scn, axis, values)
-    base_snr = scn.snr_db[0] if scn.snr_db else 10.0
-    base_slots = scn.slots[0] if scn.slots else 4
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    key = SWEEP_AXES[axis]
+    vals = getattr(scn, key) if values is None else parse_config_value(key, values, "values")
+    if not vals:
+        raise ValueError(f"{axis} sweep needs values or {key}")
     grid = SubcarrierGrid.from_config(scn.system)
     cb = build_codebook(scn.system) if scn.codebook else None
     rows = []
     all_records: dict = {}
     for value in vals:
-        snr = value if axis == "snr" else base_snr
-        n_slots = _as_int("slots", value if axis == "slots" else base_slots)
-        target = float(value) if axis == "theta" else None
+        snr = value if axis == "snr" else scn.snr_db[0]
+        n_slots = value if axis == "slots" else scn.slots[0]
+        target = value if axis == "theta" else None
         records: list[TrialRecord] = []
         for trial in range(scn.trials):
             records.extend(
@@ -398,22 +387,6 @@ def sweep(scn: ScenarioConfig, axis: str, values=None, keep_records: bool = Fals
 
 # --- configuration files ---------------------------------------------------
 
-_SYSTEM_KEYS = ("n_bs", "n_ttd", "p", "f_c", "bandwidth", "m_half", "f_d")
-_SCENARIO_KEYS = (
-    "users",
-    "snr_db",
-    "slots",
-    "trials",
-    "zeta_max",
-    "mobility",
-    "scheme",
-    "compensation",
-    "codebook",
-    "gain_sigma",
-    "theta_grid",
-    "seed",
-)
-CONFIG_KEYS = _SYSTEM_KEYS + _SCENARIO_KEYS
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -434,45 +407,88 @@ def load_key_values(path) -> dict:
     return out
 
 
-def _as_bool(key: str, value) -> bool:
+def _as_bool(value) -> bool:
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, str)) and str(value) in _BOOL_WORDS:
         return _BOOL_WORDS[str(value)]
-    raise ValueError(f"config key {key!r} must be true/false, yes/no or 0/1, got {value!r}")
+    raise ValueError(f"must be true/false, yes/no or 0/1, got {value!r}")
 
 
-def _as_int(key: str, value) -> int:
-    """An integral config value: an int, an integral float or an integer string."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, str):
-        try:
-            return int(value.strip())
-        except ValueError:
-            pass
-    raise ValueError(f"{key!r} must be an integer, got {value!r}")
+def _number(value) -> float:
+    """``value`` as a float: an int, a float or a numeric string, never a bool; nan otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str, np.integer, np.floating)):
+        return math.nan
+    try:
+        return float(value)
+    except (ValueError, OverflowError):
+        return math.nan
 
 
-def _as_float(key: str, value) -> float:
-    """A finite real config value: an int, a float or a numeric string, never a bool."""
-    number = math.nan
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        number = float(value)
-    elif isinstance(value, str):
-        try:
-            number = float(value.strip())
-        except ValueError:
-            pass
+def _as_float(value) -> float:
+    """A finite real value."""
+    number = _number(value)
     if not math.isfinite(number):
-        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+        raise ValueError(f"must be a finite number, got {value!r}")
     return number
 
 
-def _as_tuple(value, kind) -> tuple:
-    return tuple(kind(x) for x in (value if isinstance(value, (list, tuple)) else [value]))
+def _as_int(value) -> int:
+    """An integral value: an int, an integral float, or a string of either ("2" or "2.0")."""
+    if isinstance(value, (int, str, np.integer)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError):
+            return int(value)  # exact at any size
+    number = _number(value)
+    if not number.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(number)
+
+
+def _as_scheme(value) -> str:
+    if value not in SCHEMES:
+        raise ValueError(f"must be one of {', '.join(SCHEMES)}, got {value!r}")
+    return value
+
+
+def _list_of(parse):
+    """Parser of a list key: a list, a comma-separated string or a single value."""
+    def parse_list(value) -> tuple:
+        items = value.split(",") if isinstance(value, str) else value
+        return tuple(map(parse, items if isinstance(items, (list, tuple, range, np.ndarray)) else [items]))
+    return parse_list
+
+
+# Every config key and the parser of its value.  A parser reads a value as a
+# file, a flag or ``--values`` gives it, or raises a ValueError saying what the
+# value must be; parse_config_value names the key or flag.
+CONFIG_PARSERS = {
+    "n_bs": _as_int,
+    "n_ttd": _as_int,
+    "p": _as_int,
+    "f_c": _as_float,
+    "bandwidth": _as_float,
+    "m_half": _as_int,
+    "f_d": _as_float,
+    "users": _as_int,
+    "snr_db": _list_of(_as_float),
+    "slots": _list_of(_as_int),
+    "trials": _as_int,
+    "zeta_max": _as_float,
+    "scheme": _as_scheme,
+    "compensation": _as_bool,
+    "codebook": _as_bool,
+    "gain_sigma": _as_float,
+    "theta_grid": _list_of(_as_float),
+    "seed": _as_int,
+}
+
+
+def parse_config_value(key: str, value, name: str | None = None):
+    """``value`` read by the parser of config key ``key``; a ValueError names ``name``, by default the key."""
+    try:
+        return CONFIG_PARSERS[key](value)
+    except ValueError as exc:
+        raise ValueError(f"{name or key!r} {exc}") from None
 
 
 def scenario_from_mapping(data: dict) -> ScenarioConfig:
@@ -482,38 +498,17 @@ def scenario_from_mapping(data: dict) -> ScenarioConfig:
     ``f_d`` is derived from ``bandwidth`` and ``m_half`` unless given, and a
     given ``f_d`` must agree with them.
     """
-    unknown = set(data) - set(CONFIG_KEYS)
+    unknown = set(data) - set(CONFIG_PARSERS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    sys_kwargs = asdict(default_config())
-    del sys_kwargs["f_d"]
-    sys_kwargs.update({k: data[k] for k in _SYSTEM_KEYS if k in data})
-    for k in ("n_bs", "n_ttd", "p", "m_half"):
-        sys_kwargs[k] = _as_int(k, sys_kwargs[k])
-    for k in ("f_c", "bandwidth", "f_d"):
-        if sys_kwargs.get(k) is not None:
-            sys_kwargs[k] = _as_float(k, sys_kwargs[k])
-    scn_kwargs = {k: data[k] for k in _SCENARIO_KEYS if k in data}
-    for k in ("snr_db", "theta_grid"):
-        if k in scn_kwargs:
-            scn_kwargs[k] = _as_tuple(scn_kwargs[k], lambda v, k=k: _as_float(k, v))
-    for k in ("zeta_max", "gain_sigma"):
-        if k in scn_kwargs:
-            scn_kwargs[k] = _as_float(k, scn_kwargs[k])
-    if "slots" in scn_kwargs:
-        scn_kwargs["slots"] = _as_tuple(scn_kwargs["slots"], lambda v: _as_int("slots", v))
-    for k in ("users", "trials", "seed"):
-        if k in scn_kwargs:
-            scn_kwargs[k] = _as_int(k, scn_kwargs[k])
-    for k in ("compensation", "codebook"):
-        if k in scn_kwargs:
-            scn_kwargs[k] = _as_bool(k, scn_kwargs[k])
-    return ScenarioConfig(system=SystemConfig(**sys_kwargs), **scn_kwargs)
+    values = {k: parse_config_value(k, v) for k, v in data.items()}
+    system = {f.name: values.pop(f.name) for f in fields(SystemConfig) if f.name in values}
+    return ScenarioConfig(system=replace(default_config(), **{"f_d": None, **system}), **values)
 
 
 def scenario_from_file(path, overrides: dict | None = None) -> ScenarioConfig:
-    """Scenario from a key-value file, with optional override mapping on top."""
-    data = load_key_values(path)
+    """Scenario from a key-value file (none when ``path`` is None), with optional override mapping on top."""
+    data = {} if path is None else load_key_values(path)
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
     return scenario_from_mapping(data)

@@ -1,8 +1,15 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from thztrack import cli
 from thztrack.cli import _COMMANDS, build_parser, main
+from thztrack.harness import CONFIG_PARSERS, scenario_from_file
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -97,6 +104,18 @@ class TestConfigChecks:
 
 
 class TestTrack:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--users", "3"), ("--trials", "3"), ("--scheme", "exhaustive_sweep"), ("--gain-sigma", "0.1"),
+         ("--theta-grid", "0.3"), ("--mobility", "uniform"), ("--snr-db", "10"), ("--slots-list", "2"),
+         ("--zeta-max", "0.1")],
+    )
+    def test_flags_track_does_not_read_are_usage_errors(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["track", "--seed", "1", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
     def test_track_run_with_outputs(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         dump = tmp_path / "y.csv"
@@ -172,6 +191,16 @@ class TestSweeps:
         assert main(args + ["--values", "2.0,4"]) == 0
         _, rows = read_csv(out)
         assert [r["value"] for r in rows] == ["2", "4"]
+
+    def test_mobility_is_no_longer_a_key(self, tmp_path):
+        cfgfile = tmp_path / "scenario.cfg"
+        cfgfile.write_text("mobility = uniform\n")
+        args = ["sweep-nmse", "--seed", "1", "--out", str(tmp_path / "x.csv")]
+        with pytest.raises(ValueError, match="unknown config keys: \\['mobility'\\]"):
+            main(args + ["--config", str(cfgfile)])
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--mobility", "uniform"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("values", ["1,abc", "1,,2", "1,nan", "inf"])
     def test_values_must_be_finite_numbers(self, tmp_path, values):
@@ -288,3 +317,113 @@ def test_validate_passes_every_check(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert sum(line.startswith("[PASS] ") for line in lines) == 9
     assert not any(line.startswith("[FAIL]") for line in lines)
+
+
+# Every config key with a flag: (flag, a good value, a bad value), as command-line text.
+_KEY_FLAGS = {
+    "n_bs": ("--n-bs", "64", "64.5"),
+    "n_ttd": ("--n-ttd", "8", "abc"),
+    "p": ("--p", "8", "nan"),
+    "f_c": ("--f-c", "1.2e11", "nan"),
+    "bandwidth": ("--bandwidth", "5e9", "inf"),
+    "m_half": ("--m-half", "16", "1e400"),
+    "users": ("--users", "2", "1.7"),
+    "snr_db": ("--snr-db", "0,10.5", "0,abc"),
+    "slots": ("--slots-list", "2,4.0", "2,2.5"),
+    "trials": ("--trials", "3", "true"),
+    "zeta_max": ("--zeta-max", "0.1", "-inf"),
+    "scheme": ("--scheme", "forward_only", "forward"),
+    "gain_sigma": ("--gain-sigma", "0.5", "nan"),
+    "theta_grid": ("--theta-grid", "-0.3,0.3", "0.3,"),
+    "seed": ("--seed", "7", "1.5"),
+}
+# keys without a value-taking flag: the switches, and f_d, which only a file sets
+_OTHER_KEYS = {"compensation", "codebook", "f_d"}
+
+
+class _Swept(Exception):
+    pass
+
+
+def _swept_scenario(monkeypatch, argv):
+    """The scenario that ``sweep-nmse argv`` would sweep."""
+
+    def stop(scn, axis, values=None, keep_records=False):
+        raise _Swept(scn)
+
+    monkeypatch.setattr(cli, "sweep", stop)
+    with pytest.raises(_Swept) as exc:
+        main(["sweep-nmse", "--out", "x.csv"] + argv)
+    return exc.value.args[0]
+
+
+class TestOneParserPerKey:
+    def test_every_key_is_covered(self):
+        assert set(_KEY_FLAGS) | _OTHER_KEYS == set(CONFIG_PARSERS)
+
+    def test_flags_and_file_give_equal_scenarios(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = [f"{flag}={good}" for flag, good, _ in _KEY_FLAGS.values()]
+        from_flags = _swept_scenario(monkeypatch, argv + ["--compensation", "--codebook"])
+        cfgfile = tmp_path / "scenario.cfg"
+        cfgfile.write_text(
+            "".join(f"{key} = {good}\n" for key, (_, good, _) in _KEY_FLAGS.items())
+            + "compensation = true\ncodebook = true\n"
+        )
+        assert from_flags == scenario_from_file(cfgfile)
+        assert (from_flags.system.n_bs, from_flags.snr_db, from_flags.slots) == (64, (0.0, 10.5), (2, 4))
+        # a flag overrides the file, and --no-compensation a file's compensation = true
+        overridden = _swept_scenario(monkeypatch, ["--config", str(cfgfile), "--trials", "9", "--no-compensation", "--seed", "8"])
+        assert (overridden.trials, overridden.compensation, overridden.seed, overridden.users) == (9, False, 8, 2)
+
+    @pytest.mark.parametrize("key", sorted(_KEY_FLAGS))
+    def test_bad_value_names_the_flag_or_the_key(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.chdir(tmp_path)
+        flag, _, bad = _KEY_FLAGS[key]
+        argv = ["sweep-nmse", "--out", "x.csv", f"{flag}={bad}"] + (["--seed", "1"] if key != "seed" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert re.search(f"argument {flag}: must be .*, got '", capsys.readouterr().err)
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"{key} = {bad}\n")
+        with pytest.raises(ValueError, match=f"^'{key}' must be "):
+            scenario_from_file(cfgfile)
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("key", ["snr_db", "slots"])
+    def test_empty_axis_list_rejected(self, tmp_path, key):
+        cfgfile = tmp_path / "empty.cfg"
+        cfgfile.write_text(f"{key} = []\n")
+        with pytest.raises(ValueError, match=f"{key} must not be empty"):
+            main(["sweep-gain", "--config", str(cfgfile), "--seed", "1", "--values", "0.3",
+                  "--out", str(tmp_path / "x.csv")])
+        with pytest.raises(ValueError, match=f"{key} must not be empty"):
+            main(["track", "--config", str(cfgfile), "--seed", "1"])
+
+
+def _readme_block(heading, language):
+    """The first fenced ``language`` block of the README section under ``## heading``."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return re.search(f"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+class TestReadme:
+    def test_config_example_parses(self, tmp_path):
+        cfgfile = tmp_path / "readme.cfg"
+        cfgfile.write_text(_readme_block("Configuration files", "ini"))
+        scn = scenario_from_file(cfgfile)
+        assert (scn.system.n_bs, scn.snr_db, scn.compensation, scn.theta_grid) == (
+            256, (-10.0, 0.0, 10.0, 20.0), True, (-0.6, 0.6),
+        )
+
+    def test_cli_examples_parse_and_non_sweeps_run(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        block = _readme_block("CLI", "sh").replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("thztrack ")]
+        assert {argv[0] for argv in commands} == set(_COMMANDS) - {"validate"}
+        for argv in commands:
+            build_parser().parse_args(argv)
+            if not argv[0].startswith("sweep"):
+                assert main(argv) == 0
+        assert {p.name for p in tmp_path.iterdir()} >= {"pattern.csv", "bounds.csv", "codebook.csv", "trace.csv", "y.csv"}

@@ -201,6 +201,11 @@ class TestScenarioConfig:
         assert scn.center_cap == pytest.approx(0.8)
 
 
+def test_pilot_noise_std_is_n_bs_over_root_snr(cfg):
+    assert harness.pilot_noise_std(10.0, cfg) == cfg.n_bs / np.sqrt(10.0)
+    assert harness.pilot_noise_std(-10.0, cfg) == cfg.n_bs / np.sqrt(0.1)
+
+
 class TestSweep:
     def test_reproducible_rows(self, cfg):
         scn = ScenarioConfig(system=cfg, users=1, trials=4, seed=9, snr_db=(0.0, 10.0))
@@ -232,6 +237,14 @@ class TestSweep:
         scn = ScenarioConfig(system=cfg, users=1, trials=3, seed=9, snr_db=(10.0,))
         rep = sweep(scn, "theta", values=[0.5], keep_records=True)
         assert all(r.theta_r == 0.5 for r in rep.records[0.5])
+
+    @pytest.mark.parametrize("target", [1.5, -0.995, float("nan")])
+    def test_theta_target_beyond_direction_cap_rejected(self, cfg, target):
+        scn = ScenarioConfig(system=cfg, users=1, trials=1, seed=9, snr_db=(10.0,))
+        with pytest.raises(ValueError, match="theta_target"):
+            run_trial(scn, 0, 10.0, 4, theta_target=target)
+        with pytest.raises(ValueError, match=repr(target)):
+            sweep(scn, "theta", values=[0.5, target])
 
     def test_unknown_axis(self, cfg):
         scn = ScenarioConfig(system=cfg)
