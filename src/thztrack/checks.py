@@ -15,7 +15,6 @@ from .leakage import CprState, build_cpr_problem, objective, objective_gradient,
 from .physmodel import (
     PathComponent,
     PrecoderConfig,
-    SubcarrierGrid,
     channel_response,
     default_config,
     precoder_matrix,
@@ -30,8 +29,8 @@ def gain_oracle_error(draws: int, seed: int) -> float:
     """Criterion 1: largest gap between ``array_gain`` and the dense |a_m(theta)^H f_m| / n_bs.
 
     Each draw takes psi in [-1, 1], t_aux in [-2, 2], theta in [-1, 1] and a
-    subcarrier index m; the oracle builds the steering vector and the
-    precoder of that one subcarrier.
+    subcarrier index m; the oracle takes that subcarrier's row of the
+    precoder matrix and its steering vector.
     """
     cfg = default_config()
     rng = np.random.default_rng(seed)
@@ -40,11 +39,10 @@ def gain_oracle_error(draws: int, seed: int) -> float:
         pc = PrecoderConfig(rng.uniform(-1, 1), rng.uniform(-2, 2))
         theta = rng.uniform(-1, 1)
         m = int(rng.integers(-cfg.m_half, cfg.m_half + 1))
-        fb = np.array([m * cfg.f_d])
-        row = SubcarrierGrid(frequencies=cfg.f_c + fb, baseband=fb, m_indices=np.array([m]))
-        a = steering_vector(row.frequencies, theta, cfg.n_bs, cfg.f_c)
-        brute = abs(np.vdot(a, precoder_matrix(pc, row, cfg))) / cfg.n_bs
-        worst = max(worst, abs(brute - float(array_gain(row.frequencies[0], theta, pc, cfg))))
+        f_m = cfg.f_c + m * cfg.f_d
+        a = steering_vector(f_m, theta, cfg.n_bs, cfg.f_c)
+        brute = abs(np.vdot(a, precoder_matrix(pc, cfg)[m + cfg.m_half])) / cfg.n_bs
+        worst = max(worst, abs(brute - float(array_gain(f_m, theta, pc, cfg))))
     return worst
 
 
@@ -64,9 +62,8 @@ def gradient_error(draws: int) -> float:
     at random, so fewer draws take the first of more.
     """
     cfg = default_config()
-    grid = SubcarrierGrid.from_config(cfg)
     plan = plan_tracking(0.43, 0.05, 3, cfg)
-    channel = channel_response(PathComponent(1.0 + 0j, 0.4321, 0.0), grid, cfg)
+    channel = channel_response(PathComponent(1.0 + 0j, 0.4321), cfg)
     prob = build_cpr_problem(run_tracking(plan, channel, noise_std=pilot_noise_std(10.0, cfg), rng=66))
     rng = np.random.default_rng(67)
     h = 1e-6
@@ -75,7 +72,7 @@ def gradient_error(draws: int) -> float:
         state = CprState(
             theta=0.4321 + rng.uniform(-2e-3, 2e-3),
             g=rng.uniform(0.5, 2.0),
-            taus=rng.uniform(-np.pi, np.pi, len(grid)),
+            taus=rng.uniform(-np.pi, np.pi, cfg.n_subcarriers),
             residual=0.0,
         )
         grad = objective_gradient(prob, state)
@@ -95,14 +92,13 @@ def recovery_errors() -> tuple[float, float]:
     phase 0.7, is refined from its coarse estimate.
     """
     cfg = default_config()
-    grid = SubcarrierGrid.from_config(cfg)
     plan = plan_tracking(0.42, 0.1, 3, cfg)
     pc = plan.pairings[1]
     target = float(angle_map(11, PrecoderConfig(pc.psi, pc.t_aux), cfg))
-    channel = channel_response(PathComponent(1.0 + 0j, target, 0.0), grid, cfg)
+    channel = channel_response(PathComponent(1.0 + 0j, target), cfg)
     on_grid = abs(coarse_estimate(run_tracking(plan, channel, 0.0)).theta_hat - target)
     theta_r = target + 2.9e-4
-    channel = channel_response(PathComponent(np.exp(0.7j), theta_r, 0.0), grid, cfg)
+    channel = channel_response(PathComponent(np.exp(0.7j), theta_r), cfg)
     obs = run_tracking(plan, channel, 0.0)
     state = refine(build_cpr_problem(obs), coarse_estimate(obs).theta_hat, max_iter=300, tol=1e-18)
     return on_grid, abs(state.theta - theta_r)

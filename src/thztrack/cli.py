@@ -86,9 +86,15 @@ def _add_config_args(parser: argparse.ArgumentParser, keys):
             parser.add_argument(flag, dest=key, type=_flag_type(CONFIG_PARSERS[key]), required=key == "seed")
 
 
-def _flag_values(args) -> dict:
-    """The config keys given as flags, to lay over the ``--config`` file."""
-    return {key: value for key, value in vars(args).items() if key in CONFIG_PARSERS}
+def _scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig | None:
+    """The ``--config`` file with the config flags on top (None without them); a broken rule is a usage error."""
+    if "config" not in vars(args):
+        return None
+    flags = {key: value for key, value in vars(args).items() if key in CONFIG_PARSERS}
+    try:
+        return scenario_from_file(args.config, flags)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _save_csv(path: Path, header: list[str], rows) -> None:
@@ -96,8 +102,8 @@ def _save_csv(path: Path, header: list[str], rows) -> None:
     print(f"wrote {path} ({n_rows} rows)")
 
 
-def _cmd_beam_pattern(args) -> int:
-    cfg = scenario_from_file(args.config, _flag_values(args)).system
+def _cmd_beam_pattern(args, scn: ScenarioConfig) -> int:
+    cfg = scn.system
     if args.psi is not None and args.t is not None:
         pc = PrecoderConfig(args.psi, args.t)
         label = f"psi={args.psi} t={args.t}"
@@ -123,16 +129,16 @@ def _cmd_beam_pattern(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    cfg = scenario_from_file(args.config, _flag_values(args)).system
+def _cmd_bounds(args, scn: ScenarioConfig) -> int:
+    cfg = scn.system
     thetas = np.linspace(args.theta_min, args.theta_max, args.points)
     rows = [(float(t), *astuple(radius_bounds(float(t), cfg, include_extra=args.include_extra))) for t in thetas]
     _save_csv(args.out, ["theta0"] + [f.name for f in fields(RadiusBounds)], rows)
     return 0
 
 
-def _cmd_codebook(args) -> int:
-    cfg = scenario_from_file(args.config, _flag_values(args)).system
+def _cmd_codebook(args, scn: ScenarioConfig) -> int:
+    cfg = scn.system
     cb = build_codebook(cfg)
     rows = []
     for i, v in enumerate(cb.psi_grid.values):
@@ -154,10 +160,8 @@ def _cmd_codebook(args) -> int:
     return 0
 
 
-def _cmd_track(args) -> int:
-    scn = scenario_from_file(args.config, _flag_values(args))
+def _cmd_track(args, scn: ScenarioConfig) -> int:
     cfg = scn.system
-    grid = SubcarrierGrid.from_config(cfg)
     rng = np.random.default_rng(scn.seed)
     theta_r = args.theta_r if args.theta_r is not None else float(rng.uniform(-0.8, 0.8))
     center = args.theta0 if args.theta0 is not None else theta_r
@@ -172,7 +176,7 @@ def _cmd_track(args) -> int:
             f"  slot {i}: center {pc.theta0:+.4f} mode {pc.mode:8s} psi {pc.psi:+.6f} "
             f"t {pc.t_aux:+.6f}{'  [over bound]' if pc.over_bound else ''}"
         )
-    channel = channel_response(PathComponent(1.0 + 0j, theta_r, 0.0), grid, cfg)
+    channel = channel_response(PathComponent(1.0 + 0j, theta_r), cfg)
     obs = run_tracking(plan, channel, pilot_noise_std(snr, cfg), rng)
     est = coarse_estimate(obs)
     print(f"strongest cell: slot {est.l_hat}, subcarrier {est.m_hat:+d}")
@@ -192,7 +196,7 @@ def _cmd_track(args) -> int:
     gain = beamforming_gain(channel, snap(final, cb.psi_grid) if cb else final, cfg)
     print(f"beamforming gain at estimate: {gain:.4f}")
     if args.dump_y:
-        header = ["slot"] + [f"m{int(m):+d}" for m in grid.m_indices]
+        header = ["slot"] + [f"m{int(m):+d}" for m in cfg.m_indices]
         rows = [
             [l + 1] + [float(a) for a in np.abs(obs.y[l])] for l in range(plan.slots)
         ]
@@ -200,8 +204,7 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _run_sweep(args, default_axis: str) -> int:
-    scn = scenario_from_file(args.config, _flag_values(args))
+def _run_sweep(args, scn: ScenarioConfig, default_axis: str) -> int:
     axis = args.axis or default_axis
     values = None if args.values is None else parse_config_value(SWEEP_AXES[axis], args.values, "--values")
     report = sweep(scn, axis, values=values, keep_records=args.full is not None)
@@ -217,7 +220,7 @@ def _run_sweep(args, default_axis: str) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, scn) -> int:
     from . import checks
     from .pairing import fixed_radius, forward_bound, large_angle_bound
 
@@ -252,7 +255,7 @@ def _cmd_validate(args) -> int:
 def _beam_pattern_args(p: argparse.ArgumentParser):
     _add_config_args(p, _SYSTEM_FLAGS)
     p.add_argument("--theta0", type=_finite_float, default=0.6)
-    p.add_argument("--alpha", type=_finite_float, default=0.05)
+    p.add_argument("--alpha", type=_positive_float, default=0.05)
     p.add_argument("--psi", type=_finite_float)
     p.add_argument("--t", type=_finite_float)
     p.add_argument("--grid-step", type=_positive_float, default=2e-3)
@@ -278,7 +281,7 @@ def _track_args(p: argparse.ArgumentParser):
     _add_config_args(p, _TRACK_FLAGS)
     p.add_argument("--theta-r", type=_finite_float, dest="theta_r")
     p.add_argument("--theta0", type=_finite_float)
-    p.add_argument("--alpha", type=_finite_float)
+    p.add_argument("--alpha", type=_positive_float)
     p.add_argument("--slots", type=_count, dest="frame_slots")
     p.add_argument("--snr", type=_finite_float)
     p.add_argument("--trace", type=Path, help="CSV of refinement iterations")
@@ -293,12 +296,12 @@ def _sweep_args(p: argparse.ArgumentParser):
     p.add_argument("--full", type=Path, help="also write per-trial records as JSON")
 
 
-def _cmd_sweep_nmse(args) -> int:
-    return _run_sweep(args, "snr")
+def _cmd_sweep_nmse(args, scn: ScenarioConfig) -> int:
+    return _run_sweep(args, scn, "snr")
 
 
-def _cmd_sweep_gain(args) -> int:
-    return _run_sweep(args, "theta")
+def _cmd_sweep_gain(args, scn: ScenarioConfig) -> int:
+    return _run_sweep(args, scn, "theta")
 
 
 # name: (help, adds the command's arguments, handler)
@@ -334,8 +337,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
-    return args.func(args)
+    parser = build_parser(argv[0] if argv else None)
+    args = parser.parse_args(argv)
+    return args.func(args, _scenario(parser, args))
 
 
 if __name__ == "__main__":

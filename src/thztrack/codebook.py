@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,11 +66,14 @@ class JointCodebook:
     t_grid: QuantGrid
 
 
+@lru_cache(maxsize=16)
 def build_codebook(cfg: SystemConfig) -> JointCodebook:
     """Joint codebook: psi over [-1,1] at 2/n_bs; t adds outer segments at 2/p.
 
     The delay-grid extremes are +-f_c/(m_half*f_d*p); when that value is <= 1
     the outer segments are empty and the delay grid reduces to the inner one.
+    One codebook is built per config and shared by every caller, so its
+    codeword arrays are read-only.
     """
     fine = 2.0 / cfg.n_bs
     coarse = 2.0 / cfg.p
@@ -89,6 +92,7 @@ def build_codebook(cfg: SystemConfig) -> JointCodebook:
         )
     else:
         t_grid = _grid_from_segments(segments)
+    psi_grid.values.flags.writeable = t_grid.values.flags.writeable = False
     return JointCodebook(psi_grid=psi_grid, t_grid=t_grid)
 
 

@@ -28,16 +28,16 @@ from .physmodel import (
     ChannelResponse,
     PathComponent,
     RayKernel,
-    SubcarrierGrid,
     SystemConfig,
     channel_response,
     default_config,
 )
 from .tracker import coarse_estimate, plan_tracking, run_tracking
 
-# Not called in this module: kept as its attribute only so that span tracers
-# wrapping harness.precoder_matrix still find it.
-from .physmodel import precoder_matrix  # noqa: F401
+# Not called in this module: kept as its attributes only so that span tracers
+# wrapping harness.precoder_matrix, and the set-up probe calling
+# harness.SubcarrierGrid.from_config, still find them.
+from .physmodel import SubcarrierGrid, precoder_matrix  # noqa: F401
 
 __all__ = [
     "SCHEMES",
@@ -95,6 +95,9 @@ class ScenarioConfig:
             raise ValueError("seed must be nonnegative")
         if self.gain_sigma < 0:
             raise ValueError("gain_sigma must be nonnegative")
+        if not all(abs(theta) <= _DIRECTION_CAP for theta in self.theta_grid):
+            cap = _DIRECTION_CAP
+            raise ValueError(f"theta_grid entries must lie in [-{cap}, {cap}], got {self.theta_grid!r}")
 
     @property
     def center_cap(self) -> float:
@@ -158,8 +161,6 @@ def run_trial(
     snr_db: float | None,
     n_slots: int,
     theta_target: float | None = None,
-    _codebook=None,
-    _grid: SubcarrierGrid | None = None,
 ) -> list[TrialRecord]:
     """One Monte Carlo frame for every user; deterministic in (seed, trial, user).
 
@@ -171,10 +172,7 @@ def run_trial(
     if theta_target is not None and not abs(theta_target) <= _DIRECTION_CAP:
         raise ValueError(f"theta_target must lie in [-{_DIRECTION_CAP}, {_DIRECTION_CAP}], got {theta_target!r}")
     cfg = scn.system
-    grid = _grid if _grid is not None else SubcarrierGrid.from_config(cfg)
-    cb = _codebook
-    if scn.codebook and cb is None:
-        cb = build_codebook(cfg)
+    cb = build_codebook(cfg) if scn.codebook else None
     cap = scn.center_cap
     noise_std = 0.0 if snr_db is None else pilot_noise_std(snr_db, cfg)
 
@@ -196,10 +194,10 @@ def run_trial(
                 scn.zeta_max,
                 n_slots,
                 cfg,
-                codebook=cb if scn.codebook else None,
+                codebook=cb,
                 pairing_mode=_scheme_mode(scn.scheme),
             )
-        channel = channel_response(PathComponent(g, theta_r, 0.0), grid, cfg)
+        channel = channel_response(PathComponent(g, theta_r), cfg)
         obs = run_tracking(plan, channel, noise_std, rng)
         est = coarse_estimate(obs)
         theta_refined = None
@@ -222,7 +220,7 @@ def run_trial(
                     "diverged": state.diverged,
                 }
         theta_final = theta_refined if theta_refined is not None else est.theta_hat
-        aim = snap(theta_final, cb.psi_grid) if scn.codebook else theta_final
+        aim = snap(theta_final, cb.psi_grid) if cb else theta_final
         gain = beamforming_gain(channel, aim, cfg)
         records.append(
             TrialRecord(
@@ -269,20 +267,15 @@ def beamforming_gain(channel: ChannelResponse, theta_hat: float, cfg: SystemConf
     """Average over subcarriers of |h_m^H w_m|^2 for the estimate-aligned precoder.
 
     Both slopes point at theta_hat and the precoder carries the 1/sqrt(n_bs)
-    power normalization, so the gain is mean_m |h_m^H f_m|^2 / n_bs.  A
-    single ray needs only the real amplitude of its closed-form response
-    (:meth:`RayKernel.amplitude`); several rays interfere, so they go through
-    :meth:`ChannelResponse.precoded`.
+    power normalization, so the gain is mean_m |h_m^H f_m|^2 / n_bs.  Only
+    the real amplitude of the ray's closed-form response is needed
+    (:meth:`RayKernel.amplitude`).
     """
     if channel.cfg != cfg:
         raise ValueError("channel was built for a different system config")
-    if len(channel.paths) == 1:
-        # |h_m^H f_m| = |gain| * |D_p * D_N|: the rotation and the delay phasor drop out
-        (path,) = channel.paths
-        amp = RayKernel(theta_hat, theta_hat, cfg).amplitude(path.direction)
-        return abs(path.gain) ** 2 * float(np.vdot(amp, amp)) / amp.size / cfg.n_bs
-    inner = channel.precoded([theta_hat], [theta_hat])
-    return float(np.mean(np.abs(inner) ** 2)) / cfg.n_bs
+    # |h_m^H f_m| = |gain| * |D_p * D_N|: the rotation drops out
+    amp = RayKernel(theta_hat, theta_hat, cfg).amplitude(channel.path.direction)
+    return abs(channel.path.gain) ** 2 * float(np.vdot(amp, amp)) / amp.size / cfg.n_bs
 
 
 def write_table(path, header, rows) -> int:
@@ -326,21 +319,21 @@ def sweep(scn: ScenarioConfig, axis: str, values=None, keep_records: bool = Fals
     """Monte Carlo sweep along one axis ("snr", "slots" or "theta").
 
     The points are ``values``, read by the parser of the axis's config key
-    (:data:`SWEEP_AXES`), or else that key's list; off-axis parameters take
-    the first entry of their list.  Rows carry the NMSE of the reported
-    estimate and, when compensation is on, of the coarse estimate as well,
-    plus how the refinements ended: the mean iteration count and the numbers
-    that ran out of iterations, diverged, or kept the coarse estimate on a
-    degenerate geometry.
+    (:data:`SWEEP_AXES`) and checked as that key of the scenario, or else
+    that key's list; off-axis parameters take the first entry of their list.
+    Rows carry the NMSE of the reported estimate and, when compensation is
+    on, of the coarse estimate as well, plus how the refinements ended: the
+    mean iteration count and the numbers that ran out of iterations,
+    diverged, or kept the coarse estimate on a degenerate geometry.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
     key = SWEEP_AXES[axis]
-    vals = getattr(scn, key) if values is None else parse_config_value(key, values, "values")
+    if values is not None:
+        scn = replace(scn, **{key: parse_config_value(key, values, "values")})
+    vals = getattr(scn, key)
     if not vals:
         raise ValueError(f"{axis} sweep needs values or {key}")
-    grid = SubcarrierGrid.from_config(scn.system)
-    cb = build_codebook(scn.system) if scn.codebook else None
     rows = []
     all_records: dict = {}
     for value in vals:
@@ -349,9 +342,7 @@ def sweep(scn: ScenarioConfig, axis: str, values=None, keep_records: bool = Fals
         target = value if axis == "theta" else None
         records: list[TrialRecord] = []
         for trial in range(scn.trials):
-            records.extend(
-                run_trial(scn, trial, snr, n_slots, theta_target=target, _codebook=cb, _grid=grid)
-            )
+            records.extend(run_trial(scn, trial, snr, n_slots, theta_target=target))
         finals = [r.theta_final for r in records]
         coarse = [r.theta_hat for r in records]
         truths = [r.theta_r for r in records]

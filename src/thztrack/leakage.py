@@ -20,7 +20,7 @@ from sys import float_info
 
 import numpy as np
 
-from .physmodel import PrecoderConfig, RayKernel, SubcarrierGrid, SystemConfig, precoder_matrix
+from .physmodel import PrecoderConfig, RayKernel, SystemConfig, precoder_matrix
 from .tracker import TrackingObservation
 
 __all__ = [
@@ -52,7 +52,6 @@ class CprProblem:
     y_hat: np.ndarray
     psi: np.ndarray
     t_aux: np.ndarray
-    grid: SubcarrierGrid
     cfg: SystemConfig
 
     @property
@@ -61,9 +60,9 @@ class CprProblem:
 
     @cached_property
     def b_mats(self) -> np.ndarray:
-        b = np.empty((len(self.grid), self.cfg.n_bs, self.n_slots), dtype=complex)
+        b = np.empty((self.cfg.n_subcarriers, self.cfg.n_bs, self.n_slots), dtype=complex)
         for l, (psi, t_aux) in enumerate(zip(self.psi, self.t_aux)):
-            b[:, :, l] = precoder_matrix(PrecoderConfig(float(psi), float(t_aux)), self.grid, self.cfg)
+            b[:, :, l] = precoder_matrix(PrecoderConfig(float(psi), float(t_aux)), self.cfg)
         return b
 
     @cached_property
@@ -81,13 +80,11 @@ def build_cpr_problem(obs: TrackingObservation) -> CprProblem:
     y_hat[m, l] equals obs.y[l, m] exactly; psi[l] and t_aux[l] are the
     slopes of slot l.
     """
-    cfg = obs.plan.cfg
     return CprProblem(
         y_hat=obs.y.T.copy(),
         psi=np.array([pc.psi for pc in obs.plan.pairings]),
         t_aux=np.array([pc.t_aux for pc in obs.plan.pairings]),
-        grid=SubcarrierGrid.from_config(cfg),
-        cfg=cfg,
+        cfg=obs.plan.cfg,
     )
 
 
@@ -221,11 +218,12 @@ def refine(
     dc = kernel.slope(ev)
     g_prev = 0.0
     # the phases are kept as the inner products z_m, tau_m = angle(z_m); angle(1) = 0 before the first update
-    z = np.ones(len(prob.grid))
+    cfg = prob.cfg
+    z = np.ones(cfg.n_subcarriers)
     eta = step
-    # largest useful theta move: a fraction of the narrowest beam semi-width
-    f_high = float(np.max(prob.grid.frequencies))
-    max_move = 0.5 * prob.cfg.f_c / (prob.cfg.n_bs * f_high)
+    # largest useful theta move: a fraction of the narrowest beam semi-width (top subcarrier)
+    f_high = cfg.f_c + cfg.m_half * cfg.f_d
+    max_move = 0.5 * cfg.f_c / (cfg.n_bs * f_high)
     best: tuple[float, float, float, np.ndarray] | None = None
     prev_eps = np.inf
     grow_streak = 0

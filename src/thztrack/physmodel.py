@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,61 +102,37 @@ class SubcarrierGrid:
 
 @dataclass(frozen=True)
 class PathComponent:
-    """Single propagation ray: complex gain, spatial direction and excess delay."""
+    """The line-of-sight ray: complex gain and spatial direction."""
 
     gain: complex
     direction: float
-    delay: float = 0.0
 
     def __post_init__(self):
         if abs(self.direction) > 1.0:
             raise ValueError("direction must lie in [-1, 1]")
-        if self.delay < 0:
-            raise ValueError("delay must be nonnegative")
 
 
 @dataclass(frozen=True)
 class ChannelResponse:
-    """A ray channel on the subcarrier grid of ``cfg``.
+    """One ray on the subcarrier grid of ``cfg``.
 
-    Only the rays are stored: :meth:`precoded` evaluates the pilot response
+    Only the ray is stored: :meth:`precoded` evaluates the pilot response
     in closed form.  ``h``, the dense per-subcarrier channel matrix of shape
     (2M+1, n_bs), is built on first use and serves as the brute-force oracle.
     """
 
-    paths: tuple[PathComponent, ...]
-    grid: SubcarrierGrid
+    path: PathComponent
     cfg: SystemConfig
 
     @cached_property
     def h(self) -> np.ndarray:
         """Dense channel vectors h_m as rows (2M+1, n_bs); the oracle of :meth:`precoded`."""
-        h = np.zeros((len(self.grid), self.cfg.n_bs), dtype=complex)
-        for path in self.paths:
-            steering = steering_vector(self.grid.frequencies, path.direction, self.cfg.n_bs, self.cfg.f_c)
-            h += (path.gain * self._delay_phase(path))[:, None] * steering
-        return h
-
-    def _delay_phase(self, path: PathComponent) -> np.ndarray:
-        return np.exp(-2j * np.pi * self.grid.baseband * path.delay)
+        frequencies = SubcarrierGrid.from_config(self.cfg).frequencies
+        return self.path.gain * steering_vector(frequencies, self.path.direction, self.cfg.n_bs, self.cfg.f_c)
 
     def precoded(self, psi, t_aux) -> np.ndarray:
-        """Received responses h_m^H f_{l,m} for slot slopes ``psi``, ``t_aux`` (L,); shape (2M+1, L).
-
-        Each ray adds conj(gain * exp(-j*2*pi*f_b*delay)) times its unit-gain
-        response; all rays share one :class:`RayKernel`.  A zero-delay ray's
-        phasor is exactly 1, so it is left out.
-        """
-        kernel = RayKernel(psi, t_aux, self.cfg)
-        out = None
-        for path in self.paths:
-            if path.delay == 0:
-                weight = np.conj(path.gain)
-            else:
-                weight = np.conj(path.gain * self._delay_phase(path))[:, None]
-            term = weight * kernel(path.direction)
-            out = term if out is None else out + term
-        return out
+        """Received responses h_m^H f_{l,m} for slot slopes ``psi``, ``t_aux`` (L,); shape (2M+1, L)."""
+        return np.conj(self.path.gain) * RayKernel(psi, t_aux, self.cfg)(self.path.direction)
 
 
 @dataclass(frozen=True)
@@ -186,21 +162,9 @@ def steering_vector(f_m, psi: float, n: int, f_c: float) -> np.ndarray:
     return np.exp(-1j * np.pi * ratio[..., None] * k * psi)
 
 
-def channel_response(
-    paths: PathComponent | Sequence[PathComponent],
-    grid: SubcarrierGrid,
-    cfg: SystemConfig,
-) -> ChannelResponse:
-    """Frequency response of a ray channel on every subcarrier.
-
-    Each ray contributes gain * exp(-j*2*pi*f_b*delay) times its steering
-    vector, with f_b the baseband subcarrier offset.
-    """
-    if isinstance(paths, PathComponent):
-        paths = [paths]
-    if not paths:
-        raise ValueError("a channel needs at least one ray")
-    return ChannelResponse(paths=tuple(paths), grid=grid, cfg=cfg)
+def channel_response(path: PathComponent, cfg: SystemConfig) -> ChannelResponse:
+    """Frequency response of the ray ``path`` on every subcarrier: its gain times its steering vector."""
+    return ChannelResponse(path=path, cfg=cfg)
 
 
 # |n*u| below which the derivative of the Dirichlet ratio D_n(u) = sin(n*u)/sin(u)
@@ -368,7 +332,7 @@ class RayKernel:
         return (ev.c, self.slope(ev)) if derivative else ev.c
 
 
-def precoder_matrix(pc: PrecoderConfig, grid: SubcarrierGrid, cfg: SystemConfig) -> np.ndarray:
+def precoder_matrix(pc: PrecoderConfig, cfg: SystemConfig) -> np.ndarray:
     """Analog precoders for every subcarrier, unit-modulus rows (2M+1, n_bs).
 
     Antenna k in delay-line group q carries phase
@@ -377,8 +341,8 @@ def precoder_matrix(pc: PrecoderConfig, grid: SubcarrierGrid, cfg: SystemConfig)
     """
     k = np.arange(cfg.n_bs)
     q = k // cfg.p
-    fb_ratios = grid.baseband / cfg.f_c
-    phase = k[None, :] * pc.psi + np.outer(fb_ratios, cfg.p * q) * pc.t_aux
+    fb_ratios = _subcarrier_ratios(cfg)[1]
+    phase = k[None, :] * pc.psi + fb_ratios * (cfg.p * q) * pc.t_aux
     return np.exp(-1j * np.pi * phase)
 
 

@@ -166,13 +166,17 @@ def select_strongest(obs: TrackingObservation) -> tuple[int, int]:
 
 
 def estimate_angle(obs: TrackingObservation, l_hat: int, m_hat: int) -> float:
-    """Coarse angle from the selected cell via the angle map of its slot pairing."""
+    """Coarse angle from the selected cell via the angle map of its slot pairing.
+
+    Clipped to [-1, 1]: codebook-snapped slopes can map an edge subcarrier just past it.
+    """
     if not 1 <= l_hat <= obs.plan.slots:
         raise ValueError("slot index out of range")
     if abs(m_hat) > obs.plan.cfg.m_half:
         raise ValueError("subcarrier index out of range")
     pc = obs.plan.pairings[l_hat - 1]
-    return float(angle_map(m_hat, PrecoderConfig(pc.psi, pc.t_aux), obs.plan.cfg))
+    theta = float(angle_map(m_hat, PrecoderConfig(pc.psi, pc.t_aux), obs.plan.cfg))
+    return min(max(theta, -1.0), 1.0)
 
 
 def coarse_estimate(obs: TrackingObservation) -> TrackingEstimate:

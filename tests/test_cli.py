@@ -93,14 +93,16 @@ class TestConfigChecks:
         "text, match",
         [("m_half = 32\nf_d = 78125000.0\n", "f_d"), ("n_bss = 64\n", "unknown config keys")],
     )
-    def test_bad_config_file_rejected(self, tmp_path, command, text, match):
+    def test_bad_config_file_rejected(self, tmp_path, capsys, command, text, match):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(text)
         args = [command, "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")]
         if command == "sweep-nmse":
             args += ["--seed", "1"]
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(SystemExit) as exc:
             main(args)
+        assert exc.value.code == 2
+        assert re.search(match, capsys.readouterr().err)
 
 
 class TestTrack:
@@ -192,12 +194,14 @@ class TestSweeps:
         _, rows = read_csv(out)
         assert [r["value"] for r in rows] == ["2", "4"]
 
-    def test_mobility_is_no_longer_a_key(self, tmp_path):
+    def test_mobility_is_no_longer_a_key(self, tmp_path, capsys):
         cfgfile = tmp_path / "scenario.cfg"
         cfgfile.write_text("mobility = uniform\n")
         args = ["sweep-nmse", "--seed", "1", "--out", str(tmp_path / "x.csv")]
-        with pytest.raises(ValueError, match="unknown config keys: \\['mobility'\\]"):
+        with pytest.raises(SystemExit) as exc:
             main(args + ["--config", str(cfgfile)])
+        assert exc.value.code == 2
+        assert "unknown config keys: ['mobility']" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
             main(args + ["--mobility", "uniform"])
         assert exc.value.code == 2
@@ -299,7 +303,9 @@ class TestFiniteOptions:
     @pytest.mark.parametrize(
         "argv, flag, value, error",
         [(["beam-pattern", "--out", "x.csv"], "--grid-step", v, "must be positive") for v in ("0", "-0.1")]
-        + [(["bounds", "--out", "x.csv"], "--points", v, "must be an integer >= 1") for v in ("0", "-3", "2.5")],
+        + [(["bounds", "--out", "x.csv"], "--points", v, "must be an integer >= 1") for v in ("0", "-3", "2.5")]
+        + [(argv, "--alpha", v, "must be positive")
+           for argv in (["beam-pattern", "--out", "x.csv"], ["track", "--seed", "1"]) for v in ("0", "-0.1")],
     )
     def test_nonpositive_step_or_count_rejected_naming_the_flag(
         self, tmp_path, monkeypatch, capsys, argv, flag, value, error
@@ -309,6 +315,28 @@ class TestFiniteOptions:
             main(argv + [f"{flag}={value}"])
         assert exc.value.code == 2
         assert f"argument {flag}: {error}, got '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestBadScenario:
+    """A config value that parses but breaks a scenario rule exits 2 with the rule's message, writing nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep-nmse", "--seed", "1", "--zeta-max", "1.5", "--out", "x.csv"], "zeta_max must lie in (0, 1)"),
+            (["sweep-nmse", "--seed", "1", "--users", "0", "--out", "x.csv"], "trials and users must be positive"),
+            (["sweep-nmse", "--seed", "1", "--n-bs", "100", "--out", "x.csv"], "n_ttd*p = 256 != n_bs = 100"),
+            (["sweep-gain", "--seed", "1", "--theta-grid", "0.3,1.5", "--out", "x.csv"],
+             "theta_grid entries must lie in [-0.99, 0.99], got (0.3, 1.5)"),
+        ],
+    )
+    def test_exits_2_with_the_message(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
 
@@ -392,14 +420,14 @@ class TestOneParserPerKey:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("key", ["snr_db", "slots"])
-    def test_empty_axis_list_rejected(self, tmp_path, key):
+    def test_empty_axis_list_rejected(self, tmp_path, capsys, key):
         cfgfile = tmp_path / "empty.cfg"
         cfgfile.write_text(f"{key} = []\n")
-        with pytest.raises(ValueError, match=f"{key} must not be empty"):
-            main(["sweep-gain", "--config", str(cfgfile), "--seed", "1", "--values", "0.3",
-                  "--out", str(tmp_path / "x.csv")])
-        with pytest.raises(ValueError, match=f"{key} must not be empty"):
-            main(["track", "--config", str(cfgfile), "--seed", "1"])
+        for argv in (["sweep-gain", "--values", "0.3", "--out", str(tmp_path / "x.csv")], ["track"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--config", str(cfgfile), "--seed", "1"])
+            assert exc.value.code == 2
+            assert f"{key} must not be empty" in capsys.readouterr().err
 
 
 def _readme_block(heading, language):

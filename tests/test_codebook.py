@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,14 @@ class TestBuildCodebook:
         assert cb.t_grid.values[0] == -1.0
         assert cb.t_grid.values[-1] == 1.0
         assert len(cb.t_grid.segments) == 1
+
+
+    def test_one_read_only_codebook_per_config(self, cfg, cb):
+        assert build_codebook(cfg) is cb
+        assert build_codebook(replace(cfg, m_half=32, f_d=None)) is not cb
+        for grid in (cb.psi_grid, cb.t_grid):
+            with pytest.raises(ValueError, match="read-only"):
+                grid.values[0] = 0.0
 
 
 class TestSnap:

@@ -70,34 +70,34 @@ class TestNmse:
 class TestBeamformingGain:
     def test_aligned_gain_matches_window_average(self, cfg, grid):
         theta_r = 0.37
-        ch = channel_response(PathComponent(1.0 + 0j, theta_r, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, theta_r), cfg)
         expected = cfg.n_bs * np.mean(
             [dirichlet(cfg.p, (m * cfg.f_d / cfg.f_c) * theta_r) ** 2 for m in grid.m_indices]
         )
         assert beamforming_gain(ch, theta_r, cfg) == pytest.approx(expected, rel=1e-10)
 
-    def test_misaligned_beam_is_weak(self, cfg, grid):
-        ch = channel_response(PathComponent(1.0 + 0j, 0.3, 0.0), grid, cfg)
+    def test_misaligned_beam_is_weak(self, cfg):
+        ch = channel_response(PathComponent(1.0 + 0j, 0.3), cfg)
         assert beamforming_gain(ch, -0.5, cfg) < 1.0
 
-    def test_alignment_is_local_peak(self, cfg, grid):
+    def test_alignment_is_local_peak(self, cfg):
         theta_r = 0.37
-        ch = channel_response(PathComponent(1.0 + 0j, theta_r, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, theta_r), cfg)
         at_truth = beamforming_gain(ch, theta_r, cfg)
         assert at_truth > beamforming_gain(ch, theta_r + 0.01, cfg)
         assert at_truth > beamforming_gain(ch, theta_r - 0.01, cfg)
 
 
-# Fixed before any run.  Each ray's closed-form response is within
+# Fixed before any run.  The ray's closed-form response is within
 # C*n_bs^2*eps of its dense inner product (C = 8, as in test_physmodel.py), and
-# |response| <= n_bs * G with G the sum of the ray gains' moduli, so the mean of
+# |response| <= n_bs * G with G the modulus of the ray gain, so the mean of
 # |response|^2 / n_bs moves by at most 2*C*n_bs^2*eps*G^2.
 _GAIN_TOL_C = 8.0
 
 
 @st.composite
 def _gain_cases(draw):
-    """A random array and band, 1-3 rays (delayed ones too) and an aim theta_hat."""
+    """A random array and band, one ray and an aim theta_hat."""
     p = draw(st.integers(1, 16))
     n_ttd = draw(st.integers(1, 16))
     f_c = draw(st.floats(1e9, 1e12))
@@ -105,32 +105,26 @@ def _gain_cases(draw):
         n_bs=p * n_ttd, n_ttd=n_ttd, p=p, f_c=f_c,
         bandwidth=2 * draw(st.floats(0.01, 0.45)) * f_c, m_half=draw(st.integers(1, 32)),
     )
-    n_rays = draw(st.sampled_from((1, 1, 2, 3)))
-    paths = [
-        PathComponent(
-            draw(st.floats(0.1, 3.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi))),
-            draw(st.floats(-1.0, 1.0)),
-            draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-9))),
-        )
-        for _ in range(n_rays)
-    ]
-    theta = paths[0].direction
+    path = PathComponent(
+        draw(st.floats(0.1, 3.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi))),
+        draw(st.floats(-1.0, 1.0)),
+    )
+    theta = path.direction
     theta_hat = draw(st.one_of(
         st.floats(-1.0, 1.0), st.just(theta), st.floats(-1e-9, 1e-9).map(lambda d: theta + d)
     ))
-    return system, paths, theta_hat
+    return system, path, theta_hat
 
 
 class TestBeamformingGainOracle:
     @settings(max_examples=300, deadline=None)
     @given(case=_gain_cases())
     def test_matches_dense_inner_products(self, case):
-        system, paths, theta_hat = case
-        grid = SubcarrierGrid.from_config(system)
-        ch = channel_response(paths, grid, system)
-        f = precoder_matrix(PrecoderConfig(theta_hat, theta_hat), grid, system)
+        system, path, theta_hat = case
+        ch = channel_response(path, system)
+        f = precoder_matrix(PrecoderConfig(theta_hat, theta_hat), system)
         want = np.mean(np.abs(np.einsum("mn,mn->m", ch.h.conj(), f)) ** 2) / system.n_bs
-        total = sum(abs(path.gain) for path in paths)
+        total = abs(path.gain)
         tol = 2 * _GAIN_TOL_C * system.n_bs**2 * np.finfo(float).eps * total**2
         assert abs(beamforming_gain(ch, theta_hat, system) - want) <= tol
 
@@ -196,6 +190,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(seed=-1)
 
+    @pytest.mark.parametrize("theta_grid", [(0.3, 1.5), (-0.995,), (float("nan"),)])
+    def test_rejects_theta_grid_beyond_direction_cap(self, theta_grid):
+        with pytest.raises(ValueError, match="theta_grid entries must lie in"):
+            ScenarioConfig(theta_grid=theta_grid)
+        assert ScenarioConfig(theta_grid=(-0.99, 0.99)).theta_grid == (-0.99, 0.99)
+
     def test_center_cap(self):
         scn = ScenarioConfig(zeta_max=0.2)
         assert scn.center_cap == pytest.approx(0.8)
@@ -245,6 +245,14 @@ class TestSweep:
             run_trial(scn, 0, 10.0, 4, theta_target=target)
         with pytest.raises(ValueError, match=repr(target)):
             sweep(scn, "theta", values=[0.5, target])
+
+    def test_theta_values_checked_before_any_frame(self, cfg, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args, **kwargs: calls.append(args) or [])
+        scn = ScenarioConfig(system=cfg, users=1, trials=2, seed=9, snr_db=(10.0,))
+        with pytest.raises(ValueError, match="theta_grid"):
+            sweep(scn, "theta", values=[0.3, 1.5])
+        assert calls == []
 
     def test_unknown_axis(self, cfg):
         scn = ScenarioConfig(system=cfg)

@@ -53,42 +53,42 @@ def synthetic_problem(plan, cfg, grid, theta, g0, taus0):
     """
     a = steering_vector(grid.frequencies, theta, cfg.n_bs, cfg.f_c)
     c = np.stack(
-        [np.einsum("mn,mn->m", a.conj(), precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), grid, cfg))
+        [np.einsum("mn,mn->m", a.conj(), precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), cfg))
          for pc in plan.pairings],
         axis=1,
     )
     y_hat = g0 * np.exp(1j * taus0)[:, None] * c
-    obs = run_tracking(plan, channel_response(PathComponent(1.0 + 0j, theta, 0.0), grid, cfg), 0.0)
+    obs = run_tracking(plan, channel_response(PathComponent(1.0 + 0j, theta), cfg), 0.0)
     return replace(build_cpr_problem(obs), y_hat=y_hat)
 
 
 @pytest.fixture(scope="module")
-def noisy_problem(cfg, grid, plan):
-    ch = channel_response(PathComponent(1.0 + 0j, 0.4321, 0.0), grid, cfg)
+def noisy_problem(cfg, plan):
+    ch = channel_response(PathComponent(1.0 + 0j, 0.4321), cfg)
     obs = run_tracking(plan, ch, noise_std=cfg.n_bs / np.sqrt(10.0), rng=123)
     return build_cpr_problem(obs)
 
 
 class TestBuildProblem:
-    def test_entries_match_observation(self, cfg, grid, plan):
-        ch = channel_response(PathComponent(1.0 + 0j, 0.4, 0.0), grid, cfg)
+    def test_entries_match_observation(self, cfg, plan):
+        ch = channel_response(PathComponent(1.0 + 0j, 0.4), cfg)
         obs = run_tracking(plan, ch, noise_std=3.0, rng=8)
         prob = build_cpr_problem(obs)
         np.testing.assert_array_equal(prob.y_hat, obs.y.T)
 
-    def test_dimensions(self, cfg, grid, plan):
-        ch = channel_response(PathComponent(1.0 + 0j, 0.4, 0.0), grid, cfg)
+    def test_dimensions(self, cfg, plan):
+        ch = channel_response(PathComponent(1.0 + 0j, 0.4), cfg)
         prob = build_cpr_problem(run_tracking(plan, ch, 0.0))
         assert prob.y_hat.shape == (cfg.n_subcarriers, plan.slots)
         assert prob.b_mats.shape == (cfg.n_subcarriers, cfg.n_bs, plan.slots)
 
-    def test_single_slot_columns(self, cfg, grid):
+    def test_single_slot_columns(self, cfg):
         plan1 = plan_tracking(0.42, 0.05, 1, cfg)
-        ch = channel_response(PathComponent(1.0 + 0j, 0.4, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, 0.4), cfg)
         prob = build_cpr_problem(run_tracking(plan1, ch, 0.0))
         assert prob.y_hat.shape[1] == 1
         pc = plan1.pairings[0]
-        expected = precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), grid, cfg)[0]
+        expected = precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), cfg)[0]
         np.testing.assert_allclose(prob.b_mats[0, :, 0], expected)
 
 
@@ -198,12 +198,12 @@ class TestObjectiveGradient:
 
 
 class TestRefine:
-    def test_noiseless_off_grid_recovery(self, cfg, grid):
+    def test_noiseless_off_grid_recovery(self, cfg):
         plan = plan_tracking(0.42, 0.1, 3, cfg)
         pc = plan.pairings[1]
         on_grid = float(angle_map(11, PrecoderConfig(pc.psi, pc.t_aux), cfg))
         theta_r = on_grid + 2.7e-4
-        ch = channel_response(PathComponent(np.exp(0.4j), theta_r, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(np.exp(0.4j), theta_r), cfg)
         obs = run_tracking(plan, ch, 0.0)
         est = coarse_estimate(obs)
         state = refine(build_cpr_problem(obs), est.theta_hat, max_iter=300, tol=1e-18)
@@ -211,11 +211,11 @@ class TestRefine:
         assert state.residual < 1e-10 * np.sum(np.abs(obs.y) ** 2)
         assert state.g == pytest.approx(1.0, abs=1e-6)
 
-    def test_exact_initialization_stops_fast(self, cfg, grid):
+    def test_exact_initialization_stops_fast(self, cfg):
         plan = plan_tracking(0.42, 0.1, 3, cfg)
         pc = plan.pairings[1]
         theta_r = float(angle_map(-7, PrecoderConfig(pc.psi, pc.t_aux), cfg))
-        ch = channel_response(PathComponent(1.0 + 0j, theta_r, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, theta_r), cfg)
         obs = run_tracking(plan, ch, 0.0)
         state = refine(build_cpr_problem(obs), theta_r)
         assert state.iterations <= 2
@@ -234,10 +234,10 @@ class TestRefine:
         assert len(trace) == state.iterations
         assert all(len(row) == 4 for row in trace)
 
-    def test_noisy_refinement_beats_coarse_on_average(self, cfg, grid):
+    def test_noisy_refinement_beats_coarse_on_average(self, cfg):
         plan = plan_tracking(0.42, 0.1, 3, cfg)
         theta_r = 0.40137
-        ch = channel_response(PathComponent(1.0 + 0j, theta_r, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, theta_r), cfg)
         coarse_sq, refined_sq = 0.0, 0.0
         for trial in range(25):
             obs = run_tracking(plan, ch, cfg.n_bs / np.sqrt(10.0), rng=np.random.default_rng([9, trial]))
@@ -268,8 +268,9 @@ def _reference_refine(prob, theta_init, max_iter, tol, step=1e-2):
 
     Returns (trace, state) like ``refine(..., trace=trace)``.
     """
-    theta, g_prev, taus, eta = float(theta_init), 0.0, np.zeros(len(prob.grid)), step
-    max_move = 0.5 * prob.cfg.f_c / (prob.cfg.n_bs * float(np.max(prob.grid.frequencies)))
+    grid = SubcarrierGrid.from_config(prob.cfg)
+    theta, g_prev, taus, eta = float(theta_init), 0.0, np.zeros(len(grid)), step
+    max_move = 0.5 * prob.cfg.f_c / (prob.cfg.n_bs * float(np.max(grid.frequencies)))
     trace, best, prev_eps, grow = [], None, np.inf, 0
     iterations, converged, diverged = 0, False, False
     eps = float(np.sum(np.abs(prob.y_hat) ** 2))
@@ -345,8 +346,7 @@ class TestTrajectoryParity:
             warnings.simplefilter("ignore", RuntimeWarning)  # over-bound slots are fine here
             plan = plan_tracking(theta0, alpha, slots, system)
         rng = np.random.default_rng(seed)
-        grid = SubcarrierGrid.from_config(system)
-        ch = channel_response(PathComponent(np.exp(1j * rng.uniform(0, 2 * np.pi)), theta_r), grid, system)
+        ch = channel_response(PathComponent(np.exp(1j * rng.uniform(0, 2 * np.pi)), theta_r), system)
         noise_std = 0.0 if snr_db is None else system.n_bs / np.sqrt(10.0 ** (snr_db / 10.0))
         obs = run_tracking(plan, ch, noise_std, rng)
         prob = build_cpr_problem(obs)

@@ -98,32 +98,32 @@ class TestPlanTracking:
 
 
 class TestRunTracking:
-    def test_on_grid_target_peaks_its_cell(self, cfg, grid):
+    def test_on_grid_target_peaks_its_cell(self, cfg):
         plan = plan_tracking(0.42, 0.1, 2, cfg)
         pc = plan.pairings[1]
         target = float(angle_map(9, PrecoderConfig(pc.psi, pc.t_aux), cfg))
-        ch = channel_response(PathComponent(1.0 + 0j, target, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, target), cfg)
         obs = run_tracking(plan, ch, 0.0)
         row = np.abs(obs.y[1])
         assert np.argmax(row) == 9 + cfg.m_half
 
-    def test_zero_gain_gives_pure_noise(self, cfg, grid):
+    def test_zero_gain_gives_pure_noise(self, cfg):
         plan = plan_tracking(0.0, 0.1, 2, cfg)
-        ch = channel_response(PathComponent(0.0 + 0j, 0.1, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(0.0 + 0j, 0.1), cfg)
         obs = run_tracking(plan, ch, noise_std=1.0, rng=1)
         assert np.all(np.abs(obs.y) > 0)
         assert np.mean(np.abs(obs.y) ** 2) == pytest.approx(1.0, rel=0.15)
 
-    def test_seed_reproducible(self, cfg, grid):
+    def test_seed_reproducible(self, cfg):
         plan = plan_tracking(0.2, 0.1, 3, cfg)
-        ch = channel_response(PathComponent(1.0 + 0j, 0.21, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, 0.21), cfg)
         y1 = run_tracking(plan, ch, 5.0, rng=99).y
         y2 = run_tracking(plan, ch, 5.0, rng=99).y
         np.testing.assert_array_equal(y1, y2)
 
-    def test_noise_scales_with_std_for_same_seed(self, cfg, grid):
+    def test_noise_scales_with_std_for_same_seed(self, cfg):
         plan = plan_tracking(0.2, 0.1, 2, cfg)
-        ch = channel_response(PathComponent(1.0 + 0j, 0.21, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, 0.21), cfg)
         clean = run_tracking(plan, ch, 0.0).y
         n1 = run_tracking(plan, ch, 1.0, rng=5).y - clean
         n2 = run_tracking(plan, ch, 2.0, rng=5).y - clean
@@ -134,27 +134,27 @@ class TestRunTracking:
         # plus circular noise, with a shared generator consuming two draws
         # (real, imaginary) per cell in row-major order
         plan = plan_tracking(0.3, 0.08, 2, cfg)
-        ch = channel_response(PathComponent(1.0 + 0j, 0.31, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, 0.31), cfg)
         obs = run_tracking(plan, ch, noise_std=2.5, rng=314)
         gen = np.random.default_rng(314)
         for l, pc in enumerate(plan.pairings):
-            f_rows = precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), grid, cfg)
+            f_rows = precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), cfg)
             for j in range(len(grid)):
                 re, im = gen.standard_normal(2)
                 expected = np.vdot(ch.h[j], f_rows[j]) + 2.5 / np.sqrt(2.0) * (re + 1j * im)
                 assert obs.y[l, j] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
-    def test_noise_std_must_be_finite_and_nonnegative(self, cfg, grid, noise_std):
+    def test_noise_std_must_be_finite_and_nonnegative(self, cfg, noise_std):
         plan = plan_tracking(0.2, 0.1, 2, cfg)
-        ch = channel_response(PathComponent(1.0 + 0j, 0.21, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, 0.21), cfg)
         with pytest.raises(ValueError, match="noise_std"):
             run_tracking(plan, ch, noise_std, rng=1)
 
     def test_config_mismatch_raises(self, cfg):
         plan = plan_tracking(0.2, 0.1, 2, cfg)
         other = SystemConfig(n_bs=128, n_ttd=8, p=16, f_c=cfg.f_c, bandwidth=cfg.bandwidth, m_half=cfg.m_half)
-        bad = channel_response(PathComponent(1.0 + 0j, 0.2, 0.0), SubcarrierGrid.from_config(other), other)
+        bad = channel_response(PathComponent(1.0 + 0j, 0.2), other)
         with pytest.raises(ValueError):
             run_tracking(plan, bad, 0.0)
 
@@ -181,23 +181,23 @@ class TestSelectStrongest:
 
 
 class TestEstimateAngle:
-    def test_center_subcarrier_returns_psi(self, cfg, grid):
+    def test_center_subcarrier_returns_psi(self, cfg):
         plan = plan_tracking(0.42, 0.1, 2, cfg)
-        ch = channel_response(PathComponent(1.0 + 0j, 0.42, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, 0.42), cfg)
         obs = run_tracking(plan, ch, 0.0)
         for l_hat, pc in enumerate(plan.pairings, start=1):
             assert estimate_angle(obs, l_hat, 0) == pytest.approx(pc.psi)
 
-    def test_noiseless_on_grid_recovery_exact(self, cfg, grid):
+    def test_noiseless_on_grid_recovery_exact(self, cfg):
         plan = plan_tracking(0.42, 0.1, 2, cfg)
         for l_star, m_star in ((1, 0), (2, -30), (2, 41)):
             pc = plan.pairings[l_star - 1]
             target = float(angle_map(m_star, PrecoderConfig(pc.psi, pc.t_aux), cfg))
-            ch = channel_response(PathComponent(1.0 + 0j, target, 0.0), grid, cfg)
+            ch = channel_response(PathComponent(1.0 + 0j, target), cfg)
             est = coarse_estimate(run_tracking(plan, ch, 0.0))
             assert est.theta_hat == pytest.approx(target, abs=1e-13)
 
-    def test_noiseless_off_grid_error_within_spacing(self, cfg, grid):
+    def test_noiseless_off_grid_error_within_spacing(self, cfg):
         plan = plan_tracking(0.42, 0.1, 2, cfg)
         spacings = []
         for pc in plan.pairings:
@@ -207,7 +207,7 @@ class TestEstimateAngle:
         rng = np.random.default_rng(17)
         for _ in range(20):
             target = rng.uniform(0.33, 0.51)
-            ch = channel_response(PathComponent(1.0 + 0j, target, 0.0), grid, cfg)
+            ch = channel_response(PathComponent(1.0 + 0j, target), cfg)
             est = coarse_estimate(run_tracking(plan, ch, 0.0))
             assert abs(est.theta_hat - target) <= max_spacing
 
@@ -222,9 +222,17 @@ class TestEstimateAngle:
         assert mapped[-1] == pytest.approx(0.3, abs=1e-12)
         assert np.max(np.diff(mapped)) <= 2 * 0.2 / (4 * (cfg.n_subcarriers - 1)) * 1.5
 
-    def test_index_validation(self, cfg, grid):
+    def test_snapped_edge_subcarrier_stays_in_range(self, cfg):
+        # the snapped slopes of the second slot map subcarrier -M just past 1
+        plan = plan_tracking(0.8, 0.2, 2, cfg, codebook=build_codebook(cfg))
+        pc = plan.pairings[1]
+        assert angle_map(-cfg.m_half, PrecoderConfig(pc.psi, pc.t_aux), cfg) > 1.0
+        obs = run_tracking(plan, channel_response(PathComponent(1.0 + 0j, 0.9), cfg), 0.0)
+        assert estimate_angle(obs, 2, -cfg.m_half) == 1.0
+
+    def test_index_validation(self, cfg):
         plan = plan_tracking(0.42, 0.1, 2, cfg)
-        ch = channel_response(PathComponent(1.0 + 0j, 0.42, 0.0), grid, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, 0.42), cfg)
         obs = run_tracking(plan, ch, 0.0)
         with pytest.raises(ValueError):
             estimate_angle(obs, 3, 0)
