@@ -10,31 +10,21 @@ from pathlib import Path
 import numpy as np
 
 from .beampattern import array_gain, peak_map
-from .codebook import build_codebook, snap
+from .codebook import build_codebook
 from .harness import (
     CONFIG_PARSERS,
     SWEEP_AXES,
     ScenarioConfig,
     _as_bool,
     _as_float,
-    beamforming_gain,
     parse_config_value,
-    pilot_noise_std,
+    run_frame,
     scenario_from_file,
     sweep,
     write_table,
 )
-from .leakage import build_cpr_problem, refine
 from .pairing import RadiusBounds, make_pairing, radius_bounds
-from .physmodel import (
-    PathComponent,
-    PrecoderConfig,
-    SubcarrierGrid,
-    SystemConfig,
-    channel_response,
-    default_config,
-)
-from .tracker import coarse_estimate, plan_tracking, run_tracking
+from .physmodel import PrecoderConfig, SubcarrierGrid, SystemConfig, default_config
 
 
 def _flag_type(parse):
@@ -75,7 +65,7 @@ def _add_config_args(parser: argparse.ArgumentParser, keys):
     """``--config`` and one flag per config key; a flag reads its value with the key's parser."""
     parser.add_argument("--config", type=Path, help="key=value scenario/system file")
     for key in keys:
-        # track's --slots is the frame's slot count, so the slots list is --slots-list
+        # track's --slots takes the frame's one slot count, so the sweeps' slots list is --slots-list
         flag = "--slots-list" if key == "slots" else "--" + key.replace("_", "-")
         if CONFIG_PARSERS[key] is _as_bool:
             parser.add_argument(flag, dest=key, action="store_true", default=None)
@@ -87,14 +77,30 @@ def _add_config_args(parser: argparse.ArgumentParser, keys):
 
 
 def _scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig | None:
-    """The ``--config`` file with the config flags on top (None without them); a broken rule is a usage error."""
-    if "config" not in vars(args):
+    """The ``--config`` file with the config flags and ``--values`` (the axis's key) on top; None without them.
+
+    An unreadable file, a rejected value and ``track --theta0`` beyond the centre cap are usage errors.
+    """
+    opts = vars(args)
+    if "config" not in opts:
         return None
-    flags = {key: value for key, value in vars(args).items() if key in CONFIG_PARSERS}
+    flags = {key: value for key, value in opts.items() if key in CONFIG_PARSERS}
+    axis_key = SWEEP_AXES.get(opts.get("axis"))
+    center = opts.get("center")
     try:
-        return scenario_from_file(args.config, flags)
+        if opts.get("values") is not None:
+            flags[axis_key] = parse_config_value(axis_key, args.values, "--values")
+        scn = scenario_from_file(args.config, flags)
+        if axis_key and not getattr(scn, axis_key):
+            raise ValueError(f"a {args.axis} sweep needs --values or {axis_key}")
+        cap = scn.center_cap
+        if center is not None and not abs(center) <= cap:
+            raise ValueError(f"argument --theta0: must lie in [-{cap:g}, {cap:g}], got {center!r}")
+    except OSError as exc:
+        parser.error(f"argument --config: {exc.strerror}: {exc.filename!r}")
     except ValueError as exc:
         parser.error(str(exc))
+    return scn
 
 
 def _save_csv(path: Path, header: list[str], rows) -> None:
@@ -161,60 +167,47 @@ def _cmd_codebook(args, scn: ScenarioConfig) -> int:
 
 
 def _cmd_track(args, scn: ScenarioConfig) -> int:
-    cfg = scn.system
-    rng = np.random.default_rng(scn.seed)
-    theta_r = args.theta_r if args.theta_r is not None else float(rng.uniform(-0.8, 0.8))
-    center = args.theta0 if args.theta0 is not None else theta_r
-    alpha = args.alpha if args.alpha is not None else scn.zeta_max
-    slots = args.frame_slots if args.frame_slots is not None else scn.slots[0]
-    snr = args.snr if args.snr is not None else scn.snr_db[0]
-    cb = build_codebook(cfg) if scn.codebook else None
-    plan = plan_tracking(center, alpha, slots, cfg, codebook=cb, pairing_mode="auto")
-    print(f"tracking theta_r={theta_r:.6f} over [{center - alpha:.4f}, {center + alpha:.4f}], L={slots}")
+    trace: list = []
+    target = scn.theta_grid[0] if scn.theta_grid else None
+    frame = run_frame(scn, 0, 0, scn.snr_db[0], scn.slots[0], target, center=args.center, trace=trace)
+    plan, est, rec, state = frame.plan, frame.estimate, frame.record, frame.state
+    print(
+        f"tracking theta_r={rec.theta_r:.6f} over [{plan.theta0 - plan.alpha:.4f}, "
+        f"{plan.theta0 + plan.alpha:.4f}], L={plan.slots}"
+    )
     for i, pc in enumerate(plan.pairings, start=1):
         print(
             f"  slot {i}: center {pc.theta0:+.4f} mode {pc.mode:8s} psi {pc.psi:+.6f} "
             f"t {pc.t_aux:+.6f}{'  [over bound]' if pc.over_bound else ''}"
         )
-    channel = channel_response(PathComponent(1.0 + 0j, theta_r), cfg)
-    obs = run_tracking(plan, channel, pilot_noise_std(snr, cfg), rng)
-    est = coarse_estimate(obs)
     print(f"strongest cell: slot {est.l_hat}, subcarrier {est.m_hat:+d}")
-    print(f"coarse estimate {est.theta_hat:+.6f} (error {est.theta_hat - theta_r:+.3e})")
-    if scn.compensation:
-        trace: list = []
-        state = refine(build_cpr_problem(obs), est.theta_hat, trace=trace)
+    print(f"coarse estimate {est.theta_hat:+.6f} (error {est.theta_hat - rec.theta_r:+.3e})")
+    if rec.degenerate:
+        print("refinement degenerate (every slot response vanished): kept the coarse estimate")
+    elif state is not None:
         print(
-            f"refined estimate {state.theta:+.6f} (error {state.theta - theta_r:+.3e}, "
+            f"refined estimate {state.theta:+.6f} (error {state.theta - rec.theta_r:+.3e}, "
             f"residual {state.residual:.4e}, {state.iterations} iterations)"
         )
         if args.trace:
             _save_csv(args.trace, ["iteration", "theta", "g", "residual"], trace)
-        final = state.theta
-    else:
-        final = est.theta_hat
-    gain = beamforming_gain(channel, snap(final, cb.psi_grid) if cb else final, cfg)
-    print(f"beamforming gain at estimate: {gain:.4f}")
+    print(f"beamforming gain at estimate: {rec.gain:.4f}")
     if args.dump_y:
-        header = ["slot"] + [f"m{int(m):+d}" for m in cfg.m_indices]
-        rows = [
-            [l + 1] + [float(a) for a in np.abs(obs.y[l])] for l in range(plan.slots)
-        ]
+        header = ["slot"] + [f"m{int(m):+d}" for m in scn.system.m_indices]
+        rows = [[l + 1] + [float(a) for a in np.abs(frame.obs.y[l])] for l in range(plan.slots)]
         _save_csv(args.dump_y, header, rows)
     return 0
 
 
-def _run_sweep(args, scn: ScenarioConfig, default_axis: str) -> int:
-    axis = args.axis or default_axis
-    values = None if args.values is None else parse_config_value(SWEEP_AXES[axis], args.values, "--values")
-    report = sweep(scn, axis, values=values, keep_records=args.full is not None)
+def _cmd_sweep(args, scn: ScenarioConfig) -> int:
+    report = sweep(scn, args.axis, keep_records=args.full is not None)
     report.write_csv(args.out)
     if args.full:
         report.write_json(args.full, full=True)
         print(f"wrote {args.full}")
     for row in report.rows:
         print(
-            f"  {axis}={row['value']}: nmse {row['nmse_db']:+.2f} dB, "
+            f"  {args.axis}={row['value']}: nmse {row['nmse_db']:+.2f} dB, "
             f"gain {row['mean_gain']:.3f} ({row['n_records']} records)"
         )
     return 0
@@ -279,29 +272,22 @@ def _codebook_args(p: argparse.ArgumentParser):
 
 def _track_args(p: argparse.ArgumentParser):
     _add_config_args(p, _TRACK_FLAGS)
-    p.add_argument("--theta-r", type=_finite_float, dest="theta_r")
-    p.add_argument("--theta0", type=_finite_float)
-    p.add_argument("--alpha", type=_positive_float)
-    p.add_argument("--slots", type=_count, dest="frame_slots")
-    p.add_argument("--snr", type=_finite_float)
+    # the frame's inputs: each sets the config key of its dest, but --theta0 is the frame's own search centre
+    p.add_argument("--theta-r", type=_finite_float, dest="theta_grid", metavar="THETA_R", help="sets theta_grid")
+    p.add_argument("--theta0", type=_finite_float, dest="center", metavar="THETA0", help="search centre")
+    p.add_argument("--alpha", type=_positive_float, dest="zeta_max", metavar="ALPHA", help="sets zeta_max")
+    p.add_argument("--slots", type=_count, dest="slots", help="sets slots")
+    p.add_argument("--snr", type=_finite_float, dest="snr_db", metavar="SNR", help="sets snr_db")
     p.add_argument("--trace", type=Path, help="CSV of refinement iterations")
     p.add_argument("--dump-y", type=Path, dest="dump_y", help="CSV heatmap of |Y|")
 
 
-def _sweep_args(p: argparse.ArgumentParser):
+def _sweep_args(p: argparse.ArgumentParser, axis: str):
     _add_config_args(p, _SWEEP_FLAGS)
-    p.add_argument("--axis", choices=list(SWEEP_AXES))
+    p.add_argument("--axis", choices=list(SWEEP_AXES), default=axis)
     p.add_argument("--values", help="comma-separated axis values")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--full", type=Path, help="also write per-trial records as JSON")
-
-
-def _cmd_sweep_nmse(args, scn: ScenarioConfig) -> int:
-    return _run_sweep(args, scn, "snr")
-
-
-def _cmd_sweep_gain(args, scn: ScenarioConfig) -> int:
-    return _run_sweep(args, scn, "theta")
 
 
 # name: (help, adds the command's arguments, handler)
@@ -310,8 +296,8 @@ _COMMANDS = {
     "bounds": ("tabulate all searching-radius bounds over a theta grid", _bounds_args, _cmd_bounds),
     "codebook": ("dump the joint codeword grids as CSV", _codebook_args, _cmd_codebook),
     "track": ("run one tracking frame with a verbose trace", _track_args, _cmd_track),
-    "sweep-nmse": ("Monte Carlo sweep (default axis: snr)", _sweep_args, _cmd_sweep_nmse),
-    "sweep-gain": ("Monte Carlo sweep (default axis: theta)", _sweep_args, _cmd_sweep_gain),
+    "sweep-nmse": ("Monte Carlo sweep (default axis: snr)", lambda p: _sweep_args(p, "snr"), _cmd_sweep),
+    "sweep-gain": ("Monte Carlo sweep (default axis: theta)", lambda p: _sweep_args(p, "theta"), _cmd_sweep),
     "validate": ("run the built-in oracle/property checks", lambda p: None, _cmd_validate),
 }
 
@@ -339,7 +325,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
-    return args.func(args, _scenario(parser, args))
+    (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
+    return args.func(args, _scenario(commands[args.command], args))
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import build_codebook, snap
-from .leakage import DegenerateGeometryError, build_cpr_problem, refine
+from .leakage import CprState, DegenerateGeometryError, build_cpr_problem, refine
 from .physmodel import (
     ChannelResponse,
     PathComponent,
@@ -32,7 +32,7 @@ from .physmodel import (
     channel_response,
     default_config,
 )
-from .tracker import coarse_estimate, plan_tracking, run_tracking
+from .tracker import TrackingEstimate, TrackingObservation, TrackingPlan, coarse_estimate, plan_tracking, run_tracking
 
 # Not called in this module: kept as its attributes only so that span tracers
 # wrapping harness.precoder_matrix, and the set-up probe calling
@@ -52,6 +52,8 @@ __all__ = [
     "scenario_from_file",
     "scenario_from_mapping",
     "pilot_noise_std",
+    "Frame",
+    "run_frame",
     "run_trial",
     "nmse",
     "nmse_db",
@@ -87,6 +89,12 @@ class ScenarioConfig:
         for key in ("snr_db", "slots"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must not be empty")
+        for snr in self.snr_db:
+            # a huge SNR overflows the power ratio, a hugely negative one underflows it to 0
+            with contextlib.suppress(OverflowError), np.errstate(divide="ignore", over="ignore"):
+                if 0 < pilot_noise_std(snr, self.system) < math.inf:
+                    continue
+            raise ValueError(f"snr_db entry {snr!r} gives a pilot noise that is not finite and positive")
         if not 0 < self.zeta_max < 1:
             raise ValueError("zeta_max must lie in (0, 1)")
         if self.trials < 1 or self.users < 1:
@@ -155,6 +163,81 @@ def pilot_noise_std(snr_db: float, cfg: SystemConfig) -> float:
     return cfg.n_bs / np.sqrt(10.0 ** (snr_db / 10.0))
 
 
+@dataclass(frozen=True)
+class Frame:
+    """One tracking frame: its record, plan, pilots, coarse estimate and CPR ``state``.
+
+    ``state`` is None without compensation or on a degenerate geometry.
+    """
+
+    record: TrialRecord
+    plan: TrackingPlan
+    obs: TrackingObservation
+    estimate: TrackingEstimate
+    state: CprState | None
+
+
+def run_frame(
+    scn: ScenarioConfig,
+    trial: int,
+    user: int,
+    snr_db: float | None,
+    n_slots: int,
+    theta_target: float | None = None,
+    center: float | None = None,
+    trace: list | None = None,
+) -> Frame:
+    """One frame of ``user`` in ``trial``: plan, pilots, coarse estimate, refinement, gain.
+
+    Deterministic in (seed, trial, user).  ``snr_db`` is the post-beamforming
+    SNR at perfect alignment (None means noiseless).  The previous direction
+    is drawn and the true one is a mobility step from it; when
+    ``theta_target`` is given the true direction is pinned to it and the
+    previous one is back-generated.  The searched interval is centred on the
+    previous direction, or on ``center`` when given.  With compensation the
+    coarse estimate is refined (``trace`` collects the iterates); a
+    degenerate geometry keeps the coarse estimate.
+    """
+    cfg = scn.system
+    cb = build_codebook(cfg) if scn.codebook else None
+    cap = scn.center_cap
+    noise_std = 0.0 if snr_db is None else pilot_noise_std(snr_db, cfg)
+    rng = np.random.default_rng([scn.seed, trial, user])
+    g = _draw_gain(rng, scn.gain_sigma)
+    zeta = rng.uniform(-scn.zeta_max, scn.zeta_max)
+    if theta_target is None:
+        theta_prev = _clamp(rng.uniform(-cap, cap), cap)
+        theta_r = _clamp(theta_prev + zeta, _DIRECTION_CAP)
+    else:
+        theta_r = float(theta_target)
+        theta_prev = _clamp(theta_r - zeta, cap)
+    center = theta_prev if center is None else center
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        plan = plan_tracking(center, scn.zeta_max, n_slots, cfg, codebook=cb, pairing_mode=_scheme_mode(scn.scheme))
+    channel = channel_response(PathComponent(g, theta_r), cfg)
+    obs = run_tracking(plan, channel, noise_std, rng)
+    est = coarse_estimate(obs)
+    state = None
+    outcome = {}
+    if scn.compensation:
+        prob = build_cpr_problem(obs)
+        # noiseless data supports convergence to machine precision
+        limits = {"max_iter": 200, "tol": 1e-18} if noise_std == 0.0 else {}
+        try:
+            state = refine(prob, est.theta_hat, trace=trace, **limits)
+        except DegenerateGeometryError:
+            outcome = {"degenerate": True}
+        else:
+            outcome = {"iterations": state.iterations, "converged": state.converged, "diverged": state.diverged}
+    theta_refined = None if state is None else float(state.theta)
+    theta_final = est.theta_hat if theta_refined is None else theta_refined
+    aim = snap(theta_final, cb.psi_grid) if cb else theta_final
+    gain = beamforming_gain(channel, aim, cfg)
+    record = TrialRecord(trial, user, theta_r, est.theta_hat, theta_refined, gain, **outcome)
+    return Frame(record, plan, obs, est, state)
+
+
 def run_trial(
     scn: ScenarioConfig,
     trial_index: int,
@@ -162,78 +245,13 @@ def run_trial(
     n_slots: int,
     theta_target: float | None = None,
 ) -> list[TrialRecord]:
-    """One Monte Carlo frame for every user; deterministic in (seed, trial, user).
+    """The records of one Monte Carlo frame (:func:`run_frame`) for every user.
 
-    ``snr_db`` is the post-beamforming SNR at perfect alignment (None means
-    noiseless).  When ``theta_target`` is given the true direction is pinned
-    to it and the previous direction is back-generated from the mobility step;
-    a target beyond the direction cap (|theta| > 0.99) is rejected.
+    A ``theta_target`` beyond the direction cap (|theta| > 0.99) is rejected.
     """
     if theta_target is not None and not abs(theta_target) <= _DIRECTION_CAP:
         raise ValueError(f"theta_target must lie in [-{_DIRECTION_CAP}, {_DIRECTION_CAP}], got {theta_target!r}")
-    cfg = scn.system
-    cb = build_codebook(cfg) if scn.codebook else None
-    cap = scn.center_cap
-    noise_std = 0.0 if snr_db is None else pilot_noise_std(snr_db, cfg)
-
-    records = []
-    for user in range(scn.users):
-        rng = np.random.default_rng([scn.seed, trial_index, user])
-        g = _draw_gain(rng, scn.gain_sigma)
-        zeta = rng.uniform(-scn.zeta_max, scn.zeta_max)
-        if theta_target is None:
-            theta_prev = _clamp(rng.uniform(-cap, cap), cap)
-            theta_r = _clamp(theta_prev + zeta, _DIRECTION_CAP)
-        else:
-            theta_r = float(theta_target)
-            theta_prev = _clamp(theta_r - zeta, cap)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            plan = plan_tracking(
-                theta_prev,
-                scn.zeta_max,
-                n_slots,
-                cfg,
-                codebook=cb,
-                pairing_mode=_scheme_mode(scn.scheme),
-            )
-        channel = channel_response(PathComponent(g, theta_r), cfg)
-        obs = run_tracking(plan, channel, noise_std, rng)
-        est = coarse_estimate(obs)
-        theta_refined = None
-        outcome = {}
-        if scn.compensation:
-            prob = build_cpr_problem(obs)
-            try:
-                if noise_std == 0.0:
-                    # noiseless data supports convergence to machine precision
-                    state = refine(prob, est.theta_hat, max_iter=200, tol=1e-18)
-                else:
-                    state = refine(prob, est.theta_hat)
-            except DegenerateGeometryError:
-                outcome = {"degenerate": True}
-            else:
-                theta_refined = float(state.theta)
-                outcome = {
-                    "iterations": state.iterations,
-                    "converged": state.converged,
-                    "diverged": state.diverged,
-                }
-        theta_final = theta_refined if theta_refined is not None else est.theta_hat
-        aim = snap(theta_final, cb.psi_grid) if cb else theta_final
-        gain = beamforming_gain(channel, aim, cfg)
-        records.append(
-            TrialRecord(
-                trial=trial_index,
-                user=user,
-                theta_r=theta_r,
-                theta_hat=est.theta_hat,
-                theta_refined=theta_refined,
-                gain=gain,
-                **outcome,
-            )
-        )
-    return records
+    return [run_frame(scn, trial_index, user, snr_db, n_slots, theta_target).record for user in range(scn.users)]
 
 
 def nmse(theta_hat, theta_r) -> tuple[float, int]:

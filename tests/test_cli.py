@@ -1,13 +1,15 @@
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from thztrack import cli
+from thztrack import cli, harness
 from thztrack.cli import _COMMANDS, build_parser, main
-from thztrack.harness import CONFIG_PARSERS, scenario_from_file
+from thztrack.harness import CONFIG_PARSERS, ScenarioConfig, run_trial, scenario_from_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -136,6 +138,57 @@ class TestTrack:
         assert len(header) == 1 + 129  # slot column plus one column per subcarrier
 
 
+class TestTrackIsFrameZero:
+    """``track`` prints frame (trial 0, user 0) of its scenario, as the sweeps run it."""
+
+    @pytest.mark.parametrize("theta_r", [None, 0.41])
+    @pytest.mark.parametrize(
+        "extra, keys",
+        [([], {}), (["--codebook"], {"codebook": True}), (["--compensation"], {"compensation": True}),
+         (["--config", "track.cfg"], {"scheme": "forward_only", "gain_sigma": 0.3})],
+    )
+    def test_printed_numbers_match_run_trial(self, tmp_path, monkeypatch, capsys, theta_r, extra, keys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "track.cfg").write_text("scheme = forward_only\ngain_sigma = 0.3\n")
+        argv = ["track", "--seed", "3", "--snr", "15", "--slots", "2"] + extra
+        if theta_r is not None:
+            argv += ["--theta-r", str(theta_r)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        scn = ScenarioConfig(seed=3, snr_db=(15.0,), slots=(2,), **keys)
+        rec = run_trial(scn, 0, 15.0, 2, theta_r)[0]
+        assert f"tracking theta_r={rec.theta_r:.6f} " in out
+        assert f"coarse estimate {rec.theta_hat:+.6f} " in out
+        if scn.compensation:
+            assert f"refined estimate {rec.theta_refined:+.6f} " in out
+        else:
+            assert "refined estimate" not in out
+        assert f"beamforming gain at estimate: {rec.gain:.4f}\n" in out
+
+    def test_degenerate_refinement_keeps_the_coarse_estimate(self, tmp_path, capsys, monkeypatch):
+        real_refine = harness.refine
+
+        def refine_on_dead_geometry(prob, theta_init, **kwargs):
+            # every slot steers its beam null onto the start angle, so all slot responses vanish there
+            slopes = np.full(prob.n_slots, theta_init)
+            return real_refine(replace(prob, psi=slopes - 2.0 / prob.cfg.n_bs, t_aux=slopes), theta_init, **kwargs)
+
+        monkeypatch.setattr(harness, "refine", refine_on_dead_geometry)
+        trace = tmp_path / "trace.csv"
+        assert main(["track", "--seed", "3", "--snr", "10", "--compensation", "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "refinement degenerate (every slot response vanished): kept the coarse estimate" in out
+        assert "refined estimate" not in out and not trace.exists()
+
+    def test_a_failing_refinement_is_not_a_usage_error(self, monkeypatch):
+        def broken_refine(prob, theta_init, **kwargs):
+            raise ValueError("broken refinement")
+
+        monkeypatch.setattr(harness, "refine", broken_refine)
+        with pytest.raises(ValueError, match="broken refinement"):
+            main(["track", "--seed", "3", "--compensation"])
+
+
 class TestSweeps:
     def test_sweep_nmse_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -183,12 +236,14 @@ class TestSweeps:
         assert [r["value"] for r in rows] == ["5.0", "15.0"]
         assert all(r["scheme"] == "forward_only" for r in rows)
 
-    def test_slots_axis_rejects_non_integral_values(self, tmp_path):
+    def test_slots_axis_rejects_non_integral_values(self, tmp_path, capsys):
         out = tmp_path / "slots.csv"
         args = ["sweep-nmse", "--seed", "5", "--trials", "1", "--users", "1",
                 "--axis", "slots", "--out", str(out)]
-        with pytest.raises(ValueError, match="--values"):
+        with pytest.raises(SystemExit) as exc:
             main(args + ["--values", "2.5,4"])
+        assert exc.value.code == 2
+        assert "'--values' must be an integer, got '2.5'" in capsys.readouterr().err
         assert not out.exists()
         assert main(args + ["--values", "2.0,4"]) == 0
         _, rows = read_csv(out)
@@ -207,12 +262,14 @@ class TestSweeps:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("values", ["1,abc", "1,,2", "1,nan", "inf"])
-    def test_values_must_be_finite_numbers(self, tmp_path, values):
+    def test_values_must_be_finite_numbers(self, tmp_path, capsys, values):
         out = tmp_path / "snr.csv"
         args = ["sweep-nmse", "--seed", "5", "--trials", "1", "--users", "1",
                 "--out", str(out), "--values", values]
-        with pytest.raises(ValueError, match="--values"):
+        with pytest.raises(SystemExit) as exc:
             main(args)
+        assert exc.value.code == 2
+        assert "'--values' must be a finite number, got " in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -329,6 +386,25 @@ class TestBadScenario:
             (["sweep-nmse", "--seed", "1", "--n-bs", "100", "--out", "x.csv"], "n_ttd*p = 256 != n_bs = 100"),
             (["sweep-gain", "--seed", "1", "--theta-grid", "0.3,1.5", "--out", "x.csv"],
              "theta_grid entries must lie in [-0.99, 0.99], got (0.3, 1.5)"),
+            (["sweep-gain", "--seed", "1", "--trials", "1", "--users", "1", "--values", "0.3,1.5", "--out", "x.csv"],
+             "theta_grid entries must lie in [-0.99, 0.99], got (0.3, 1.5)"),
+            (["sweep-gain", "--seed", "1", "--out", "x.csv"], "a theta sweep needs --values or theta_grid"),
+            (["sweep-nmse", "--seed", "1", "--config", "nope.cfg", "--out", "x.csv"],
+             "argument --config: No such file or directory: 'nope.cfg'"),
+            (["sweep-nmse", "--seed", "1", "--trials", "1", "--users", "1", "--snr-db=-4000", "--out", "x.csv"],
+             "snr_db entry -4000.0 gives a pilot noise that is not finite and positive"),
+            (["sweep-nmse", "--seed", "1", "--trials", "1", "--users", "1", "--snr-db", "1e300", "--out", "x.csv"],
+             "snr_db entry 1e+300 gives a pilot noise that is not finite and positive"),
+            (["sweep-nmse", "--seed", "1", "--trials", "1", "--users", "1", "--values=-4000", "--out", "x.csv"],
+             "snr_db entry -4000.0 gives a pilot noise that is not finite and positive"),
+            (["track", "--seed", "3", "--snr", "1e300"],
+             "snr_db entry 1e+300 gives a pilot noise that is not finite and positive"),
+            (["track", "--seed", "3", "--theta-r", "5"], "theta_grid entries must lie in [-0.99, 0.99], got (5.0,)"),
+            (["track", "--seed", "3", "--alpha", "1.5"], "zeta_max must lie in (0, 1)"),
+            (["track", "--seed", "3", "--theta0", "0.95", "--alpha", "0.1"],
+             "argument --theta0: must lie in [-0.9, 0.9], got 0.95"),
+            (["track", "--seed", "3", "--theta0=-0.81"], "argument --theta0: must lie in [-0.8, 0.8], got -0.81"),
+            (["track", "--seed", "3", "--config", "nope.cfg"], "argument --config: No such file or directory: 'nope.cfg'"),
         ],
     )
     def test_exits_2_with_the_message(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -336,7 +412,10 @@ class TestBadScenario:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the usage and the error line are the command's, as for a flag that does not parse
+        assert err.startswith(f"usage: thztrack {argv[0]} [-h]")
+        assert f"thztrack {argv[0]}: error: {message}" in err
         assert not (tmp_path / "x.csv").exists()
 
 

@@ -23,6 +23,7 @@ from thztrack.harness import (
     load_key_values,
     nmse,
     nmse_db,
+    run_frame,
     run_trial,
     scenario_from_file,
     scenario_from_mapping,
@@ -147,6 +148,27 @@ class TestRunTrial:
         rec = run_trial(scn, 0, None, 4)[0]
         assert abs(rec.theta_refined - rec.theta_r) < 1e-6
 
+    def test_run_trial_is_one_frame_per_user(self, cfg):
+        scn = ScenarioConfig(system=cfg, users=3, seed=4, compensation=True, codebook=True)
+        frames = [run_frame(scn, 2, user, 10.0, 2, theta_target=0.3) for user in range(3)]
+        assert run_trial(scn, 2, 10.0, 2, theta_target=0.3) == [frame.record for frame in frames]
+        frame = frames[1]
+        assert frame.plan.slots == 2 and frame.obs.y.shape == (2, cfg.n_subcarriers)
+        assert (frame.estimate.theta_hat, float(frame.state.theta)) == (frame.record.theta_hat, frame.record.theta_refined)
+
+    def test_center_moves_only_the_searched_interval(self, cfg):
+        scn = ScenarioConfig(system=cfg, users=1, seed=4, compensation=True)
+        trace = []
+        frame = run_frame(scn, 0, 0, 20.0, 4, center=0.25, trace=trace)
+        assert frame.plan.theta0 == 0.25 and frame.plan.alpha == scn.zeta_max
+        assert frame.record.theta_r == run_trial(scn, 0, 20.0, 4)[0].theta_r
+        # the trace collects one row per refine iteration, ending at the refined angle
+        assert len(trace) == frame.record.iterations and trace[-1][1] == frame.state.theta
+
+    def test_no_state_without_compensation(self, cfg):
+        frame = run_frame(ScenarioConfig(system=cfg, users=1, seed=4), 0, 0, 10.0, 2)
+        assert frame.state is None and frame.record.theta_refined is None
+
     def test_record_count_users(self, cfg):
         scn = ScenarioConfig(system=cfg, users=3, trials=1, seed=3)
         assert len(run_trial(scn, 0, 10.0, 2)) == 3
@@ -195,6 +217,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="theta_grid entries must lie in"):
             ScenarioConfig(theta_grid=theta_grid)
         assert ScenarioConfig(theta_grid=(-0.99, 0.99)).theta_grid == (-0.99, 0.99)
+
+    @pytest.mark.parametrize("snr_db", [-4000.0, 1e300, float("inf"), float("-inf"), float("nan")])
+    def test_rejects_snr_without_finite_positive_pilot_noise(self, cfg, snr_db):
+        with pytest.raises(ValueError, match=r"snr_db entry .* gives a pilot noise that is not finite and positive"):
+            ScenarioConfig(snr_db=(10.0, snr_db))
+        # sweep values are parsed first, and the parser rejects non-finite numbers itself
+        with pytest.raises(ValueError, match="snr_db entry|'values' must be a finite number"):
+            sweep(ScenarioConfig(system=cfg, users=1, trials=1), "snr", values=[snr_db])
+        assert ScenarioConfig(snr_db=(-3000.0, 3000.0)).snr_db == (-3000.0, 3000.0)
 
     def test_center_cap(self):
         scn = ScenarioConfig(zeta_max=0.2)
