@@ -93,8 +93,7 @@ def recovery_errors() -> tuple[float, float]:
     """
     cfg = default_config()
     plan = plan_tracking(0.42, 0.1, 3, cfg)
-    pc = plan.pairings[1]
-    target = float(angle_map(11, PrecoderConfig(pc.psi, pc.t_aux), cfg))
+    target = float(angle_map(11, plan.pairings[1], cfg))
     channel = channel_response(PathComponent(1.0 + 0j, target), cfg)
     on_grid = abs(coarse_estimate(run_tracking(plan, channel, 0.0)).theta_hat - target)
     theta_r = target + 2.9e-4

@@ -79,7 +79,8 @@ def _add_config_args(parser: argparse.ArgumentParser, keys):
 def _scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig | None:
     """The ``--config`` file with the config flags and ``--values`` (the axis's key) on top; None without them.
 
-    An unreadable file, a rejected value and ``track --theta0`` beyond the centre cap are usage errors.
+    An unreadable file, a rejected value, ``track --theta0`` beyond the centre cap and ``track --trace``
+    without compensation are usage errors.
     """
     opts = vars(args)
     if "config" not in opts:
@@ -96,6 +97,8 @@ def _scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig | None:
         cap = scn.center_cap
         if center is not None and not abs(center) <= cap:
             raise ValueError(f"argument --theta0: must lie in [-{cap:g}, {cap:g}], got {center!r}")
+        if opts.get("trace") is not None and not scn.compensation:
+            raise ValueError("argument --trace: traces the refinement, which needs --compensation")
     except OSError as exc:
         parser.error(f"argument --config: {exc.strerror}: {exc.filename!r}")
     except ValueError as exc:
@@ -114,9 +117,8 @@ def _cmd_beam_pattern(args, scn: ScenarioConfig) -> int:
         pc = PrecoderConfig(args.psi, args.t)
         label = f"psi={args.psi} t={args.t}"
     else:
-        pairing = make_pairing(args.theta0, args.alpha, cfg)
-        pc = PrecoderConfig(pairing.psi, pairing.t_aux)
-        label = f"{pairing.mode} pairing theta0={args.theta0} alpha={args.alpha}"
+        pc = make_pairing(args.theta0, args.alpha, cfg)
+        label = f"{pc.mode} pairing theta0={args.theta0} alpha={args.alpha}"
     grid = SubcarrierGrid.from_config(cfg)
     if args.peaks_only:
         pm = peak_map(pc, cfg, grid_step=args.grid_step)
@@ -203,7 +205,7 @@ def _cmd_sweep(args, scn: ScenarioConfig) -> int:
     report = sweep(scn, args.axis, keep_records=args.full is not None)
     report.write_csv(args.out)
     if args.full:
-        report.write_json(args.full, full=True)
+        report.write_json(args.full)
         print(f"wrote {args.full}")
     for row in report.rows:
         print(
@@ -220,7 +222,6 @@ def _cmd_validate(args, scn) -> int:
     cfg = default_config()
     cfg2 = SystemConfig(n_bs=256, n_ttd=16, p=16, f_c=100e9, bandwidth=12.5e9, m_half=64)
     pairing = make_pairing(0.6, 0.04, cfg)
-    pc = PrecoderConfig(pairing.psi, pairing.t_aux)
     on_grid, off_grid = checks.recovery_errors()
     scn = ScenarioConfig(system=cfg, users=1, trials=5, seed=11, snr_db=(10.0,), slots=(2,))
     runs = [sweep(scn, "snr", values=[0.0, 10.0]).rows for _ in range(2)]
@@ -230,7 +231,7 @@ def _cmd_validate(args, scn) -> int:
         ("forward radius at 0.95 equals 0.003125", abs(forward_bound(0.95, cfg2) - 0.003125), 1e-12),
         ("large-angle radius near 0.1502", abs(large_angle_bound(1.0, cfg) - 0.150157), 5e-4),
         ("fixed radius equals 0.0625", abs(fixed_radius(cfg) - 0.0625), 0.0),
-        ("peak map matches angle map (backward pairing)", checks.angle_map_deviation(pc, 2e-4), 2e-4 + 1e-9),
+        ("peak map matches angle map (backward pairing)", checks.angle_map_deviation(pairing, 2e-4), 2e-4 + 1e-9),
         ("angle gradient matches finite differences", checks.gradient_error(5), 1e-5),
         ("noiseless on-grid recovery is exact", on_grid, 1e-12),
         ("noiseless off-grid refinement below 1e-6", off_grid, 1e-6),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -120,11 +120,4 @@ def snap(value: float, grid: QuantGrid) -> float:
 
 def quantized_pairing(pairing: PairingConfig, cb: JointCodebook) -> PairingConfig:
     """Pairing with both slopes replaced by their nearest codewords."""
-    return PairingConfig(
-        mode=pairing.mode,
-        theta0=pairing.theta0,
-        alpha=pairing.alpha,
-        psi=snap(pairing.psi, cb.psi_grid),
-        t_aux=snap(pairing.t_aux, cb.t_grid),
-        over_bound=pairing.over_bound,
-    )
+    return replace(pairing, psi=snap(pairing.psi, cb.psi_grid), t_aux=snap(pairing.t_aux, cb.t_grid))

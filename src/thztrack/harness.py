@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -212,9 +211,7 @@ def run_frame(
         theta_r = float(theta_target)
         theta_prev = _clamp(theta_r - zeta, cap)
     center = theta_prev if center is None else center
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        plan = plan_tracking(center, scn.zeta_max, n_slots, cfg, codebook=cb, pairing_mode=_scheme_mode(scn.scheme))
+    plan = plan_tracking(center, scn.zeta_max, n_slots, cfg, codebook=cb, pairing_mode=_scheme_mode(scn.scheme))
     channel = channel_response(PathComponent(g, theta_r), cfg)
     obs = run_tracking(plan, channel, noise_std, rng)
     est = coarse_estimate(obs)
@@ -257,8 +254,7 @@ def run_trial(
 def nmse(theta_hat, theta_r) -> tuple[float, int]:
     """Mean of |error|^2 / |theta_r|^2; records with theta_r == 0 are excluded.
 
-    Returns (linear NMSE, number of excluded records) and warns when any
-    record is dropped.
+    Returns (linear NMSE, number of excluded records).
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     theta_r = np.asarray(theta_r, dtype=float)
@@ -266,8 +262,6 @@ def nmse(theta_hat, theta_r) -> tuple[float, int]:
         raise ValueError("estimate/truth length mismatch")
     keep = theta_r != 0.0
     excluded = int(np.sum(~keep))
-    if excluded:
-        warnings.warn(f"excluded {excluded} records with theta_r == 0", RuntimeWarning, stacklevel=2)
     if not np.any(keep):
         return 0.0, excluded
     ratio = (theta_hat[keep] - theta_r[keep]) ** 2 / theta_r[keep] ** 2
@@ -320,9 +314,10 @@ class MetricsReport:
         """One line per row; the columns are the row keys, in the order ``sweep`` builds them."""
         write_table(path, list(self.rows[0]), (row.values() for row in self.rows))
 
-    def write_json(self, path, full: bool = False):
+    def write_json(self, path):
+        """The rows and, when kept, the per-trial records."""
         payload = {"axis": self.axis, "rows": self.rows}
-        if full and self.records is not None:
+        if self.records is not None:
             payload["records"] = {
                 str(value): [asdict(r) for r in recs] for value, recs in self.records.items()
             }
@@ -364,10 +359,8 @@ def sweep(scn: ScenarioConfig, axis: str, values=None, keep_records: bool = Fals
         finals = [r.theta_final for r in records]
         coarse = [r.theta_hat for r in records]
         truths = [r.theta_r for r in records]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            lin, excluded = nmse(finals, truths)
-            lin_coarse, _ = nmse(coarse, truths)
+        lin, excluded = nmse(finals, truths)
+        lin_coarse, _ = nmse(coarse, truths)
         rows.append(
             {
                 "axis": axis,

@@ -99,7 +99,6 @@ class CprState:
     iterations: int = 0
     converged: bool = False
     diverged: bool = False
-    degenerate_phases: bool = False
 
 
 class DegenerateGeometryError(ValueError):
@@ -107,6 +106,8 @@ class DegenerateGeometryError(ValueError):
 
 
 _EPS = float_info.epsilon
+# cap on refine's trial angle step, and the step its line search restarts from
+_MAX_STEP = 1e-2
 
 
 def _model(g: float, phasors: np.ndarray) -> np.ndarray:
@@ -131,20 +132,20 @@ def _gain(prob: CprProblem, amp: np.ndarray) -> float:
     return float(np.vdot(prob.abs_y, abs_amp) / np.vdot(amp, amp))
 
 
-def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Inner products z_m = c_m^H y_hat_m, their phasors exp(j*tau_m) = z_m/|z_m|, and whether any z_m vanished.
+def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inner products z_m = c_m^H y_hat_m and their phasors exp(j*tau_m) = z_m/|z_m|.
 
     A vanished z_m has tau_m = angle(0) = 0, so its phasor is 1.
     """
     z = np.einsum("ml,ml->m", c.conj(), prob.y_hat)
     abs_z = np.abs(z)
     if np.count_nonzero(abs_z) == abs_z.size:
-        return z, z / abs_z, False
+        return z, z / abs_z
     zero = abs_z == 0.0
     abs_z[zero] = 1.0
     phasors = z / abs_z
     phasors[zero] = 1.0
-    return z, phasors, True
+    return z, phasors
 
 
 def objective(prob: CprProblem, theta: float, g: float, taus: np.ndarray) -> float:
@@ -171,7 +172,7 @@ def update_gain(prob: CprProblem, state: CprState) -> float:
 def update_phases(prob: CprProblem, state: CprState) -> np.ndarray:
     """Closed-form per-subcarrier phases tau_m = angle(c_m^H y_hat_m).
 
-    A zero inner product leaves tau_m = 0 (flagged by refine as degenerate).
+    A zero inner product leaves tau_m = 0.
     """
     return np.angle(_phases(prob, prob.kernel(state.theta))[0])
 
@@ -193,7 +194,6 @@ def refine(
     theta_init: float,
     max_iter: int = 50,
     tol: float = 1e-10,
-    step: float = 1e-2,
     trace: list | None = None,
 ) -> CprState:
     """Alternating refinement from a coarse angle: amplitude, phases, gradient step.
@@ -201,7 +201,7 @@ def refine(
     Each iteration updates g and tau_m in closed form, then moves theta
     against the gradient with a backtracking line search (halving until the
     residual decreases).  The trial step is warm-started from the last
-    accepted one and capped both at ``step`` and at a trust region of a
+    accepted one and capped both at ``_MAX_STEP`` = 1e-2 and at a trust region of a
     quarter beam semi-width per move, which keeps the search short when the
     residual scale is large.  Every line-search angle is evaluated once
     (:meth:`RayKernel.evaluate`); the accepted angle's evaluation serves the
@@ -220,14 +220,13 @@ def refine(
     # the phases are kept as the inner products z_m, tau_m = angle(z_m); angle(1) = 0 before the first update
     cfg = prob.cfg
     z = np.ones(cfg.n_subcarriers)
-    eta = step
+    eta = _MAX_STEP
     # largest useful theta move: a fraction of the narrowest beam semi-width (top subcarrier)
     f_high = cfg.f_c + cfg.m_half * cfg.f_d
     max_move = 0.5 * cfg.f_c / (cfg.n_bs * f_high)
     best: tuple[float, float, float, np.ndarray] | None = None
     prev_eps = np.inf
     grow_streak = 0
-    degenerate = False
     eps = _sum_sq(prob.y_hat)
     iterations = 0
     converged = False
@@ -237,8 +236,7 @@ def refine(
         iterations = it
         # ev and dc belong to theta: the start's, or the last accepted candidate's
         g = _gain(prob, ev.amp)
-        z, phasors, vanished = _phases(prob, ev.c)
-        degenerate = degenerate or vanished
+        z, phasors = _phases(prob, ev.c)
         model = _model(g, phasors)
         r = _residual_matrix(prob, ev.c, model)
         eps = _sum_sq(r)
@@ -247,7 +245,7 @@ def refine(
         # backtracking line search on theta, simple-decrease criterion; stop
         # once the first-order decrease eta*grad^2 falls below the float
         # resolution of the objective
-        eta = min(step, 2.0 * eta)
+        eta = min(_MAX_STEP, 2.0 * eta)
         if grad != 0.0:
             eta = min(eta, max_move / abs(grad))
         theta_new, eps_new = theta, eps
@@ -269,7 +267,7 @@ def refine(
             # numerically stationary along this direction; a later iteration
             # may move again once the gain/phase blocks shift, so restart the
             # search scale rather than leaving eta microscopic
-            eta = step
+            eta = _MAX_STEP
 
         if trace is not None:
             trace.append((it, theta_new, g, eps_new))
@@ -306,5 +304,4 @@ def refine(
         iterations=iterations,
         converged=converged,
         diverged=diverged,
-        degenerate_phases=degenerate,
     )

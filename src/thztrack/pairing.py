@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .beampattern import dirichlet
-from .physmodel import SystemConfig
+from .physmodel import PrecoderConfig, SystemConfig
 
 __all__ = [
     "FORWARD",
@@ -52,18 +52,18 @@ _STEP_60_DEG = 0.866
 
 
 @dataclass(frozen=True)
-class PairingConfig:
-    """One subcarrier-angle pairing: mode, searched interval and the two slopes.
+class PairingConfig(PrecoderConfig):
+    """One subcarrier-angle pairing: the precoder slopes, its mode and searched interval.
 
-    ``over_bound`` flags radii beyond :func:`mode_bound`; tracking with such a
-    config may fail, but it is allowed (useful for demonstrating diffusion).
+    A pairing is the precoder of its slot, so every function that takes
+    slopes takes it as it is.  ``over_bound`` is the one report of a radius
+    beyond :func:`mode_bound`; tracking with such a config may fail, but it is
+    allowed (useful for demonstrating diffusion).
     """
 
     mode: str
     theta0: float
     alpha: float
-    psi: float
-    t_aux: float
     over_bound: bool = False
 
 
@@ -82,18 +82,19 @@ def make_pairing(theta0: float, alpha: float, cfg: SystemConfig, mode: str = "au
         mode = BACKWARD if theta0 >= 0 else FORWARD
     elif mode not in (FORWARD, BACKWARD):
         raise ValueError(f"unknown pairing mode {mode!r}")
-    if abs(theta0) > 1:
+    # written so that nan fails them too
+    if not abs(theta0) <= 1:
         raise ValueError("theta0 must lie in [-1, 1]")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     r = cfg.edge_ratio
     sign = 1.0 if mode == FORWARD else -1.0
     return PairingConfig(
+        psi=theta0 + sign * r * alpha,
+        t_aux=theta0 + sign * alpha / r,
         mode=mode,
         theta0=theta0,
         alpha=alpha,
-        psi=theta0 + sign * r * alpha,
-        t_aux=theta0 + sign * alpha / r,
         over_bound=alpha > mode_bound(theta0, mode, cfg),
     )
 

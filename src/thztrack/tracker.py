@@ -8,7 +8,6 @@ subcarrier) pairs yields the coarse angle estimate through the angle map.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from . import pairing as pairing_mod
 from .beampattern import angle_map
 from .codebook import JointCodebook, quantized_pairing
 from .pairing import BACKWARD, PairingConfig
-from .physmodel import ChannelResponse, PrecoderConfig, SystemConfig
+from .physmodel import ChannelResponse, SystemConfig
 
 # Not called in this module: kept as its attributes only so that span tracers
 # wrapping tracker.forward_bound, tracker.large_angle_bound and
@@ -78,14 +77,16 @@ def plan_tracking(
     """Split [theta0 - alpha, theta0 + alpha] into ``slots`` fractions and pair each.
 
     ``pairing_mode`` is "auto" (sign-of-center rule), "forward"/"backward"
-    (forced, for baselines), or "sweep" (one beam per slot).  Slot radii beyond
-    the applicable bound only warn; tracking with them may fail.
+    (forced, for baselines), or "sweep" (one beam per slot).  A slot radius
+    beyond its pairing's :func:`~thztrack.pairing.mode_bound` is allowed and
+    flagged by the pairing's ``over_bound``; tracking with it may fail.
     """
     if slots < 1:
         raise ValueError("slots must be a positive integer")
-    if alpha <= 0:
+    # written so that nan fails them too
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
-    if abs(theta0) + alpha > 1 + 1e-12:
+    if not abs(theta0) + alpha <= 1 + 1e-12:
         raise ValueError(f"searched interval [{theta0 - alpha}, {theta0 + alpha}] leaves [-1, 1]")
     l = np.arange(1, slots + 1)
     centers = theta0 - alpha + (2 * l - 1) * alpha / slots
@@ -95,17 +96,9 @@ def plan_tracking(
         if pairing_mode == "sweep":
             # one beam per slot: both slopes point at the fraction center, so
             # every subcarrier maps to the same angle
-            pc = PairingConfig(mode=BACKWARD, theta0=float(c), alpha=0.0, psi=float(c), t_aux=float(c))
+            pc = PairingConfig(psi=float(c), t_aux=float(c), mode=BACKWARD, theta0=float(c), alpha=0.0)
         else:
             pc = pairing_mod.make_pairing(float(c), radius, cfg, pairing_mode)
-            if pc.over_bound:
-                bound = pairing_mod.mode_bound(pc.theta0, pc.mode, cfg)
-                warnings.warn(
-                    f"slot radius {radius:.4g} exceeds the {pc.mode} bound {bound:.4g} "
-                    f"at center {pc.theta0:.3f}; tracking may fail",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
         if codebook is not None:
             pc = quantized_pairing(pc, codebook)
         pairings.append(pc)
@@ -174,8 +167,7 @@ def estimate_angle(obs: TrackingObservation, l_hat: int, m_hat: int) -> float:
         raise ValueError("slot index out of range")
     if abs(m_hat) > obs.plan.cfg.m_half:
         raise ValueError("subcarrier index out of range")
-    pc = obs.plan.pairings[l_hat - 1]
-    theta = float(angle_map(m_hat, PrecoderConfig(pc.psi, pc.t_aux), obs.plan.cfg))
+    theta = float(angle_map(m_hat, obs.plan.pairings[l_hat - 1], obs.plan.cfg))
     return min(max(theta, -1.0), 1.0)
 
 

@@ -55,7 +55,7 @@ def test_criterion_02_subcarrier_angle_bijection_oracle():
         alpha = max((theta0 + rng.uniform(-0.22, 0.22)) / 20.0, 0.004)
         assert alpha < backward_bound(theta0, CFG)
         pairing = make_pairing(theta0, alpha, CFG)
-        worst = max(worst, checks.angle_map_deviation(PrecoderConfig(pairing.psi, pairing.t_aux), step))
+        worst = max(worst, checks.angle_map_deviation(pairing, step))
     assert worst <= step + 1e-9
 
     # ten percent past the forward limit the map must visibly break
@@ -102,7 +102,7 @@ def test_criterion_05_sidelobe_geometry_identities():
         sm, sp, tc = sidelobe_locations(pairing, CFG)
         weighted = (f_low * sm + f_high * sp) / (f_low + f_high)
         worst_weighted = max(worst_weighted, abs(weighted - tc))
-        gain = float(array_gain(CFG.f_c, tc, PrecoderConfig(pairing.psi, pairing.t_aux), CFG))
+        gain = float(array_gain(CFG.f_c, tc, pairing, CFG))
         worst_gain = max(worst_gain, abs(gain - 1.0))
     assert worst_weighted < 1e-12
     assert worst_gain < 1e-12

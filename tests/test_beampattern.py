@@ -100,8 +100,7 @@ class TestAngleMap:
         np.testing.assert_allclose(vals, 0.4, rtol=1e-14)
 
     def test_forward_pairing_endpoints(self, cfg):
-        pairing = make_pairing(-0.6, 0.05, cfg)  # forward mode
-        pc = PrecoderConfig(pairing.psi, pairing.t_aux)
+        pc = make_pairing(-0.6, 0.05, cfg)  # forward mode
         assert angle_map(-cfg.m_half, pc, cfg) == pytest.approx(-0.65, abs=1e-12)
         assert angle_map(cfg.m_half, pc, cfg) == pytest.approx(-0.55, abs=1e-12)
 
@@ -114,12 +113,12 @@ class TestAngleMap:
 
     def test_monotone_increasing_forward(self, cfg):
         pairing = make_pairing(-0.3, 0.04, cfg)
-        vals = angle_map(cfg.m_indices, PrecoderConfig(pairing.psi, pairing.t_aux), cfg)
+        vals = angle_map(cfg.m_indices, pairing, cfg)
         assert np.all(np.diff(vals) > 0)
 
     def test_monotone_decreasing_backward(self, cfg):
         pairing = make_pairing(0.3, 0.04, cfg)
-        vals = angle_map(cfg.m_indices, PrecoderConfig(pairing.psi, pairing.t_aux), cfg)
+        vals = angle_map(cfg.m_indices, pairing, cfg)
         assert np.all(np.diff(vals) < 0)
 
 
@@ -131,8 +130,7 @@ class TestPeakMap:
 
     def test_valid_backward_pairing_matches_angle_map(self, cfg):
         # moderate radius: the window slope pull stays below one grid step
-        pairing = make_pairing(0.6, 0.04, cfg)
-        pc = PrecoderConfig(pairing.psi, pairing.t_aux)
+        pc = make_pairing(0.6, 0.04, cfg)
         pm = peak_map(pc, cfg, grid_step=2e-4)
         mapped = angle_map(pm.m_indices, pc, cfg)
         assert np.max(np.abs(pm.angles - mapped)) <= 2e-4 + 1e-12
@@ -171,8 +169,7 @@ def _pairing_case(draw):
     assume(limit > 0)
     alpha = draw(st.floats(0.05, 1.0)) * limit
     assume(abs(theta0) + alpha <= 1.0)
-    pairing = make_pairing(theta0, alpha, cfg, mode)
-    return cfg, PrecoderConfig(pairing.psi, pairing.t_aux)
+    return cfg, make_pairing(theta0, alpha, cfg, mode)
 
 
 def _map_deviation(cfg, pc):
@@ -249,7 +246,7 @@ class TestSidelobeLocations:
         for _ in range(50):
             pairing = make_pairing(rng.uniform(0.0, 0.9), rng.uniform(0.01, 0.1), cfg)
             _, _, tc = sidelobe_locations(pairing, cfg)
-            g = array_gain(cfg.f_c, tc, PrecoderConfig(pairing.psi, pairing.t_aux), cfg)
+            g = array_gain(cfg.f_c, tc, pairing, cfg)
             assert g == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_backward_mode(self, cfg):

@@ -405,6 +405,10 @@ class TestBadScenario:
              "argument --theta0: must lie in [-0.9, 0.9], got 0.95"),
             (["track", "--seed", "3", "--theta0=-0.81"], "argument --theta0: must lie in [-0.8, 0.8], got -0.81"),
             (["track", "--seed", "3", "--config", "nope.cfg"], "argument --config: No such file or directory: 'nope.cfg'"),
+            (["track", "--seed", "3", "--trace", "x.csv"],
+             "argument --trace: traces the refinement, which needs --compensation"),
+            (["track", "--seed", "3", "--no-compensation", "--trace", "x.csv"],
+             "argument --trace: traces the refinement, which needs --compensation"),
         ],
     )
     def test_exits_2_with_the_message(self, tmp_path, monkeypatch, capsys, argv, message):

@@ -128,9 +128,8 @@ class TestQuantizedPairing:
         snapped = quantized_pairing(pairing, cb)
         assert abs(snapped.psi - pairing.psi) <= 1.0 / cfg.n_bs + 1e-12
         assert abs(snapped.t_aux - pairing.t_aux) <= 1.0 / cfg.n_bs + 1e-12
-        pc = PrecoderConfig(snapped.psi, snapped.t_aux)
-        pm = peak_map(pc, cfg, grid_step=2e-4)
-        mapped = angle_map(pm.m_indices, pc, cfg)
+        pm = peak_map(snapped, cfg, grid_step=2e-4)
+        mapped = angle_map(pm.m_indices, snapped, cfg)
         assert np.max(np.abs(pm.angles - mapped)) <= 2e-4 + 1e-12
 
 

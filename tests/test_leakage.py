@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from thztrack import (
     CprState,
     PathComponent,
-    PrecoderConfig,
     SubcarrierGrid,
     SystemConfig,
     angle_map,
@@ -53,7 +51,7 @@ def synthetic_problem(plan, cfg, grid, theta, g0, taus0):
     """
     a = steering_vector(grid.frequencies, theta, cfg.n_bs, cfg.f_c)
     c = np.stack(
-        [np.einsum("mn,mn->m", a.conj(), precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), cfg))
+        [np.einsum("mn,mn->m", a.conj(), precoder_matrix(pc, cfg))
          for pc in plan.pairings],
         axis=1,
     )
@@ -87,8 +85,7 @@ class TestBuildProblem:
         ch = channel_response(PathComponent(1.0 + 0j, 0.4), cfg)
         prob = build_cpr_problem(run_tracking(plan1, ch, 0.0))
         assert prob.y_hat.shape[1] == 1
-        pc = plan1.pairings[0]
-        expected = precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), cfg)[0]
+        expected = precoder_matrix(plan1.pairings[0], cfg)[0]
         np.testing.assert_allclose(prob.b_mats[0, :, 0], expected)
 
 
@@ -200,8 +197,7 @@ class TestObjectiveGradient:
 class TestRefine:
     def test_noiseless_off_grid_recovery(self, cfg):
         plan = plan_tracking(0.42, 0.1, 3, cfg)
-        pc = plan.pairings[1]
-        on_grid = float(angle_map(11, PrecoderConfig(pc.psi, pc.t_aux), cfg))
+        on_grid = float(angle_map(11, plan.pairings[1], cfg))
         theta_r = on_grid + 2.7e-4
         ch = channel_response(PathComponent(np.exp(0.4j), theta_r), cfg)
         obs = run_tracking(plan, ch, 0.0)
@@ -213,8 +209,7 @@ class TestRefine:
 
     def test_exact_initialization_stops_fast(self, cfg):
         plan = plan_tracking(0.42, 0.1, 3, cfg)
-        pc = plan.pairings[1]
-        theta_r = float(angle_map(-7, PrecoderConfig(pc.psi, pc.t_aux), cfg))
+        theta_r = float(angle_map(-7, plan.pairings[1], cfg))
         ch = channel_response(PathComponent(1.0 + 0j, theta_r), cfg)
         obs = run_tracking(plan, ch, 0.0)
         state = refine(build_cpr_problem(obs), theta_r)
@@ -342,9 +337,7 @@ class TestTrajectoryParity:
     @given(frame=_tracking_frames())
     def test_refine_matches_reference_loop(self, frame):
         system, theta0, alpha, theta_r, slots, snr_db, seed = frame
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # over-bound slots are fine here
-            plan = plan_tracking(theta0, alpha, slots, system)
+        plan = plan_tracking(theta0, alpha, slots, system)  # over-bound slots are fine here
         rng = np.random.default_rng(seed)
         ch = channel_response(PathComponent(np.exp(1j * rng.uniform(0, 2 * np.pi)), theta_r), system)
         noise_std = 0.0 if snr_db is None else system.n_bs / np.sqrt(10.0 ** (snr_db / 10.0))

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +8,7 @@ from thztrack import (
     SystemConfig,
     angle_map,
     backward_bound,
+    build_codebook,
     default_config,
     fixed_radius,
     forward_backward_bound,
@@ -20,6 +19,8 @@ from thztrack import (
     make_pairing,
     mode_bound,
     plan_tracking,
+    precoder_matrix,
+    quantized_pairing,
     quasi_fixed_radius,
     radius_bounds,
     sidelobe_locations,
@@ -77,6 +78,26 @@ class TestMakePairing:
         with pytest.raises(ValueError, match="pairing mode"):
             make_pairing(0.5, 0.05, cfg, "sideways")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_inputs(self, cfg, value):
+        with pytest.raises(ValueError, match="theta0 must lie in"):
+            make_pairing(value, 0.05, cfg)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            make_pairing(0.5, value, cfg)
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_pairing_is_its_precoder(self, cfg, quantize):
+        # forced forward at 0.6 is over its bound: the flag must survive quantization
+        pairing = make_pairing(0.6, 0.05, cfg, "forward")
+        p = quantized_pairing(pairing, build_codebook(cfg)) if quantize else pairing
+        assert (p.mode, p.theta0, p.alpha, p.over_bound) == ("forward", 0.6, 0.05, True)
+        plain = PrecoderConfig(p.psi, p.t_aux)
+        np.testing.assert_array_equal(precoder_matrix(p, cfg), precoder_matrix(plain, cfg))
+        np.testing.assert_array_equal(angle_map(cfg.m_indices, p, cfg), angle_map(cfg.m_indices, plain, cfg))
+        thetas = np.linspace(-1.0, 1.0, 201)
+        for f_m in (cfg.f_c - cfg.m_half * cfg.f_d, cfg.f_c, cfg.f_c + 7 * cfg.f_d):
+            np.testing.assert_array_equal(array_gain(f_m, thetas, p, cfg), array_gain(f_m, thetas, plain, cfg))
+
 
 _MODES = ("auto", "forward", "backward")
 
@@ -110,9 +131,8 @@ class TestMakePairingProperties:
         # forward pairing sends the lowest subcarrier to the lowest angle, backward reverses it
         low, high = theta0 - alpha, theta0 + alpha
         first, last = (low, high) if pairing.mode == "forward" else (high, low)
-        pc = PrecoderConfig(pairing.psi, pairing.t_aux)
-        assert angle_map(-system.m_half, pc, system) == pytest.approx(first, abs=1e-12)
-        assert angle_map(system.m_half, pc, system) == pytest.approx(last, abs=1e-12)
+        assert angle_map(-system.m_half, pairing, system) == pytest.approx(first, abs=1e-12)
+        assert angle_map(system.m_half, pairing, system) == pytest.approx(last, abs=1e-12)
         assert pairing.over_bound == (alpha > mode_bound(theta0, pairing.mode, system))
         if mode == "auto":
             # the mode auto picks always gets the enhanced large-angle limit
@@ -127,9 +147,7 @@ class TestMakePairingProperties:
         mode=st.sampled_from(_MODES),
     )
     def test_plan_slots_are_make_pairing(self, system, theta0, alpha, slots, mode):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            plan = plan_tracking(theta0, alpha, slots, system, pairing_mode=mode)
+        plan = plan_tracking(theta0, alpha, slots, system, pairing_mode=mode)
         expected = tuple(make_pairing(float(c), alpha / slots, system, mode) for c in plan.slot_centers)
         assert plan.pairings == expected
 
@@ -278,8 +296,7 @@ class TestInterFractionCheck:
 
 def _selection_errors(theta0, alpha, cfg, step=2e-3):
     """Noiseless one-slot selection: worst |angle_map(argmax_m gain) - theta|."""
-    pairing = make_pairing(theta0, alpha, cfg)
-    pc = PrecoderConfig(pairing.psi, pairing.t_aux)
+    pc = make_pairing(theta0, alpha, cfg)
     mapped = np.asarray(angle_map(cfg.m_indices, pc, cfg))
     spacing = float(np.max(np.abs(np.diff(np.sort(mapped)))))
     thetas = np.arange(theta0 - alpha, theta0 + alpha + 1e-12, step)

@@ -1,11 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from thztrack import (
     PathComponent,
-    PrecoderConfig,
     SubcarrierGrid,
     SystemConfig,
     TrackingObservation,
@@ -15,6 +12,7 @@ from thztrack import (
     coarse_estimate,
     default_config,
     estimate_angle,
+    mode_bound,
     plan_tracking,
     precoder_matrix,
     run_tracking,
@@ -61,26 +59,34 @@ class TestPlanTracking:
         with pytest.raises(ValueError):
             plan_tracking(0.9, 0.2, 4, cfg)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_raise(self, cfg, value):
+        with pytest.raises(ValueError, match="leaves"):
+            plan_tracking(value, 0.05, 2, cfg)
+        with pytest.raises(ValueError, match="alpha must be positive|leaves"):
+            plan_tracking(0.5, value, 2, cfg)
+
     def test_unknown_pairing_mode_raises(self, cfg):
         with pytest.raises(ValueError, match="pairing mode"):
             plan_tracking(0.4, 0.2, 4, cfg, pairing_mode="sideways")
 
+    # an over-bound slot is reported by its pairing's over_bound flag alone:
+    # plan_tracking does not warn, and the suite turns any RuntimeWarning into an error
+
     def test_over_bound_slot_warns(self, cfg):
         # slot radius 0.15 far exceeds the forward limit at positive centers
-        with pytest.warns(RuntimeWarning):
-            plan_tracking(0.6, 0.3, 2, cfg, pairing_mode="forward")
+        plan = plan_tracking(0.6, 0.3, 2, cfg, pairing_mode="forward")
+        assert all(p.over_bound for p in plan.pairings)
 
     def test_auto_negative_slot_warning_agrees_with_flag(self, cfg):
         # auto picks forward at -0.6, whose limit is the large-angle bound 0.13125
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            plan = plan_tracking(-0.6, 0.1, 1, cfg)
+        plan = plan_tracking(-0.6, 0.1, 1, cfg)
         assert not plan.pairings[0].over_bound
 
     @pytest.mark.parametrize("theta0, mode", [(0.6, "forward"), (-0.6, "backward")])
     def test_forced_off_sign_slot_warns_and_flags(self, cfg, theta0, mode):
-        with pytest.warns(RuntimeWarning, match=f"{mode} bound 0.0325"):
-            plan = plan_tracking(theta0, 0.05, 1, cfg, pairing_mode=mode)
+        assert mode_bound(theta0, mode, cfg) == pytest.approx(0.0325)
+        plan = plan_tracking(theta0, 0.05, 1, cfg, pairing_mode=mode)
         assert plan.pairings[0].over_bound
 
     def test_codebook_snapping_applied(self, cfg):
@@ -100,8 +106,7 @@ class TestPlanTracking:
 class TestRunTracking:
     def test_on_grid_target_peaks_its_cell(self, cfg):
         plan = plan_tracking(0.42, 0.1, 2, cfg)
-        pc = plan.pairings[1]
-        target = float(angle_map(9, PrecoderConfig(pc.psi, pc.t_aux), cfg))
+        target = float(angle_map(9, plan.pairings[1], cfg))
         ch = channel_response(PathComponent(1.0 + 0j, target), cfg)
         obs = run_tracking(plan, ch, 0.0)
         row = np.abs(obs.y[1])
@@ -138,7 +143,7 @@ class TestRunTracking:
         obs = run_tracking(plan, ch, noise_std=2.5, rng=314)
         gen = np.random.default_rng(314)
         for l, pc in enumerate(plan.pairings):
-            f_rows = precoder_matrix(PrecoderConfig(pc.psi, pc.t_aux), cfg)
+            f_rows = precoder_matrix(pc, cfg)
             for j in range(len(grid)):
                 re, im = gen.standard_normal(2)
                 expected = np.vdot(ch.h[j], f_rows[j]) + 2.5 / np.sqrt(2.0) * (re + 1j * im)
@@ -191,8 +196,7 @@ class TestEstimateAngle:
     def test_noiseless_on_grid_recovery_exact(self, cfg):
         plan = plan_tracking(0.42, 0.1, 2, cfg)
         for l_star, m_star in ((1, 0), (2, -30), (2, 41)):
-            pc = plan.pairings[l_star - 1]
-            target = float(angle_map(m_star, PrecoderConfig(pc.psi, pc.t_aux), cfg))
+            target = float(angle_map(m_star, plan.pairings[l_star - 1], cfg))
             ch = channel_response(PathComponent(1.0 + 0j, target), cfg)
             est = coarse_estimate(run_tracking(plan, ch, 0.0))
             assert est.theta_hat == pytest.approx(target, abs=1e-13)
@@ -201,7 +205,7 @@ class TestEstimateAngle:
         plan = plan_tracking(0.42, 0.1, 2, cfg)
         spacings = []
         for pc in plan.pairings:
-            mapped = np.sort(angle_map(cfg.m_indices, PrecoderConfig(pc.psi, pc.t_aux), cfg))
+            mapped = np.sort(angle_map(cfg.m_indices, pc, cfg))
             spacings.append(np.max(np.diff(mapped)))
         max_spacing = max(spacings)
         rng = np.random.default_rng(17)
@@ -213,11 +217,7 @@ class TestEstimateAngle:
 
     def test_angle_grids_cover_interval_without_gaps(self, cfg):
         plan = plan_tracking(0.1, 0.2, 4, cfg)
-        mapped = np.sort(
-            np.concatenate(
-                [angle_map(cfg.m_indices, PrecoderConfig(p.psi, p.t_aux), cfg) for p in plan.pairings]
-            )
-        )
+        mapped = np.sort(np.concatenate([angle_map(cfg.m_indices, p, cfg) for p in plan.pairings]))
         assert mapped[0] == pytest.approx(-0.1, abs=1e-12)
         assert mapped[-1] == pytest.approx(0.3, abs=1e-12)
         assert np.max(np.diff(mapped)) <= 2 * 0.2 / (4 * (cfg.n_subcarriers - 1)) * 1.5
@@ -225,8 +225,7 @@ class TestEstimateAngle:
     def test_snapped_edge_subcarrier_stays_in_range(self, cfg):
         # the snapped slopes of the second slot map subcarrier -M just past 1
         plan = plan_tracking(0.8, 0.2, 2, cfg, codebook=build_codebook(cfg))
-        pc = plan.pairings[1]
-        assert angle_map(-cfg.m_half, PrecoderConfig(pc.psi, pc.t_aux), cfg) > 1.0
+        assert angle_map(-cfg.m_half, plan.pairings[1], cfg) > 1.0
         obs = run_tracking(plan, channel_response(PathComponent(1.0 + 0j, 0.9), cfg), 0.0)
         assert estimate_angle(obs, 2, -cfg.m_half) == 1.0
 
