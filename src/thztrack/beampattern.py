@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physmodel import PrecoderConfig, SubcarrierGrid, SystemConfig, _dirichlet
+from .physmodel import PrecoderConfig, SystemConfig, _dirichlet
 
 __all__ = [
     "LobeGeometry",
@@ -117,15 +117,14 @@ def peak_map(pc: PrecoderConfig, cfg: SystemConfig, grid_step: float = 1e-4) -> 
     n = int(round(2.0 / grid_step)) + 1
     thetas = np.linspace(-1.0, 1.0, n)
     step = thetas[1] - thetas[0]
-    grid = SubcarrierGrid.from_config(cfg)
-    angles = np.empty(len(grid))
-    gains = np.empty(len(grid))
-    for i, f_m in enumerate(grid.frequencies):
+    angles = np.empty(cfg.n_subcarriers)
+    gains = np.empty(cfg.n_subcarriers)
+    for i, f_m in enumerate(cfg.frequencies):
         g = array_gain(f_m, thetas, pc, cfg)
         j = int(np.argmax(g))
         angles[i] = thetas[j]
         gains[i] = g[j]
-    return PeakMap(m_indices=grid.m_indices.copy(), angles=angles, gains=gains, grid_step=step)
+    return PeakMap(m_indices=cfg.m_indices, angles=angles, gains=gains, grid_step=step)
 
 
 def sidelobe_locations(pairing, cfg: SystemConfig) -> tuple[float, float, float]:
@@ -139,10 +138,8 @@ def sidelobe_locations(pairing, cfg: SystemConfig) -> tuple[float, float, float]
     """
     if getattr(pairing, "mode", None) != "backward":
         raise ValueError("sidelobe geometry is defined for backward pairings")
-    f_low = cfg.f_c - cfg.m_half * cfg.f_d
-    f_high = cfg.f_c + cfg.m_half * cfg.f_d
     theta0, alpha = pairing.theta0, pairing.alpha
-    side_minus = theta0 + alpha - 2 * cfg.f_c / (cfg.p * f_low)
-    side_plus = theta0 - alpha + 2 * cfg.f_c / (cfg.p * f_high)
+    side_minus = theta0 + alpha - 2 * cfg.f_c / (cfg.p * cfg.f_low)
+    side_plus = theta0 - alpha + 2 * cfg.f_c / (cfg.p * cfg.f_high)
     theta_c = theta0 - cfg.edge_ratio * alpha
     return side_minus, side_plus, theta_c

@@ -39,7 +39,7 @@ def gain_oracle_error(draws: int, seed: int) -> float:
         pc = PrecoderConfig(rng.uniform(-1, 1), rng.uniform(-2, 2))
         theta = rng.uniform(-1, 1)
         m = int(rng.integers(-cfg.m_half, cfg.m_half + 1))
-        f_m = cfg.f_c + m * cfg.f_d
+        f_m = cfg.frequencies[m + cfg.m_half]
         a = steering_vector(f_m, theta, cfg.n_bs, cfg.f_c)
         brute = abs(np.vdot(a, precoder_matrix(pc, cfg)[m + cfg.m_half])) / cfg.n_bs
         worst = max(worst, abs(brute - float(array_gain(f_m, theta, pc, cfg))))

@@ -24,7 +24,7 @@ from .harness import (
     write_table,
 )
 from .pairing import RadiusBounds, make_pairing, radius_bounds
-from .physmodel import PrecoderConfig, SubcarrierGrid, SystemConfig, default_config
+from .physmodel import PrecoderConfig, SystemConfig, default_config
 
 
 def _flag_type(parse):
@@ -55,10 +55,10 @@ def _count(text: str) -> int:
     return int(text)
 
 
-# The config keys each command takes as flags (f_d only from a file).
+# The config keys each command takes as flags.
 _SYSTEM_FLAGS = ("n_bs", "n_ttd", "p", "f_c", "bandwidth", "m_half")
 _TRACK_FLAGS = _SYSTEM_FLAGS + ("compensation", "codebook", "seed")
-_SWEEP_FLAGS = tuple(key for key in CONFIG_PARSERS if key != "f_d")
+_SWEEP_FLAGS = tuple(CONFIG_PARSERS)
 
 
 def _add_config_args(parser: argparse.ArgumentParser, keys):
@@ -79,8 +79,8 @@ def _add_config_args(parser: argparse.ArgumentParser, keys):
 def _scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig | None:
     """The ``--config`` file with the config flags and ``--values`` (the axis's key) on top; None without them.
 
-    An unreadable file, a rejected value, ``track --theta0`` beyond the centre cap and ``track --trace``
-    without compensation are usage errors.
+    An unreadable file, a rejected value, ``track --theta0`` beyond the centre cap, a ``beam-pattern``
+    pairing interval that leaves [-1, 1] and ``track --trace`` without compensation are usage errors.
     """
     opts = vars(args)
     if "config" not in opts:
@@ -97,6 +97,11 @@ def _scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig | None:
         cap = scn.center_cap
         if center is not None and not abs(center) <= cap:
             raise ValueError(f"argument --theta0: must lie in [-{cap:g}, {cap:g}], got {center!r}")
+        # beam-pattern pairs [theta0 - alpha, theta0 + alpha] unless both slopes are given: plan_tracking's rule
+        if "theta0" in opts and None in (opts["psi"], opts["t"]):
+            lo, hi = args.theta0 - args.alpha, args.theta0 + args.alpha
+            if not abs(args.theta0) + args.alpha <= 1 + 1e-12:
+                raise ValueError(f"arguments --theta0/--alpha: the searched interval [{lo:g}, {hi:g}] leaves [-1, 1]")
         if opts.get("trace") is not None and not scn.compensation:
             raise ValueError("argument --trace: traces the refinement, which needs --compensation")
     except OSError as exc:
@@ -119,17 +124,16 @@ def _cmd_beam_pattern(args, scn: ScenarioConfig) -> int:
     else:
         pc = make_pairing(args.theta0, args.alpha, cfg)
         label = f"{pc.mode} pairing theta0={args.theta0} alpha={args.alpha}"
-    grid = SubcarrierGrid.from_config(cfg)
     if args.peaks_only:
         pm = peak_map(pc, cfg, grid_step=args.grid_step)
         rows = [
             (int(m), float(f), float(th), float(g))
-            for m, f, th, g in zip(pm.m_indices, grid.frequencies, pm.angles, pm.gains)
+            for m, f, th, g in zip(pm.m_indices, cfg.frequencies, pm.angles, pm.gains)
         ]
     else:
         thetas = np.arange(-1.0, 1.0 + args.grid_step / 2, args.grid_step)
         rows = []
-        for m, f in zip(grid.m_indices, grid.frequencies):
+        for m, f in zip(cfg.m_indices, cfg.frequencies):
             gains = array_gain(f, thetas, pc, cfg)
             rows.extend((int(m), float(f), float(th), float(g)) for th, g in zip(thetas, gains))
     print(f"beam pattern for {label}")

@@ -24,13 +24,12 @@ __all__ = ["QuantGrid", "JointCodebook", "build_codebook", "snap", "quantized_pa
 
 @dataclass(frozen=True)
 class QuantGrid:
-    """Union of closed uniform segments; values sorted ascending, deduplicated.
+    """Codewords ``values``, sorted ascending and distinct.
 
     ``points`` holds the same values as a list of floats, built on first use,
     for snapping one scalar at a time.
     """
 
-    segments: tuple[tuple[float, float, float], ...]
     values: np.ndarray
 
     @cached_property
@@ -53,11 +52,6 @@ def _uniform_closed(lo: float, hi: float, step: float) -> np.ndarray:
     return pts
 
 
-def _grid_from_segments(segments) -> QuantGrid:
-    values = np.unique(np.concatenate([_uniform_closed(*s) for s in segments]))
-    return QuantGrid(segments=tuple(segments), values=values)
-
-
 @dataclass(frozen=True)
 class JointCodebook:
     """Phase-slope and delay-slope codeword sets supporting beamforming and tracking."""
@@ -75,25 +69,15 @@ def build_codebook(cfg: SystemConfig) -> JointCodebook:
     One codebook is built per config and shared by every caller, so its
     codeword arrays are read-only.
     """
-    fine = 2.0 / cfg.n_bs
-    coarse = 2.0 / cfg.p
-    psi_grid = _grid_from_segments([(-1.0, 1.0, fine)])
+    inner = _uniform_closed(-1.0, 1.0, 2.0 / cfg.n_bs)
+    t_values = inner
     t_max = cfg.f_c / (cfg.m_half * cfg.f_d * cfg.p)
-    segments = [(-1.0, 1.0, fine)]
     if t_max > 1.0:
         # build the positive side and mirror it so the grid is exactly symmetric
-        pos = _uniform_closed(1.0, t_max, coarse)
-        neg = -pos[::-1]
-        inner = _uniform_closed(-1.0, 1.0, fine)
-        values = np.unique(np.concatenate([neg, inner, pos]))
-        t_grid = QuantGrid(
-            segments=((-t_max, -1.0, coarse), (-1.0, 1.0, fine), (1.0, t_max, coarse)),
-            values=values,
-        )
-    else:
-        t_grid = _grid_from_segments(segments)
-    psi_grid.values.flags.writeable = t_grid.values.flags.writeable = False
-    return JointCodebook(psi_grid=psi_grid, t_grid=t_grid)
+        pos = _uniform_closed(1.0, t_max, 2.0 / cfg.p)
+        t_values = np.unique(np.concatenate([-pos[::-1], inner, pos]))
+    inner.flags.writeable = t_values.flags.writeable = False
+    return JointCodebook(psi_grid=QuantGrid(inner), t_grid=QuantGrid(t_values))
 
 
 def snap(value: float, grid: QuantGrid) -> float:

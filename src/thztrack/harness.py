@@ -88,6 +88,8 @@ class ScenarioConfig:
         for key in ("snr_db", "slots"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must not be empty")
+        if not all(n >= 1 for n in self.slots):
+            raise ValueError(f"slots entries must be positive integers, got {self.slots!r}")
         for snr in self.snr_db:
             # a huge SNR overflows the power ratio, a hugely negative one underflows it to 0
             with contextlib.suppress(OverflowError), np.errstate(divide="ignore", over="ignore"):
@@ -470,7 +472,6 @@ CONFIG_PARSERS = {
     "f_c": _as_float,
     "bandwidth": _as_float,
     "m_half": _as_int,
-    "f_d": _as_float,
     "users": _as_int,
     "snr_db": _list_of(_as_float),
     "slots": _list_of(_as_int),
@@ -496,16 +497,14 @@ def parse_config_value(key: str, value, name: str | None = None):
 def scenario_from_mapping(data: dict) -> ScenarioConfig:
     """Build a scenario from a flat mapping of config keys.
 
-    System keys overlay the reference setup of :func:`default_config`;
-    ``f_d`` is derived from ``bandwidth`` and ``m_half`` unless given, and a
-    given ``f_d`` must agree with them.
+    System keys overlay the reference setup of :func:`default_config`.
     """
     unknown = set(data) - set(CONFIG_PARSERS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     values = {k: parse_config_value(k, v) for k, v in data.items()}
     system = {f.name: values.pop(f.name) for f in fields(SystemConfig) if f.name in values}
-    return ScenarioConfig(system=replace(default_config(), **{"f_d": None, **system}), **values)
+    return ScenarioConfig(system=replace(default_config(), **system), **values)
 
 
 def scenario_from_file(path, overrides: dict | None = None) -> ScenarioConfig:

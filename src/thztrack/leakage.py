@@ -20,8 +20,8 @@ from sys import float_info
 
 import numpy as np
 
-from .physmodel import PrecoderConfig, RayKernel, SystemConfig, precoder_matrix
-from .tracker import TrackingObservation
+from .physmodel import RayKernel, SystemConfig, precoder_matrix
+from .tracker import TrackingObservation, TrackingPlan
 
 __all__ = [
     "CprProblem",
@@ -39,20 +39,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CprProblem:
-    """Stacked observations y_hat (2M+1, L) and the slot slopes psi, t_aux (L,).
+    """Stacked observations y_hat (2M+1, L) and the tracking plan whose slots produced them.
 
     The solver evaluates the slot responses in closed form through
-    ``kernel``, a :class:`RayKernel` holding the slot terms, and reuses
-    ``abs_y`` = |y_hat|; both are built on first use and belong to this
-    instance, so ``dataclasses.replace`` starts a new problem afresh.
-    ``b_mats``, the dense precoders of shape (2M+1, n_bs, L), is built on
-    first use as an oracle view.
+    ``kernel``, the plan's :class:`RayKernel`, and reuses ``abs_y`` =
+    |y_hat|, built on first use for this instance.  ``b_mats``, the dense
+    precoders of shape (2M+1, n_bs, L), is built on first use as an oracle
+    view.
     """
 
     y_hat: np.ndarray
-    psi: np.ndarray
-    t_aux: np.ndarray
-    cfg: SystemConfig
+    plan: TrackingPlan
+
+    @property
+    def cfg(self) -> SystemConfig:
+        return self.plan.cfg
+
+    @property
+    def kernel(self) -> RayKernel:
+        return self.plan.kernel
 
     @property
     def n_slots(self) -> int:
@@ -60,14 +65,7 @@ class CprProblem:
 
     @cached_property
     def b_mats(self) -> np.ndarray:
-        b = np.empty((self.cfg.n_subcarriers, self.cfg.n_bs, self.n_slots), dtype=complex)
-        for l, (psi, t_aux) in enumerate(zip(self.psi, self.t_aux)):
-            b[:, :, l] = precoder_matrix(PrecoderConfig(float(psi), float(t_aux)), self.cfg)
-        return b
-
-    @cached_property
-    def kernel(self) -> RayKernel:
-        return RayKernel(self.psi, self.t_aux, self.cfg)
+        return np.stack([precoder_matrix(pc, self.cfg) for pc in self.plan.pairings], axis=-1)
 
     @cached_property
     def abs_y(self) -> np.ndarray:
@@ -75,17 +73,9 @@ class CprProblem:
 
 
 def build_cpr_problem(obs: TrackingObservation) -> CprProblem:
-    """Reshape a tracking observation into per-subcarrier stacks.
-
-    y_hat[m, l] equals obs.y[l, m] exactly; psi[l] and t_aux[l] are the
-    slopes of slot l.
-    """
-    return CprProblem(
-        y_hat=obs.y.T.copy(),
-        psi=np.array([pc.psi for pc in obs.plan.pairings]),
-        t_aux=np.array([pc.t_aux for pc in obs.plan.pairings]),
-        cfg=obs.plan.cfg,
-    )
+    """Reshape a tracking observation into per-subcarrier stacks: y_hat[m, l] equals obs.y[l, m] exactly."""
+    # copied to C order: each subcarrier's row is contiguous, and the problem shares no memory with obs.y
+    return CprProblem(obs.y.T.copy(), obs.plan)
 
 
 @dataclass(frozen=True)
@@ -222,8 +212,7 @@ def refine(
     z = np.ones(cfg.n_subcarriers)
     eta = _MAX_STEP
     # largest useful theta move: a fraction of the narrowest beam semi-width (top subcarrier)
-    f_high = cfg.f_c + cfg.m_half * cfg.f_d
-    max_move = 0.5 * cfg.f_c / (cfg.n_bs * f_high)
+    max_move = 0.5 * cfg.f_c / (cfg.n_bs * cfg.f_high)
     best: tuple[float, float, float, np.ndarray] | None = None
     prev_eps = np.inf
     grow_streak = 0

@@ -135,8 +135,7 @@ def forward_single_slot_bound(cfg: SystemConfig) -> float:
     Requires the beam period to exceed the searched width at every subcarrier,
     giving f_c / (f_high * p).  Valid for single-timeslot tracking only.
     """
-    f_high = cfg.f_c + cfg.m_half * cfg.f_d
-    return cfg.f_c / (f_high * cfg.p)
+    return cfg.f_c / (cfg.f_high * cfg.p)
 
 
 def large_angle_bound(theta0: float, cfg: SystemConfig) -> float:
@@ -177,10 +176,7 @@ def quasi_fixed_radius(
         return _SIDELOBE_CROSSING / cfg.p
     out = 2.0 / cfg.p
     if include_extra:
-        edge = cfg.m_half * cfg.f_d
-        f_low = cfg.f_c - edge
-        f_high = cfg.f_c + edge
-        out += edge**2 / (cfg.p * f_low * f_high)
+        out += (cfg.m_half * cfg.f_d) ** 2 / (cfg.p * cfg.f_low * cfg.f_high)
     return out
 
 
@@ -248,11 +244,9 @@ def sidelobe_mainlobe_frequency(pairing: PairingConfig, cfg: SystemConfig) -> fl
         raise ValueError("defined for backward pairings")
     if pairing.alpha <= 0:
         raise ValueError("alpha must be positive")
-    edge = cfg.m_half * cfg.f_d
-    f_low = cfg.f_c - edge
-    f_high = cfg.f_c + edge
+    f_low, f_high = cfg.f_low, cfg.f_high
     num = cfg.p * f_low * f_high**2
-    den = cfg.p * f_low * f_high + 2 * edge * cfg.f_c / pairing.alpha
+    den = cfg.p * f_low * f_high + 2 * cfg.m_half * cfg.f_d * cfg.f_c / pairing.alpha
     return num / den
 
 

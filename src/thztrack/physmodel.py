@@ -36,8 +36,9 @@ class SystemConfig:
 
     ``n_ttd * p == n_bs`` must hold (each delay line drives ``p`` shifters).
     The ``2*m_half + 1`` subcarriers sit at ``f_c + m*f_d`` for
-    ``m = -m_half..m_half``; ``f_d`` is derived as ``bandwidth / (2*m_half)``
-    when not given explicitly.
+    ``m = -m_half..m_half``, with spacing ``f_d = bandwidth / (2*m_half)``.
+    ``f_d``, ``frequencies``, ``f_low`` and ``f_high`` are the one derivation
+    of that plan; every other module reads them.
     """
 
     n_bs: int
@@ -46,7 +47,6 @@ class SystemConfig:
     f_c: float
     bandwidth: float
     m_half: int
-    f_d: float | None = None
 
     def __post_init__(self):
         if min(self.n_bs, self.n_ttd, self.p, self.m_half) <= 0:
@@ -55,13 +55,13 @@ class SystemConfig:
             raise ValueError(f"n_ttd*p = {self.n_ttd * self.p} != n_bs = {self.n_bs}")
         if self.f_c <= 0 or self.bandwidth <= 0:
             raise ValueError("f_c and bandwidth must be positive")
-        derived = self.bandwidth / (2 * self.m_half)
-        if self.f_d is None:
-            object.__setattr__(self, "f_d", derived)
-        elif abs(self.f_d - derived) > 1e-9 * derived:
-            raise ValueError(f"f_d = {self.f_d} inconsistent with bandwidth/(2*m_half) = {derived}")
         if self.m_half * self.f_d >= self.f_c:
             raise ValueError("half-band m_half*f_d must stay below the carrier f_c")
+
+    @cached_property
+    def f_d(self) -> float:
+        """Subcarrier spacing bandwidth/(2*m_half); read-only, as the instance is frozen."""
+        return self.bandwidth / (2 * self.m_half)
 
     @property
     def n_subcarriers(self) -> int:
@@ -70,6 +70,21 @@ class SystemConfig:
     @property
     def m_indices(self) -> np.ndarray:
         return np.arange(-self.m_half, self.m_half + 1)
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """Subcarrier frequencies f_c + m*f_d, ascending in m (2M+1,)."""
+        return self.f_c + self.m_indices * self.f_d
+
+    @property
+    def f_low(self) -> float:
+        """Lowest subcarrier frequency f_c - m_half*f_d."""
+        return self.f_c - self.m_half * self.f_d
+
+    @property
+    def f_high(self) -> float:
+        """Highest subcarrier frequency f_c + m_half*f_d."""
+        return self.f_c + self.m_half * self.f_d
 
     @property
     def edge_ratio(self) -> float:
@@ -82,6 +97,8 @@ def default_config() -> SystemConfig:
     return SystemConfig(n_bs=256, n_ttd=16, p=16, f_c=100e9, bandwidth=10e9, m_half=64)
 
 
+# No library code builds this grid; SystemConfig owns the subcarrier plan.  It
+# stays only for the set-up probe, which calls harness.SubcarrierGrid.from_config.
 @dataclass(frozen=True)
 class SubcarrierGrid:
     """Up-converted and baseband frequencies for all 2M+1 subcarriers, ascending in m."""
@@ -93,8 +110,7 @@ class SubcarrierGrid:
     @classmethod
     def from_config(cls, cfg: SystemConfig) -> "SubcarrierGrid":
         m = cfg.m_indices
-        baseband = m * cfg.f_d
-        return cls(frequencies=cfg.f_c + baseband, baseband=baseband, m_indices=m)
+        return cls(frequencies=cfg.frequencies, baseband=m * cfg.f_d, m_indices=m)
 
     def __len__(self) -> int:
         return len(self.m_indices)
@@ -127,12 +143,12 @@ class ChannelResponse:
     @cached_property
     def h(self) -> np.ndarray:
         """Dense channel vectors h_m as rows (2M+1, n_bs); the oracle of :meth:`precoded`."""
-        frequencies = SubcarrierGrid.from_config(self.cfg).frequencies
-        return self.path.gain * steering_vector(frequencies, self.path.direction, self.cfg.n_bs, self.cfg.f_c)
+        cfg = self.cfg
+        return self.path.gain * steering_vector(cfg.frequencies, self.path.direction, cfg.n_bs, cfg.f_c)
 
-    def precoded(self, psi, t_aux) -> np.ndarray:
-        """Received responses h_m^H f_{l,m} for slot slopes ``psi``, ``t_aux`` (L,); shape (2M+1, L)."""
-        return np.conj(self.path.gain) * RayKernel(psi, t_aux, self.cfg)(self.path.direction)
+    def precoded(self, kernel: "RayKernel") -> np.ndarray:
+        """Received responses h_m^H f_{l,m} against the slots of ``kernel``; shape (2M+1, L)."""
+        return np.conj(self.path.gain) * kernel(self.path.direction)
 
 
 @dataclass(frozen=True)
@@ -239,8 +255,7 @@ def _dirichlet_slope(n: int, d: _Dirichlet) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _subcarrier_ratios(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-subcarrier f_m/f_c and f_b/f_c as read-only columns (2M+1, 1), shared by every caller."""
-    grid = SubcarrierGrid.from_config(cfg)
-    ratios = (grid.frequencies / cfg.f_c)[:, None], (grid.baseband / cfg.f_c)[:, None]
+    ratios = (cfg.frequencies / cfg.f_c)[:, None], (cfg.m_indices * cfg.f_d / cfg.f_c)[:, None]
     for r in ratios:
         r.flags.writeable = False
     return ratios

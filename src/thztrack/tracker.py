@@ -9,6 +9,7 @@ subcarrier) pairs yields the coarse angle estimate through the angle map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from . import pairing as pairing_mod
 from .beampattern import angle_map
 from .codebook import JointCodebook, quantized_pairing
 from .pairing import BACKWARD, PairingConfig
-from .physmodel import ChannelResponse, SystemConfig
+from .physmodel import ChannelResponse, RayKernel, SystemConfig
 
 # Not called in this module: kept as its attributes only so that span tracers
 # wrapping tracker.forward_bound, tracker.large_angle_bound and
@@ -38,7 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrackingPlan:
-    """Per-slot pairings covering [theta0 - alpha, theta0 + alpha] in L fractions."""
+    """Per-slot pairings covering [theta0 - alpha, theta0 + alpha] in L fractions.
+
+    ``kernel``, the :class:`RayKernel` over the pairings' slopes, is built on
+    first use and shared by the pilots and the refinement of the frame.
+    """
 
     theta0: float
     alpha: float
@@ -47,6 +52,10 @@ class TrackingPlan:
     slot_radius: float
     pairings: tuple[PairingConfig, ...]
     cfg: SystemConfig
+
+    @cached_property
+    def kernel(self) -> RayKernel:
+        return RayKernel([pc.psi for pc in self.pairings], [pc.t_aux for pc in self.pairings], self.cfg)
 
 
 @dataclass(frozen=True)
@@ -121,7 +130,7 @@ def run_tracking(
 ) -> TrackingObservation:
     """Simulate the received pilot matrix Y, one row per slot, unit pilots.
 
-    Y[l, m] is h_m^H f_{l,m} (closed form, :meth:`ChannelResponse.precoded`)
+    Y[l, m] is h_m^H f_{l,m} (closed form, :meth:`ChannelResponse.precoded` of ``plan.kernel``)
     plus circular complex noise of variance noise_std**2; reproducible for a
     given seed.
     """
@@ -130,9 +139,7 @@ def run_tracking(
         raise ValueError("channel was built for a different system config than the plan")
     if not 0.0 <= noise_std < np.inf:
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std!r}")
-    psi = [pc.psi for pc in plan.pairings]
-    t_aux = [pc.t_aux for pc in plan.pairings]
-    y = channel.precoded(psi, t_aux).T.copy()
+    y = channel.precoded(plan.kernel).T.copy()
     if noise_std > 0:
         gen = np.random.default_rng(rng)
         noise = gen.standard_normal((plan.slots, cfg.n_subcarriers, 2))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from thztrack import (
     PrecoderConfig,
-    SubcarrierGrid,
     SystemConfig,
     angle_map,
     array_gain,
@@ -23,11 +22,6 @@ from thztrack.pairing import BACKWARD, FORWARD, forward_bound, mode_bound
 @pytest.fixture(scope="module")
 def cfg():
     return default_config()
-
-
-@pytest.fixture(scope="module")
-def grid(cfg):
-    return SubcarrierGrid.from_config(cfg)
 
 
 class TestDirichlet:
@@ -179,7 +173,7 @@ def _map_deviation(cfg, pc):
     grating replica that the ``peak_map`` docstring warns about), so the
     deviation is taken modulo that period.
     """
-    f_m = SubcarrierGrid.from_config(cfg).frequencies
+    f_m = cfg.frequencies
     w2 = 2.0 * cfg.f_c / (cfg.n_bs * f_m)  # beam mainlobe semi-width
     pm = peak_map(pc, cfg, grid_step=float(w2.min()) / 8)
     period = 2.0 * cfg.f_c / f_m

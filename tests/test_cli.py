@@ -4,7 +4,6 @@ import shlex
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from thztrack import cli, harness
@@ -54,6 +53,12 @@ class TestBeamPattern:
              "--grid-step", "0.05", "--out", str(out)]
         )
         assert rc == 0
+        # with both slopes given no interval is paired, so --theta0 is not read
+        assert main(["beam-pattern", "--psi", "0.3", "--t", "0.3", "--theta0", "3", "--grid-step", "0.5", "--out", str(out)]) == 0
+
+    def test_paired_interval_may_reach_the_unit_range_edge(self, tmp_path):
+        out = tmp_path / "edge.csv"
+        assert main(["beam-pattern", "--theta0", "0.95", "--alpha", "0.05", "--grid-step", "0.5", "--out", str(out)]) == 0
 
 
 class TestBounds:
@@ -93,7 +98,14 @@ class TestConfigChecks:
     @pytest.mark.parametrize("command", ["beam-pattern", "bounds", "codebook", "sweep-nmse"])
     @pytest.mark.parametrize(
         "text, match",
-        [("m_half = 32\nf_d = 78125000.0\n", "f_d"), ("n_bss = 64\n", "unknown config keys")],
+        [
+            # f_d is derived from bandwidth and m_half, so a file that sets it names an unknown key
+            pytest.param(
+                "m_half = 32\nf_d = 78125000.0\n", r"unknown config keys: \['f_d'\]",
+                id="m_half = 32\nf_d = 78125000.0\n-f_d",
+            ),
+            ("n_bss = 64\n", "unknown config keys"),
+        ],
     )
     def test_bad_config_file_rejected(self, tmp_path, capsys, command, text, match):
         cfgfile = tmp_path / "bad.cfg"
@@ -170,8 +182,8 @@ class TestTrackIsFrameZero:
 
         def refine_on_dead_geometry(prob, theta_init, **kwargs):
             # every slot steers its beam null onto the start angle, so all slot responses vanish there
-            slopes = np.full(prob.n_slots, theta_init)
-            return real_refine(replace(prob, psi=slopes - 2.0 / prob.cfg.n_bs, t_aux=slopes), theta_init, **kwargs)
+            null = (replace(pc, psi=theta_init - 2.0 / prob.cfg.n_bs, t_aux=theta_init) for pc in prob.plan.pairings)
+            return real_refine(replace(prob, plan=replace(prob.plan, pairings=tuple(null))), theta_init, **kwargs)
 
         monkeypatch.setattr(harness, "refine", refine_on_dead_geometry)
         trace = tmp_path / "trace.csv"
@@ -409,6 +421,16 @@ class TestBadScenario:
              "argument --trace: traces the refinement, which needs --compensation"),
             (["track", "--seed", "3", "--no-compensation", "--trace", "x.csv"],
              "argument --trace: traces the refinement, which needs --compensation"),
+            (["sweep-nmse", "--seed", "1", "--trials", "1", "--users", "1", "--axis", "slots", "--values", "4,-2",
+              "--out", "x.csv"], "slots entries must be positive integers, got (4, -2)"),
+            (["sweep-nmse", "--seed", "1", "--slots-list", "4,0", "--out", "x.csv"],
+             "slots entries must be positive integers, got (4, 0)"),
+            (["beam-pattern", "--theta0", "3", "--out", "x.csv"],
+             "arguments --theta0/--alpha: the searched interval [2.95, 3.05] leaves [-1, 1]"),
+            (["beam-pattern", "--theta0", "0.95", "--alpha", "0.5", "--out", "x.csv"],
+             "arguments --theta0/--alpha: the searched interval [0.45, 1.45] leaves [-1, 1]"),
+            (["beam-pattern", "--theta0=-0.9", "--alpha", "0.2", "--psi", "0.1", "--out", "x.csv"],
+             "arguments --theta0/--alpha: the searched interval [-1.1, -0.7] leaves [-1, 1]"),
         ],
     )
     def test_exits_2_with_the_message(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -448,8 +470,8 @@ _KEY_FLAGS = {
     "theta_grid": ("--theta-grid", "-0.3,0.3", "0.3,"),
     "seed": ("--seed", "7", "1.5"),
 }
-# keys without a value-taking flag: the switches, and f_d, which only a file sets
-_OTHER_KEYS = {"compensation", "codebook", "f_d"}
+# keys without a value-taking flag: the switches
+_OTHER_KEYS = {"compensation", "codebook"}
 
 
 class _Swept(Exception):

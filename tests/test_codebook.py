@@ -58,12 +58,12 @@ class TestBuildCodebook:
         cb = build_codebook(cfg)
         assert cb.t_grid.values[0] == -1.0
         assert cb.t_grid.values[-1] == 1.0
-        assert len(cb.t_grid.segments) == 1
+        np.testing.assert_array_equal(cb.t_grid.values, cb.psi_grid.values)
 
 
     def test_one_read_only_codebook_per_config(self, cfg, cb):
         assert build_codebook(cfg) is cb
-        assert build_codebook(replace(cfg, m_half=32, f_d=None)) is not cb
+        assert build_codebook(replace(cfg, m_half=32)) is not cb
         for grid in (cb.psi_grid, cb.t_grid):
             with pytest.raises(ValueError, match="read-only"):
                 grid.values[0] = 0.0

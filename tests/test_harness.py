@@ -10,7 +10,6 @@ from thztrack import harness
 from thztrack import (
     PathComponent,
     PrecoderConfig,
-    SubcarrierGrid,
     SystemConfig,
     channel_response,
     default_config,
@@ -34,11 +33,6 @@ from thztrack.harness import (
 @pytest.fixture(scope="module")
 def cfg():
     return default_config()
-
-
-@pytest.fixture(scope="module")
-def grid(cfg):
-    return SubcarrierGrid.from_config(cfg)
 
 
 class TestNmse:
@@ -69,11 +63,11 @@ class TestNmse:
 
 
 class TestBeamformingGain:
-    def test_aligned_gain_matches_window_average(self, cfg, grid):
+    def test_aligned_gain_matches_window_average(self, cfg):
         theta_r = 0.37
         ch = channel_response(PathComponent(1.0 + 0j, theta_r), cfg)
         expected = cfg.n_bs * np.mean(
-            [dirichlet(cfg.p, (m * cfg.f_d / cfg.f_c) * theta_r) ** 2 for m in grid.m_indices]
+            [dirichlet(cfg.p, (m * cfg.f_d / cfg.f_c) * theta_r) ** 2 for m in cfg.m_indices]
         )
         assert beamforming_gain(ch, theta_r, cfg) == pytest.approx(expected, rel=1e-10)
 
@@ -227,6 +221,16 @@ class TestScenarioConfig:
             sweep(ScenarioConfig(system=cfg, users=1, trials=1), "snr", values=[snr_db])
         assert ScenarioConfig(snr_db=(-3000.0, 3000.0)).snr_db == (-3000.0, 3000.0)
 
+    @pytest.mark.parametrize("slots", [[4, 0], [4, -2], [0]])
+    def test_rejects_slot_counts_below_one_before_any_frame(self, cfg, monkeypatch, slots):
+        with pytest.raises(ValueError, match="slots entries must be positive integers"):
+            scenario_from_mapping({"slots": slots})
+        frames = []
+        monkeypatch.setattr(harness, "run_frame", lambda *args, **kwargs: frames.append(args))
+        with pytest.raises(ValueError, match="slots entries must be positive integers"):
+            sweep(ScenarioConfig(system=cfg, users=1, trials=1), "slots", values=slots)
+        assert frames == []
+
     def test_center_cap(self):
         scn = ScenarioConfig(zeta_max=0.2)
         assert scn.center_cap == pytest.approx(0.8)
@@ -311,8 +315,8 @@ class TestSweep:
             if len(calls) == 2:
                 # every slot steers its beam null onto the start angle, so all
                 # slot responses vanish there
-                slopes = np.full(prob.n_slots, theta_init)
-                prob = replace(prob, psi=slopes - 2.0 / cfg.n_bs, t_aux=slopes)
+                null = (replace(pc, psi=theta_init - 2.0 / cfg.n_bs, t_aux=theta_init) for pc in prob.plan.pairings)
+                prob = replace(prob, plan=replace(prob.plan, pairings=tuple(null)))
             return real_refine(prob, theta_init, **kwargs)
 
         monkeypatch.setattr(harness, "refine", refine_second_on_dead_geometry)
@@ -461,7 +465,8 @@ seed = 3
         assert system.f_d == pytest.approx(ref.bandwidth / 64)
 
     def test_inconsistent_f_d_rejected(self):
-        with pytest.raises(ValueError, match="f_d"):
+        # f_d is derived from bandwidth and m_half, so no value of it is a config key
+        with pytest.raises(ValueError, match=r"unknown config keys: \['f_d'\]"):
             scenario_from_mapping({"m_half": 32, "f_d": default_config().f_d})
 
     def test_malformed_line_rejected(self, tmp_path):
@@ -496,7 +501,9 @@ seed = 3
          ("f_c", float("inf")), ("f_d", float("nan")), ("zeta_max", [0.1]), ("gain_sigma", -1)],
     )
     def test_float_keys_reject_bad_values(self, key, value):
-        with pytest.raises(ValueError, match=key):
+        # f_d is no config key (it is derived from bandwidth and m_half), so it is named as unknown
+        match = key if key in harness.CONFIG_PARSERS else rf"unknown config keys: \['{key}'\]"
+        with pytest.raises(ValueError, match=match):
             scenario_from_mapping({key: value})
 
     def test_float_keys_from_file_named_in_error(self, tmp_path):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from thztrack import (
     CprState,
     PathComponent,
-    SubcarrierGrid,
     SystemConfig,
     angle_map,
     build_cpr_problem,
@@ -34,8 +33,8 @@ def cfg():
 
 
 @pytest.fixture(scope="module")
-def grid(cfg):
-    return SubcarrierGrid.from_config(cfg)
+def freqs(cfg):
+    return cfg.frequencies
 
 
 @pytest.fixture(scope="module")
@@ -43,13 +42,13 @@ def plan(cfg):
     return plan_tracking(0.42, 0.1, 3, cfg)
 
 
-def synthetic_problem(plan, cfg, grid, theta, g0, taus0):
+def synthetic_problem(plan, cfg, freqs, theta, g0, taus0):
     """Model-consistent stacked data built from first principles.
 
     The per-cell response is computed with explicit steering/precoder inner
     products, independently of the solver's own response helper.
     """
-    a = steering_vector(grid.frequencies, theta, cfg.n_bs, cfg.f_c)
+    a = steering_vector(freqs, theta, cfg.n_bs, cfg.f_c)
     c = np.stack(
         [np.einsum("mn,mn->m", a.conj(), precoder_matrix(pc, cfg))
          for pc in plan.pairings],
@@ -73,6 +72,15 @@ class TestBuildProblem:
         obs = run_tracking(plan, ch, noise_std=3.0, rng=8)
         prob = build_cpr_problem(obs)
         np.testing.assert_array_equal(prob.y_hat, obs.y.T)
+        assert prob.y_hat.flags.c_contiguous
+
+    def test_problem_is_the_observation_and_its_plan(self, cfg, plan):
+        obs = run_tracking(plan, channel_response(PathComponent(1.0 + 0j, 0.4), cfg), 0.0)
+        prob = build_cpr_problem(obs)
+        assert [f.name for f in fields(prob)] == ["y_hat", "plan"]
+        assert prob.plan is obs.plan and prob.cfg is obs.plan.cfg
+        # the pilots and the refinement share the plan's one slot kernel
+        assert prob.kernel is obs.plan.kernel
 
     def test_dimensions(self, cfg, plan):
         ch = channel_response(PathComponent(1.0 + 0j, 0.4), cfg)
@@ -90,26 +98,26 @@ class TestBuildProblem:
 
 
 class TestUpdateGain:
-    def test_recovers_generating_amplitude(self, cfg, grid, plan):
-        taus0 = np.linspace(-2.0, 2.0, len(grid))
-        prob = synthetic_problem(plan, cfg, grid, 0.413, 1.7, taus0)
-        state = CprState(theta=0.413, g=0.0, taus=np.zeros(len(grid)), residual=0.0)
+    def test_recovers_generating_amplitude(self, cfg, freqs, plan):
+        taus0 = np.linspace(-2.0, 2.0, len(freqs))
+        prob = synthetic_problem(plan, cfg, freqs, 0.413, 1.7, taus0)
+        state = CprState(theta=0.413, g=0.0, taus=np.zeros(len(freqs)), residual=0.0)
         assert update_gain(prob, state) == pytest.approx(1.7, abs=1e-9)
 
-    def test_zero_data_gives_zero(self, cfg, grid, plan):
-        taus0 = np.zeros(len(grid))
-        prob = synthetic_problem(plan, cfg, grid, 0.413, 0.0, taus0)
+    def test_zero_data_gives_zero(self, cfg, freqs, plan):
+        taus0 = np.zeros(len(freqs))
+        prob = synthetic_problem(plan, cfg, freqs, 0.413, 0.0, taus0)
         state = CprState(theta=0.413, g=0.0, taus=taus0, residual=0.0)
         assert update_gain(prob, state) == 0.0
 
-    def test_homogeneous_in_data_scale(self, noisy_problem, grid):
-        state = CprState(theta=0.4321, g=0.0, taus=np.zeros(len(grid)), residual=0.0)
+    def test_homogeneous_in_data_scale(self, noisy_problem, freqs):
+        state = CprState(theta=0.4321, g=0.0, taus=np.zeros(len(freqs)), residual=0.0)
         g1 = update_gain(noisy_problem, state)
         doubled = replace(noisy_problem, y_hat=2.0 * noisy_problem.y_hat)
         assert update_gain(doubled, state) == pytest.approx(2.0 * g1, rel=1e-12)
 
-    def test_never_increases_modulus_objective(self, noisy_problem, grid):
-        state = CprState(theta=0.4325, g=0.37, taus=np.zeros(len(grid)), residual=0.0)
+    def test_never_increases_modulus_objective(self, noisy_problem, freqs):
+        state = CprState(theta=0.4325, g=0.37, taus=np.zeros(len(freqs)), residual=0.0)
         before = modulus_objective(noisy_problem, state.theta, state.g)
         g_new = update_gain(noisy_problem, state)
         after = modulus_objective(noisy_problem, state.theta, g_new)
@@ -117,31 +125,31 @@ class TestUpdateGain:
 
 
 class TestUpdatePhases:
-    def test_recovers_generating_phases(self, cfg, grid, plan):
+    def test_recovers_generating_phases(self, cfg, freqs, plan):
         rng = np.random.default_rng(2)
-        taus0 = rng.uniform(-np.pi, np.pi, len(grid))
-        prob = synthetic_problem(plan, cfg, grid, 0.413, 1.3, taus0)
-        state = CprState(theta=0.413, g=1.3, taus=np.zeros(len(grid)), residual=0.0)
+        taus0 = rng.uniform(-np.pi, np.pi, len(freqs))
+        prob = synthetic_problem(plan, cfg, freqs, 0.413, 1.3, taus0)
+        state = CprState(theta=0.413, g=1.3, taus=np.zeros(len(freqs)), residual=0.0)
         recovered = update_phases(prob, state)
         wrapped = np.angle(np.exp(1j * (recovered - taus0)))
         np.testing.assert_allclose(wrapped, 0.0, atol=1e-9)
 
-    def test_global_phase_shift_equivariance(self, noisy_problem, grid):
-        state = CprState(theta=0.4321, g=1.0, taus=np.zeros(len(grid)), residual=0.0)
+    def test_global_phase_shift_equivariance(self, noisy_problem, freqs):
+        state = CprState(theta=0.4321, g=1.0, taus=np.zeros(len(freqs)), residual=0.0)
         base = update_phases(noisy_problem, state)
         shifted_prob = replace(noisy_problem, y_hat=np.exp(1j * 0.71) * noisy_problem.y_hat)
         shifted = update_phases(shifted_prob, state)
         wrapped = np.angle(np.exp(1j * (shifted - base - 0.71)))
         np.testing.assert_allclose(wrapped, 0.0, atol=1e-12)
 
-    def test_real_positive_projection_gives_zero(self, cfg, grid, plan):
-        prob = synthetic_problem(plan, cfg, grid, 0.413, 2.0, np.zeros(len(grid)))
-        state = CprState(theta=0.413, g=2.0, taus=np.zeros(len(grid)), residual=0.0)
+    def test_real_positive_projection_gives_zero(self, cfg, freqs, plan):
+        prob = synthetic_problem(plan, cfg, freqs, 0.413, 2.0, np.zeros(len(freqs)))
+        state = CprState(theta=0.413, g=2.0, taus=np.zeros(len(freqs)), residual=0.0)
         np.testing.assert_allclose(update_phases(prob, state), 0.0, atol=1e-12)
 
-    def test_never_increases_objective(self, noisy_problem, grid):
+    def test_never_increases_objective(self, noisy_problem, freqs):
         theta, g = 0.4325, 1.1
-        taus_old = np.full(len(grid), 0.4)
+        taus_old = np.full(len(freqs), 0.4)
         state = CprState(theta=theta, g=g, taus=taus_old, residual=0.0)
         taus_new = update_phases(noisy_problem, state)
         assert objective(noisy_problem, theta, g, taus_new) <= objective(
@@ -150,27 +158,27 @@ class TestUpdatePhases:
 
 
 class TestDegenerateGeometry:
-    def test_all_zero_responses_raise(self, cfg, grid, plan):
-        taus0 = np.zeros(len(grid))
-        prob = synthetic_problem(plan, cfg, grid, 0.413, 1.0, taus0)
+    def test_all_zero_responses_raise(self, cfg, freqs, plan):
+        taus0 = np.zeros(len(freqs))
+        prob = synthetic_problem(plan, cfg, freqs, 0.413, 1.0, taus0)
         # every slot steers its beam null onto theta: psi = theta - 2/n_bs, t = theta
-        slopes = np.full(plan.slots, 0.413)
-        dead = replace(prob, psi=slopes - 2.0 / cfg.n_bs, t_aux=slopes)
+        null = (replace(pc, psi=0.413 - 2.0 / cfg.n_bs, t_aux=0.413) for pc in plan.pairings)
+        dead = replace(prob, plan=replace(plan, pairings=tuple(null)))
         state = CprState(theta=0.413, g=1.0, taus=taus0, residual=0.0)
         with pytest.raises(ValueError):
             update_gain(dead, state)
 
 
 class TestObjectiveGradient:
-    def test_zero_at_consistent_truth(self, cfg, grid, plan):
+    def test_zero_at_consistent_truth(self, cfg, freqs, plan):
         rng = np.random.default_rng(3)
-        taus0 = rng.uniform(-np.pi, np.pi, len(grid))
-        prob = synthetic_problem(plan, cfg, grid, 0.413, 1.0, taus0)
+        taus0 = rng.uniform(-np.pi, np.pi, len(freqs))
+        prob = synthetic_problem(plan, cfg, freqs, 0.413, 1.0, taus0)
         state = CprState(theta=0.413, g=1.0, taus=taus0, residual=0.0)
         scale = np.sum(np.abs(prob.y_hat) ** 2)
         assert abs(objective_gradient(prob, state)) < 1e-8 * max(scale, 1.0)
 
-    def test_matches_central_finite_differences(self, noisy_problem, grid):
+    def test_matches_central_finite_differences(self, noisy_problem, freqs):
         rng = np.random.default_rng(4)
         h = 1e-6
         worst = 0.0
@@ -178,7 +186,7 @@ class TestObjectiveGradient:
             state = CprState(
                 theta=0.4321 + rng.uniform(-2e-3, 2e-3),
                 g=rng.uniform(0.5, 2.0),
-                taus=rng.uniform(-np.pi, np.pi, len(grid)),
+                taus=rng.uniform(-np.pi, np.pi, len(freqs)),
                 residual=0.0,
             )
             grad = objective_gradient(noisy_problem, state)
@@ -189,8 +197,8 @@ class TestObjectiveGradient:
             worst = max(worst, abs(grad - fd) / max(abs(grad), abs(fd)))
         assert worst < 1e-5
 
-    def test_returns_real_scalar(self, noisy_problem, grid):
-        state = CprState(theta=0.43, g=1.0, taus=np.zeros(len(grid)), residual=0.0)
+    def test_returns_real_scalar(self, noisy_problem, freqs):
+        state = CprState(theta=0.43, g=1.0, taus=np.zeros(len(freqs)), residual=0.0)
         assert isinstance(objective_gradient(noisy_problem, state), float)
 
 
@@ -244,17 +252,20 @@ class TestRefine:
 
 
 class TestProblemCaches:
-    def test_cached_arrays_follow_replace(self, noisy_problem, grid):
-        state = CprState(theta=0.4321, g=1.0, taus=np.zeros(len(grid)), residual=0.0)
+    def test_cached_arrays_follow_replace(self, noisy_problem, freqs):
+        state = CprState(theta=0.4321, g=1.0, taus=np.zeros(len(freqs)), residual=0.0)
         # fill the caches of the original before deriving new problems from it
         update_gain(noisy_problem, state)
         doubled = replace(noisy_problem, y_hat=2.0 * noisy_problem.y_hat)
         np.testing.assert_array_equal(doubled.abs_y, np.abs(doubled.y_hat))
         assert update_gain(doubled, state) == 2.0 * update_gain(noisy_problem, state)
-        shifted = replace(noisy_problem, psi=noisy_problem.psi + 0.01)
+        # the kernel belongs to the plan, so a problem on a new plan gets that plan's kernel
+        pairings = tuple(replace(pc, psi=pc.psi + 0.01) for pc in noisy_problem.plan.pairings)
+        shifted = replace(noisy_problem, plan=replace(noisy_problem.plan, pairings=pairings))
+        assert shifted.kernel is not noisy_problem.kernel
         np.testing.assert_array_equal(
             shifted.kernel(0.4321),
-            RayKernel(shifted.psi, shifted.t_aux, shifted.cfg)(0.4321),
+            RayKernel([pc.psi for pc in pairings], [pc.t_aux for pc in pairings], shifted.cfg)(0.4321),
         )
 
 
@@ -263,9 +274,9 @@ def _reference_refine(prob, theta_init, max_iter, tol, step=1e-2):
 
     Returns (trace, state) like ``refine(..., trace=trace)``.
     """
-    grid = SubcarrierGrid.from_config(prob.cfg)
-    theta, g_prev, taus, eta = float(theta_init), 0.0, np.zeros(len(grid)), step
-    max_move = 0.5 * prob.cfg.f_c / (prob.cfg.n_bs * float(np.max(grid.frequencies)))
+    freqs = prob.cfg.frequencies
+    theta, g_prev, taus, eta = float(theta_init), 0.0, np.zeros(len(freqs)), step
+    max_move = 0.5 * prob.cfg.f_c / (prob.cfg.n_bs * float(np.max(freqs)))
     trace, best, prev_eps, grow = [], None, np.inf, 0
     iterations, converged, diverged = 0, False, False
     eps = float(np.sum(np.abs(prob.y_hat) ** 2))

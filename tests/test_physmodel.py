@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,15 +28,13 @@ def cfg():
     return default_config()
 
 
-@pytest.fixture(scope="module")
-def grid(cfg):
-    return SubcarrierGrid.from_config(cfg)
-
-
 class TestSystemConfig:
     def test_derived_spacing(self, cfg):
         assert cfg.f_d == cfg.bandwidth / (2 * cfg.m_half)
         assert cfg.n_subcarriers == 129
+
+    def test_spacing_follows_replace(self):
+        assert replace(default_config(), m_half=32).f_d == 10e9 / 64
 
     def test_group_product_enforced(self):
         with pytest.raises(ValueError):
@@ -44,18 +44,18 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(n_bs=16, n_ttd=4, p=4, f_c=1e9, bandwidth=4e9, m_half=2)
 
-    def test_inconsistent_spacing_rejected(self):
-        with pytest.raises(ValueError):
-            SystemConfig(n_bs=16, n_ttd=4, p=4, f_c=100e9, bandwidth=10e9, m_half=4, f_d=1e9)
-
 
 class TestSubcarrierGrid:
-    def test_symmetric_and_increasing(self, cfg, grid):
-        assert np.all(np.diff(grid.frequencies) > 0)
-        np.testing.assert_allclose(
-            grid.frequencies + grid.frequencies[::-1], 2 * cfg.f_c, rtol=1e-15
-        )
-        assert grid.baseband[cfg.m_half] == 0.0
+    def test_symmetric_and_increasing(self, cfg):
+        freqs = cfg.frequencies
+        assert np.all(np.diff(freqs) > 0)
+        np.testing.assert_allclose(freqs + freqs[::-1], 2 * cfg.f_c, rtol=1e-15)
+        assert freqs[cfg.m_half] == cfg.f_c
+        assert (freqs[0], freqs[-1]) == (cfg.f_low, cfg.f_high)
+
+    def test_probe_grid_has_the_config_frequencies(self, cfg):
+        # the benchmark's set-up probe still builds SubcarrierGrid
+        assert SubcarrierGrid.from_config(cfg).frequencies.tobytes() == cfg.frequencies.tobytes()
 
 
 class TestSteeringVector:
@@ -76,10 +76,10 @@ class TestSteeringVector:
         np.testing.assert_allclose(np.angle(vec[1:]), np.angle(np.exp(1j * expected_phases[1:])))
         np.testing.assert_allclose(np.abs(vec), 1.0, rtol=1e-15)
 
-    def test_array_of_frequencies_stacks_rows(self, cfg, grid):
-        rows = steering_vector(grid.frequencies, 0.3, 8, cfg.f_c)
-        assert rows.shape == (len(grid), 8)
-        for f_m, row in zip(grid.frequencies, rows):
+    def test_array_of_frequencies_stacks_rows(self, cfg):
+        rows = steering_vector(cfg.frequencies, 0.3, 8, cfg.f_c)
+        assert rows.shape == (cfg.n_subcarriers, 8)
+        for f_m, row in zip(cfg.frequencies, rows):
             np.testing.assert_array_equal(row, steering_vector(f_m, 0.3, 8, cfg.f_c))
 
     def test_rejects_nonpositive_frequency(self, cfg):
@@ -154,12 +154,12 @@ class TestSimulateRx:
 
     def test_aligned_inner_product(self, cfg):
         ch = channel_response(PathComponent(1.0 + 0j, 0.3), cfg)
-        assert ch.precoded([0.3], [0.3])[cfg.m_half, 0] == pytest.approx(cfg.n_bs)
+        assert ch.precoded(RayKernel([0.3], [0.3], cfg))[cfg.m_half, 0] == pytest.approx(cfg.n_bs)
 
     def test_orthogonal_beams(self, cfg):
         ch = channel_response(PathComponent(1.0 + 0j, 0.5), cfg)
         psi = 0.5 + 2.0 / cfg.n_bs
-        assert abs(ch.precoded([psi], [psi])[cfg.m_half, 0]) == pytest.approx(0.0, abs=1e-9)
+        assert abs(ch.precoded(RayKernel([psi], [psi], cfg))[cfg.m_half, 0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_noise_reproducible(self, cfg):
         plan = plan_tracking(0.2, 0.05, 2, cfg)
@@ -182,9 +182,8 @@ class TestSimulateRx:
         assert np.mean(np.abs(samples) ** 2) == pytest.approx(4.0, rel=0.1)
 
     def test_length_mismatch(self, cfg):
-        ch = channel_response(PathComponent(1.0 + 0j, 0.2), cfg)
         with pytest.raises(ValueError):
-            ch.precoded(np.zeros(4), np.zeros(5))
+            RayKernel(np.zeros(4), np.zeros(5), cfg)
 
 
 class TestWidebandBeamforming:
@@ -236,11 +235,10 @@ def _ray_cases(draw):
 
 def _dense_ray_response(system, theta, psi, t_aux):
     """c and dc/dtheta from explicit steering/precoder inner products."""
-    grid = SubcarrierGrid.from_config(system)
     k = np.arange(system.n_bs)
-    a = steering_vector(grid.frequencies, theta, system.n_bs, system.f_c)
-    da = 1j * np.pi * (grid.frequencies / system.f_c)[:, None] * k * a.conj()
-    c = np.empty((len(grid), len(psi)), dtype=complex)
+    a = steering_vector(system.frequencies, theta, system.n_bs, system.f_c)
+    da = 1j * np.pi * (system.frequencies / system.f_c)[:, None] * k * a.conj()
+    c = np.empty((system.n_subcarriers, len(psi)), dtype=complex)
     dc = np.empty_like(c)
     for l, (ps, t) in enumerate(zip(psi, t_aux)):
         f = precoder_matrix(PrecoderConfig(ps, t), system)
@@ -283,7 +281,7 @@ class TestRayResponse:
             axis=1,
         )
         atol = 2 * _RAY_TOL_C * cfg.n_bs**2 * _EPS
-        np.testing.assert_allclose(ch.precoded(psi, t_aux), dense, rtol=0, atol=atol)
+        np.testing.assert_allclose(ch.precoded(RayKernel(psi, t_aux, cfg)), dense, rtol=0, atol=atol)
 
 
 # Fixed before any run, on the same scale as the tolerances above: the term
@@ -325,7 +323,7 @@ class TestSlopeBranches:
         n = system.n_bs
         c, dc = RayKernel([psi], [0.0], system)(theta, derivative=True)
         # G_n(x) = sum_{i<n} exp(j*pi*x*i) term by term, x = (f_m/f_c)*theta - psi
-        rho = SubcarrierGrid.from_config(system).frequencies / system.f_c
+        rho = system.frequencies / system.f_c
         i = np.arange(n)
         terms = np.exp(1j * np.pi * np.outer(rho * theta - psi, i))
         want_c = terms.sum(axis=1)

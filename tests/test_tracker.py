@@ -3,7 +3,6 @@ import pytest
 
 from thztrack import (
     PathComponent,
-    SubcarrierGrid,
     SystemConfig,
     TrackingObservation,
     angle_map,
@@ -23,11 +22,6 @@ from thztrack import (
 @pytest.fixture(scope="module")
 def cfg():
     return default_config()
-
-
-@pytest.fixture(scope="module")
-def grid(cfg):
-    return SubcarrierGrid.from_config(cfg)
 
 
 class TestPlanTracking:
@@ -134,7 +128,7 @@ class TestRunTracking:
         n2 = run_tracking(plan, ch, 2.0, rng=5).y - clean
         np.testing.assert_allclose(n2, 2.0 * n1, rtol=1e-10)
 
-    def test_matches_per_cell_simulation(self, cfg, grid):
+    def test_matches_per_cell_simulation(self, cfg):
         # the vectorized pilot matrix equals cell-by-cell simulation, h^H f
         # plus circular noise, with a shared generator consuming two draws
         # (real, imaginary) per cell in row-major order
@@ -144,7 +138,7 @@ class TestRunTracking:
         gen = np.random.default_rng(314)
         for l, pc in enumerate(plan.pairings):
             f_rows = precoder_matrix(pc, cfg)
-            for j in range(len(grid)):
+            for j in range(cfg.n_subcarriers):
                 re, im = gen.standard_normal(2)
                 expected = np.vdot(ch.h[j], f_rows[j]) + 2.5 / np.sqrt(2.0) * (re + 1j * im)
                 assert obs.y[l, j] == pytest.approx(expected, rel=1e-12)
