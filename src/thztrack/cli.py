@@ -79,8 +79,9 @@ def _add_config_args(parser: argparse.ArgumentParser, keys):
 def _scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig | None:
     """The ``--config`` file with the config flags and ``--values`` (the axis's key) on top; None without them.
 
-    An unreadable file, a rejected value, ``track --theta0`` beyond the centre cap, a ``beam-pattern``
-    pairing interval that leaves [-1, 1] and ``track --trace`` without compensation are usage errors.
+    An unreadable file, a rejected value, ``track --theta0`` beyond the centre cap, ``beam-pattern`` with
+    one of ``--psi``/``--t``, a ``beam-pattern`` pairing interval that leaves [-1, 1] and ``track --trace``
+    without compensation are usage errors.
     """
     opts = vars(args)
     if "config" not in opts:
@@ -98,10 +99,12 @@ def _scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig | None:
         if center is not None and not abs(center) <= cap:
             raise ValueError(f"argument --theta0: must lie in [-{cap:g}, {cap:g}], got {center!r}")
         # beam-pattern pairs [theta0 - alpha, theta0 + alpha] unless both slopes are given: plan_tracking's rule
-        if "theta0" in opts and None in (opts["psi"], opts["t"]):
+        if "theta0" in opts and None in (args.psi, args.t):
             lo, hi = args.theta0 - args.alpha, args.theta0 + args.alpha
             if not abs(args.theta0) + args.alpha <= 1 + 1e-12:
                 raise ValueError(f"arguments --theta0/--alpha: the searched interval [{lo:g}, {hi:g}] leaves [-1, 1]")
+            if (args.psi, args.t) != (None, None):
+                raise ValueError("arguments --psi/--t: give both slopes or neither")
         if opts.get("trace") is not None and not scn.compensation:
             raise ValueError("argument --trace: traces the refinement, which needs --compensation")
     except OSError as exc:
@@ -118,7 +121,7 @@ def _save_csv(path: Path, header: list[str], rows) -> None:
 
 def _cmd_beam_pattern(args, scn: ScenarioConfig) -> int:
     cfg = scn.system
-    if args.psi is not None and args.t is not None:
+    if args.psi is not None:  # _scenario requires --t along with --psi
         pc = PrecoderConfig(args.psi, args.t)
         label = f"psi={args.psi} t={args.t}"
     else:
@@ -174,8 +177,7 @@ def _cmd_codebook(args, scn: ScenarioConfig) -> int:
 
 def _cmd_track(args, scn: ScenarioConfig) -> int:
     trace: list = []
-    target = scn.theta_grid[0] if scn.theta_grid else None
-    frame = run_frame(scn, 0, 0, scn.snr_db[0], scn.slots[0], target, center=args.center, trace=trace)
+    frame = run_frame(scn, 0, 0, center=args.center, trace=trace)
     plan, est, rec, state = frame.plan, frame.estimate, frame.record, frame.state
     print(
         f"tracking theta_r={rec.theta_r:.6f} over [{plan.theta0 - plan.alpha:.4f}, "
@@ -206,7 +208,7 @@ def _cmd_track(args, scn: ScenarioConfig) -> int:
 
 
 def _cmd_sweep(args, scn: ScenarioConfig) -> int:
-    report = sweep(scn, args.axis, keep_records=args.full is not None)
+    report = sweep(scn, args.axis)
     report.write_csv(args.out)
     if args.full:
         report.write_json(args.full)
@@ -227,8 +229,8 @@ def _cmd_validate(args, scn) -> int:
     cfg2 = SystemConfig(n_bs=256, n_ttd=16, p=16, f_c=100e9, bandwidth=12.5e9, m_half=64)
     pairing = make_pairing(0.6, 0.04, cfg)
     on_grid, off_grid = checks.recovery_errors()
-    scn = ScenarioConfig(system=cfg, users=1, trials=5, seed=11, snr_db=(10.0,), slots=(2,))
-    runs = [sweep(scn, "snr", values=[0.0, 10.0]).rows for _ in range(2)]
+    scn = ScenarioConfig(system=cfg, users=1, trials=5, seed=11, snr_db=(0.0, 10.0), slots=(2,))
+    runs = [sweep(scn, "snr").rows for _ in range(2)]
     # (label, measured error, bound); a check passes when its error is within the bound
     table = [
         ("closed-form gain matches inner product (200 draws)", checks.gain_oracle_error(200, 20240811), 1e-9),
@@ -322,7 +324,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         help_text, add_arguments, handler = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, subparser=p)
     return parser
 
 
@@ -330,8 +332,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
-    (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
-    return args.func(args, _scenario(commands[args.command], args))
+    return args.func(args, _scenario(args.subparser, args))
 
 
 if __name__ == "__main__":

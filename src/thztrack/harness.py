@@ -6,6 +6,10 @@ since the previous frame: the tracker searches
 refines the estimate, and reports the angle error and the beamforming gain of
 a precoder aligned to the estimate.
 
+A frame reads all of its inputs from its scenario: the first entry of each
+list key (``snr_db``, ``slots``, ``theta_grid``).  A sweep runs each point of
+its axis as the scenario with the axis's key set to that point alone.
+
 Trial randomness is keyed by (seed, trial, user) only, never by the sweep
 axis, so runs at different SNRs or slot counts share their channel and noise
 draws (common random numbers) and sweeps are bit-reproducible.
@@ -91,6 +95,8 @@ class ScenarioConfig:
         if not all(n >= 1 for n in self.slots):
             raise ValueError(f"slots entries must be positive integers, got {self.slots!r}")
         for snr in self.snr_db:
+            if snr == math.inf:  # the noiseless frame: pilot noise exactly 0
+                continue
             # a huge SNR overflows the power ratio, a hugely negative one underflows it to 0
             with contextlib.suppress(OverflowError), np.errstate(divide="ignore", over="ignore"):
                 if 0 < pilot_noise_std(snr, self.system) < math.inf:
@@ -179,41 +185,36 @@ class Frame:
 
 
 def run_frame(
-    scn: ScenarioConfig,
-    trial: int,
-    user: int,
-    snr_db: float | None,
-    n_slots: int,
-    theta_target: float | None = None,
-    center: float | None = None,
-    trace: list | None = None,
+    scn: ScenarioConfig, trial: int, user: int, center: float | None = None, trace: list | None = None
 ) -> Frame:
     """One frame of ``user`` in ``trial``: plan, pilots, coarse estimate, refinement, gain.
 
-    Deterministic in (seed, trial, user).  ``snr_db`` is the post-beamforming
-    SNR at perfect alignment (None means noiseless).  The previous direction
-    is drawn and the true one is a mobility step from it; when
-    ``theta_target`` is given the true direction is pinned to it and the
-    previous one is back-generated.  The searched interval is centred on the
-    previous direction, or on ``center`` when given.  With compensation the
-    coarse estimate is refined (``trace`` collects the iterates); a
-    degenerate geometry keeps the coarse estimate.
+    Deterministic in (seed, trial, user).  The frame's inputs are the first
+    entries of the scenario's lists: the post-beamforming SNR at perfect
+    alignment ``snr_db[0]`` (+inf is noiseless), the slot count ``slots[0]``
+    and, when ``theta_grid`` is not empty, the true direction
+    ``theta_grid[0]``.  Without it the previous direction is drawn and the
+    true one is a mobility step from it; with it the previous one is
+    back-generated.  The searched interval is centred on the previous
+    direction, or on ``center`` when given.  With compensation the coarse
+    estimate is refined (``trace`` collects the iterates); a degenerate
+    geometry keeps the coarse estimate.
     """
     cfg = scn.system
     cb = build_codebook(cfg) if scn.codebook else None
     cap = scn.center_cap
-    noise_std = 0.0 if snr_db is None else pilot_noise_std(snr_db, cfg)
+    noise_std = pilot_noise_std(scn.snr_db[0], cfg)
     rng = np.random.default_rng([scn.seed, trial, user])
     g = _draw_gain(rng, scn.gain_sigma)
     zeta = rng.uniform(-scn.zeta_max, scn.zeta_max)
-    if theta_target is None:
+    if scn.theta_grid:
+        theta_r = float(scn.theta_grid[0])
+        theta_prev = _clamp(theta_r - zeta, cap)
+    else:
         theta_prev = _clamp(rng.uniform(-cap, cap), cap)
         theta_r = _clamp(theta_prev + zeta, _DIRECTION_CAP)
-    else:
-        theta_r = float(theta_target)
-        theta_prev = _clamp(theta_r - zeta, cap)
     center = theta_prev if center is None else center
-    plan = plan_tracking(center, scn.zeta_max, n_slots, cfg, codebook=cb, pairing_mode=_scheme_mode(scn.scheme))
+    plan = plan_tracking(center, scn.zeta_max, scn.slots[0], cfg, codebook=cb, pairing_mode=_scheme_mode(scn.scheme))
     channel = channel_response(PathComponent(g, theta_r), cfg)
     obs = run_tracking(plan, channel, noise_std, rng)
     est = coarse_estimate(obs)
@@ -232,25 +233,14 @@ def run_frame(
     theta_refined = None if state is None else float(state.theta)
     theta_final = est.theta_hat if theta_refined is None else theta_refined
     aim = snap(theta_final, cb.psi_grid) if cb else theta_final
-    gain = beamforming_gain(channel, aim, cfg)
+    gain = beamforming_gain(channel, aim)
     record = TrialRecord(trial, user, theta_r, est.theta_hat, theta_refined, gain, **outcome)
     return Frame(record, plan, obs, est, state)
 
 
-def run_trial(
-    scn: ScenarioConfig,
-    trial_index: int,
-    snr_db: float | None,
-    n_slots: int,
-    theta_target: float | None = None,
-) -> list[TrialRecord]:
-    """The records of one Monte Carlo frame (:func:`run_frame`) for every user.
-
-    A ``theta_target`` beyond the direction cap (|theta| > 0.99) is rejected.
-    """
-    if theta_target is not None and not abs(theta_target) <= _DIRECTION_CAP:
-        raise ValueError(f"theta_target must lie in [-{_DIRECTION_CAP}, {_DIRECTION_CAP}], got {theta_target!r}")
-    return [run_frame(scn, trial_index, user, snr_db, n_slots, theta_target).record for user in range(scn.users)]
+def run_trial(scn: ScenarioConfig, trial: int) -> list[TrialRecord]:
+    """The records of frame ``trial`` (:func:`run_frame`) for every user."""
+    return [run_frame(scn, trial, user).record for user in range(scn.users)]
 
 
 def nmse(theta_hat, theta_r) -> tuple[float, int]:
@@ -277,16 +267,15 @@ def nmse_db(linear: float) -> float:
     return max(float(10.0 * np.log10(linear)), _NMSE_DB_FLOOR)
 
 
-def beamforming_gain(channel: ChannelResponse, theta_hat: float, cfg: SystemConfig) -> float:
+def beamforming_gain(channel: ChannelResponse, theta_hat: float) -> float:
     """Average over subcarriers of |h_m^H w_m|^2 for the estimate-aligned precoder.
 
-    Both slopes point at theta_hat and the precoder carries the 1/sqrt(n_bs)
-    power normalization, so the gain is mean_m |h_m^H f_m|^2 / n_bs.  Only
-    the real amplitude of the ray's closed-form response is needed
-    (:meth:`RayKernel.amplitude`).
+    Both slopes point at theta_hat and the precoder, on the channel's system
+    config, carries the 1/sqrt(n_bs) power normalization, so the gain is
+    mean_m |h_m^H f_m|^2 / n_bs.  Only the real amplitude of the ray's
+    closed-form response is needed (:meth:`RayKernel.amplitude`).
     """
-    if channel.cfg != cfg:
-        raise ValueError("channel was built for a different system config")
+    cfg = channel.cfg
     # |h_m^H f_m| = |gain| * |D_p * D_N|: the rotation drops out
     amp = RayKernel(theta_hat, theta_hat, cfg).amplitude(channel.path.direction)
     return abs(channel.path.gain) ** 2 * float(np.vdot(amp, amp)) / amp.size / cfg.n_bs
@@ -306,23 +295,20 @@ def write_table(path, header, rows) -> int:
 
 @dataclass
 class MetricsReport:
-    """Aggregated sweep output: one row per axis point, optional raw records."""
+    """Aggregated sweep output: one row per axis point and the per-trial records of each point."""
 
     axis: str
     rows: list[dict]
-    records: dict | None = None
+    records: dict
 
     def write_csv(self, path):
         """One line per row; the columns are the row keys, in the order ``sweep`` builds them."""
         write_table(path, list(self.rows[0]), (row.values() for row in self.rows))
 
     def write_json(self, path):
-        """The rows and, when kept, the per-trial records."""
-        payload = {"axis": self.axis, "rows": self.rows}
-        if self.records is not None:
-            payload["records"] = {
-                str(value): [asdict(r) for r in recs] for value, recs in self.records.items()
-            }
+        """The rows and the per-trial records."""
+        records = {str(value): [asdict(r) for r in recs] for value, recs in self.records.items()}
+        payload = {"axis": self.axis, "rows": self.rows, "records": records}
         Path(path).write_text(json.dumps(payload, indent=2, default=str) + "\n")
 
 
@@ -330,34 +316,28 @@ class MetricsReport:
 SWEEP_AXES = {"snr": "snr_db", "slots": "slots", "theta": "theta_grid"}
 
 
-def sweep(scn: ScenarioConfig, axis: str, values=None, keep_records: bool = False) -> MetricsReport:
+def sweep(scn: ScenarioConfig, axis: str) -> MetricsReport:
     """Monte Carlo sweep along one axis ("snr", "slots" or "theta").
 
-    The points are ``values``, read by the parser of the axis's config key
-    (:data:`SWEEP_AXES`) and checked as that key of the scenario, or else
-    that key's list; off-axis parameters take the first entry of their list.
-    Rows carry the NMSE of the reported estimate and, when compensation is
-    on, of the coarse estimate as well, plus how the refinements ended: the
-    mean iteration count and the numbers that ran out of iterations,
-    diverged, or kept the coarse estimate on a degenerate geometry.
+    The points are the list of the axis's config key (:data:`SWEEP_AXES`).
+    Each point runs as the scenario with that key set to the point alone, so
+    every frame reads the first entry of each list key, on and off the axis
+    (:func:`run_frame`).  Rows carry the NMSE of the reported estimate and,
+    when compensation is on, of the coarse estimate as well, plus how the
+    refinements ended: the mean iteration count and the numbers that ran out
+    of iterations, diverged, or kept the coarse estimate on a degenerate
+    geometry.  The report keeps every point's records.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
     key = SWEEP_AXES[axis]
-    if values is not None:
-        scn = replace(scn, **{key: parse_config_value(key, values, "values")})
-    vals = getattr(scn, key)
-    if not vals:
-        raise ValueError(f"{axis} sweep needs values or {key}")
+    if not getattr(scn, key):
+        raise ValueError(f"a {axis} sweep needs {key}")
     rows = []
     all_records: dict = {}
-    for value in vals:
-        snr = value if axis == "snr" else scn.snr_db[0]
-        n_slots = value if axis == "slots" else scn.slots[0]
-        target = value if axis == "theta" else None
-        records: list[TrialRecord] = []
-        for trial in range(scn.trials):
-            records.extend(run_trial(scn, trial, snr, n_slots, theta_target=target))
+    for value in getattr(scn, key):
+        point = replace(scn, **{key: (value,)})
+        records = [rec for trial in range(scn.trials) for rec in run_trial(point, trial)]
         finals = [r.theta_final for r in records]
         coarse = [r.theta_hat for r in records]
         truths = [r.theta_r for r in records]
@@ -384,9 +364,8 @@ def sweep(scn: ScenarioConfig, axis: str, values=None, keep_records: bool = Fals
                 "n_degenerate": sum(r.degenerate for r in records),
             }
         )
-        if keep_records:
-            all_records[value] = records
-    return MetricsReport(axis=axis, rows=rows, records=all_records if keep_records else None)
+        all_records[value] = records
+    return MetricsReport(axis=axis, rows=rows, records=all_records)
 
 
 # --- configuration files ---------------------------------------------------

@@ -59,10 +59,6 @@ class CprProblem:
     def kernel(self) -> RayKernel:
         return self.plan.kernel
 
-    @property
-    def n_slots(self) -> int:
-        return self.y_hat.shape[1]
-
     @cached_property
     def b_mats(self) -> np.ndarray:
         return np.stack([precoder_matrix(pc, self.cfg) for pc in self.plan.pairings], axis=-1)

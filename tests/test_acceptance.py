@@ -138,9 +138,9 @@ def test_criterion_08_nmse_trends():
     base = dict(system=CFG, users=1, trials=trials, seed=20250809, zeta_max=0.2, slots=(4,))
 
     # (a)+(b): SNR sweep; compensation on, so records expose coarse and refined
-    scn = ScenarioConfig(compensation=True, **base)
     snrs = [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
-    rep = sweep(scn, "snr", values=snrs)
+    scn = ScenarioConfig(compensation=True, snr_db=tuple(snrs), **base)
+    rep = sweep(scn, "snr")
     coarse = {r["value"]: r["nmse_coarse_db"] for r in rep.rows}
     refined = {r["value"]: r["nmse_db"] for r in rep.rows}
 
@@ -188,10 +188,9 @@ def test_criterion_09_theta_sweep_symmetry():
     start = time.perf_counter()
     scn = ScenarioConfig(
         system=CFG, users=1, trials=2500, seed=424242, zeta_max=0.2,
-        slots=(4,), snr_db=(20.0,), compensation=False,
+        slots=(4,), snr_db=(20.0,), compensation=False, theta_grid=(-0.9, -0.6, -0.3, 0.3, 0.6, 0.9),
     )
-    points = [-0.9, -0.6, -0.3, 0.3, 0.6, 0.9]
-    rep = sweep(scn, "theta", values=points)
+    rep = sweep(scn, "theta")
     vals = {r["value"]: r["nmse_linear"] for r in rep.rows}
     rels = {}
     for v in (0.3, 0.6, 0.9):

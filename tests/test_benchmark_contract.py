@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from thztrack import cli
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -50,3 +52,14 @@ def test_setup_probe_gets_a_codebook_scenario_ready(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ready"
+
+
+def test_tracer_hooks_run_on_a_compensated_sweep(tmp_path):
+    tracer = _load("tracing").Tracer()
+    argv = ["sweep-nmse", "--seed", "1", "--trials", "2", "--users", "1", "--snr-db", "10,20",
+            "--slots-list", "2", "--compensation", "--out", str(tmp_path / "sweep.csv")]
+    with tracer.installed():
+        assert cli.main(argv) == 0
+    # a hook that reads a moved attribute fails here, not inside the sweep
+    tracer.check()
+    assert tracer.by_name()["tracker.plan_tracking"]["calls"] == 2 * 2

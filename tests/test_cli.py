@@ -167,8 +167,8 @@ class TestTrackIsFrameZero:
             argv += ["--theta-r", str(theta_r)]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        scn = ScenarioConfig(seed=3, snr_db=(15.0,), slots=(2,), **keys)
-        rec = run_trial(scn, 0, 15.0, 2, theta_r)[0]
+        scn = ScenarioConfig(seed=3, snr_db=(15.0,), slots=(2,), theta_grid=() if theta_r is None else (theta_r,), **keys)
+        rec = run_trial(scn, 0)[0]
         assert f"tracking theta_r={rec.theta_r:.6f} " in out
         assert f"coarse estimate {rec.theta_hat:+.6f} " in out
         if scn.compensation:
@@ -176,6 +176,24 @@ class TestTrackIsFrameZero:
         else:
             assert "refined estimate" not in out
         assert f"beamforming gain at estimate: {rec.gain:.4f}\n" in out
+
+    def test_off_axis_theta_grid_pins_every_frame(self, tmp_path, monkeypatch, capsys):
+        # theta_grid is off the axis of an SNR sweep, and each frame still reads its first entry
+        monkeypatch.chdir(tmp_path)
+        Path("scenario.cfg").write_text(
+            "theta_grid = [0.3]\nsnr_db = [10, 20]\nslots = [4]\ntrials = 2\nusers = 2\ncompensation = true\n"
+        )
+        assert main(["sweep-nmse", "--config", "scenario.cfg", "--seed", "5", "--out", "o.csv", "--full", "o.json"]) == 0
+        records = json.loads(Path("o.json").read_text())["records"]
+        assert [r["theta_r"] for recs in records.values() for r in recs] == [0.3] * 8
+        capsys.readouterr()
+        assert main(["track", "--config", "scenario.cfg", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        rec = records["10.0"][0]
+        assert f"tracking theta_r={rec['theta_r']:.6f} " in out
+        assert f"coarse estimate {rec['theta_hat']:+.6f} " in out
+        assert f"refined estimate {rec['theta_refined']:+.6f} " in out
+        assert f"beamforming gain at estimate: {rec['gain']:.4f}\n" in out
 
     def test_degenerate_refinement_keeps_the_coarse_estimate(self, tmp_path, capsys, monkeypatch):
         real_refine = harness.refine
@@ -330,7 +348,10 @@ class TestParser:
     def test_lazy_parser_matches_full_parser(self, command):
         argv = _ARGV[command]
         assert list(_subparsers(build_parser(command))) == [command]
-        assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
+        lazy, full = (vars(parser.parse_args(argv)) for parser in (build_parser(command), build_parser()))
+        # each namespace carries the subparser that parsed it, built once per parser
+        assert lazy.pop("subparser").format_usage() == full.pop("subparser").format_usage()
+        assert lazy == full
 
     def test_lazy_usage_error_matches_full_parser(self, capsys):
         argv = ["track", "--seed", "1", "--bogus"]
@@ -431,6 +452,10 @@ class TestBadScenario:
              "arguments --theta0/--alpha: the searched interval [0.45, 1.45] leaves [-1, 1]"),
             (["beam-pattern", "--theta0=-0.9", "--alpha", "0.2", "--psi", "0.1", "--out", "x.csv"],
              "arguments --theta0/--alpha: the searched interval [-1.1, -0.7] leaves [-1, 1]"),
+            (["beam-pattern", "--psi", "0.3", "--grid-step", "0.5", "--out", "x.csv"],
+             "arguments --psi/--t: give both slopes or neither"),
+            (["beam-pattern", "--t", "0.3", "--grid-step", "0.5", "--out", "x.csv"],
+             "arguments --psi/--t: give both slopes or neither"),
         ],
     )
     def test_exits_2_with_the_message(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -481,7 +506,7 @@ class _Swept(Exception):
 def _swept_scenario(monkeypatch, argv):
     """The scenario that ``sweep-nmse argv`` would sweep."""
 
-    def stop(scn, axis, values=None, keep_records=False):
+    def stop(scn, axis):
         raise _Swept(scn)
 
     monkeypatch.setattr(cli, "sweep", stop)

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -69,18 +70,18 @@ class TestBeamformingGain:
         expected = cfg.n_bs * np.mean(
             [dirichlet(cfg.p, (m * cfg.f_d / cfg.f_c) * theta_r) ** 2 for m in cfg.m_indices]
         )
-        assert beamforming_gain(ch, theta_r, cfg) == pytest.approx(expected, rel=1e-10)
+        assert beamforming_gain(ch, theta_r) == pytest.approx(expected, rel=1e-10)
 
     def test_misaligned_beam_is_weak(self, cfg):
         ch = channel_response(PathComponent(1.0 + 0j, 0.3), cfg)
-        assert beamforming_gain(ch, -0.5, cfg) < 1.0
+        assert beamforming_gain(ch, -0.5) < 1.0
 
     def test_alignment_is_local_peak(self, cfg):
         theta_r = 0.37
         ch = channel_response(PathComponent(1.0 + 0j, theta_r), cfg)
-        at_truth = beamforming_gain(ch, theta_r, cfg)
-        assert at_truth > beamforming_gain(ch, theta_r + 0.01, cfg)
-        assert at_truth > beamforming_gain(ch, theta_r - 0.01, cfg)
+        at_truth = beamforming_gain(ch, theta_r)
+        assert at_truth > beamforming_gain(ch, theta_r + 0.01)
+        assert at_truth > beamforming_gain(ch, theta_r - 0.01)
 
 
 # Fixed before any run.  The ray's closed-form response is within
@@ -121,75 +122,78 @@ class TestBeamformingGainOracle:
         want = np.mean(np.abs(np.einsum("mn,mn->m", ch.h.conj(), f)) ** 2) / system.n_bs
         total = abs(path.gain)
         tol = 2 * _GAIN_TOL_C * system.n_bs**2 * np.finfo(float).eps * total**2
-        assert abs(beamforming_gain(ch, theta_hat, system) - want) <= tol
+        assert abs(beamforming_gain(ch, theta_hat) - want) <= tol
 
 
 class TestRunTrial:
     def test_deterministic_per_seed(self, cfg):
-        scn = ScenarioConfig(system=cfg, users=2, trials=3, seed=5)
-        a = run_trial(scn, 1, 10.0, 4)
-        b = run_trial(scn, 1, 10.0, 4)
+        scn = ScenarioConfig(system=cfg, users=2, trials=3, seed=5, snr_db=(10.0,), slots=(4,))
+        a = run_trial(scn, 1)
+        b = run_trial(scn, 1)
         assert a == b
 
     def test_different_trials_differ(self, cfg):
-        scn = ScenarioConfig(system=cfg, users=1, trials=3, seed=5)
-        a = run_trial(scn, 0, 10.0, 4)
-        b = run_trial(scn, 1, 10.0, 4)
+        scn = ScenarioConfig(system=cfg, users=1, trials=3, seed=5, snr_db=(10.0,), slots=(4,))
+        a = run_trial(scn, 0)
+        b = run_trial(scn, 1)
         assert a[0].theta_r != b[0].theta_r
 
     def test_noiseless_compensated_trial_is_sharp(self, cfg):
-        scn = ScenarioConfig(system=cfg, users=1, trials=1, seed=3, compensation=True)
-        rec = run_trial(scn, 0, None, 4)[0]
+        scn = ScenarioConfig(system=cfg, users=1, trials=1, seed=3, compensation=True, snr_db=(math.inf,), slots=(4,))
+        rec = run_trial(scn, 0)[0]
         assert abs(rec.theta_refined - rec.theta_r) < 1e-6
 
     def test_run_trial_is_one_frame_per_user(self, cfg):
-        scn = ScenarioConfig(system=cfg, users=3, seed=4, compensation=True, codebook=True)
-        frames = [run_frame(scn, 2, user, 10.0, 2, theta_target=0.3) for user in range(3)]
-        assert run_trial(scn, 2, 10.0, 2, theta_target=0.3) == [frame.record for frame in frames]
+        scn = ScenarioConfig(system=cfg, users=3, seed=4, compensation=True, codebook=True,
+                             snr_db=(10.0,), slots=(2,), theta_grid=(0.3,))
+        frames = [run_frame(scn, 2, user) for user in range(3)]
+        assert run_trial(scn, 2) == [frame.record for frame in frames]
         frame = frames[1]
         assert frame.plan.slots == 2 and frame.obs.y.shape == (2, cfg.n_subcarriers)
         assert (frame.estimate.theta_hat, float(frame.state.theta)) == (frame.record.theta_hat, frame.record.theta_refined)
 
     def test_center_moves_only_the_searched_interval(self, cfg):
-        scn = ScenarioConfig(system=cfg, users=1, seed=4, compensation=True)
+        scn = ScenarioConfig(system=cfg, users=1, seed=4, compensation=True, snr_db=(20.0,), slots=(4,))
         trace = []
-        frame = run_frame(scn, 0, 0, 20.0, 4, center=0.25, trace=trace)
+        frame = run_frame(scn, 0, 0, center=0.25, trace=trace)
         assert frame.plan.theta0 == 0.25 and frame.plan.alpha == scn.zeta_max
-        assert frame.record.theta_r == run_trial(scn, 0, 20.0, 4)[0].theta_r
+        assert frame.record.theta_r == run_trial(scn, 0)[0].theta_r
         # the trace collects one row per refine iteration, ending at the refined angle
         assert len(trace) == frame.record.iterations and trace[-1][1] == frame.state.theta
 
     def test_no_state_without_compensation(self, cfg):
-        frame = run_frame(ScenarioConfig(system=cfg, users=1, seed=4), 0, 0, 10.0, 2)
+        frame = run_frame(ScenarioConfig(system=cfg, users=1, seed=4, snr_db=(10.0,), slots=(2,)), 0, 0)
         assert frame.state is None and frame.record.theta_refined is None
 
     def test_record_count_users(self, cfg):
-        scn = ScenarioConfig(system=cfg, users=3, trials=1, seed=3)
-        assert len(run_trial(scn, 0, 10.0, 2)) == 3
+        scn = ScenarioConfig(system=cfg, users=3, trials=1, seed=3, snr_db=(10.0,), slots=(2,))
+        assert len(run_trial(scn, 0)) == 3
 
     def test_true_direction_inside_searched_interval(self, cfg):
-        scn = ScenarioConfig(system=cfg, users=1, trials=40, seed=11)
+        scn = ScenarioConfig(system=cfg, users=1, trials=40, seed=11, snr_db=(math.inf,), slots=(4,))
         for t in range(40):
-            rec = run_trial(scn, t, None, 4)[0]
+            rec = run_trial(scn, t)[0]
             assert abs(rec.theta_hat - rec.theta_r) < 2 * scn.zeta_max
 
     def test_forward_only_matches_auto_on_negative_axis(self, cfg):
         # when every slot center is negative both schemes pick the same pairing
-        base = dict(system=cfg, users=1, trials=20, seed=21, zeta_max=0.2)
+        base = dict(system=cfg, users=1, trials=20, seed=21, zeta_max=0.2, snr_db=(10.0,), slots=(4,),
+                    theta_grid=(-0.55,))
         fb = ScenarioConfig(scheme="forward_backward", **base)
         fo = ScenarioConfig(scheme="forward_only", **base)
         for t in range(20):
-            ra = run_trial(fb, t, 10.0, 4, theta_target=-0.55)[0]
-            rb = run_trial(fo, t, 10.0, 4, theta_target=-0.55)[0]
+            ra = run_trial(fb, t)[0]
+            rb = run_trial(fo, t)[0]
             assert ra.theta_hat == rb.theta_hat
 
     def test_exhaustive_sweep_estimates_slot_centers(self, cfg):
         # one beam per slot: the estimate is always a slot center, and stays
         # inside the searched interval (grating replicas can pick a far slot,
         # which is what makes this baseline weak)
-        scn = ScenarioConfig(system=cfg, users=1, trials=20, seed=31, scheme="exhaustive_sweep")
+        scn = ScenarioConfig(system=cfg, users=1, trials=20, seed=31, scheme="exhaustive_sweep",
+                             snr_db=(math.inf,), slots=(4,))
         for t in range(20):
-            rec = run_trial(scn, t, None, 4)[0]
+            rec = run_trial(scn, t)[0]
             assert abs(rec.theta_hat - rec.theta_r) <= 2 * scn.zeta_max
 
 
@@ -214,11 +218,16 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("snr_db", [-4000.0, 1e300, float("inf"), float("-inf"), float("nan")])
     def test_rejects_snr_without_finite_positive_pilot_noise(self, cfg, snr_db):
-        with pytest.raises(ValueError, match=r"snr_db entry .* gives a pilot noise that is not finite and positive"):
-            ScenarioConfig(snr_db=(10.0, snr_db))
-        # sweep values are parsed first, and the parser rejects non-finite numbers itself
-        with pytest.raises(ValueError, match="snr_db entry|'values' must be a finite number"):
-            sweep(ScenarioConfig(system=cfg, users=1, trials=1), "snr", values=[snr_db])
+        if snr_db == math.inf:
+            # the noiseless frame, whose pilot noise is exactly 0
+            assert ScenarioConfig(snr_db=(10.0, snr_db)).snr_db == (10.0, math.inf)
+            assert harness.pilot_noise_std(snr_db, cfg) == 0.0
+        else:
+            with pytest.raises(ValueError, match=r"snr_db entry .* gives a pilot noise that is not finite and positive"):
+                ScenarioConfig(snr_db=(10.0, snr_db))
+        # files, flags and --values read the key with a parser that rejects non-finite numbers itself
+        with pytest.raises(ValueError, match="snr_db entry|'snr_db' must be a finite number"):
+            scenario_from_mapping({"snr_db": [snr_db]})
         assert ScenarioConfig(snr_db=(-3000.0, 3000.0)).snr_db == (-3000.0, 3000.0)
 
     @pytest.mark.parametrize("slots", [[4, 0], [4, -2], [0]])
@@ -228,7 +237,7 @@ class TestScenarioConfig:
         frames = []
         monkeypatch.setattr(harness, "run_frame", lambda *args, **kwargs: frames.append(args))
         with pytest.raises(ValueError, match="slots entries must be positive integers"):
-            sweep(ScenarioConfig(system=cfg, users=1, trials=1), "slots", values=slots)
+            sweep(replace(ScenarioConfig(system=cfg, users=1, trials=1), slots=tuple(slots)), "slots")
         assert frames == []
 
     def test_center_cap(self):
@@ -262,31 +271,32 @@ class TestSweep:
 
     def test_json_full_records(self, cfg, tmp_path):
         scn = ScenarioConfig(system=cfg, users=1, trials=2, seed=9, snr_db=(10.0,))
-        rep = sweep(scn, "snr", keep_records=True)
+        rep = sweep(scn, "snr")
         out = tmp_path / "full.json"
         rep.write_json(out)
         payload = json.loads(out.read_text())
         assert len(payload["records"]["10.0"]) == 2
 
     def test_theta_axis_pins_direction(self, cfg):
-        scn = ScenarioConfig(system=cfg, users=1, trials=3, seed=9, snr_db=(10.0,))
-        rep = sweep(scn, "theta", values=[0.5], keep_records=True)
+        scn = ScenarioConfig(system=cfg, users=1, trials=3, seed=9, snr_db=(10.0,), theta_grid=(0.5,))
+        rep = sweep(scn, "theta")
         assert all(r.theta_r == 0.5 for r in rep.records[0.5])
 
     @pytest.mark.parametrize("target", [1.5, -0.995, float("nan")])
     def test_theta_target_beyond_direction_cap_rejected(self, cfg, target):
         scn = ScenarioConfig(system=cfg, users=1, trials=1, seed=9, snr_db=(10.0,))
-        with pytest.raises(ValueError, match="theta_target"):
-            run_trial(scn, 0, 10.0, 4, theta_target=target)
+        # the scenario, which every frame reads its target from, owns the cap
+        with pytest.raises(ValueError, match="theta_grid"):
+            replace(scn, theta_grid=(target,))
         with pytest.raises(ValueError, match=repr(target)):
-            sweep(scn, "theta", values=[0.5, target])
+            sweep(replace(scn, theta_grid=(0.5, target)), "theta")
 
     def test_theta_values_checked_before_any_frame(self, cfg, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "run_trial", lambda *args, **kwargs: calls.append(args) or [])
         scn = ScenarioConfig(system=cfg, users=1, trials=2, seed=9, snr_db=(10.0,))
         with pytest.raises(ValueError, match="theta_grid"):
-            sweep(scn, "theta", values=[0.3, 1.5])
+            sweep(replace(scn, theta_grid=(0.3, 1.5)), "theta")
         assert calls == []
 
     def test_unknown_axis(self, cfg):
@@ -296,7 +306,7 @@ class TestSweep:
 
     def test_refine_outcome_columns(self, cfg):
         scn = ScenarioConfig(system=cfg, users=1, trials=3, seed=9, snr_db=(10.0,), compensation=True)
-        rep = sweep(scn, "snr", keep_records=True)
+        rep = sweep(scn, "snr")
         row, records = rep.rows[0], rep.records[10.0]
         assert row["mean_iterations"] == np.mean([r.iterations for r in records]) > 0
         assert row["n_unconverged"] + row["n_diverged"] + row["n_degenerate"] == sum(
@@ -321,7 +331,7 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "refine", refine_second_on_dead_geometry)
         scn = ScenarioConfig(system=cfg, users=1, trials=3, seed=9, snr_db=(10.0,), compensation=True)
-        rep = sweep(scn, "snr", keep_records=True)
+        rep = sweep(scn, "snr")
         row = rep.rows[0]
         assert row["n_records"] == 3
         assert row["n_degenerate"] == 1
@@ -356,7 +366,7 @@ _REFINE_OUTCOMES_SEED_1 = {
 def test_refine_outcomes_of_one_compensated_sweep(cfg):
     scn = ScenarioConfig(system=cfg, users=1, snr_db=(-10.0, 0.0, 10.0, 20.0, 30.0), slots=(4,),
                          trials=2, compensation=True, seed=1)
-    report = sweep(scn, "snr", keep_records=True)
+    report = sweep(scn, "snr")
     got = {
         snr: [(r.iterations, r.converged, r.diverged) for r in records]
         for snr, records in report.records.items()
@@ -389,9 +399,9 @@ class TestSchemeOrdering:
         for scheme in ("forward_backward", "forward_only", "exhaustive_sweep"):
             scn = ScenarioConfig(
                 system=cfg, users=1, trials=400, seed=13, zeta_max=0.2, slots=(4,),
-                snr_db=(10.0,), scheme=scheme,
+                snr_db=(10.0,), scheme=scheme, theta_grid=tuple(self.GRID_PTS),
             )
-            rows = sweep(scn, "theta", values=self.GRID_PTS).rows
+            rows = sweep(scn, "theta").rows
             results[scheme] = float(np.mean([r["nmse_linear"] for r in rows]))
         assert results["forward_backward"] < results["forward_only"]
         assert results["forward_only"] < results["exhaustive_sweep"]
