@@ -17,7 +17,6 @@ from .harness import (
     ScenarioConfig,
     _as_bool,
     _as_float,
-    parse_config_value,
     run_frame,
     scenario_from_file,
     sweep,
@@ -55,18 +54,25 @@ def _count(text: str) -> int:
     return int(text)
 
 
-# The config keys each command takes as flags.
-_SYSTEM_FLAGS = ("n_bs", "n_ttd", "p", "f_c", "bandwidth", "m_half")
-_TRACK_FLAGS = _SYSTEM_FLAGS + ("compensation", "codebook", "seed")
-_SWEEP_FLAGS = tuple(CONFIG_PARSERS)
+def _direction(text: str) -> float:
+    """argparse type of a direction: a finite value in [-1, 1]."""
+    value = _finite_float(text)
+    if not -1 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in [-1, 1], got {text!r}")
+    return value
+
+
+# The config keys each command takes as flags: the system keys, every key a
+# frame reads (all but the frame counts users and trials), or every key.
+_SYSTEM_KEYS = tuple(f.name for f in fields(SystemConfig))
+_FRAME_KEYS = tuple(key for key in CONFIG_PARSERS if key not in ("users", "trials"))
 
 
 def _add_config_args(parser: argparse.ArgumentParser, keys):
-    """``--config`` and one flag per config key; a flag reads its value with the key's parser."""
+    """``--config`` and one flag per config key, ``--`` + the key with ``_`` as ``-``, read by the key's parser."""
     parser.add_argument("--config", type=Path, help="key=value scenario/system file")
     for key in keys:
-        # track's --slots takes the frame's one slot count, so the sweeps' slots list is --slots-list
-        flag = "--slots-list" if key == "slots" else "--" + key.replace("_", "-")
+        flag = "--" + key.replace("_", "-")
         if CONFIG_PARSERS[key] is _as_bool:
             parser.add_argument(flag, dest=key, action="store_true", default=None)
             if key == "compensation":
@@ -77,11 +83,11 @@ def _add_config_args(parser: argparse.ArgumentParser, keys):
 
 
 def _scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig | None:
-    """The ``--config`` file with the config flags and ``--values`` (the axis's key) on top; None without them.
+    """The ``--config`` file with the config flags on top; None for a command without them.
 
-    An unreadable file, a rejected value, ``track --theta0`` beyond the centre cap, ``beam-pattern`` with
-    one of ``--psi``/``--t``, a ``beam-pattern`` pairing interval that leaves [-1, 1] and ``track --trace``
-    without compensation are usage errors.
+    An unreadable file, a rejected value, a sweep whose axis key is empty, ``track --theta0`` beyond the
+    centre cap, ``beam-pattern`` with one of ``--psi``/``--t``, a ``beam-pattern`` pairing interval that
+    leaves [-1, 1] and ``track --trace`` without compensation are usage errors.
     """
     opts = vars(args)
     if "config" not in opts:
@@ -90,11 +96,9 @@ def _scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig | None:
     axis_key = SWEEP_AXES.get(opts.get("axis"))
     center = opts.get("center")
     try:
-        if opts.get("values") is not None:
-            flags[axis_key] = parse_config_value(axis_key, args.values, "--values")
         scn = scenario_from_file(args.config, flags)
         if axis_key and not getattr(scn, axis_key):
-            raise ValueError(f"a {args.axis} sweep needs --values or {axis_key}")
+            raise ValueError(f"a {args.axis} sweep needs --{axis_key.replace('_', '-')} or a file's {axis_key}")
         cap = scn.center_cap
         if center is not None and not abs(center) <= cap:
             raise ValueError(f"argument --theta0: must lie in [-{cap:g}, {cap:g}], got {center!r}")
@@ -253,7 +257,7 @@ def _cmd_validate(args, scn) -> int:
 
 
 def _beam_pattern_args(p: argparse.ArgumentParser):
-    _add_config_args(p, _SYSTEM_FLAGS)
+    _add_config_args(p, _SYSTEM_KEYS)
     p.add_argument("--theta0", type=_finite_float, default=0.6)
     p.add_argument("--alpha", type=_positive_float, default=0.05)
     p.add_argument("--psi", type=_finite_float)
@@ -264,35 +268,29 @@ def _beam_pattern_args(p: argparse.ArgumentParser):
 
 
 def _bounds_args(p: argparse.ArgumentParser):
-    _add_config_args(p, _SYSTEM_FLAGS)
-    p.add_argument("--theta-min", type=_finite_float, default=-1.0)
-    p.add_argument("--theta-max", type=_finite_float, default=1.0)
+    _add_config_args(p, _SYSTEM_KEYS)
+    p.add_argument("--theta-min", type=_direction, default=-1.0)
+    p.add_argument("--theta-max", type=_direction, default=1.0)
     p.add_argument("--points", type=_count, default=81)
     p.add_argument("--include-extra", action="store_true")
     p.add_argument("--out", type=Path, required=True)
 
 
 def _codebook_args(p: argparse.ArgumentParser):
-    _add_config_args(p, _SYSTEM_FLAGS)
+    _add_config_args(p, _SYSTEM_KEYS)
     p.add_argument("--out", type=Path, required=True)
 
 
 def _track_args(p: argparse.ArgumentParser):
-    _add_config_args(p, _TRACK_FLAGS)
-    # the frame's inputs: each sets the config key of its dest, but --theta0 is the frame's own search centre
-    p.add_argument("--theta-r", type=_finite_float, dest="theta_grid", metavar="THETA_R", help="sets theta_grid")
+    _add_config_args(p, _FRAME_KEYS)
     p.add_argument("--theta0", type=_finite_float, dest="center", metavar="THETA0", help="search centre")
-    p.add_argument("--alpha", type=_positive_float, dest="zeta_max", metavar="ALPHA", help="sets zeta_max")
-    p.add_argument("--slots", type=_count, dest="slots", help="sets slots")
-    p.add_argument("--snr", type=_finite_float, dest="snr_db", metavar="SNR", help="sets snr_db")
     p.add_argument("--trace", type=Path, help="CSV of refinement iterations")
     p.add_argument("--dump-y", type=Path, dest="dump_y", help="CSV heatmap of |Y|")
 
 
 def _sweep_args(p: argparse.ArgumentParser, axis: str):
-    _add_config_args(p, _SWEEP_FLAGS)
+    _add_config_args(p, CONFIG_PARSERS)
     p.add_argument("--axis", choices=list(SWEEP_AXES), default=axis)
-    p.add_argument("--values", help="comma-separated axis values")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--full", type=Path, help="also write per-trial records as JSON")
 
@@ -316,13 +314,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     call needs; otherwise every subcommand is, so that help and usage errors
     list them all.
     """
-    parser = argparse.ArgumentParser(prog="thztrack", description=__doc__)
+    # allow_abbrev=False: a prefix of a flag is not a second spelling of it
+    parser = argparse.ArgumentParser(prog="thztrack", description=__doc__, allow_abbrev=False)
     # the usage line names every command whichever subparsers are built
     sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}")
     names = [command] if command in _COMMANDS else list(_COMMANDS)
     for name in names:
         help_text, add_arguments, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         add_arguments(p)
         p.set_defaults(func=handler, subparser=p)
     return parser
@@ -331,7 +330,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # the invoked command's usage, where parse_args would print the top-level one
+        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     return args.func(args, _scenario(args.subparser, args))
 
 

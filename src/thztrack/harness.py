@@ -51,7 +51,6 @@ __all__ = [
     "SWEEP_AXES",
     "write_table",
     "load_key_values",
-    "parse_config_value",
     "scenario_from_file",
     "scenario_from_mapping",
     "pilot_noise_std",
@@ -113,6 +112,11 @@ class ScenarioConfig:
         if not all(abs(theta) <= _DIRECTION_CAP for theta in self.theta_grid):
             cap = _DIRECTION_CAP
             raise ValueError(f"theta_grid entries must lie in [-{cap}, {cap}], got {self.theta_grid!r}")
+        # a sweep keys its records by axis value, so a repeated entry would collide
+        for key in ("snr_db", "slots", "theta_grid"):
+            entries = getattr(self, key)
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"{key} entries must be distinct, got {entries!r}")
 
     @property
     def center_cap(self) -> float:
@@ -374,15 +378,19 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False
 
 
 def load_key_values(path) -> dict:
-    """Parse a ``key = value`` text file; values are JSON literals or bare strings."""
+    """Parse a ``key = value`` text file; values are JSON literals or bare strings, each key set once."""
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    line_of = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"malformed config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in line_of:
+            raise ValueError(f"config key {key!r} is set twice, on lines {line_of[key]} and {lineno}")
+        line_of[key] = lineno
         try:
             out[key] = json.loads(value)
         except json.JSONDecodeError:
@@ -417,13 +425,19 @@ def _as_float(value) -> float:
 
 
 def _as_int(value) -> int:
-    """An integral value: an int, an integral float, or a string of either ("2" or "2.0")."""
+    """An integral value: an int, an integral float, or a string of either ("2" or "2.0").
+
+    An exact integer is read at any size, but a float only up to 2**53 in
+    magnitude: beyond that a float no longer names one integer.
+    """
     if isinstance(value, (int, str, np.integer)) and not isinstance(value, bool):
         with contextlib.suppress(ValueError):
             return int(value)  # exact at any size
     number = _number(value)
     if not number.is_integer():
         raise ValueError(f"must be an integer, got {value!r}")
+    if abs(number) > 2**53:
+        raise ValueError(f"must be an integer, got {value!r}: a float beyond 2**53 names no one integer")
     return int(number)
 
 
@@ -442,8 +456,8 @@ def _list_of(parse):
 
 
 # Every config key and the parser of its value.  A parser reads a value as a
-# file, a flag or ``--values`` gives it, or raises a ValueError saying what the
-# value must be; parse_config_value names the key or flag.
+# file or the key's one flag gives it, or raises a ValueError saying what the
+# value must be; scenario_from_mapping names the key, argparse the flag.
 CONFIG_PARSERS = {
     "n_bs": _as_int,
     "n_ttd": _as_int,
@@ -465,23 +479,20 @@ CONFIG_PARSERS = {
 }
 
 
-def parse_config_value(key: str, value, name: str | None = None):
-    """``value`` read by the parser of config key ``key``; a ValueError names ``name``, by default the key."""
-    try:
-        return CONFIG_PARSERS[key](value)
-    except ValueError as exc:
-        raise ValueError(f"{name or key!r} {exc}") from None
-
-
 def scenario_from_mapping(data: dict) -> ScenarioConfig:
-    """Build a scenario from a flat mapping of config keys.
+    """Build a scenario from a flat mapping of config keys; a value that does not parse raises naming its key.
 
     System keys overlay the reference setup of :func:`default_config`.
     """
     unknown = set(data) - set(CONFIG_PARSERS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    values = {k: parse_config_value(k, v) for k, v in data.items()}
+    values = {}
+    for key, value in data.items():
+        try:
+            values[key] = CONFIG_PARSERS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{key!r} {exc}") from None
     system = {f.name: values.pop(f.name) for f in fields(SystemConfig) if f.name in values}
     return ScenarioConfig(system=replace(default_config(), **system), **values)
 

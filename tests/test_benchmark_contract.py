@@ -57,7 +57,7 @@ def test_setup_probe_gets_a_codebook_scenario_ready(tmp_path):
 def test_tracer_hooks_run_on_a_compensated_sweep(tmp_path):
     tracer = _load("tracing").Tracer()
     argv = ["sweep-nmse", "--seed", "1", "--trials", "2", "--users", "1", "--snr-db", "10,20",
-            "--slots-list", "2", "--compensation", "--out", str(tmp_path / "sweep.csv")]
+            "--slots", "2", "--compensation", "--out", str(tmp_path / "sweep.csv")]
     with tracer.installed():
         assert cli.main(argv) == 0
     # a hook that reads a moved attribute fails here, not inside the sweep

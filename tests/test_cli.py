@@ -1,7 +1,7 @@
 import json
 import re
 import shlex
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from thztrack import cli, harness
 from thztrack.cli import _COMMANDS, build_parser, main
 from thztrack.harness import CONFIG_PARSERS, ScenarioConfig, run_trial, scenario_from_file
+from thztrack.physmodel import SystemConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -122,22 +123,25 @@ class TestConfigChecks:
 class TestTrack:
     @pytest.mark.parametrize(
         "flag, value",
-        [("--users", "3"), ("--trials", "3"), ("--scheme", "exhaustive_sweep"), ("--gain-sigma", "0.1"),
-         ("--theta-grid", "0.3"), ("--mobility", "uniform"), ("--snr-db", "10"), ("--slots-list", "2"),
-         ("--zeta-max", "0.1")],
+        [("--users", "3"), ("--trials", "3"), ("--alpha", "0.1"), ("--theta-r", "0.3"),
+         ("--values", "0.3"), ("--mobility", "uniform"), ("--snr", "10"), ("--slots-list", "2"),
+         ("--zeta", "0.1")],
     )
     def test_flags_track_does_not_read_are_usage_errors(self, capsys, flag, value):
+        # the frame counts, removed spellings of frame keys and prefixes of key flags
         with pytest.raises(SystemExit) as exc:
             main(["track", "--seed", "1", flag, value])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: thztrack track [-h]")
+        assert f"thztrack track: error: unrecognized arguments: {flag} {value}" in err
 
     def test_track_run_with_outputs(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         dump = tmp_path / "y.csv"
         rc = main(
-            ["track", "--seed", "3", "--theta-r", "0.41", "--theta0", "0.4",
-             "--alpha", "0.1", "--slots", "2", "--snr", "15",
+            ["track", "--seed", "3", "--theta-grid", "0.41", "--theta0", "0.4",
+             "--zeta-max", "0.1", "--slots", "2", "--snr-db", "15",
              "--compensation", "--trace", str(trace), "--dump-y", str(dump)]
         )
         assert rc == 0
@@ -157,14 +161,15 @@ class TestTrackIsFrameZero:
     @pytest.mark.parametrize(
         "extra, keys",
         [([], {}), (["--codebook"], {"codebook": True}), (["--compensation"], {"compensation": True}),
-         (["--config", "track.cfg"], {"scheme": "forward_only", "gain_sigma": 0.3})],
+         (["--config", "track.cfg"], {"scheme": "forward_only", "gain_sigma": 0.3}),
+         (["--scheme", "exhaustive_sweep", "--gain-sigma", "0.2"], {"scheme": "exhaustive_sweep", "gain_sigma": 0.2})],
     )
     def test_printed_numbers_match_run_trial(self, tmp_path, monkeypatch, capsys, theta_r, extra, keys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "track.cfg").write_text("scheme = forward_only\ngain_sigma = 0.3\n")
-        argv = ["track", "--seed", "3", "--snr", "15", "--slots", "2"] + extra
+        argv = ["track", "--seed", "3", "--snr-db", "15", "--slots", "2"] + extra
         if theta_r is not None:
-            argv += ["--theta-r", str(theta_r)]
+            argv += ["--theta-grid", str(theta_r)]
         assert main(argv) == 0
         out = capsys.readouterr().out
         scn = ScenarioConfig(seed=3, snr_db=(15.0,), slots=(2,), theta_grid=() if theta_r is None else (theta_r,), **keys)
@@ -205,7 +210,7 @@ class TestTrackIsFrameZero:
 
         monkeypatch.setattr(harness, "refine", refine_on_dead_geometry)
         trace = tmp_path / "trace.csv"
-        assert main(["track", "--seed", "3", "--snr", "10", "--compensation", "--trace", str(trace)]) == 0
+        assert main(["track", "--seed", "3", "--snr-db", "10", "--compensation", "--trace", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "refinement degenerate (every slot response vanished): kept the coarse estimate" in out
         assert "refined estimate" not in out and not trace.exists()
@@ -223,7 +228,7 @@ class TestSweeps:
     def test_sweep_nmse_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep-nmse", "--seed", "5", "--trials", "3", "--users", "1",
-                "--axis", "snr", "--values", "0,10"]
+                "--axis", "snr", "--snr-db", "0,10"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -233,7 +238,7 @@ class TestSweeps:
         full = tmp_path / "gain.json"
         rc = main(
             ["sweep-gain", "--seed", "5", "--trials", "2", "--users", "1",
-             "--values", "0.3,-0.3", "--out", str(out), "--full", str(full)]
+             "--theta-grid", "0.3,-0.3", "--out", str(out), "--full", str(full)]
         )
         assert rc == 0
         payload = json.loads(full.read_text())
@@ -258,7 +263,7 @@ class TestSweeps:
         out = tmp_path / "overridden.csv"
         rc = main(
             ["sweep-nmse", "--config", str(cfgfile), "--seed", "4",
-             "--snr-db", "5,15", "--slots-list", "3", "--scheme", "forward_only",
+             "--snr-db", "5,15", "--slots", "3", "--scheme", "forward_only",
              "--out", str(out)]
         )
         assert rc == 0
@@ -271,11 +276,11 @@ class TestSweeps:
         args = ["sweep-nmse", "--seed", "5", "--trials", "1", "--users", "1",
                 "--axis", "slots", "--out", str(out)]
         with pytest.raises(SystemExit) as exc:
-            main(args + ["--values", "2.5,4"])
+            main(args + ["--slots", "2.5,4"])
         assert exc.value.code == 2
-        assert "'--values' must be an integer, got '2.5'" in capsys.readouterr().err
+        assert "argument --slots: must be an integer, got '2.5'" in capsys.readouterr().err
         assert not out.exists()
-        assert main(args + ["--values", "2.0,4"]) == 0
+        assert main(args + ["--slots", "2.0,4"]) == 0
         _, rows = read_csv(out)
         assert [r["value"] for r in rows] == ["2", "4"]
 
@@ -295,11 +300,11 @@ class TestSweeps:
     def test_values_must_be_finite_numbers(self, tmp_path, capsys, values):
         out = tmp_path / "snr.csv"
         args = ["sweep-nmse", "--seed", "5", "--trials", "1", "--users", "1",
-                "--out", str(out), "--values", values]
+                "--out", str(out), "--snr-db", values]
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
-        assert "'--values' must be a finite number, got " in capsys.readouterr().err
+        assert "argument --snr-db: must be a finite number, got " in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -313,9 +318,9 @@ _ARGV = {
     "beam-pattern": ["beam-pattern", "--theta0", "0.7", "--grid-step", "1e-3", "--peaks-only", "--out", "p.csv"],
     "bounds": ["bounds", "--n-bs", "64", "--n-ttd", "8", "--p", "8", "--theta-min", "-0.5", "--out", "b.csv"],
     "codebook": ["codebook", "--m-half", "32", "--out", "c.csv"],
-    "track": ["track", "--seed", "3", "--theta-r", "0.41", "--snr", "15", "--compensation", "--slots", "2"],
-    "sweep-nmse": ["sweep-nmse", "--seed", "1", "--snr-db", "0,10", "--slots-list", "2,4", "--out", "n.csv"],
-    "sweep-gain": ["sweep-gain", "--seed", "1", "--axis", "theta", "--values", "0.3,-0.3", "--no-compensation",
+    "track": ["track", "--seed", "3", "--theta-grid", "0.41", "--snr-db", "15", "--compensation", "--slots", "2"],
+    "sweep-nmse": ["sweep-nmse", "--seed", "1", "--snr-db", "0,10", "--slots", "2,4", "--out", "n.csv"],
+    "sweep-gain": ["sweep-gain", "--seed", "1", "--axis", "theta", "--theta-grid", "0.3,-0.3", "--no-compensation",
                    "--out", "g.csv", "--full", "g.json"],
     "validate": ["validate"],
 }
@@ -376,7 +381,7 @@ class TestParser:
 class TestFiniteOptions:
     @pytest.mark.parametrize(
         "argv, flag",
-        [(["track", "--seed", "1"], flag) for flag in ("--theta-r", "--theta0", "--alpha", "--snr")]
+        [(["track", "--seed", "1"], flag) for flag in ("--theta-grid", "--theta0", "--zeta-max", "--snr-db")]
         + [(["beam-pattern", "--out", "x.csv"], flag)
            for flag in ("--theta0", "--alpha", "--psi", "--t", "--grid-step")]
         + [(["bounds", "--out", "x.csv"], flag) for flag in ("--theta-min", "--theta-max")],
@@ -394,8 +399,7 @@ class TestFiniteOptions:
         "argv, flag, value, error",
         [(["beam-pattern", "--out", "x.csv"], "--grid-step", v, "must be positive") for v in ("0", "-0.1")]
         + [(["bounds", "--out", "x.csv"], "--points", v, "must be an integer >= 1") for v in ("0", "-3", "2.5")]
-        + [(argv, "--alpha", v, "must be positive")
-           for argv in (["beam-pattern", "--out", "x.csv"], ["track", "--seed", "1"]) for v in ("0", "-0.1")],
+        + [(["beam-pattern", "--out", "x.csv"], "--alpha", v, "must be positive") for v in ("0", "-0.1")],
     )
     def test_nonpositive_step_or_count_rejected_naming_the_flag(
         self, tmp_path, monkeypatch, capsys, argv, flag, value, error
@@ -405,6 +409,16 @@ class TestFiniteOptions:
             main(argv + [f"{flag}={value}"])
         assert exc.value.code == 2
         assert f"argument {flag}: {error}, got '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--theta-min", "--theta-max"])
+    @pytest.mark.parametrize("value", ["3", "5", "-1.5", "1.0001"])
+    def test_direction_outside_unit_range_rejected_naming_the_flag(self, tmp_path, monkeypatch, capsys, flag, value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--points", "3", "--out", "x.csv", f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must lie in [-1, 1], got '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
 
@@ -419,22 +433,22 @@ class TestBadScenario:
             (["sweep-nmse", "--seed", "1", "--n-bs", "100", "--out", "x.csv"], "n_ttd*p = 256 != n_bs = 100"),
             (["sweep-gain", "--seed", "1", "--theta-grid", "0.3,1.5", "--out", "x.csv"],
              "theta_grid entries must lie in [-0.99, 0.99], got (0.3, 1.5)"),
-            (["sweep-gain", "--seed", "1", "--trials", "1", "--users", "1", "--values", "0.3,1.5", "--out", "x.csv"],
+            (["track", "--seed", "3", "--theta-grid", "0.3,1.5"],
              "theta_grid entries must lie in [-0.99, 0.99], got (0.3, 1.5)"),
-            (["sweep-gain", "--seed", "1", "--out", "x.csv"], "a theta sweep needs --values or theta_grid"),
+            (["sweep-gain", "--seed", "1", "--out", "x.csv"], "a theta sweep needs --theta-grid or a file's theta_grid"),
             (["sweep-nmse", "--seed", "1", "--config", "nope.cfg", "--out", "x.csv"],
              "argument --config: No such file or directory: 'nope.cfg'"),
             (["sweep-nmse", "--seed", "1", "--trials", "1", "--users", "1", "--snr-db=-4000", "--out", "x.csv"],
              "snr_db entry -4000.0 gives a pilot noise that is not finite and positive"),
             (["sweep-nmse", "--seed", "1", "--trials", "1", "--users", "1", "--snr-db", "1e300", "--out", "x.csv"],
              "snr_db entry 1e+300 gives a pilot noise that is not finite and positive"),
-            (["sweep-nmse", "--seed", "1", "--trials", "1", "--users", "1", "--values=-4000", "--out", "x.csv"],
+            (["track", "--seed", "3", "--snr-db=-4000"],
              "snr_db entry -4000.0 gives a pilot noise that is not finite and positive"),
-            (["track", "--seed", "3", "--snr", "1e300"],
+            (["track", "--seed", "3", "--snr-db", "1e300"],
              "snr_db entry 1e+300 gives a pilot noise that is not finite and positive"),
-            (["track", "--seed", "3", "--theta-r", "5"], "theta_grid entries must lie in [-0.99, 0.99], got (5.0,)"),
-            (["track", "--seed", "3", "--alpha", "1.5"], "zeta_max must lie in (0, 1)"),
-            (["track", "--seed", "3", "--theta0", "0.95", "--alpha", "0.1"],
+            (["track", "--seed", "3", "--theta-grid", "5"], "theta_grid entries must lie in [-0.99, 0.99], got (5.0,)"),
+            (["track", "--seed", "3", "--zeta-max", "1.5"], "zeta_max must lie in (0, 1)"),
+            (["track", "--seed", "3", "--theta0", "0.95", "--zeta-max", "0.1"],
              "argument --theta0: must lie in [-0.9, 0.9], got 0.95"),
             (["track", "--seed", "3", "--theta0=-0.81"], "argument --theta0: must lie in [-0.8, 0.8], got -0.81"),
             (["track", "--seed", "3", "--config", "nope.cfg"], "argument --config: No such file or directory: 'nope.cfg'"),
@@ -442,9 +456,9 @@ class TestBadScenario:
              "argument --trace: traces the refinement, which needs --compensation"),
             (["track", "--seed", "3", "--no-compensation", "--trace", "x.csv"],
              "argument --trace: traces the refinement, which needs --compensation"),
-            (["sweep-nmse", "--seed", "1", "--trials", "1", "--users", "1", "--axis", "slots", "--values", "4,-2",
+            (["sweep-nmse", "--seed", "1", "--trials", "1", "--users", "1", "--axis", "slots", "--slots", "4,-2",
               "--out", "x.csv"], "slots entries must be positive integers, got (4, -2)"),
-            (["sweep-nmse", "--seed", "1", "--slots-list", "4,0", "--out", "x.csv"],
+            (["sweep-nmse", "--seed", "1", "--slots", "4,0", "--out", "x.csv"],
              "slots entries must be positive integers, got (4, 0)"),
             (["beam-pattern", "--theta0", "3", "--out", "x.csv"],
              "arguments --theta0/--alpha: the searched interval [2.95, 3.05] leaves [-1, 1]"),
@@ -456,6 +470,14 @@ class TestBadScenario:
              "arguments --psi/--t: give both slopes or neither"),
             (["beam-pattern", "--t", "0.3", "--grid-step", "0.5", "--out", "x.csv"],
              "arguments --psi/--t: give both slopes or neither"),
+            (["track", "--seed", "3", "--zeta-max=0"], "zeta_max must lie in (0, 1)"),
+            (["track", "--seed", "3", "--zeta-max=-0.1"], "zeta_max must lie in (0, 1)"),
+            # a sweep keys its records by axis value, so no list key may repeat an entry
+            (["sweep-nmse", "--seed", "1", "--snr-db", "10,10", "--out", "x.csv"],
+             "snr_db entries must be distinct, got (10.0, 10.0)"),
+            (["sweep-nmse", "--seed", "1", "--axis", "slots", "--slots", "2,4,2", "--out", "x.csv"],
+             "slots entries must be distinct, got (2, 4, 2)"),
+            (["track", "--seed", "3", "--theta-grid", "0.3,0.3"], "theta_grid entries must be distinct, got (0.3, 0.3)"),
         ],
     )
     def test_exits_2_with_the_message(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -487,7 +509,7 @@ _KEY_FLAGS = {
     "m_half": ("--m-half", "16", "1e400"),
     "users": ("--users", "2", "1.7"),
     "snr_db": ("--snr-db", "0,10.5", "0,abc"),
-    "slots": ("--slots-list", "2,4.0", "2,2.5"),
+    "slots": ("--slots", "2,4.0", "2,2.5"),
     "trials": ("--trials", "3", "true"),
     "zeta_max": ("--zeta-max", "0.1", "-inf"),
     "scheme": ("--scheme", "forward_only", "forward"),
@@ -553,11 +575,58 @@ class TestOneParserPerKey:
     def test_empty_axis_list_rejected(self, tmp_path, capsys, key):
         cfgfile = tmp_path / "empty.cfg"
         cfgfile.write_text(f"{key} = []\n")
-        for argv in (["sweep-gain", "--values", "0.3", "--out", str(tmp_path / "x.csv")], ["track"]):
+        for argv in (["sweep-gain", "--theta-grid", "0.3", "--out", str(tmp_path / "x.csv")], ["track"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--config", str(cfgfile), "--seed", "1"])
             assert exc.value.code == 2
             assert f"{key} must not be empty" in capsys.readouterr().err
+
+
+# a sweep of one frame, quick to run should a flag be taken where it must not
+_ONE_FRAME_SWEEP = ["sweep-nmse", "--seed", "1", "--trials", "1", "--users", "1", "--snr-db", "10", "--out", "x.csv"]
+
+
+class TestOneFlagPerKey:
+    """Each config key has one spelling, ``--`` + the key with ``_`` as ``-``, on every command that takes it."""
+
+    @pytest.mark.parametrize("command", sorted(_ARGV))
+    def test_key_options_are_spelled_by_their_key(self, command):
+        parser = _subparsers(build_parser())[command]
+        spellings = {}
+        for action in parser._actions:
+            if action.dest in CONFIG_PARSERS:
+                spellings.setdefault(action.dest, []).extend(action.option_strings)
+        for key, options in spellings.items():
+            flag = "--" + key.replace("_", "-")
+            # --no-compensation is the one negation
+            assert options == ([flag, "--no-compensation"] if key == "compensation" else [flag])
+        # the key set of each command: the system keys, every key a frame reads, or every key
+        system = {f.name for f in fields(SystemConfig)}
+        expected = {
+            "beam-pattern": system, "bounds": system, "codebook": system, "validate": set(),
+            "track": set(CONFIG_PARSERS) - {"users", "trials"},
+            "sweep-nmse": set(CONFIG_PARSERS), "sweep-gain": set(CONFIG_PARSERS),
+        }[command]
+        assert set(spellings) == expected
+
+    @pytest.mark.parametrize(
+        "argv, unknown",
+        [(_ONE_FRAME_SWEEP + ["--snr", "10"], "--snr 10"),
+         (_ONE_FRAME_SWEEP + ["--comp"], "--comp"),
+         (_ONE_FRAME_SWEEP + ["--slots-list", "2"], "--slots-list 2"),
+         (_ONE_FRAME_SWEEP + ["--values", "0"], "--values 0"),
+         (["bounds", "--out", "x.csv", "--theta-m", "0.5"], "--theta-m 0.5"),
+         (["codebook", "--out", "x.csv", "--m-h", "32"], "--m-h 32")],
+    )
+    def test_a_prefix_or_removed_spelling_is_unrecognized(self, tmp_path, monkeypatch, capsys, argv, unknown):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: thztrack {argv[0]} [-h]")
+        assert f"thztrack {argv[0]}: error: unrecognized arguments: {unknown}\n" in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def _readme_block(heading, language):

@@ -225,7 +225,7 @@ class TestScenarioConfig:
         else:
             with pytest.raises(ValueError, match=r"snr_db entry .* gives a pilot noise that is not finite and positive"):
                 ScenarioConfig(snr_db=(10.0, snr_db))
-        # files, flags and --values read the key with a parser that rejects non-finite numbers itself
+        # files and flags read the key with a parser that rejects non-finite numbers itself
         with pytest.raises(ValueError, match="snr_db entry|'snr_db' must be a finite number"):
             scenario_from_mapping({"snr_db": [snr_db]})
         assert ScenarioConfig(snr_db=(-3000.0, 3000.0)).snr_db == (-3000.0, 3000.0)
@@ -239,6 +239,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="slots entries must be positive integers"):
             sweep(replace(ScenarioConfig(system=cfg, users=1, trials=1), slots=tuple(slots)), "slots")
         assert frames == []
+
+    @pytest.mark.parametrize(
+        "key, entries",
+        [("snr_db", (10.0, 20.0, 10.0)), ("snr_db", (0.0, -0.0)), ("slots", (2, 2)), ("theta_grid", (0.3, -0.3, 0.3))],
+    )
+    def test_rejects_repeated_list_entries(self, key, entries):
+        # a sweep keys its records by axis value, so a repeated entry would lose its records
+        with pytest.raises(ValueError, match=rf"^{key} entries must be distinct, got "):
+            ScenarioConfig(**{key: entries})
+        with pytest.raises(ValueError, match=rf"^{key} entries must be distinct"):
+            scenario_from_mapping({key: list(entries)})
 
     def test_center_cap(self):
         scn = ScenarioConfig(zeta_max=0.2)
@@ -479,6 +490,12 @@ seed = 3
         with pytest.raises(ValueError, match=r"unknown config keys: \['f_d'\]"):
             scenario_from_mapping({"m_half": 32, "f_d": default_config().f_d})
 
+    def test_key_set_twice_rejected_naming_both_lines(self, tmp_path):
+        p = tmp_path / "twice.cfg"
+        p.write_text("users = 2\n# users = 3\ntrials = 4\n\nusers = 1\n")
+        with pytest.raises(ValueError, match=r"^config key 'users' is set twice, on lines 1 and 5$"):
+            load_key_values(p)
+
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("this is not a key value pair\n")
@@ -503,6 +520,20 @@ seed = 3
     def test_integral_values_accepted(self):
         scn = scenario_from_mapping({"users": 2.0, "trials": "3", "slots": [2, 4.0], "n_bs": 256.0})
         assert (scn.users, scn.trials, scn.slots, scn.system.n_bs) == (2, 3, (2, 4), 256)
+        scn = scenario_from_mapping({"users": 4.0, "trials": "4.0", "seed": 2.0**53})
+        assert (scn.users, scn.trials, scn.seed) == (4, 4, 2**53)
+
+    @pytest.mark.parametrize(
+        "key, value", [("users", 1e300), ("trials", "1e18"), ("seed", 2.0**53 + 2), ("slots", [2, 1e20]), ("seed", "-1e17")]
+    )
+    def test_integral_floats_beyond_2_pow_53_rejected(self, key, value):
+        # beyond 2**53 a float no longer names one integer
+        with pytest.raises(ValueError, match=rf"^'{key}' must be an integer, got .*: a float beyond 2\*\*53"):
+            scenario_from_mapping({key: value})
+
+    def test_exact_integers_are_unbounded(self):
+        scn = scenario_from_mapping({"seed": 10**30, "trials": str(2**53 + 1)})
+        assert (scn.seed, scn.trials) == (10**30, 2**53 + 1)
 
     @pytest.mark.parametrize(
         "key, value",
