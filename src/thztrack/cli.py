@@ -180,6 +180,11 @@ def _cmd_codebook(args, scn: ScenarioConfig) -> int:
 
 
 def _cmd_track(args, scn: ScenarioConfig) -> int:
+    # the frame reads the first entry of each list key; say which entries it leaves out
+    for key in SWEEP_AXES.values():
+        entries = getattr(scn, key)
+        if len(entries) > 1:
+            print(f"track: {key} lists {len(entries)} entries; ran only {key} = {entries[0]!r}", file=sys.stderr)
     trace: list = []
     frame = run_frame(scn, 0, 0, center=args.center, trace=trace)
     plan, est, rec, state = frame.plan, frame.estimate, frame.record, frame.state

@@ -13,6 +13,9 @@ its axis as the scenario with the axis's key set to that point alone.
 Trial randomness is keyed by (seed, trial, user) only, never by the sweep
 axis, so runs at different SNRs or slot counts share their channel and noise
 draws (common random numbers) and sweeps are bit-reproducible.
+:func:`draw_frame` makes a frame's draws (:class:`FrameDraws`); a sweep
+runs trial by trial, every axis point of a trial before the next trial, and
+makes each (trial, user)'s draws once for all of its points.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from .physmodel import (
     channel_response,
     default_config,
 )
-from .tracker import TrackingEstimate, TrackingObservation, TrackingPlan, coarse_estimate, plan_tracking, run_tracking
+from .tracker import (
+    TrackingEstimate, TrackingObservation, TrackingPlan, coarse_estimate, pilot_normals, plan_tracking, run_tracking,
+)
 
 # Not called in this module: kept as its attributes only so that span tracers
 # wrapping harness.precoder_matrix, and the set-up probe calling
@@ -54,6 +59,8 @@ __all__ = [
     "scenario_from_file",
     "scenario_from_mapping",
     "pilot_noise_std",
+    "FrameDraws",
+    "draw_frame",
     "Frame",
     "run_frame",
     "run_trial",
@@ -175,6 +182,51 @@ def pilot_noise_std(snr_db: float, cfg: SystemConfig) -> float:
 
 
 @dataclass(frozen=True)
+class FrameDraws:
+    """The random inputs of one (seed, trial, user) frame, in the order they are drawn.
+
+    ``gain`` is the ray gain, ``zeta`` the mobility step, ``prev`` the
+    previous-direction draw (None when ``theta_grid`` pins the target) and
+    ``normals`` the pilot noise's standard normals for ``max(slots)`` slots
+    (:func:`~thztrack.tracker.pilot_normals`), of which a frame with L slots
+    uses the first L slabs.
+    """
+
+    gain: complex
+    zeta: float
+    prev: float | None
+    normals: np.ndarray
+
+
+def draw_frame(scn: ScenarioConfig, trial: int, user: int) -> FrameDraws:
+    """The draws of frame (``scn.seed``, ``trial``, ``user``), the same at every point of a sweep of ``scn``.
+
+    The normals are drawn for a noiseless frame too; nothing is drawn after
+    them, so no other value depends on the SNR.
+    """
+    rng = np.random.default_rng([scn.seed, trial, user])
+    gain = _draw_gain(rng, scn.gain_sigma)
+    zeta = rng.uniform(-scn.zeta_max, scn.zeta_max)
+    prev = None if scn.theta_grid else rng.uniform(-scn.center_cap, scn.center_cap)
+    return FrameDraws(gain, zeta, prev, pilot_normals(rng, max(scn.slots), scn.system.n_subcarriers))
+
+
+def _check_draws(scn: ScenarioConfig, draws: FrameDraws) -> None:
+    """Raise a ValueError naming the config key that ``draws`` do not fit."""
+    shape = np.shape(draws.normals)
+    n_sub = scn.system.n_subcarriers
+    if shape[1:] != (n_sub, 2):
+        raise ValueError(f"pilot normals of shape {shape} do not hold 2*m_half+1 = {n_sub} subcarriers")
+    if shape[0] < scn.slots[0]:
+        raise ValueError(f"pilot normals of shape {shape} hold fewer slabs than slots[0] = {scn.slots[0]}")
+    if (draws.prev is None) != bool(scn.theta_grid):
+        raise ValueError(
+            "a previous-direction draw is needed exactly when theta_grid is empty, "
+            f"got prev={draws.prev!r} with theta_grid={scn.theta_grid!r}"
+        )
+
+
+@dataclass(frozen=True)
 class Frame:
     """One tracking frame: its record, plan, pilots, coarse estimate and CPR ``state``.
 
@@ -189,7 +241,8 @@ class Frame:
 
 
 def run_frame(
-    scn: ScenarioConfig, trial: int, user: int, center: float | None = None, trace: list | None = None
+    scn: ScenarioConfig, trial: int, user: int, center: float | None = None, trace: list | None = None,
+    draws: FrameDraws | None = None,
 ) -> Frame:
     """One frame of ``user`` in ``trial``: plan, pilots, coarse estimate, refinement, gain.
 
@@ -203,24 +256,28 @@ def run_frame(
     direction, or on ``center`` when given.  With compensation the coarse
     estimate is refined (``trace`` collects the iterates); a degenerate
     geometry keeps the coarse estimate.
+
+    The random inputs are ``draws`` when given (a sweep passes each
+    (trial, user)'s draws to all of its points), else :func:`draw_frame`'s;
+    draws that do not fit the scenario raise a ValueError naming the key.
     """
     cfg = scn.system
     cb = build_codebook(cfg) if scn.codebook else None
     cap = scn.center_cap
     noise_std = pilot_noise_std(scn.snr_db[0], cfg)
-    rng = np.random.default_rng([scn.seed, trial, user])
-    g = _draw_gain(rng, scn.gain_sigma)
-    zeta = rng.uniform(-scn.zeta_max, scn.zeta_max)
+    if draws is None:
+        draws = draw_frame(scn, trial, user)
+    _check_draws(scn, draws)
     if scn.theta_grid:
         theta_r = float(scn.theta_grid[0])
-        theta_prev = _clamp(theta_r - zeta, cap)
+        theta_prev = _clamp(theta_r - draws.zeta, cap)
     else:
-        theta_prev = _clamp(rng.uniform(-cap, cap), cap)
-        theta_r = _clamp(theta_prev + zeta, _DIRECTION_CAP)
+        theta_prev = _clamp(draws.prev, cap)
+        theta_r = _clamp(theta_prev + draws.zeta, _DIRECTION_CAP)
     center = theta_prev if center is None else center
     plan = plan_tracking(center, scn.zeta_max, scn.slots[0], cfg, codebook=cb, pairing_mode=_scheme_mode(scn.scheme))
-    channel = channel_response(PathComponent(g, theta_r), cfg)
-    obs = run_tracking(plan, channel, noise_std, rng)
+    channel = channel_response(PathComponent(draws.gain, theta_r), cfg)
+    obs = run_tracking(plan, channel, noise_std, draws.normals)
     est = coarse_estimate(obs)
     state = None
     outcome = {}
@@ -242,9 +299,11 @@ def run_frame(
     return Frame(record, plan, obs, est, state)
 
 
-def run_trial(scn: ScenarioConfig, trial: int) -> list[TrialRecord]:
-    """The records of frame ``trial`` (:func:`run_frame`) for every user."""
-    return [run_frame(scn, trial, user).record for user in range(scn.users)]
+def run_trial(scn: ScenarioConfig, trial: int, draws: list[FrameDraws] | None = None) -> list[TrialRecord]:
+    """The records of frame ``trial`` (:func:`run_frame`) for every user, with user u's ``draws[u]`` when given."""
+    return [
+        run_frame(scn, trial, user, draws=None if draws is None else draws[user]).record for user in range(scn.users)
+    ]
 
 
 def nmse(theta_hat, theta_r) -> tuple[float, int]:
@@ -330,18 +389,25 @@ def sweep(scn: ScenarioConfig, axis: str) -> MetricsReport:
     when compensation is on, of the coarse estimate as well, plus how the
     refinements ended: the mean iteration count and the numbers that ran out
     of iterations, diverged, or kept the coarse estimate on a degenerate
-    geometry.  The report keeps every point's records.
+    geometry.  The report keeps every point's records, in trial order.
+
+    Every point's scenario is built before any frame runs.  The frames run
+    trial by trial: each (trial, user)'s :func:`draw_frame` is made once and
+    passed to that frame at every point.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
     key = SWEEP_AXES[axis]
     if not getattr(scn, key):
         raise ValueError(f"a {axis} sweep needs {key}")
+    points = {value: replace(scn, **{key: (value,)}) for value in getattr(scn, key)}
+    all_records: dict = {value: [] for value in points}
+    for trial in range(scn.trials):
+        draws = [draw_frame(scn, trial, user) for user in range(scn.users)]
+        for value, point in points.items():
+            all_records[value].extend(run_trial(point, trial, draws))
     rows = []
-    all_records: dict = {}
-    for value in getattr(scn, key):
-        point = replace(scn, **{key: (value,)})
-        records = [rec for trial in range(scn.trials) for rec in run_trial(point, trial)]
+    for value, records in all_records.items():
         finals = [r.theta_final for r in records]
         coarse = [r.theta_hat for r in records]
         truths = [r.theta_r for r in records]
@@ -368,7 +434,6 @@ def sweep(scn: ScenarioConfig, axis: str) -> MetricsReport:
                 "n_degenerate": sum(r.degenerate for r in records),
             }
         )
-        all_records[value] = records
     return MetricsReport(axis=axis, rows=rows, records=all_records)
 
 

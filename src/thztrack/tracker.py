@@ -30,6 +30,7 @@ __all__ = [
     "TrackingObservation",
     "TrackingEstimate",
     "plan_tracking",
+    "pilot_normals",
     "run_tracking",
     "select_strongest",
     "estimate_angle",
@@ -122,17 +123,28 @@ def plan_tracking(
     )
 
 
+def pilot_normals(rng: np.random.Generator | int | None, slots: int, n_subcarriers: int) -> np.ndarray:
+    """Standard normals of the pilot noise, shape (slots, n_subcarriers, 2): one (re, im) pair per cell.
+
+    The fill order is row-major, so the first L slabs of a draw for more
+    slots equal a draw for L slots from the same generator state.
+    """
+    return np.random.default_rng(rng).standard_normal((slots, n_subcarriers, 2))
+
+
 def run_tracking(
     plan: TrackingPlan,
     channel: ChannelResponse,
     noise_std: float = 0.0,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | np.ndarray | None = None,
 ) -> TrackingObservation:
     """Simulate the received pilot matrix Y, one row per slot, unit pilots.
 
     Y[l, m] is h_m^H f_{l,m} (closed form, :meth:`ChannelResponse.precoded` of ``plan.kernel``)
-    plus circular complex noise of variance noise_std**2; reproducible for a
-    given seed.
+    plus circular complex noise of variance noise_std**2.  ``rng`` is either
+    a seed or generator, from which :func:`pilot_normals` are drawn when the
+    noise is nonzero (reproducible for a given seed), or an array of those
+    normals, whose first ``plan.slots`` slabs are used and left unchanged.
     """
     cfg = plan.cfg
     if channel.cfg != cfg:
@@ -141,9 +153,14 @@ def run_tracking(
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std!r}")
     y = channel.precoded(plan.kernel).T.copy()
     if noise_std > 0:
-        gen = np.random.default_rng(rng)
-        noise = gen.standard_normal((plan.slots, cfg.n_subcarriers, 2))
-        noise *= noise_std / np.sqrt(2.0)
+        if isinstance(rng, np.ndarray):
+            normals = rng[: plan.slots]
+            if normals.shape != (plan.slots, cfg.n_subcarriers, 2):
+                raise ValueError(f"pilot normals of shape {rng.shape} do not cover {plan.slots} slots "
+                                 f"of {cfg.n_subcarriers} subcarriers")
+        else:
+            normals = pilot_normals(rng, plan.slots, cfg.n_subcarriers)
+        noise = normals * (noise_std / np.sqrt(2.0))
         # each (re, im) pair of draws is read as one complex sample
         y += noise.view(complex)[..., 0]
     return TrackingObservation(y=y, plan=plan)

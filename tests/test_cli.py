@@ -153,6 +153,23 @@ class TestTrack:
         assert len(dump_rows) == 2  # one row per slot
         assert len(header) == 1 + 129  # slot column plus one column per subcarrier
 
+    def test_list_entries_left_out_are_named(self, tmp_path, monkeypatch, capsys):
+        # track runs one frame, which reads the first entry of each list key
+        assert main(["track", "--seed", "1", "--snr-db", "0,10", "--slots", "2,8"]) == 0
+        listed = capsys.readouterr()
+        assert listed.err.splitlines() == [
+            "track: snr_db lists 2 entries; ran only snr_db = 0.0",
+            "track: slots lists 2 entries; ran only slots = 2",
+        ]
+        assert main(["track", "--seed", "1", "--snr-db", "0", "--slots", "2"]) == 0
+        single = capsys.readouterr()
+        assert single.err == "" and single.out == listed.out
+        # a file's lists alike
+        monkeypatch.chdir(tmp_path)
+        Path("track.cfg").write_text("snr_db = [10]\nslots = [4]\ntheta_grid = [0.3, -0.3, 0.5]\n")
+        assert main(["track", "--config", "track.cfg", "--seed", "1"]) == 0
+        assert capsys.readouterr().err == "track: theta_grid lists 3 entries; ran only theta_grid = 0.3\n"
+
 
 class TestTrackIsFrameZero:
     """``track`` prints frame (trial 0, user 0) of its scenario, as the sweeps run it."""

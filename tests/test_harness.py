@@ -361,6 +361,87 @@ class TestSweep:
             sweep(scn, "snr")
 
 
+# A small array: frames of it cost well under a millisecond.
+_SMALL = SystemConfig(n_bs=64, n_ttd=8, p=8, f_c=100e9, bandwidth=10e9, m_half=16)
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A small random scenario and one of its sweep axes."""
+    p = draw(st.sampled_from([2, 4, 8]))
+    n_ttd = draw(st.sampled_from([2, 4, 8]))
+    system = SystemConfig(
+        n_bs=p * n_ttd, n_ttd=n_ttd, p=p, f_c=100e9,
+        bandwidth=draw(st.floats(1e9, 20e9)), m_half=draw(st.integers(1, 16)),
+    )
+    axis = draw(st.sampled_from(sorted(harness.SWEEP_AXES)))
+    on_axis = {"min_size": 1, "max_size": 3, "unique": True}
+    snr_db = draw(st.lists(st.sampled_from([-10.0, 0.0, 10.0, 30.0, math.inf]), **on_axis))
+    slots = draw(st.lists(st.integers(1, 8), **on_axis))
+    # off the theta axis, a theta_grid pins every frame's target
+    theta_grid = draw(st.lists(st.sampled_from([-0.7, -0.2, 0.0, 0.4, 0.9]),
+                               **{**on_axis, "min_size": int(axis == "theta")}))
+    scn = ScenarioConfig(
+        system=system, users=draw(st.integers(1, 3)), trials=draw(st.integers(1, 3)),
+        snr_db=tuple(snr_db), slots=tuple(slots), theta_grid=tuple(theta_grid),
+        zeta_max=draw(st.sampled_from([0.05, 0.2])), gain_sigma=draw(st.sampled_from([0.0, 0.3])),
+        compensation=draw(st.booleans()), seed=draw(st.integers(0, 2**16)),
+    )
+    return scn, axis
+
+
+class TestFrameDraws:
+    # The example count was fixed before any run.
+    @settings(max_examples=40, deadline=None)
+    @given(case=_sweep_cases())
+    def test_sweep_records_equal_frames_drawing_their_own(self, case):
+        scn, axis = case
+        key = harness.SWEEP_AXES[axis]
+        report = sweep(scn, axis)
+        for value in getattr(scn, key):
+            point = replace(scn, **{key: (value,)})
+            own = [run_frame(point, t, u).record for t in range(scn.trials) for u in range(scn.users)]
+            assert report.records[value] == own
+
+    @pytest.mark.parametrize("snr_db", [(10.0,), (0.0, 10.0, math.inf)])
+    def test_sweep_draws_each_frame_once(self, monkeypatch, snr_db):
+        real_draw = harness.draw_frame
+        calls = []
+        monkeypatch.setattr(harness, "draw_frame", lambda scn, t, u: calls.append((t, u)) or real_draw(scn, t, u))
+        sweep(ScenarioConfig(system=_SMALL, users=2, trials=3, seed=9, snr_db=snr_db), "snr")
+        assert sorted(calls) == [(t, u) for t in range(3) for u in range(2)]
+
+    @pytest.mark.parametrize("slots", [2, 4])
+    def test_normals_for_more_slots_begin_with_those_for_fewer(self, cfg, slots):
+        # the slots axis shares one draw of max(slots) slabs among its points
+        scn = ScenarioConfig(system=cfg, seed=7, slots=(2, 4, 8))
+        many = harness.draw_frame(scn, 3, 1).normals
+        few = harness.draw_frame(replace(scn, slots=(slots,)), 3, 1).normals
+        assert many.shape == (8, cfg.n_subcarriers, 2)
+        assert np.array_equal(many[:slots], few)
+
+    def test_given_draws_are_used_and_left_unchanged(self):
+        scn = ScenarioConfig(system=_SMALL, users=1, seed=3, snr_db=(0.0,), slots=(2, 4))
+        draws = harness.draw_frame(scn, 1, 0)
+        normals = draws.normals.copy()
+        point = replace(scn, slots=(4,))
+        assert run_frame(point, 1, 0, draws=draws).record == run_frame(point, 1, 0).record
+        assert np.array_equal(draws.normals, normals)
+
+    @pytest.mark.parametrize(
+        "drawn, run, key",
+        [({"slots": (2,)}, {"slots": (4,)}, "slots"),
+         ({"system": replace(_SMALL, m_half=8)}, {}, "m_half"),
+         ({}, {"theta_grid": (0.3,)}, "theta_grid"),
+         ({"theta_grid": (0.3,)}, {}, "theta_grid")],
+    )
+    def test_draws_that_do_not_fit_the_scenario_rejected_naming_the_key(self, drawn, run, key):
+        scn = ScenarioConfig(system=_SMALL, users=1, seed=3, snr_db=(10.0,), slots=(4,))
+        draws = harness.draw_frame(replace(scn, **drawn), 0, 0)
+        with pytest.raises(ValueError, match=key):
+            run_frame(replace(scn, **run), 0, 0, draws=draws)
+
+
 # (iterations, converged, diverged) of every refinement in the compensated SNR
 # sweep of seed 1 (256 antennas, 4 slots, 2 trials per SNR).  A change that
 # keeps refine's iterates keeps this table; a solver change that moves it on
