@@ -68,10 +68,9 @@ from .tracker import (
     TrackingObservation,
     TrackingPlan,
     coarse_estimate,
-    estimate_angle,
+    pilot_normals,
     plan_tracking,
     run_tracking,
-    select_strongest,
 )
 
 __version__ = "0.1.0"

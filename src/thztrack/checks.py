@@ -20,7 +20,7 @@ from .physmodel import (
     precoder_matrix,
     steering_vector,
 )
-from .tracker import coarse_estimate, plan_tracking, run_tracking
+from .tracker import coarse_estimate, pilot_normals, plan_tracking, run_tracking
 
 __all__ = ["gain_oracle_error", "angle_map_deviation", "gradient_error", "recovery_errors"]
 
@@ -64,7 +64,8 @@ def gradient_error(draws: int) -> float:
     cfg = default_config()
     plan = plan_tracking(0.43, 0.05, 3, cfg)
     channel = channel_response(PathComponent(1.0 + 0j, 0.4321), cfg)
-    prob = build_cpr_problem(run_tracking(plan, channel, noise_std=pilot_noise_std(10.0, cfg), rng=66))
+    normals = pilot_normals(66, plan.slots, cfg.n_subcarriers)
+    prob = build_cpr_problem(run_tracking(plan, channel, pilot_noise_std(10.0, cfg), normals))
     rng = np.random.default_rng(67)
     h = 1e-6
     worst = 0.0

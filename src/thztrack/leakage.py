@@ -170,9 +170,9 @@ def _gradient(r: np.ndarray, model: np.ndarray, dc: np.ndarray) -> float:
 
 def objective_gradient(prob: CprProblem, state: CprState) -> float:
     """Derivative of the residual with respect to the angle at the current state."""
-    c, dc = prob.kernel(state.theta, derivative=True)
+    ev = prob.kernel.evaluate(state.theta)
     model = _model(state.g, np.exp(1j * state.taus))
-    return _gradient(_residual_matrix(prob, c, model), model, dc)
+    return _gradient(_residual_matrix(prob, ev.c, model), model, prob.kernel.slope(ev))
 
 
 def refine(

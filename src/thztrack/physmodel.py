@@ -341,10 +341,9 @@ class RayKernel:
         out *= inner
         return out
 
-    def __call__(self, theta: float, derivative: bool = False):
-        """c at ``theta``; with ``derivative`` the pair (c, dc/dtheta)."""
-        ev = self.evaluate(theta)
-        return (ev.c, self.slope(ev)) if derivative else ev.c
+    def __call__(self, theta: float) -> np.ndarray:
+        """c (2M+1, L) at ``theta``."""
+        return self.evaluate(theta).c
 
 
 def precoder_matrix(pc: PrecoderConfig, cfg: SystemConfig) -> np.ndarray:

@@ -32,8 +32,6 @@ __all__ = [
     "plan_tracking",
     "pilot_normals",
     "run_tracking",
-    "select_strongest",
-    "estimate_angle",
     "coarse_estimate",
 ]
 
@@ -42,15 +40,15 @@ __all__ = [
 class TrackingPlan:
     """Per-slot pairings covering [theta0 - alpha, theta0 + alpha] in L fractions.
 
-    ``kernel``, the :class:`RayKernel` over the pairings' slopes, is built on
-    first use and shared by the pilots and the refinement of the frame.
+    Each slot's center and radius are its pairing's ``theta0`` and ``alpha``
+    (``alpha / slots``, or 0 in "sweep" mode).  ``kernel``, the
+    :class:`RayKernel` over the pairings' slopes, is built on first use and
+    shared by the pilots and the refinement of the frame.
     """
 
     theta0: float
     alpha: float
     slots: int
-    slot_centers: np.ndarray
-    slot_radius: float
     pairings: tuple[PairingConfig, ...]
     cfg: SystemConfig
 
@@ -112,15 +110,7 @@ def plan_tracking(
         if codebook is not None:
             pc = quantized_pairing(pc, codebook)
         pairings.append(pc)
-    return TrackingPlan(
-        theta0=theta0,
-        alpha=alpha,
-        slots=slots,
-        slot_centers=centers,
-        slot_radius=radius,
-        pairings=tuple(pairings),
-        cfg=cfg,
-    )
+    return TrackingPlan(theta0=theta0, alpha=alpha, slots=slots, pairings=tuple(pairings), cfg=cfg)
 
 
 def pilot_normals(rng: np.random.Generator | int | None, slots: int, n_subcarriers: int) -> np.ndarray:
@@ -136,15 +126,15 @@ def run_tracking(
     plan: TrackingPlan,
     channel: ChannelResponse,
     noise_std: float = 0.0,
-    rng: np.random.Generator | int | np.ndarray | None = None,
+    normals: np.ndarray | None = None,
 ) -> TrackingObservation:
     """Simulate the received pilot matrix Y, one row per slot, unit pilots.
 
     Y[l, m] is h_m^H f_{l,m} (closed form, :meth:`ChannelResponse.precoded` of ``plan.kernel``)
-    plus circular complex noise of variance noise_std**2.  ``rng`` is either
-    a seed or generator, from which :func:`pilot_normals` are drawn when the
-    noise is nonzero (reproducible for a given seed), or an array of those
-    normals, whose first ``plan.slots`` slabs are used and left unchanged.
+    plus circular complex noise of variance noise_std**2, built from
+    ``normals``, the standard normals of :func:`pilot_normals`: their first
+    ``plan.slots`` slabs are used and left unchanged.  A noisy call needs
+    them; a noiseless one ignores them.
     """
     cfg = plan.cfg
     if channel.cfg != cfg:
@@ -153,24 +143,24 @@ def run_tracking(
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std!r}")
     y = channel.precoded(plan.kernel).T.copy()
     if noise_std > 0:
-        if isinstance(rng, np.ndarray):
-            normals = rng[: plan.slots]
-            if normals.shape != (plan.slots, cfg.n_subcarriers, 2):
-                raise ValueError(f"pilot normals of shape {rng.shape} do not cover {plan.slots} slots "
-                                 f"of {cfg.n_subcarriers} subcarriers")
-        else:
-            normals = pilot_normals(rng, plan.slots, cfg.n_subcarriers)
-        noise = normals * (noise_std / np.sqrt(2.0))
+        if normals is None:
+            raise ValueError("noisy pilots need their standard normals: pass normals=pilot_normals(...)")
+        normals = np.asarray(normals)
+        if normals.shape[1:] != (cfg.n_subcarriers, 2) or len(normals) < plan.slots:
+            raise ValueError(f"pilot normals of shape {normals.shape} do not cover {plan.slots} slots "
+                             f"of {cfg.n_subcarriers} subcarriers")
+        noise = normals[: plan.slots] * (noise_std / np.sqrt(2.0))
         # each (re, im) pair of draws is read as one complex sample
         y += noise.view(complex)[..., 0]
     return TrackingObservation(y=y, plan=plan)
 
 
-def select_strongest(obs: TrackingObservation) -> tuple[int, int]:
-    """Indices (l_hat, m_hat) of the largest |Y|^2 cell.
+def coarse_estimate(obs: TrackingObservation) -> TrackingEstimate:
+    """The largest |Y|^2 cell (l_hat, m_hat) and the coarse angle its slot's pairing maps it to.
 
     Slots are 1-based, subcarriers signed (-M..M); ties break to the smaller
-    slot, then the smaller subcarrier.
+    slot, then the smaller subcarrier.  The angle is clipped to [-1, 1]:
+    codebook-snapped slopes can map an edge subcarrier just past it.
     """
     if obs.y.size == 0:
         raise ValueError("empty observation")
@@ -178,24 +168,6 @@ def select_strongest(obs: TrackingObservation) -> tuple[int, int]:
     flat = int(np.argmax(power))  # first occurrence: smallest l, then smallest m
     n_sub = obs.y.shape[1]
     i, j = divmod(flat, n_sub)
-    m_half = (n_sub - 1) // 2
-    return i + 1, j - m_half
-
-
-def estimate_angle(obs: TrackingObservation, l_hat: int, m_hat: int) -> float:
-    """Coarse angle from the selected cell via the angle map of its slot pairing.
-
-    Clipped to [-1, 1]: codebook-snapped slopes can map an edge subcarrier just past it.
-    """
-    if not 1 <= l_hat <= obs.plan.slots:
-        raise ValueError("slot index out of range")
-    if abs(m_hat) > obs.plan.cfg.m_half:
-        raise ValueError("subcarrier index out of range")
-    theta = float(angle_map(m_hat, obs.plan.pairings[l_hat - 1], obs.plan.cfg))
-    return min(max(theta, -1.0), 1.0)
-
-
-def coarse_estimate(obs: TrackingObservation) -> TrackingEstimate:
-    """Strongest-cell selection and angle estimate in one step."""
-    l_hat, m_hat = select_strongest(obs)
-    return TrackingEstimate(l_hat=l_hat, m_hat=m_hat, theta_hat=estimate_angle(obs, l_hat, m_hat))
+    m_hat = j - (n_sub - 1) // 2
+    theta = float(angle_map(m_hat, obs.plan.pairings[i], obs.plan.cfg))
+    return TrackingEstimate(l_hat=i + 1, m_hat=m_hat, theta_hat=min(max(theta, -1.0), 1.0))

@@ -4,6 +4,7 @@ import shlex
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thztrack import cli, harness
@@ -341,6 +342,27 @@ _ARGV = {
                    "--out", "g.csv", "--full", "g.json"],
     "validate": ["validate"],
 }
+
+
+class TestRandomnessKeying:
+    def test_every_fresh_generator_is_seeded_with_seed_trial_user(self, tmp_path, monkeypatch, capsys):
+        # a run's randomness is keyed by (seed, trial, user) only: every generator
+        # a command makes from a seed, rather than takes, is seeded with [seed, trial, user]
+        make = np.random.default_rng
+        seeds = []
+
+        def spy(seed=None):
+            if not isinstance(seed, np.random.Generator):
+                seeds.append(seed)
+            return make(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        scenario = ["--seed", "7", "--snr-db", "0,10", "--slots", "2", "--compensation"]
+        assert main(["sweep-nmse", *scenario, "--trials", "2", "--users", "2", "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["track", *scenario]) == 0
+        capsys.readouterr()
+        assert all(isinstance(seed, list) and len(seed) == 3 and seed[0] == 7 for seed in seeds), seeds
+        assert sorted(map(tuple, seeds)) == [(7, 0, 0), (7, 0, 0), (7, 0, 1), (7, 1, 0), (7, 1, 1)]
 
 
 class TestParser:

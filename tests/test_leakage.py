@@ -16,6 +16,7 @@ from thztrack import (
     default_config,
     objective,
     objective_gradient,
+    pilot_normals,
     plan_tracking,
     refine,
     run_tracking,
@@ -62,14 +63,14 @@ def synthetic_problem(plan, cfg, freqs, theta, g0, taus0):
 @pytest.fixture(scope="module")
 def noisy_problem(cfg, plan):
     ch = channel_response(PathComponent(1.0 + 0j, 0.4321), cfg)
-    obs = run_tracking(plan, ch, noise_std=cfg.n_bs / np.sqrt(10.0), rng=123)
+    obs = run_tracking(plan, ch, cfg.n_bs / np.sqrt(10.0), pilot_normals(123, plan.slots, cfg.n_subcarriers))
     return build_cpr_problem(obs)
 
 
 class TestBuildProblem:
     def test_entries_match_observation(self, cfg, plan):
         ch = channel_response(PathComponent(1.0 + 0j, 0.4), cfg)
-        obs = run_tracking(plan, ch, noise_std=3.0, rng=8)
+        obs = run_tracking(plan, ch, noise_std=3.0, normals=pilot_normals(8, plan.slots, cfg.n_subcarriers))
         prob = build_cpr_problem(obs)
         np.testing.assert_array_equal(prob.y_hat, obs.y.T)
         assert prob.y_hat.flags.c_contiguous
@@ -243,7 +244,7 @@ class TestRefine:
         ch = channel_response(PathComponent(1.0 + 0j, theta_r), cfg)
         coarse_sq, refined_sq = 0.0, 0.0
         for trial in range(25):
-            obs = run_tracking(plan, ch, cfg.n_bs / np.sqrt(10.0), rng=np.random.default_rng([9, trial]))
+            obs = run_tracking(plan, ch, cfg.n_bs / np.sqrt(10.0), pilot_normals([9, trial], 3, cfg.n_subcarriers))
             est = coarse_estimate(obs)
             state = refine(build_cpr_problem(obs), est.theta_hat)
             coarse_sq += (est.theta_hat - theta_r) ** 2
@@ -352,7 +353,7 @@ class TestTrajectoryParity:
         rng = np.random.default_rng(seed)
         ch = channel_response(PathComponent(np.exp(1j * rng.uniform(0, 2 * np.pi)), theta_r), system)
         noise_std = 0.0 if snr_db is None else system.n_bs / np.sqrt(10.0 ** (snr_db / 10.0))
-        obs = run_tracking(plan, ch, noise_std, rng)
+        obs = run_tracking(plan, ch, noise_std, pilot_normals(rng, slots, system.n_subcarriers))
         prob = build_cpr_problem(obs)
         start = coarse_estimate(obs).theta_hat
         kwargs = {"max_iter": 200, "tol": 1e-18} if snr_db is None else {"max_iter": 50, "tol": 1e-10}

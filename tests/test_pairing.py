@@ -148,7 +148,7 @@ class TestMakePairingProperties:
     )
     def test_plan_slots_are_make_pairing(self, system, theta0, alpha, slots, mode):
         plan = plan_tracking(theta0, alpha, slots, system, pairing_mode=mode)
-        expected = tuple(make_pairing(float(c), alpha / slots, system, mode) for c in plan.slot_centers)
+        expected = tuple(make_pairing(pc.theta0, alpha / slots, system, mode) for pc in plan.pairings)
         assert plan.pairings == expected
 
 

@@ -14,6 +14,7 @@ from thztrack import (
     default_config,
     from_physical,
     peak_map,
+    pilot_normals,
     plan_tracking,
     precoder_matrix,
     run_tracking,
@@ -164,9 +165,9 @@ class TestSimulateRx:
     def test_noise_reproducible(self, cfg):
         plan = plan_tracking(0.2, 0.05, 2, cfg)
         ch = channel_response(PathComponent(1.0 + 0j, 0.2), cfg)
-        y1 = run_tracking(plan, ch, noise_std=0.1, rng=42).y
-        y2 = run_tracking(plan, ch, noise_std=0.1, rng=42).y
-        y3 = run_tracking(plan, ch, noise_std=0.1, rng=43).y
+        y1 = run_tracking(plan, ch, noise_std=0.1, normals=pilot_normals(42, 2, cfg.n_subcarriers)).y
+        y2 = run_tracking(plan, ch, noise_std=0.1, normals=pilot_normals(42, 2, cfg.n_subcarriers)).y
+        y3 = run_tracking(plan, ch, noise_std=0.1, normals=pilot_normals(43, 2, cfg.n_subcarriers)).y
         np.testing.assert_array_equal(y1, y2)
         assert np.all(y1 != y3)
 
@@ -176,7 +177,8 @@ class TestSimulateRx:
         ch = channel_response(PathComponent(1.0 + 0j, 0.2), cfg)
         clean = run_tracking(plan, ch, 0.0).y
         samples = np.concatenate(
-            [(run_tracking(plan, ch, noise_std=2.0, rng=rng).y - clean).ravel() for _ in range(8)]
+            [(run_tracking(plan, ch, 2.0, pilot_normals(rng, 4, cfg.n_subcarriers)).y - clean).ravel()
+             for _ in range(8)]
         )
         assert samples.size >= 4000
         assert np.mean(np.abs(samples) ** 2) == pytest.approx(4.0, rel=0.1)
@@ -253,7 +255,8 @@ class TestRayResponse:
     def test_matches_dense_inner_products(self, case):
         system, theta, psi, t_aux = case
         kernel = RayKernel(psi, t_aux, system)
-        c, dc = kernel(theta, derivative=True)
+        ev = kernel.evaluate(theta)
+        c, dc = ev.c, kernel.slope(ev)
         want_c, want_dc = _dense_ray_response(system, theta, psi, t_aux)
         n = system.n_bs
         assert np.max(np.abs(c - want_c)) <= _RAY_TOL_C * n**2 * _EPS
@@ -321,7 +324,9 @@ class TestSlopeBranches:
     def test_slope_matches_term_sum_across_branch_edge(self, case):
         system, theta, psi = case
         n = system.n_bs
-        c, dc = RayKernel([psi], [0.0], system)(theta, derivative=True)
+        kernel = RayKernel([psi], [0.0], system)
+        ev = kernel.evaluate(theta)
+        c, dc = ev.c, kernel.slope(ev)
         # G_n(x) = sum_{i<n} exp(j*pi*x*i) term by term, x = (f_m/f_c)*theta - psi
         rho = system.frequencies / system.f_c
         i = np.arange(n)

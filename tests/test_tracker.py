@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thztrack import (
     PathComponent,
@@ -10,12 +12,11 @@ from thztrack import (
     channel_response,
     coarse_estimate,
     default_config,
-    estimate_angle,
     mode_bound,
+    pilot_normals,
     plan_tracking,
     precoder_matrix,
     run_tracking,
-    select_strongest,
 )
 
 
@@ -24,27 +25,43 @@ def cfg():
     return default_config()
 
 
+def centers(plan):
+    return np.array([pc.theta0 for pc in plan.pairings])
+
+
+def normals(seed, plan):
+    return pilot_normals(seed, plan.slots, plan.cfg.n_subcarriers)
+
+
+def spike(plan, l_hat, m_hat):
+    """An observation of ``plan`` whose only nonzero cell is slot ``l_hat``, subcarrier ``m_hat``."""
+    y = np.zeros((plan.slots, plan.cfg.n_subcarriers), dtype=complex)
+    y[l_hat - 1, m_hat + plan.cfg.m_half] = 1.0
+    return TrackingObservation(y=y, plan=plan)
+
+
 class TestPlanTracking:
     def test_slot_centers_all_backward(self, cfg):
         plan = plan_tracking(0.6, 0.2, 4, cfg)
-        np.testing.assert_allclose(plan.slot_centers, [0.45, 0.55, 0.65, 0.75])
+        np.testing.assert_allclose(centers(plan), [0.45, 0.55, 0.65, 0.75])
         assert all(p.mode == "backward" for p in plan.pairings)
-        assert plan.slot_radius == pytest.approx(0.05)
+        assert all(p.alpha == pytest.approx(0.05) for p in plan.pairings)
 
     def test_mixed_modes_follow_slot_sign(self, cfg):
         plan = plan_tracking(0.05, 0.2, 4, cfg)
-        np.testing.assert_allclose(plan.slot_centers, [-0.1, 0.0, 0.1, 0.2], atol=1e-15)
+        np.testing.assert_allclose(centers(plan), [-0.1, 0.0, 0.1, 0.2], atol=1e-15)
         assert [p.mode for p in plan.pairings] == ["forward", "backward", "backward", "backward"]
 
     def test_single_slot(self, cfg):
         plan = plan_tracking(0.3, 0.08, 1, cfg)
-        assert plan.slot_centers[0] == pytest.approx(0.3)
-        assert plan.slot_radius == pytest.approx(0.08)
+        assert plan.pairings[0].theta0 == pytest.approx(0.3)
+        assert plan.pairings[0].alpha == pytest.approx(0.08)
 
     def test_slots_tile_searched_interval(self, cfg):
         plan = plan_tracking(0.2, 0.15, 5, cfg)
-        lows = plan.slot_centers - plan.slot_radius
-        highs = plan.slot_centers + plan.slot_radius
+        radii = np.array([pc.alpha for pc in plan.pairings])
+        lows = centers(plan) - radii
+        highs = centers(plan) + radii
         assert lows[0] == pytest.approx(0.05)
         assert highs[-1] == pytest.approx(0.35)
         np.testing.assert_allclose(highs[:-1], lows[1:], atol=1e-12)
@@ -92,9 +109,35 @@ class TestPlanTracking:
 
     def test_sweep_mode_points_both_slopes_at_center(self, cfg):
         plan = plan_tracking(0.4, 0.2, 4, cfg, pairing_mode="sweep")
-        for p, c in zip(plan.pairings, plan.slot_centers):
+        for p, c in zip(plan.pairings, [0.25, 0.35, 0.45, 0.55]):
             assert p.psi == pytest.approx(c)
             assert p.t_aux == pytest.approx(c)
+
+
+# Fixed before any run, on the scale of test_physmodel's TestRayResponse: the
+# dense oracle vdot(h_m, f_{l,m}) of a unit-gain ray is off by up to
+# ~n_bs^2*eps, and adding the noise rounds to eps of |Y|; C = 8 as there.
+_PILOT_TOL_C = 8.0
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def _pilot_cases(draw):
+    """A random array (n_bs <= 128) and band, a tracking plan on it, a ray, a noise level (0 included)
+    and the seed of the pilot normals, drawn for ``extra`` more slots than the plan has."""
+    p = draw(st.integers(1, 16))
+    n_ttd = draw(st.integers(1, 128 // p))
+    f_c = draw(st.floats(1e9, 1e12))
+    system = SystemConfig(
+        n_bs=p * n_ttd, n_ttd=n_ttd, p=p, f_c=f_c, bandwidth=2 * draw(st.floats(0.01, 0.45)) * f_c,
+        m_half=draw(st.integers(1, 32)),
+    )
+    alpha = draw(st.floats(1e-3, 0.3))
+    theta0 = draw(st.floats(-1.0, 1.0)) * (1.0 - alpha)
+    slots = draw(st.integers(1, 4))
+    theta = draw(st.floats(-1.0, 1.0))
+    noise_std = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+    return system, theta0, alpha, slots, theta, noise_std, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2))
 
 
 class TestRunTracking:
@@ -109,46 +152,69 @@ class TestRunTracking:
     def test_zero_gain_gives_pure_noise(self, cfg):
         plan = plan_tracking(0.0, 0.1, 2, cfg)
         ch = channel_response(PathComponent(0.0 + 0j, 0.1), cfg)
-        obs = run_tracking(plan, ch, noise_std=1.0, rng=1)
+        obs = run_tracking(plan, ch, noise_std=1.0, normals=normals(1, plan))
         assert np.all(np.abs(obs.y) > 0)
         assert np.mean(np.abs(obs.y) ** 2) == pytest.approx(1.0, rel=0.15)
 
     def test_seed_reproducible(self, cfg):
         plan = plan_tracking(0.2, 0.1, 3, cfg)
         ch = channel_response(PathComponent(1.0 + 0j, 0.21), cfg)
-        y1 = run_tracking(plan, ch, 5.0, rng=99).y
-        y2 = run_tracking(plan, ch, 5.0, rng=99).y
+        y1 = run_tracking(plan, ch, 5.0, normals(99, plan)).y
+        y2 = run_tracking(plan, ch, 5.0, normals(99, plan)).y
         np.testing.assert_array_equal(y1, y2)
 
     def test_noise_scales_with_std_for_same_seed(self, cfg):
         plan = plan_tracking(0.2, 0.1, 2, cfg)
         ch = channel_response(PathComponent(1.0 + 0j, 0.21), cfg)
         clean = run_tracking(plan, ch, 0.0).y
-        n1 = run_tracking(plan, ch, 1.0, rng=5).y - clean
-        n2 = run_tracking(plan, ch, 2.0, rng=5).y - clean
+        n1 = run_tracking(plan, ch, 1.0, normals(5, plan)).y - clean
+        n2 = run_tracking(plan, ch, 2.0, normals(5, plan)).y - clean
         np.testing.assert_allclose(n2, 2.0 * n1, rtol=1e-10)
 
-    def test_matches_per_cell_simulation(self, cfg):
-        # the vectorized pilot matrix equals cell-by-cell simulation, h^H f
-        # plus circular noise, with a shared generator consuming two draws
-        # (real, imaginary) per cell in row-major order
-        plan = plan_tracking(0.3, 0.08, 2, cfg)
-        ch = channel_response(PathComponent(1.0 + 0j, 0.31), cfg)
-        obs = run_tracking(plan, ch, noise_std=2.5, rng=314)
-        gen = np.random.default_rng(314)
+    @settings(max_examples=150, deadline=None)
+    @given(case=_pilot_cases())
+    @example(case=(default_config(), 0.3, 0.08, 2, 0.31, 2.5, 314, 0))
+    def test_matches_per_cell_simulation(self, case):
+        # the vectorized pilot matrix equals cell-by-cell simulation: h_m^H f_{l,m}
+        # plus circular noise from the (re, im) normals of slab l, row m, of
+        # which run_tracking reads the first L slabs and changes none
+        system, theta0, alpha, slots, theta, noise_std, seed, extra = case
+        plan = plan_tracking(theta0, alpha, slots, system)  # over-bound slots are fine here
+        ch = channel_response(PathComponent(1.0 + 0j, theta), system)
+        drawn = pilot_normals(seed, slots + extra, system.n_subcarriers)
+        passed = drawn.copy()
+        obs = run_tracking(plan, ch, noise_std, passed)
+        np.testing.assert_array_equal(passed, drawn)
+        assert obs.y.shape == (slots, system.n_subcarriers)
         for l, pc in enumerate(plan.pairings):
-            f_rows = precoder_matrix(pc, cfg)
-            for j in range(cfg.n_subcarriers):
-                re, im = gen.standard_normal(2)
-                expected = np.vdot(ch.h[j], f_rows[j]) + 2.5 / np.sqrt(2.0) * (re + 1j * im)
-                assert obs.y[l, j] == pytest.approx(expected, rel=1e-12)
+            f_rows = precoder_matrix(pc, system)
+            for j in range(system.n_subcarriers):
+                re, im = drawn[l, j]
+                expected = np.vdot(ch.h[j], f_rows[j]) + noise_std / np.sqrt(2.0) * (re + 1j * im)
+                tol = _PILOT_TOL_C * _EPS * (system.n_bs**2 + abs(expected))
+                assert abs(obs.y[l, j] - expected) <= tol, (l, j)
+
+    def test_noisy_pilots_need_normals(self, cfg):
+        plan = plan_tracking(0.2, 0.1, 2, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, 0.21), cfg)
+        with pytest.raises(ValueError, match="normals"):
+            run_tracking(plan, ch, 1.0)
+        # a noiseless frame draws nothing and needs none
+        np.testing.assert_array_equal(run_tracking(plan, ch, 0.0).y, run_tracking(plan, ch).y)
+
+    @pytest.mark.parametrize("shape", [(1, 129, 2), (2, 128, 2), (2, 129), (2, 129, 1), ()])
+    def test_normals_must_cover_the_plan(self, cfg, shape):
+        plan = plan_tracking(0.2, 0.1, 2, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, 0.21), cfg)
+        with pytest.raises(ValueError, match="normals"):
+            run_tracking(plan, ch, 1.0, np.zeros(shape))
 
     @pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
     def test_noise_std_must_be_finite_and_nonnegative(self, cfg, noise_std):
         plan = plan_tracking(0.2, 0.1, 2, cfg)
         ch = channel_response(PathComponent(1.0 + 0j, 0.21), cfg)
         with pytest.raises(ValueError, match="noise_std"):
-            run_tracking(plan, ch, noise_std, rng=1)
+            run_tracking(plan, ch, noise_std, normals(1, plan))
 
     def test_config_mismatch_raises(self, cfg):
         plan = plan_tracking(0.2, 0.1, 2, cfg)
@@ -159,33 +225,35 @@ class TestRunTracking:
 
 
 class TestSelectStrongest:
-    def _obs(self, cfg, y):
-        plan = plan_tracking(0.0, 0.1, y.shape[0], cfg)
-        return TrackingObservation(y=y, plan=plan)
+    """The cell coarse_estimate selects: the largest |Y|^2, ties to the smaller slot, then subcarrier."""
+
+    def _cell(self, cfg, y):
+        est = coarse_estimate(TrackingObservation(y=y, plan=plan_tracking(0.0, 0.1, y.shape[0], cfg)))
+        return est.l_hat, est.m_hat
 
     def test_single_spike(self, cfg):
         y = np.zeros((3, cfg.n_subcarriers), dtype=complex)
         y[1, 5 + cfg.m_half] = 2.0
-        assert select_strongest(self._obs(cfg, y)) == (2, 5)
+        assert self._cell(cfg, y) == (2, 5)
 
     def test_all_equal_tie_breaks_low(self, cfg):
         y = np.ones((3, cfg.n_subcarriers), dtype=complex)
-        assert select_strongest(self._obs(cfg, y)) == (1, -cfg.m_half)
+        assert self._cell(cfg, y) == (1, -cfg.m_half)
 
     def test_tie_within_row_prefers_smaller_subcarrier(self, cfg):
         y = np.zeros((2, cfg.n_subcarriers), dtype=complex)
         y[0, 10 + cfg.m_half] = 1.0
         y[0, 20 + cfg.m_half] = 1.0
-        assert select_strongest(self._obs(cfg, y)) == (1, 10)
+        assert self._cell(cfg, y) == (1, 10)
 
 
 class TestEstimateAngle:
+    """The angle coarse_estimate gives its selected cell: the slot pairing's angle map, clipped to [-1, 1]."""
+
     def test_center_subcarrier_returns_psi(self, cfg):
         plan = plan_tracking(0.42, 0.1, 2, cfg)
-        ch = channel_response(PathComponent(1.0 + 0j, 0.42), cfg)
-        obs = run_tracking(plan, ch, 0.0)
         for l_hat, pc in enumerate(plan.pairings, start=1):
-            assert estimate_angle(obs, l_hat, 0) == pytest.approx(pc.psi)
+            assert coarse_estimate(spike(plan, l_hat, 0)).theta_hat == pytest.approx(pc.psi)
 
     def test_noiseless_on_grid_recovery_exact(self, cfg):
         plan = plan_tracking(0.42, 0.1, 2, cfg)
@@ -220,14 +288,4 @@ class TestEstimateAngle:
         # the snapped slopes of the second slot map subcarrier -M just past 1
         plan = plan_tracking(0.8, 0.2, 2, cfg, codebook=build_codebook(cfg))
         assert angle_map(-cfg.m_half, plan.pairings[1], cfg) > 1.0
-        obs = run_tracking(plan, channel_response(PathComponent(1.0 + 0j, 0.9), cfg), 0.0)
-        assert estimate_angle(obs, 2, -cfg.m_half) == 1.0
-
-    def test_index_validation(self, cfg):
-        plan = plan_tracking(0.42, 0.1, 2, cfg)
-        ch = channel_response(PathComponent(1.0 + 0j, 0.42), cfg)
-        obs = run_tracking(plan, ch, 0.0)
-        with pytest.raises(ValueError):
-            estimate_angle(obs, 3, 0)
-        with pytest.raises(ValueError):
-            estimate_angle(obs, 1, cfg.m_half + 1)
+        assert coarse_estimate(spike(plan, 2, -cfg.m_half)).theta_hat == 1.0
