@@ -17,6 +17,7 @@ from .harness import (
     ScenarioConfig,
     _as_bool,
     _as_float,
+    draw_frame,
     run_frame,
     scenario_from_file,
     sweep,
@@ -186,7 +187,7 @@ def _cmd_track(args, scn: ScenarioConfig) -> int:
         if len(entries) > 1:
             print(f"track: {key} lists {len(entries)} entries; ran only {key} = {entries[0]!r}", file=sys.stderr)
     trace: list = []
-    frame = run_frame(scn, 0, 0, center=args.center, trace=trace)
+    frame = run_frame(scn, draw_frame(scn, 0, 0), center=args.center, trace=trace)
     plan, est, rec, state = frame.plan, frame.estimate, frame.record, frame.state
     print(
         f"tracking theta_r={rec.theta_r:.6f} over [{plan.theta0 - plan.alpha:.4f}, "

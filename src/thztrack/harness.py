@@ -6,14 +6,16 @@ since the previous frame: the tracker searches
 refines the estimate, and reports the angle error and the beamforming gain of
 a precoder aligned to the estimate.
 
-A frame reads all of its inputs from its scenario: the first entry of each
-list key (``snr_db``, ``slots``, ``theta_grid``).  A sweep runs each point of
-its axis as the scenario with the axis's key set to that point alone.
+Besides its draws, a frame reads its inputs from its scenario: the first
+entry of each list key (``snr_db``, ``slots``, ``theta_grid``).  A sweep
+runs each point of its axis as the scenario with the axis's key set to that
+point alone.
 
 Trial randomness is keyed by (seed, trial, user) only, never by the sweep
 axis, so runs at different SNRs or slot counts share their channel and noise
 draws (common random numbers) and sweeps are bit-reproducible.
-:func:`draw_frame` makes a frame's draws (:class:`FrameDraws`); a sweep
+:func:`draw_frame` makes a frame's draws (:class:`FrameDraws`), which
+carry that key and are the frame's only entry (:func:`run_frame`); a sweep
 runs trial by trial, every axis point of a trial before the next trial, and
 makes each (trial, user)'s draws once for all of its points.
 """
@@ -183,8 +185,9 @@ def pilot_noise_std(snr_db: float, cfg: SystemConfig) -> float:
 
 @dataclass(frozen=True)
 class FrameDraws:
-    """The random inputs of one (seed, trial, user) frame, in the order they are drawn.
+    """The random inputs of frame (``seed``, ``trial``, ``user``), in the order they are drawn.
 
+    The key names the frame: its record carries ``trial`` and ``user``.
     ``gain`` is the ray gain, ``zeta`` the mobility step, ``prev`` the
     previous-direction draw (None when ``theta_grid`` pins the target) and
     ``normals`` the pilot noise's standard normals for ``max(slots)`` slots
@@ -192,6 +195,9 @@ class FrameDraws:
     uses the first L slabs.
     """
 
+    seed: int
+    trial: int
+    user: int
     gain: complex
     zeta: float
     prev: float | None
@@ -208,17 +214,14 @@ def draw_frame(scn: ScenarioConfig, trial: int, user: int) -> FrameDraws:
     gain = _draw_gain(rng, scn.gain_sigma)
     zeta = rng.uniform(-scn.zeta_max, scn.zeta_max)
     prev = None if scn.theta_grid else rng.uniform(-scn.center_cap, scn.center_cap)
-    return FrameDraws(gain, zeta, prev, pilot_normals(rng, max(scn.slots), scn.system.n_subcarriers))
+    normals = pilot_normals(rng, max(scn.slots), scn.system.n_subcarriers)
+    return FrameDraws(scn.seed, trial, user, gain, zeta, prev, normals)
 
 
 def _check_draws(scn: ScenarioConfig, draws: FrameDraws) -> None:
-    """Raise a ValueError naming the config key that ``draws`` do not fit."""
-    shape = np.shape(draws.normals)
-    n_sub = scn.system.n_subcarriers
-    if shape[1:] != (n_sub, 2):
-        raise ValueError(f"pilot normals of shape {shape} do not hold 2*m_half+1 = {n_sub} subcarriers")
-    if shape[0] < scn.slots[0]:
-        raise ValueError(f"pilot normals of shape {shape} hold fewer slabs than slots[0] = {scn.slots[0]}")
+    """Raise a ValueError naming the config key that ``draws`` do not fit; ``run_tracking`` checks the normals."""
+    if draws.seed != scn.seed:
+        raise ValueError(f"draws of seed {draws.seed!r} do not fit a scenario of seed {scn.seed!r}")
     if (draws.prev is None) != bool(scn.theta_grid):
         raise ValueError(
             "a previous-direction draw is needed exactly when theta_grid is empty, "
@@ -240,33 +243,25 @@ class Frame:
     state: CprState | None
 
 
-def run_frame(
-    scn: ScenarioConfig, trial: int, user: int, center: float | None = None, trace: list | None = None,
-    draws: FrameDraws | None = None,
-) -> Frame:
-    """One frame of ``user`` in ``trial``: plan, pilots, coarse estimate, refinement, gain.
+def run_frame(scn: ScenarioConfig, draws: FrameDraws, center: float | None = None, trace: list | None = None) -> Frame:
+    """Frame (seed, trial, user) of ``draws``: plan, pilots, coarse estimate, refinement, gain.
 
-    Deterministic in (seed, trial, user).  The frame's inputs are the first
-    entries of the scenario's lists: the post-beamforming SNR at perfect
-    alignment ``snr_db[0]`` (+inf is noiseless), the slot count ``slots[0]``
-    and, when ``theta_grid`` is not empty, the true direction
-    ``theta_grid[0]``.  Without it the previous direction is drawn and the
-    true one is a mobility step from it; with it the previous one is
-    back-generated.  The searched interval is centred on the previous
-    direction, or on ``center`` when given.  With compensation the coarse
-    estimate is refined (``trace`` collects the iterates); a degenerate
-    geometry keeps the coarse estimate.
-
-    The random inputs are ``draws`` when given (a sweep passes each
-    (trial, user)'s draws to all of its points), else :func:`draw_frame`'s;
-    draws that do not fit the scenario raise a ValueError naming the key.
+    The random inputs are ``draws`` (:func:`draw_frame`), whose key the
+    record carries; draws that do not fit the scenario raise a ValueError
+    naming the key.  The other inputs are the first entries of the
+    scenario's lists: the post-beamforming SNR at perfect alignment
+    ``snr_db[0]`` (+inf is noiseless), the slot count ``slots[0]`` and, when
+    ``theta_grid`` is not empty, the true direction ``theta_grid[0]``.
+    Without it the previous direction is drawn and the true one is a
+    mobility step from it; with it the previous one is back-generated.  The
+    searched interval is centred on the previous direction, or on ``center``
+    when given.  With compensation the coarse estimate is refined (``trace``
+    collects the iterates); a degenerate geometry keeps the coarse estimate.
     """
     cfg = scn.system
     cb = build_codebook(cfg) if scn.codebook else None
     cap = scn.center_cap
     noise_std = pilot_noise_std(scn.snr_db[0], cfg)
-    if draws is None:
-        draws = draw_frame(scn, trial, user)
     _check_draws(scn, draws)
     if scn.theta_grid:
         theta_r = float(scn.theta_grid[0])
@@ -295,15 +290,13 @@ def run_frame(
     theta_final = est.theta_hat if theta_refined is None else theta_refined
     aim = snap(theta_final, cb.psi_grid) if cb else theta_final
     gain = beamforming_gain(channel, aim)
-    record = TrialRecord(trial, user, theta_r, est.theta_hat, theta_refined, gain, **outcome)
+    record = TrialRecord(draws.trial, draws.user, theta_r, est.theta_hat, theta_refined, gain, **outcome)
     return Frame(record, plan, obs, est, state)
 
 
-def run_trial(scn: ScenarioConfig, trial: int, draws: list[FrameDraws] | None = None) -> list[TrialRecord]:
-    """The records of frame ``trial`` (:func:`run_frame`) for every user, with user u's ``draws[u]`` when given."""
-    return [
-        run_frame(scn, trial, user, draws=None if draws is None else draws[user]).record for user in range(scn.users)
-    ]
+def run_trial(scn: ScenarioConfig, draws: list[FrameDraws]) -> list[TrialRecord]:
+    """The records of the frames of ``draws`` (:func:`run_frame`), in order: one trial's draws for each user."""
+    return [run_frame(scn, d).record for d in draws]
 
 
 def nmse(theta_hat, theta_r) -> tuple[float, int]:
@@ -405,7 +398,7 @@ def sweep(scn: ScenarioConfig, axis: str) -> MetricsReport:
     for trial in range(scn.trials):
         draws = [draw_frame(scn, trial, user) for user in range(scn.users)]
         for value, point in points.items():
-            all_records[value].extend(run_trial(point, trial, draws))
+            all_records[value].extend(run_trial(point, draws))
     rows = []
     for value, records in all_records.items():
         finals = [r.theta_final for r in records]

@@ -113,12 +113,15 @@ def plan_tracking(
     return TrackingPlan(theta0=theta0, alpha=alpha, slots=slots, pairings=tuple(pairings), cfg=cfg)
 
 
-def pilot_normals(rng: np.random.Generator | int | None, slots: int, n_subcarriers: int) -> np.ndarray:
+def pilot_normals(rng: np.random.Generator | int | list[int], slots: int, n_subcarriers: int) -> np.ndarray:
     """Standard normals of the pilot noise, shape (slots, n_subcarriers, 2): one (re, im) pair per cell.
 
-    The fill order is row-major, so the first L slabs of a draw for more
-    slots equal a draw for L slots from the same generator state.
+    ``rng`` is a generator or a seed; None, which would draw unseeded
+    noise, raises.  The fill order is row-major, so the first L slabs of a
+    draw for more slots equal a draw for L slots from the same generator state.
     """
+    if rng is None:
+        raise ValueError("pilot normals need a generator or a seed, got None")
     return np.random.default_rng(rng).standard_normal((slots, n_subcarriers, 2))
 
 
@@ -133,22 +136,24 @@ def run_tracking(
     Y[l, m] is h_m^H f_{l,m} (closed form, :meth:`ChannelResponse.precoded` of ``plan.kernel``)
     plus circular complex noise of variance noise_std**2, built from
     ``normals``, the standard normals of :func:`pilot_normals`: their first
-    ``plan.slots`` slabs are used and left unchanged.  A noisy call needs
-    them; a noiseless one ignores them.
+    ``plan.slots`` slabs are used and left unchanged.  Normals, whenever
+    given, must cover ``plan.slots`` slots of 2*m_half+1 subcarriers; a
+    noisy call needs them, a noiseless one only checks them.
     """
     cfg = plan.cfg
     if channel.cfg != cfg:
         raise ValueError("channel was built for a different system config than the plan")
     if not 0.0 <= noise_std < np.inf:
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std!r}")
+    if normals is not None:
+        normals = np.asarray(normals)
+        if normals.shape[1:] != (cfg.n_subcarriers, 2) or len(normals) < plan.slots:
+            raise ValueError(f"pilot normals of shape {normals.shape} do not cover slots = {plan.slots} "
+                             f"of 2*m_half+1 = {cfg.n_subcarriers} subcarriers")
     y = channel.precoded(plan.kernel).T.copy()
     if noise_std > 0:
         if normals is None:
             raise ValueError("noisy pilots need their standard normals: pass normals=pilot_normals(...)")
-        normals = np.asarray(normals)
-        if normals.shape[1:] != (cfg.n_subcarriers, 2) or len(normals) < plan.slots:
-            raise ValueError(f"pilot normals of shape {normals.shape} do not cover {plan.slots} slots "
-                             f"of {cfg.n_subcarriers} subcarriers")
         noise = normals[: plan.slots] * (noise_std / np.sqrt(2.0))
         # each (re, im) pair of draws is read as one complex sample
         y += noise.view(complex)[..., 0]

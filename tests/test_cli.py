@@ -9,7 +9,7 @@ import pytest
 
 from thztrack import cli, harness
 from thztrack.cli import _COMMANDS, build_parser, main
-from thztrack.harness import CONFIG_PARSERS, ScenarioConfig, run_trial, scenario_from_file
+from thztrack.harness import CONFIG_PARSERS, ScenarioConfig, draw_frame, run_trial, scenario_from_file
 from thztrack.physmodel import SystemConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -191,7 +191,7 @@ class TestTrackIsFrameZero:
         assert main(argv) == 0
         out = capsys.readouterr().out
         scn = ScenarioConfig(seed=3, snr_db=(15.0,), slots=(2,), theta_grid=() if theta_r is None else (theta_r,), **keys)
-        rec = run_trial(scn, 0)[0]
+        rec = run_trial(scn, [draw_frame(scn, 0, 0)])[0]
         assert f"tracking theta_r={rec.theta_r:.6f} " in out
         assert f"coarse estimate {rec.theta_hat:+.6f} " in out
         if scn.compensation:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -20,6 +21,7 @@ from thztrack import (
 from thztrack.harness import (
     ScenarioConfig,
     beamforming_gain,
+    draw_frame,
     load_key_values,
     nmse,
     nmse_db,
@@ -34,6 +36,11 @@ from thztrack.harness import (
 @pytest.fixture(scope="module")
 def cfg():
     return default_config()
+
+
+def _trial(scn, trial):
+    """The records of ``trial`` for every user of ``scn``, each frame from its own draws."""
+    return run_trial(scn, [draw_frame(scn, trial, user) for user in range(scn.users)])
 
 
 class TestNmse:
@@ -128,26 +135,26 @@ class TestBeamformingGainOracle:
 class TestRunTrial:
     def test_deterministic_per_seed(self, cfg):
         scn = ScenarioConfig(system=cfg, users=2, trials=3, seed=5, snr_db=(10.0,), slots=(4,))
-        a = run_trial(scn, 1)
-        b = run_trial(scn, 1)
+        a = _trial(scn, 1)
+        b = _trial(scn, 1)
         assert a == b
 
     def test_different_trials_differ(self, cfg):
         scn = ScenarioConfig(system=cfg, users=1, trials=3, seed=5, snr_db=(10.0,), slots=(4,))
-        a = run_trial(scn, 0)
-        b = run_trial(scn, 1)
+        a = _trial(scn, 0)
+        b = _trial(scn, 1)
         assert a[0].theta_r != b[0].theta_r
 
     def test_noiseless_compensated_trial_is_sharp(self, cfg):
         scn = ScenarioConfig(system=cfg, users=1, trials=1, seed=3, compensation=True, snr_db=(math.inf,), slots=(4,))
-        rec = run_trial(scn, 0)[0]
+        rec = _trial(scn, 0)[0]
         assert abs(rec.theta_refined - rec.theta_r) < 1e-6
 
     def test_run_trial_is_one_frame_per_user(self, cfg):
         scn = ScenarioConfig(system=cfg, users=3, seed=4, compensation=True, codebook=True,
                              snr_db=(10.0,), slots=(2,), theta_grid=(0.3,))
-        frames = [run_frame(scn, 2, user) for user in range(3)]
-        assert run_trial(scn, 2) == [frame.record for frame in frames]
+        frames = [run_frame(scn, draw_frame(scn, 2, user)) for user in range(3)]
+        assert _trial(scn, 2) == [frame.record for frame in frames]
         frame = frames[1]
         assert frame.plan.slots == 2 and frame.obs.y.shape == (2, cfg.n_subcarriers)
         assert (frame.estimate.theta_hat, float(frame.state.theta)) == (frame.record.theta_hat, frame.record.theta_refined)
@@ -155,24 +162,25 @@ class TestRunTrial:
     def test_center_moves_only_the_searched_interval(self, cfg):
         scn = ScenarioConfig(system=cfg, users=1, seed=4, compensation=True, snr_db=(20.0,), slots=(4,))
         trace = []
-        frame = run_frame(scn, 0, 0, center=0.25, trace=trace)
+        frame = run_frame(scn, draw_frame(scn, 0, 0), center=0.25, trace=trace)
         assert frame.plan.theta0 == 0.25 and frame.plan.alpha == scn.zeta_max
-        assert frame.record.theta_r == run_trial(scn, 0)[0].theta_r
+        assert frame.record.theta_r == _trial(scn, 0)[0].theta_r
         # the trace collects one row per refine iteration, ending at the refined angle
         assert len(trace) == frame.record.iterations and trace[-1][1] == frame.state.theta
 
     def test_no_state_without_compensation(self, cfg):
-        frame = run_frame(ScenarioConfig(system=cfg, users=1, seed=4, snr_db=(10.0,), slots=(2,)), 0, 0)
+        scn = ScenarioConfig(system=cfg, users=1, seed=4, snr_db=(10.0,), slots=(2,))
+        frame = run_frame(scn, draw_frame(scn, 0, 0))
         assert frame.state is None and frame.record.theta_refined is None
 
     def test_record_count_users(self, cfg):
         scn = ScenarioConfig(system=cfg, users=3, trials=1, seed=3, snr_db=(10.0,), slots=(2,))
-        assert len(run_trial(scn, 0)) == 3
+        assert len(_trial(scn, 0)) == 3
 
     def test_true_direction_inside_searched_interval(self, cfg):
         scn = ScenarioConfig(system=cfg, users=1, trials=40, seed=11, snr_db=(math.inf,), slots=(4,))
         for t in range(40):
-            rec = run_trial(scn, t)[0]
+            rec = _trial(scn, t)[0]
             assert abs(rec.theta_hat - rec.theta_r) < 2 * scn.zeta_max
 
     def test_forward_only_matches_auto_on_negative_axis(self, cfg):
@@ -182,8 +190,8 @@ class TestRunTrial:
         fb = ScenarioConfig(scheme="forward_backward", **base)
         fo = ScenarioConfig(scheme="forward_only", **base)
         for t in range(20):
-            ra = run_trial(fb, t)[0]
-            rb = run_trial(fo, t)[0]
+            ra = _trial(fb, t)[0]
+            rb = _trial(fo, t)[0]
             assert ra.theta_hat == rb.theta_hat
 
     def test_exhaustive_sweep_estimates_slot_centers(self, cfg):
@@ -193,7 +201,7 @@ class TestRunTrial:
         scn = ScenarioConfig(system=cfg, users=1, trials=20, seed=31, scheme="exhaustive_sweep",
                              snr_db=(math.inf,), slots=(4,))
         for t in range(20):
-            rec = run_trial(scn, t)[0]
+            rec = _trial(scn, t)[0]
             assert abs(rec.theta_hat - rec.theta_r) <= 2 * scn.zeta_max
 
 
@@ -400,8 +408,10 @@ class TestFrameDraws:
         report = sweep(scn, axis)
         for value in getattr(scn, key):
             point = replace(scn, **{key: (value,)})
-            own = [run_frame(point, t, u).record for t in range(scn.trials) for u in range(scn.users)]
+            draws = [draw_frame(point, t, u) for t in range(scn.trials) for u in range(scn.users)]
+            own = [run_frame(point, d).record for d in draws]
             assert report.records[value] == own
+            assert [(r.trial, r.user) for r in own] == [(d.trial, d.user) for d in draws]
 
     @pytest.mark.parametrize("snr_db", [(10.0,), (0.0, 10.0, math.inf)])
     def test_sweep_draws_each_frame_once(self, monkeypatch, snr_db):
@@ -425,7 +435,7 @@ class TestFrameDraws:
         draws = harness.draw_frame(scn, 1, 0)
         normals = draws.normals.copy()
         point = replace(scn, slots=(4,))
-        assert run_frame(point, 1, 0, draws=draws).record == run_frame(point, 1, 0).record
+        assert run_frame(point, draws).record == run_frame(point, draw_frame(point, 1, 0)).record
         assert np.array_equal(draws.normals, normals)
 
     @pytest.mark.parametrize(
@@ -433,13 +443,24 @@ class TestFrameDraws:
         [({"slots": (2,)}, {"slots": (4,)}, "slots"),
          ({"system": replace(_SMALL, m_half=8)}, {}, "m_half"),
          ({}, {"theta_grid": (0.3,)}, "theta_grid"),
-         ({"theta_grid": (0.3,)}, {}, "theta_grid")],
+         ({"theta_grid": (0.3,)}, {}, "theta_grid"),
+         ({"seed": 4}, {}, "seed")],
     )
     def test_draws_that_do_not_fit_the_scenario_rejected_naming_the_key(self, drawn, run, key):
         scn = ScenarioConfig(system=_SMALL, users=1, seed=3, snr_db=(10.0,), slots=(4,))
         draws = harness.draw_frame(replace(scn, **drawn), 0, 0)
         with pytest.raises(ValueError, match=key):
-            run_frame(replace(scn, **run), 0, 0, draws=draws)
+            run_frame(replace(scn, **run), draws)
+
+    def test_the_key_travels_only_with_the_draws(self):
+        scn = ScenarioConfig(system=_SMALL, users=3, seed=3, snr_db=(10.0,), slots=(2,))
+        draws = draw_frame(scn, 1, 2)
+        assert (draws.seed, draws.trial, draws.user) == (3, 1, 2)
+        record = run_frame(scn, draws).record
+        assert (record.trial, record.user) == (1, 2)
+        # no call form takes a (trial, user) apart from the draws
+        assert list(inspect.signature(run_frame).parameters) == ["scn", "draws", "center", "trace"]
+        assert list(inspect.signature(run_trial).parameters) == ["scn", "draws"]
 
 
 # (iterations, converged, diverged) of every refinement in the compensated SNR

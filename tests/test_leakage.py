@@ -2,7 +2,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from thztrack import (
@@ -344,18 +344,22 @@ def _tracking_frames(draw):
     return system, theta0, alpha, theta_r, slots, snr_db, seed
 
 
+def _cpr_frame(system, theta0, alpha, theta_r, slots, snr_db, seed):
+    """The CPR problem of a tracking frame at ``snr_db`` (None: noiseless) and its coarse estimate."""
+    plan = plan_tracking(theta0, alpha, slots, system)  # over-bound slots are fine here
+    rng = np.random.default_rng(seed)
+    ch = channel_response(PathComponent(np.exp(1j * rng.uniform(0, 2 * np.pi)), theta_r), system)
+    noise_std = 0.0 if snr_db is None else system.n_bs / np.sqrt(10.0 ** (snr_db / 10.0))
+    obs = run_tracking(plan, ch, noise_std, pilot_normals(rng, slots, system.n_subcarriers))
+    return build_cpr_problem(obs), coarse_estimate(obs).theta_hat
+
+
 class TestTrajectoryParity:
     @settings(max_examples=60, deadline=None)
     @given(frame=_tracking_frames())
     def test_refine_matches_reference_loop(self, frame):
-        system, theta0, alpha, theta_r, slots, snr_db, seed = frame
-        plan = plan_tracking(theta0, alpha, slots, system)  # over-bound slots are fine here
-        rng = np.random.default_rng(seed)
-        ch = channel_response(PathComponent(np.exp(1j * rng.uniform(0, 2 * np.pi)), theta_r), system)
-        noise_std = 0.0 if snr_db is None else system.n_bs / np.sqrt(10.0 ** (snr_db / 10.0))
-        obs = run_tracking(plan, ch, noise_std, pilot_normals(rng, slots, system.n_subcarriers))
-        prob = build_cpr_problem(obs)
-        start = coarse_estimate(obs).theta_hat
+        snr_db = frame[5]
+        prob, start = _cpr_frame(*frame)
         kwargs = {"max_iter": 200, "tol": 1e-18} if snr_db is None else {"max_iter": 50, "tol": 1e-10}
 
         trace = []
@@ -379,3 +383,60 @@ class TestTrajectoryParity:
         assert abs(state.theta - want.theta) <= _PARITY_RTOL
         assert state.residual == pytest.approx(want.residual, rel=0, abs=_PARITY_RTOL * scale)
         np.testing.assert_allclose(state.taus, want.taus, rtol=0, atol=_PARITY_RTOL * 2 * np.pi)
+
+
+def _profile(prob, theta):
+    """J(theta) = ||Y||^2 - (sum_m |z_m|)^2 / sum_m ||c_m||^2: the residual at the best gain and phases."""
+    c = prob.kernel(theta)
+    z = np.einsum("ml,ml->m", c.conj(), prob.y_hat)
+    return float(np.vdot(prob.y_hat, prob.y_hat).real) - float(np.sum(np.abs(z))) ** 2 / float(np.vdot(c, c).real)
+
+
+@st.composite
+def _solver_frames(draw):
+    """A random array (n_bs <= 128) and band and a tracking frame on it at 10-30 dB, as ``_tracking_frames``."""
+    p = draw(st.integers(2, 16))
+    n_ttd = draw(st.integers(2, 128 // p))
+    system = SystemConfig(
+        n_bs=p * n_ttd, n_ttd=n_ttd, p=p, f_c=100e9,
+        bandwidth=draw(st.floats(2e9, 20e9)), m_half=draw(st.integers(4, 24)),
+    )
+    alpha = draw(st.floats(0.02, 0.2))
+    theta0 = draw(st.floats(-0.75, 0.75))
+    theta_r = theta0 + draw(st.floats(-1.0, 1.0)) * alpha
+    slots = draw(st.integers(1, 4))
+    return system, theta0, alpha, theta_r, slots, draw(st.floats(10.0, 30.0)), draw(st.integers(0, 2**16))
+
+
+class TestSolverOracle:
+    """The refined angle is a local minimum of J near the coarse estimate (brute force: a dense scan of J).
+
+    Bounds fixed before any run, with b = 2 f_c / (n_bs f_high) the narrowest
+    beam semi-width: J(theta_ref) <= J(theta_coarse) + 1e-12 ||Y||^2; a
+    401-point scan of J over theta_ref +- b/32 has its minimum strictly
+    inside; |theta_ref - theta_coarse| <= 2b.  A pattern search on J from
+    the coarse estimate passes; ``refine(max_iter=1)`` fails (see CHANGES.md).
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="refine can stop while J is still falling: 90 of 600 random frames fail this property, "
+        "a pattern search on J none of 2000 (see CHANGES.md; ROADMAP item 4 flips this mark)",
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+    @given(frame=_solver_frames())
+    # refine ran out of its 50 iterations with J still falling past theta_ref - b/32
+    @example(frame=(SystemConfig(n_bs=14, n_ttd=2, p=7, f_c=100e9, bandwidth=9607311135.64606, m_half=14),
+                    0.5662933588076942, 0.03562667699868095, 0.581143894273768, 2, 10.0, 51718))
+    def test_refine_stops_at_a_local_minimum_of_the_profile(self, frame):
+        system = frame[0]
+        prob, start = _cpr_frame(*frame)
+        try:
+            theta = refine(prob, start).theta
+        except DegenerateGeometryError:
+            return
+        b = 2 * system.f_c / (system.n_bs * system.f_high)
+        assert _profile(prob, theta) <= _profile(prob, start) + 1e-12 * float(np.sum(np.abs(prob.y_hat) ** 2))
+        scan = [_profile(prob, t) for t in np.linspace(theta - b / 32, theta + b / 32, 401)]
+        assert 0 < int(np.argmin(scan)) < 400
+        assert abs(theta - start) <= 2 * b

@@ -209,6 +209,19 @@ class TestRunTracking:
         with pytest.raises(ValueError, match="normals"):
             run_tracking(plan, ch, 1.0, np.zeros(shape))
 
+    @pytest.mark.parametrize("slots, m_half", [(1, 64), (2, 32)])
+    def test_noiseless_pilots_check_the_normals_they_are_given(self, cfg, slots, m_half):
+        # normals for fewer slots or another m_half fit no frame of this plan, noisy or not
+        plan = plan_tracking(0.2, 0.1, 2, cfg)
+        ch = channel_response(PathComponent(1.0 + 0j, 0.21), cfg)
+        with pytest.raises(ValueError, match=r"do not cover slots = 2 of 2\*m_half\+1 = 129 subcarriers"):
+            run_tracking(plan, ch, 0.0, pilot_normals(3, slots, 2 * m_half + 1))
+
+    def test_pilot_normals_need_a_generator_or_a_seed(self):
+        # None would draw unseeded noise, outside the (seed, trial, user) keying
+        with pytest.raises(ValueError, match="None"):
+            pilot_normals(None, 2, 5)
+
     @pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
     def test_noise_std_must_be_finite_and_nonnegative(self, cfg, noise_std):
         plan = plan_tracking(0.2, 0.1, 2, cfg)
