@@ -41,16 +41,20 @@ class TrackingPlan:
     """Per-slot pairings covering [theta0 - alpha, theta0 + alpha] in L fractions.
 
     Each slot's center and radius are its pairing's ``theta0`` and ``alpha``
-    (``alpha / slots``, or 0 in "sweep" mode).  ``kernel``, the
+    (``alpha / slots``, or 0 in "sweep" mode); ``slots`` is
+    ``len(pairings)``.  ``kernel``, the
     :class:`RayKernel` over the pairings' slopes, is built on first use and
     shared by the pilots and the refinement of the frame.
     """
 
     theta0: float
     alpha: float
-    slots: int
     pairings: tuple[PairingConfig, ...]
     cfg: SystemConfig
+
+    @property
+    def slots(self) -> int:
+        return len(self.pairings)
 
     @cached_property
     def kernel(self) -> RayKernel:
@@ -110,7 +114,7 @@ def plan_tracking(
         if codebook is not None:
             pc = quantized_pairing(pc, codebook)
         pairings.append(pc)
-    return TrackingPlan(theta0=theta0, alpha=alpha, slots=slots, pairings=tuple(pairings), cfg=cfg)
+    return TrackingPlan(theta0=theta0, alpha=alpha, pairings=tuple(pairings), cfg=cfg)
 
 
 def pilot_normals(rng: np.random.Generator | int | list[int], slots: int, n_subcarriers: int) -> np.ndarray:

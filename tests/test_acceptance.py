@@ -9,20 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from thztrack import (
-    PrecoderConfig,
-    SystemConfig,
-    array_gain,
-    checks,
-    default_config,
-    fixed_radius,
-    forward_bound,
-    large_angle_bound,
-    make_pairing,
-    sidelobe_locations,
-)
+from thztrack import checks
+from thztrack.beampattern import array_gain, sidelobe_locations
 from thztrack.harness import ScenarioConfig, sweep
-from thztrack.pairing import backward_bound
+from thztrack.pairing import backward_bound, fixed_radius, forward_bound, large_angle_bound, make_pairing
+from thztrack.physmodel import PrecoderConfig, SystemConfig, default_config
 
 CFG = default_config()  # n_bs=256, n_ttd=p=16, f_c=100 GHz, band 10 GHz, M=64
 

@@ -3,20 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thztrack import (
-    PrecoderConfig,
-    SystemConfig,
-    angle_map,
-    array_gain,
-    checks,
-    default_config,
-    dirichlet,
-    lobe_geometry,
-    make_pairing,
-    peak_map,
-    sidelobe_locations,
-)
-from thztrack.pairing import BACKWARD, FORWARD, forward_bound, mode_bound
+from thztrack import checks
+from thztrack.beampattern import angle_map, array_gain, dirichlet, lobe_geometry, peak_map, sidelobe_locations
+from thztrack.pairing import BACKWARD, FORWARD, forward_bound, make_pairing, mode_bound
+from thztrack.physmodel import PrecoderConfig, SystemConfig, default_config
 
 
 @pytest.fixture(scope="module")

@@ -3,19 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thztrack import (
-    PrecoderConfig,
-    SystemConfig,
-    angle_map,
-    array_gain,
-    build_codebook,
-    default_config,
-    dirichlet,
-    make_pairing,
-    peak_map,
-    quantized_pairing,
-    snap,
-)
+from thztrack.beampattern import angle_map, array_gain, dirichlet, peak_map
+from thztrack.codebook import build_codebook, quantized_pairing, snap
+from thztrack.pairing import make_pairing
+from thztrack.physmodel import PrecoderConfig, SystemConfig, default_config
 
 
 @pytest.fixture(scope="module")

@@ -9,15 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thztrack import harness
-from thztrack import (
-    PathComponent,
-    PrecoderConfig,
-    SystemConfig,
-    channel_response,
-    default_config,
-    dirichlet,
-    precoder_matrix,
-)
+from thztrack.beampattern import dirichlet
 from thztrack.harness import (
     ScenarioConfig,
     beamforming_gain,
@@ -30,6 +22,14 @@ from thztrack.harness import (
     scenario_from_file,
     scenario_from_mapping,
     sweep,
+)
+from thztrack.physmodel import (
+    PathComponent,
+    PrecoderConfig,
+    SystemConfig,
+    channel_response,
+    default_config,
+    precoder_matrix,
 )
 
 

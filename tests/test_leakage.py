@@ -5,27 +5,28 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from thztrack import (
+from thztrack.beampattern import angle_map
+from thztrack.leakage import (
     CprState,
-    PathComponent,
-    SystemConfig,
-    angle_map,
+    DegenerateGeometryError,
     build_cpr_problem,
-    channel_response,
-    coarse_estimate,
-    default_config,
+    modulus_objective,
     objective,
     objective_gradient,
-    pilot_normals,
-    plan_tracking,
     refine,
-    run_tracking,
-    steering_vector,
     update_gain,
     update_phases,
 )
-from thztrack.leakage import DegenerateGeometryError, modulus_objective
-from thztrack.physmodel import RayKernel, precoder_matrix
+from thztrack.physmodel import (
+    PathComponent,
+    RayKernel,
+    SystemConfig,
+    channel_response,
+    default_config,
+    precoder_matrix,
+    steering_vector,
+)
+from thztrack.tracker import coarse_estimate, pilot_normals, plan_tracking, run_tracking
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,22 @@
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import thztrack
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(thztrack.__path__))
+SRC = str(Path(thztrack.__file__).resolve().parents[1])
+
+
+def fresh_python(*args):
+    """Run a fresh interpreter that finds this ``thztrack`` first on its path."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -16,7 +26,16 @@ def test_module_exports_resolve(name):
 
 
 def test_package_names_are_module_exports():
-    exported = {n for name in MODULES for n in getattr(importlib.import_module(f"thztrack.{name}"), "__all__", ())}
-    public = [n for n, v in vars(thztrack).items() if not n.startswith("_") and not inspect.ismodule(v)]
-    assert public
-    assert [n for n in public if n not in exported] == []
+    # every name is imported from its module: the package itself defines none
+    assert [n for n, v in vars(thztrack).items() if not n.startswith("_") and not inspect.ismodule(v)] == []
+
+
+def test_importing_the_package_loads_no_module():
+    run = fresh_python("-c", "import sys, thztrack; print(sorted(m for m in sys.modules if m.startswith('thztrack.')))")
+    assert (run.returncode, run.stdout.strip()) == (0, "[]"), run.stderr
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_alone_without_warnings(name):
+    run = fresh_python("-W", "error", "-c", f"import thztrack.{name}")
+    assert run.returncode == 0, run.stderr

@@ -3,13 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thztrack import (
-    PrecoderConfig,
-    SystemConfig,
-    angle_map,
+from thztrack.beampattern import angle_map, array_gain, sidelobe_locations
+from thztrack.codebook import build_codebook, quantized_pairing
+from thztrack.pairing import (
     backward_bound,
-    build_codebook,
-    default_config,
     fixed_radius,
     forward_backward_bound,
     forward_bound,
@@ -18,16 +15,14 @@ from thztrack import (
     large_angle_bound,
     make_pairing,
     mode_bound,
-    plan_tracking,
-    precoder_matrix,
-    quantized_pairing,
     quasi_fixed_radius,
     radius_bounds,
-    sidelobe_locations,
     sidelobe_mainlobe_frequency,
+    window_mainlobe_inverse,
+    window_sidelobe_level,
 )
-from thztrack.beampattern import array_gain
-from thztrack.pairing import window_mainlobe_inverse, window_sidelobe_level
+from thztrack.physmodel import PrecoderConfig, SystemConfig, default_config, precoder_matrix
+from thztrack.tracker import plan_tracking
 
 
 @pytest.fixture(scope="module")

@@ -5,23 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thztrack import (
+from thztrack.beampattern import peak_map
+from thztrack.physmodel import (
     PathComponent,
     PrecoderConfig,
+    RayKernel,
     SubcarrierGrid,
     SystemConfig,
     channel_response,
     default_config,
     from_physical,
-    peak_map,
-    pilot_normals,
-    plan_tracking,
     precoder_matrix,
-    run_tracking,
     steering_vector,
     to_physical,
 )
-from thztrack.physmodel import RayKernel
+from thztrack.tracker import pilot_normals, plan_tracking, run_tracking
 
 
 @pytest.fixture(scope="module")

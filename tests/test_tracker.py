@@ -1,23 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thztrack import (
-    PathComponent,
-    SystemConfig,
-    TrackingObservation,
-    angle_map,
-    build_codebook,
-    channel_response,
-    coarse_estimate,
-    default_config,
-    mode_bound,
-    pilot_normals,
-    plan_tracking,
-    precoder_matrix,
-    run_tracking,
-)
+from thztrack.beampattern import angle_map
+from thztrack.codebook import build_codebook
+from thztrack.pairing import mode_bound
+from thztrack.physmodel import PathComponent, SystemConfig, channel_response, default_config, precoder_matrix
+from thztrack.tracker import TrackingObservation, coarse_estimate, pilot_normals, plan_tracking, run_tracking
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +48,13 @@ class TestPlanTracking:
         plan = plan_tracking(0.3, 0.08, 1, cfg)
         assert plan.pairings[0].theta0 == pytest.approx(0.3)
         assert plan.pairings[0].alpha == pytest.approx(0.08)
+
+    def test_slots_count_the_pairings(self, cfg):
+        plan = plan_tracking(0.3, 0.2, 4, cfg)
+        cut = replace(plan, pairings=plan.pairings[:2])
+        assert (plan.slots, cut.slots) == (4, 2)
+        ch = channel_response(PathComponent(1.0, 0.31), cfg)
+        assert run_tracking(cut, ch, 1.0, pilot_normals(5, 2, cfg.n_subcarriers)).y.shape == (2, cfg.n_subcarriers)
 
     def test_slots_tile_searched_interval(self, cfg):
         plan = plan_tracking(0.2, 0.15, 5, cfg)
