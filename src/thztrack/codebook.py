@@ -75,7 +75,10 @@ def build_codebook(cfg: SystemConfig) -> JointCodebook:
     if t_max > 1.0:
         # build the positive side and mirror it so the grid is exactly symmetric
         pos = _uniform_closed(1.0, t_max, 2.0 / cfg.p)
-        t_values = np.unique(np.concatenate([-pos[::-1], inner, pos]))
+        # the sorted segments share at most +-1.0, which pos lacks when t_max is within 1e-9 steps of 1
+        if pos[0] == 1.0:
+            pos = pos[1:]
+        t_values = np.concatenate([-pos[::-1], inner, pos])
     inner.flags.writeable = t_values.flags.writeable = False
     return JointCodebook(psi_grid=QuantGrid(inner), t_grid=QuantGrid(t_values))
 

@@ -189,8 +189,10 @@ def refine(
     residual decreases).  The trial step is warm-started from the last
     accepted one and capped both at ``_MAX_STEP`` = 1e-2 and at a trust region of a
     quarter beam semi-width per move, which keeps the search short when the
-    residual scale is large.  Every line-search angle is evaluated once
-    (:meth:`RayKernel.evaluate`); the accepted angle's evaluation serves the
+    residual scale is large.  Each kernel call (:meth:`RayKernel.evaluate`)
+    holds two line-search angles, the trial step and its half, tested in
+    that order, so the half costs an evaluation even when the full step is
+    accepted; the accepted angle's evaluation serves the
     next iteration's gain, phases and residual, and only its derivative is
     added.  Each iteration forms the residual once, for both the objective
     and the gradient.  Stops when the squared change of [g, theta]
@@ -235,15 +237,20 @@ def refine(
             eta = min(eta, max_move / abs(grad))
         theta_new, eps_new = theta, eps
         moved = False
-        while grad != 0.0 and eta * grad * grad > eps * 1e-14:
-            cand = theta - eta * grad
-            ev_c = kernel.evaluate(cand)
-            eps_c = _sum_sq(_residual_matrix(prob, ev_c.c, model))
-            if eps_c < eps:
-                theta_new, eps_new, ev = cand, eps_c, ev_c
-                moved = True
-                break
-            eta *= 0.5
+        while not moved and grad != 0.0 and eta * grad * grad > eps * 1e-14:
+            # the trial step and, when the guard admits it, its half share one kernel call
+            etas = [eta]
+            if 0.5 * eta * grad * grad > eps * 1e-14:
+                etas.append(0.5 * eta)
+            cands = [theta - e * grad for e in etas]
+            evs = kernel.evaluate(np.array(cands))
+            for k, cand in enumerate(cands):
+                eps_c = _sum_sq(_residual_matrix(prob, evs.c[k], model))
+                if eps_c < eps:
+                    theta_new, eps_new, ev = cand, eps_c, evs.at(k)
+                    moved = True
+                    break
+                eta *= 0.5
         if moved:
             # the derivative is needed only at accepted angles; it reuses the
             # candidate's evaluation

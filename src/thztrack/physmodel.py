@@ -262,13 +262,24 @@ def _subcarrier_ratios(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 class RayEval(NamedTuple):
-    """One closed-form evaluation: the responses ``c`` = rot * amp and the factors :meth:`RayKernel.slope` reuses."""
+    """One closed-form evaluation: the responses ``c`` = rot * amp and the factors :meth:`RayKernel.slope` reuses.
+
+    A vector of K angles gives every array a leading K axis; :meth:`at`
+    picks one angle's evaluation.
+    """
 
     c: np.ndarray
     amp: np.ndarray
     rot: np.ndarray
     window: _Dirichlet
     beam: _Dirichlet
+
+    def at(self, k: int) -> "RayEval":
+        """Angle ``k`` of a vector evaluation, as views of its arrays."""
+        return RayEval(
+            self.c[k], self.amp[k], self.rot[k],
+            _Dirichlet(*[a[k] for a in self.window]), _Dirichlet(*[a[k] for a in self.beam]),
+        )
 
 
 class RayKernel:
@@ -281,7 +292,10 @@ class RayKernel:
 
     so an evaluation costs O(L*(2M+1)).  The kernel holds the terms that do
     not depend on theta; :meth:`evaluate` keeps the factors of c so that
-    :meth:`slope` adds dc/dtheta without evaluating c again.
+    :meth:`slope` adds dc/dtheta without evaluating c again.  ``theta`` is a
+    scalar or a 1-D array of K angles; K angles give (K, 2M+1, L) arrays
+    whose slice k equals the call at angle k bit for bit, as every element
+    gets the same arithmetic.
     """
 
     def __init__(self, psi, t_aux, cfg: SystemConfig):
@@ -296,20 +310,25 @@ class RayKernel:
         self._delay = fb_ratio * t_aux
         self._slope_scale = 0.5 * np.pi * rho
 
-    def _factors(self, theta: float) -> tuple[_Dirichlet, _Dirichlet]:
-        """The window and beam Dirichlet ratios at ``theta``."""
+    def _factors(self, theta: float | np.ndarray) -> tuple[_Dirichlet, _Dirichlet]:
+        """The window and beam Dirichlet ratios at ``theta``, a scalar or a 1-D array of angles."""
         cfg = self.cfg
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 1:
+            theta = theta[:, None, None]
+        elif theta.ndim:
+            raise ValueError(f"theta must be a scalar or a 1-D array of angles, got shape {theta.shape}")
         window = _dirichlet(cfg.p, self._rho * theta - self._psi)
         # reducing x moves the beam argument by a multiple of 2*p, a period of G_{n_ttd}
         return window, _dirichlet(cfg.n_ttd, cfg.p * (window.z - self._delay))
 
-    def amplitude(self, theta: float) -> np.ndarray:
-        """Real amplitude D_p * D_N (2M+1, L) of c at ``theta``: |c| = |amplitude|, without the rotation."""
+    def amplitude(self, theta: float | np.ndarray) -> np.ndarray:
+        """Real amplitude D_p * D_N ([K,] 2M+1, L) of c at ``theta``: |c| = |amplitude|, without the rotation."""
         window, beam = self._factors(theta)
         return window.ratio * beam.ratio
 
-    def evaluate(self, theta: float) -> RayEval:
-        """Responses c (2M+1, L) at ``theta``, with their factors."""
+    def evaluate(self, theta: float | np.ndarray) -> RayEval:
+        """Responses c ([K,] 2M+1, L) at ``theta``, with their factors."""
         cfg = self.cfg
         window, beam = self._factors(theta)
         # the two phase centers exp(j*pi*(n-1)*z/2) combine into one rotation
@@ -323,7 +342,7 @@ class RayKernel:
         return RayEval(rot * amp, amp, rot, window, beam)
 
     def slope(self, ev: RayEval) -> np.ndarray:
-        """dc/dtheta at the angle of ``ev``.
+        """dc/dtheta at the angle of ``ev``, a single-angle evaluation or :meth:`RayEval.at` of a vector one.
 
         dc/dtheta = (f_m/f_c) * (G_p' G_N + p G_p G_N'); the phase-center
         terms add up to j*(n_bs - 1) * D_p * D_N.
@@ -341,8 +360,8 @@ class RayKernel:
         out *= inner
         return out
 
-    def __call__(self, theta: float) -> np.ndarray:
-        """c (2M+1, L) at ``theta``."""
+    def __call__(self, theta: float | np.ndarray) -> np.ndarray:
+        """c ([K,] 2M+1, L) at ``theta``."""
         return self.evaluate(theta).c
 
 

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import thztrack
 from thztrack.beampattern import angle_map, array_gain, dirichlet, peak_map
-from thztrack.codebook import build_codebook, quantized_pairing, snap
+from thztrack.codebook import _uniform_closed, build_codebook, quantized_pairing, snap
 from thztrack.pairing import make_pairing
 from thztrack.physmodel import PrecoderConfig, SystemConfig, default_config
 
@@ -51,6 +58,39 @@ class TestBuildCodebook:
         assert cb.t_grid.values[-1] == 1.0
         np.testing.assert_array_equal(cb.t_grid.values, cb.psi_grid.values)
 
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.integers(1, 16), n_ttd=st.integers(1, 16), m_half=st.integers(1, 32),
+           extreme=st.floats(0.5, 20.0))
+    # a delay extreme of 1 + 1e-10 lies within 1e-9 steps of 1, so the outer segment is [t_max] alone
+    @example(p=8, n_ttd=4, m_half=16, extreme=1.0000000001)
+    def test_delay_grid_is_the_sorted_union_of_its_segments(self, p, n_ttd, m_half, extreme):
+        # the band that gives this delay extreme: t_max = f_c/(m_half*f_d*p) = 2*f_c/(bandwidth*p)
+        assume(p * extreme > 1.0)
+        cfg = SystemConfig(n_bs=p * n_ttd, n_ttd=n_ttd, p=p, f_c=100e9, bandwidth=200e9 / (p * extreme), m_half=m_half)
+        inner = _uniform_closed(-1.0, 1.0, 2.0 / cfg.n_bs)
+        want = inner
+        t_max = cfg.f_c / (cfg.m_half * cfg.f_d * cfg.p)
+        if t_max > 1.0:
+            pos = _uniform_closed(1.0, t_max, 2.0 / cfg.p)
+            want = np.unique(np.concatenate([-pos[::-1], inner, pos]))
+        # the uncached builder: 200 configs would evict the shared codebooks other tests hold
+        got = build_codebook.__wrapped__(cfg).t_grid.values
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_building_a_codebook_loads_no_masked_arrays(self):
+        # np.unique imports numpy.ma on first use, which costs ~10 ms in a fresh interpreter
+        code = (
+            "import sys\n"
+            "from thztrack.codebook import build_codebook\n"
+            "from thztrack.physmodel import SystemConfig\n"
+            "build_codebook(SystemConfig(n_bs=64, n_ttd=8, p=8, f_c=100e9, bandwidth=10e9, m_half=16))\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        src = str(Path(thztrack.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert (run.returncode, run.stdout.strip()) == (0, "False"), run.stderr
 
     def test_one_read_only_codebook_per_config(self, cfg, cb):
         assert build_codebook(cfg) is cb

@@ -6,6 +6,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from thztrack.beampattern import angle_map
+from thztrack.harness import ScenarioConfig, draw_frame, run_frame
 from thztrack.leakage import (
     CprState,
     DegenerateGeometryError,
@@ -269,6 +270,28 @@ class TestProblemCaches:
             shifted.kernel(0.4321),
             RayKernel([pc.psi for pc in pairings], [pc.t_aux for pc in pairings], shifted.cfg)(0.4321),
         )
+
+
+class TestLineSearchCalls:
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
+    def test_trial_step_and_its_half_share_a_kernel_call(self, snr_db):
+        # criterion 8's scenario; the frames' pilots and coarse estimates come from run_frame
+        scn = ScenarioConfig(users=1, trials=5, seed=20250809, zeta_max=0.2, slots=(4,), snr_db=(snr_db,))
+        sizes = []
+        for trial in range(scn.trials):
+            frame = run_frame(scn, draw_frame(scn, trial, 0))
+            prob = build_cpr_problem(frame.obs)
+            kernel_evaluate = prob.kernel.evaluate
+
+            def recording_evaluate(theta):
+                sizes.append(np.size(theta))
+                return kernel_evaluate(theta)
+
+            prob.kernel.evaluate = recording_evaluate
+            refine(prob, frame.estimate.theta_hat)
+        assert max(sizes) <= 2
+        # one angle per call would give 1.0
+        assert len(sizes) <= 0.6 * sum(sizes)
 
 
 def _reference_refine(prob, theta_init, max_iter, tol, step=1e-2):

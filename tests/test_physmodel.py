@@ -333,3 +333,61 @@ class TestSlopeBranches:
         want_dc = 1j * np.pi * rho * (terms @ i)
         assert np.max(np.abs(c[:, 0] - want_c)) <= _BRANCH_TOL_C * n**2 * _EPS
         assert np.max(np.abs(dc[:, 0] - want_dc)) <= _BRANCH_TOL_C * np.pi * n**3 * _EPS
+
+
+@st.composite
+def _vector_cases(draw):
+    """A random array/band, 1-4 slots, and 2-5 angles in random order: one exactly on a cell
+    (the centre subcarrier, rho = 1, at theta = psi_l, so x = 0), one inside the slope's
+    near-singular band |p*u| < 0.5 of the window around it, and up to three random ones."""
+    p = draw(st.integers(1, 16))
+    n_ttd = draw(st.integers(1, 16))
+    f_c = 100e9
+    system = SystemConfig(
+        n_bs=p * n_ttd, n_ttd=n_ttd, p=p, f_c=f_c, bandwidth=2 * draw(st.floats(0.01, 0.45)) * f_c,
+        m_half=draw(st.integers(1, 32)),
+    )
+    slots = draw(st.integers(1, 4))
+    psi = draw(st.lists(st.floats(-0.9, 0.9), min_size=slots, max_size=slots))
+    t_aux = draw(st.lists(st.floats(-4.0, 4.0), min_size=slots, max_size=slots))
+    on_cell = psi[draw(st.integers(0, slots - 1))]
+    near = on_cell + draw(st.floats(-0.9, 0.9)) / (np.pi * p)
+    others = draw(st.lists(st.floats(-1.0, 1.0), max_size=3))
+    thetas = draw(st.permutations([on_cell, near, *others]))
+    return system, np.array(psi), np.array(t_aux), np.array(thetas)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _evals_equal(got, want):
+    """Every array of two RayEvals, the Dirichlet factors included, bit for bit."""
+    return all(_same_bits(a, b) for a, b in zip(
+        (got.c, got.amp, got.rot, *got.window, *got.beam),
+        (want.c, want.amp, want.rot, *want.window, *want.beam),
+    ))
+
+
+class TestVectorAngles:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_vector_cases())
+    def test_each_slice_is_the_single_angle_call(self, case):
+        system, psi, t_aux, thetas = case
+        kernel = RayKernel(psi, t_aux, system)
+        for angles in (thetas, thetas[:1]):
+            evs = kernel.evaluate(angles)
+            assert evs.c.shape == (len(angles), system.n_subcarriers, len(psi))
+            amps, cs = kernel.amplitude(angles), kernel(angles)
+            for k, theta in enumerate(angles.tolist()):
+                one = kernel.evaluate(theta)
+                assert _evals_equal(evs.at(k), one)
+                assert _same_bits(kernel.slope(evs.at(k)), kernel.slope(one))
+                assert _same_bits(amps[k], kernel.amplitude(theta))
+                assert _same_bits(cs[k], kernel(theta))
+
+    @pytest.mark.parametrize("method", ["evaluate", "amplitude", "__call__"])
+    def test_angle_array_of_two_dimensions_is_rejected(self, cfg, method):
+        kernel = RayKernel([0.3], [0.3], cfg)
+        with pytest.raises(ValueError, match=r"\(2, 3\)"):
+            getattr(kernel, method)(np.zeros((2, 3)))
