@@ -18,6 +18,8 @@ draws (common random numbers) and sweeps are bit-reproducible.
 carry that key and are the frame's only entry (:func:`run_frame`); a sweep
 runs trial by trial, every axis point of a trial before the next trial, and
 makes each (trial, user)'s draws once for all of its points.
+:func:`run_trial` runs a trial's frames as batches that share their kernel
+calls, and :func:`run_frame` is the batch of one.
 """
 
 from __future__ import annotations
@@ -41,13 +43,14 @@ from .physmodel import (
     default_config,
 )
 from .tracker import (
-    TrackingEstimate, TrackingObservation, TrackingPlan, coarse_estimate, pilot_normals, plan_tracking, run_tracking,
+    TrackingEstimate, TrackingObservation, TrackingPlan, coarse_estimate, observe, pilot_normals, plan_tracking,
 )
 
 # Not called in this module: kept as its attributes only so that span tracers
-# wrapping harness.precoder_matrix, and the set-up probe calling
-# harness.SubcarrierGrid.from_config, still find them.
+# wrapping harness.precoder_matrix and harness.run_tracking, and the set-up
+# probe calling harness.SubcarrierGrid.from_config, still find them.
 from .physmodel import SubcarrierGrid, precoder_matrix  # noqa: F401
+from .tracker import run_tracking  # noqa: F401
 
 __all__ = [
     "SCHEMES",
@@ -219,7 +222,7 @@ def draw_frame(scn: ScenarioConfig, trial: int, user: int) -> FrameDraws:
 
 
 def _check_draws(scn: ScenarioConfig, draws: FrameDraws) -> None:
-    """Raise a ValueError naming the config key that ``draws`` do not fit; ``run_tracking`` checks the normals."""
+    """Raise a ValueError naming the config key that ``draws`` do not fit; ``observe`` checks the normals."""
     if draws.seed != scn.seed:
         raise ValueError(f"draws of seed {draws.seed!r} do not fit a scenario of seed {scn.seed!r}")
     if (draws.prev is None) != bool(scn.theta_grid):
@@ -243,6 +246,75 @@ class Frame:
     state: CprState | None
 
 
+# Users per frame-core call in run_trial, which also bounds a trial's arrays.
+# Measured cost per user of one call on a 2-vCPU x86 VM, in microseconds, at
+# 1/2/4/8/16/32 users: 144/107/88/76/72/73 (64 antennas, M = 16, L = 4) and
+# 171/135/115/105/123/125 (256 antennas, M = 64, L = 4): past 8 users the
+# cost per user rises again on the larger array.
+_USER_BLOCK = 8
+
+
+def _frames(
+    scn: ScenarioConfig, draws: list[FrameDraws], center: float | None = None, trace: list | None = None,
+) -> list[Frame]:
+    """The frames of ``draws`` (:func:`run_frame`) as one batch, in order.
+
+    Every frame is planned first; one kernel over all frames' slopes then
+    gives every frame's noiseless pilots, and one :func:`beamforming_gain`
+    call every frame's gain.  The noise, the coarse estimate and the
+    refinement run frame by frame.
+    """
+    cfg = scn.system
+    cb = build_codebook(cfg) if scn.codebook else None
+    cap = scn.center_cap
+    noise_std = pilot_noise_std(scn.snr_db[0], cfg)
+    mode = _scheme_mode(scn.scheme)
+    truths, plans = [], []
+    for d in draws:
+        _check_draws(scn, d)
+        if scn.theta_grid:
+            theta_r = float(scn.theta_grid[0])
+            theta_prev = _clamp(theta_r - d.zeta, cap)
+        else:
+            theta_prev = _clamp(d.prev, cap)
+            theta_r = _clamp(theta_prev + d.zeta, _DIRECTION_CAP)
+        truths.append(theta_r)
+        plans.append(plan_tracking(theta_prev if center is None else center, scn.zeta_max, scn.slots[0], cfg,
+                                   codebook=cb, pairing_mode=mode))
+    psi, t_aux = zip(*(plan.slopes for plan in plans))
+    responses = RayKernel(psi, t_aux, cfg)(truths)
+    channels, aims, parts = [], [], []
+    for d, plan, theta_r, response in zip(draws, plans, truths, responses):
+        # built just before the frame's selection: span tracers pair each coarse
+        # estimate with the last channel built
+        channel = channel_response(PathComponent(d.gain, theta_r), cfg)
+        obs = observe(plan, channel.received(response), noise_std, d.normals)
+        est = coarse_estimate(obs)
+        state = None
+        outcome = {}
+        if scn.compensation:
+            prob = build_cpr_problem(obs)
+            # noiseless data supports convergence to machine precision
+            limits = {"max_iter": 200, "tol": 1e-18} if noise_std == 0.0 else {}
+            try:
+                state = refine(prob, est.theta_hat, trace=trace, **limits)
+            except DegenerateGeometryError:
+                outcome = {"degenerate": True}
+            else:
+                outcome = {"iterations": state.iterations, "converged": state.converged, "diverged": state.diverged}
+        theta_refined = None if state is None else float(state.theta)
+        theta_final = est.theta_hat if theta_refined is None else theta_refined
+        channels.append(channel)
+        aims.append(snap(theta_final, cb.psi_grid) if cb else theta_final)
+        parts.append((d, theta_r, theta_refined, outcome, plan, obs, est, state))
+    gains = beamforming_gain(channels, aims)
+    return [
+        Frame(TrialRecord(d.trial, d.user, theta_r, est.theta_hat, theta_refined, gain, **outcome),
+              plan, obs, est, state)
+        for (d, theta_r, theta_refined, outcome, plan, obs, est, state), gain in zip(parts, gains)
+    ]
+
+
 def run_frame(scn: ScenarioConfig, draws: FrameDraws, center: float | None = None, trace: list | None = None) -> Frame:
     """Frame (seed, trial, user) of ``draws``: plan, pilots, coarse estimate, refinement, gain.
 
@@ -257,46 +329,22 @@ def run_frame(scn: ScenarioConfig, draws: FrameDraws, center: float | None = Non
     searched interval is centred on the previous direction, or on ``center``
     when given.  With compensation the coarse estimate is refined (``trace``
     collects the iterates); a degenerate geometry keeps the coarse estimate.
+    The frame is the batch of one of :func:`run_trial`'s frame core.
     """
-    cfg = scn.system
-    cb = build_codebook(cfg) if scn.codebook else None
-    cap = scn.center_cap
-    noise_std = pilot_noise_std(scn.snr_db[0], cfg)
-    _check_draws(scn, draws)
-    if scn.theta_grid:
-        theta_r = float(scn.theta_grid[0])
-        theta_prev = _clamp(theta_r - draws.zeta, cap)
-    else:
-        theta_prev = _clamp(draws.prev, cap)
-        theta_r = _clamp(theta_prev + draws.zeta, _DIRECTION_CAP)
-    center = theta_prev if center is None else center
-    plan = plan_tracking(center, scn.zeta_max, scn.slots[0], cfg, codebook=cb, pairing_mode=_scheme_mode(scn.scheme))
-    channel = channel_response(PathComponent(draws.gain, theta_r), cfg)
-    obs = run_tracking(plan, channel, noise_std, draws.normals)
-    est = coarse_estimate(obs)
-    state = None
-    outcome = {}
-    if scn.compensation:
-        prob = build_cpr_problem(obs)
-        # noiseless data supports convergence to machine precision
-        limits = {"max_iter": 200, "tol": 1e-18} if noise_std == 0.0 else {}
-        try:
-            state = refine(prob, est.theta_hat, trace=trace, **limits)
-        except DegenerateGeometryError:
-            outcome = {"degenerate": True}
-        else:
-            outcome = {"iterations": state.iterations, "converged": state.converged, "diverged": state.diverged}
-    theta_refined = None if state is None else float(state.theta)
-    theta_final = est.theta_hat if theta_refined is None else theta_refined
-    aim = snap(theta_final, cb.psi_grid) if cb else theta_final
-    gain = beamforming_gain(channel, aim)
-    record = TrialRecord(draws.trial, draws.user, theta_r, est.theta_hat, theta_refined, gain, **outcome)
-    return Frame(record, plan, obs, est, state)
+    return _frames(scn, [draws], center, trace)[0]
 
 
 def run_trial(scn: ScenarioConfig, draws: list[FrameDraws]) -> list[TrialRecord]:
-    """The records of the frames of ``draws`` (:func:`run_frame`), in order: one trial's draws for each user."""
-    return [run_frame(scn, d).record for d in draws]
+    """The records of the frames of ``draws`` (:func:`run_frame`), in order: one trial's draws for each user.
+
+    The frames run as batches of up to ``_USER_BLOCK``; each record equals
+    its frame's :func:`run_frame` record bit for bit.
+    """
+    return [
+        frame.record
+        for i in range(0, len(draws), _USER_BLOCK)
+        for frame in _frames(scn, draws[i : i + _USER_BLOCK])
+    ]
 
 
 def nmse(theta_hat, theta_r) -> tuple[float, int]:
@@ -323,18 +371,23 @@ def nmse_db(linear: float) -> float:
     return max(float(10.0 * np.log10(linear)), _NMSE_DB_FLOOR)
 
 
-def beamforming_gain(channel: ChannelResponse, theta_hat: float) -> float:
-    """Average over subcarriers of |h_m^H w_m|^2 for the estimate-aligned precoder.
+def beamforming_gain(channels: list[ChannelResponse], aims: list[float]) -> list[float]:
+    """Per channel, the average over subcarriers of |h_m^H w_m|^2 for the precoder aligned to its entry of ``aims``.
 
-    Both slopes point at theta_hat and the precoder, on the channel's system
+    Both slopes point at the aim and the precoder, on the channels' system
     config, carries the 1/sqrt(n_bs) power normalization, so the gain is
-    mean_m |h_m^H f_m|^2 / n_bs.  Only the real amplitude of the ray's
-    closed-form response is needed (:meth:`RayKernel.amplitude`).
+    mean_m |h_m^H f_m|^2 / n_bs.  Only the real amplitude of each ray's
+    closed-form response is needed: one :meth:`RayKernel.amplitude` call
+    gives every channel's, and each gain sums its own squares.
     """
-    cfg = channel.cfg
+    cfg = channels[0].cfg
+    for ch in channels[1:]:
+        if ch.cfg != cfg:
+            raise ValueError("the channels were built for different system configs")
+    slopes = np.asarray(aims, dtype=float)[:, None]
     # |h_m^H f_m| = |gain| * |D_p * D_N|: the rotation drops out
-    amp = RayKernel(theta_hat, theta_hat, cfg).amplitude(channel.path.direction)
-    return abs(channel.path.gain) ** 2 * float(np.vdot(amp, amp)) / amp.size / cfg.n_bs
+    amps = RayKernel(slopes, slopes, cfg).amplitude([ch.path.direction for ch in channels])
+    return [abs(ch.path.gain) ** 2 * float(np.vdot(amp, amp)) / amp.size / cfg.n_bs for ch, amp in zip(channels, amps)]
 
 
 def write_table(path, header, rows) -> int:

@@ -148,7 +148,11 @@ class ChannelResponse:
 
     def precoded(self, kernel: "RayKernel") -> np.ndarray:
         """Received responses h_m^H f_{l,m} against the slots of ``kernel``; shape (2M+1, L)."""
-        return np.conj(self.path.gain) * kernel(self.path.direction)
+        return self.received(kernel(self.path.direction))
+
+    def received(self, c: np.ndarray) -> np.ndarray:
+        """Received responses from ``c``, a kernel's responses at this ray's direction: conj(gain) * c."""
+        return np.conj(self.path.gain) * c
 
 
 @dataclass(frozen=True)
@@ -253,9 +257,10 @@ def _dirichlet_slope(n: int, d: _Dirichlet) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _subcarrier_ratios(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-subcarrier f_m/f_c and f_b/f_c as read-only columns (2M+1, 1), shared by every caller."""
-    ratios = (cfg.frequencies / cfg.f_c)[:, None], (cfg.m_indices * cfg.f_d / cfg.f_c)[:, None]
+def _subcarrier_ratios(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-subcarrier f_m/f_c, f_b/f_c and (pi/2)*f_m/f_c as read-only columns (2M+1, 1), shared by every caller."""
+    rho = (cfg.frequencies / cfg.f_c)[:, None]
+    ratios = rho, (cfg.m_indices * cfg.f_d / cfg.f_c)[:, None], 0.5 * np.pi * rho
     for r in ratios:
         r.flags.writeable = False
     return ratios
@@ -264,8 +269,8 @@ def _subcarrier_ratios(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
 class RayEval(NamedTuple):
     """One closed-form evaluation: the responses ``c`` = rot * amp and the factors :meth:`RayKernel.slope` reuses.
 
-    A vector of K angles gives every array a leading K axis; :meth:`at`
-    picks one angle's evaluation.
+    A vector of K angles, or a batch of U kernels, gives every array a
+    leading axis; :meth:`at` picks one angle's or kernel's evaluation.
     """
 
     c: np.ndarray
@@ -275,7 +280,7 @@ class RayEval(NamedTuple):
     beam: _Dirichlet
 
     def at(self, k: int) -> "RayEval":
-        """Angle ``k`` of a vector evaluation, as views of its arrays."""
+        """Entry ``k`` of the leading axis of a vector or batch evaluation, as views of its arrays."""
         return RayEval(
             self.c[k], self.amp[k], self.rot[k],
             _Dirichlet(*[a[k] for a in self.window]), _Dirichlet(*[a[k] for a in self.beam]),
@@ -283,7 +288,7 @@ class RayEval(NamedTuple):
 
 
 class RayKernel:
-    """Closed-form responses of one ray against fixed slot slopes ``psi``, ``t_aux`` (L,).
+    """Closed-form responses of one ray against fixed slot slopes ``psi``, ``t_aux`` ([...,] L).
 
     The n_bs-term inner product c[m, l] = a_m(theta)^H f_{l,m} factors into a
     p-element phase-shifter window and an n_ttd-element delay beam,
@@ -292,43 +297,52 @@ class RayKernel:
 
     so an evaluation costs O(L*(2M+1)).  The kernel holds the terms that do
     not depend on theta; :meth:`evaluate` keeps the factors of c so that
-    :meth:`slope` adds dc/dtheta without evaluating c again.  ``theta`` is a
-    scalar or a 1-D array of K angles; K angles give (K, 2M+1, L) arrays
-    whose slice k equals the call at angle k bit for bit, as every element
-    gets the same arithmetic.
+    :meth:`slope` adds dc/dtheta without evaluating c again.
+
+    With 1-D slopes, ``theta`` is a scalar or a 1-D array of K angles; K
+    angles give (K, 2M+1, L) arrays.  Slopes with leading axes, say (U, L),
+    are U kernels at once: their leading shape broadcasts against the
+    angle's, so U angles give (U, 2M+1, L) arrays whose row u is kernel u at
+    angle u.  Either way a slice equals the call of its own slopes at its own
+    angle bit for bit, as every element gets the same arithmetic.
     """
 
     def __init__(self, psi, t_aux, cfg: SystemConfig):
-        psi = np.atleast_1d(np.asarray(psi, dtype=float))
-        t_aux = np.atleast_1d(np.asarray(t_aux, dtype=float))
+        psi = np.array(psi, dtype=float, ndmin=1)
+        t_aux = np.array(t_aux, dtype=float, ndmin=1)
         if psi.shape != t_aux.shape:
             raise ValueError(f"slot slope length mismatch: psi {psi.shape} vs t_aux {t_aux.shape}")
-        rho, fb_ratio = _subcarrier_ratios(cfg)
+        rho, fb_ratio, self._slope_scale = _subcarrier_ratios(cfg)
         self.cfg = cfg
+        self._lead = psi.shape[:-1]
         self._rho = rho
-        self._psi = psi
-        self._delay = fb_ratio * t_aux
-        self._slope_scale = 0.5 * np.pi * rho
+        # a subcarrier axis before the slot axis: ([...,] 1, L) and ([...,] 2M+1, L)
+        self._psi = psi[..., None, :]
+        self._delay = fb_ratio * t_aux[..., None, :]
 
     def _factors(self, theta: float | np.ndarray) -> tuple[_Dirichlet, _Dirichlet]:
-        """The window and beam Dirichlet ratios at ``theta``, a scalar or a 1-D array of angles."""
+        """The window and beam Dirichlet ratios at ``theta`` (see the class for its shapes)."""
         cfg = self.cfg
         theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 1:
-            theta = theta[:, None, None]
-        elif theta.ndim:
+        if not self._lead and theta.ndim > 1:
             raise ValueError(f"theta must be a scalar or a 1-D array of angles, got shape {theta.shape}")
-        window = _dirichlet(cfg.p, self._rho * theta - self._psi)
+        try:
+            x = self._rho * theta[..., None, None] - self._psi
+        except ValueError:
+            raise ValueError(
+                f"angles of shape {theta.shape} do not broadcast against slopes of leading shape {self._lead}"
+            ) from None
+        window = _dirichlet(cfg.p, x)
         # reducing x moves the beam argument by a multiple of 2*p, a period of G_{n_ttd}
         return window, _dirichlet(cfg.n_ttd, cfg.p * (window.z - self._delay))
 
     def amplitude(self, theta: float | np.ndarray) -> np.ndarray:
-        """Real amplitude D_p * D_N ([K,] 2M+1, L) of c at ``theta``: |c| = |amplitude|, without the rotation."""
+        """Real amplitude D_p * D_N ([...,] 2M+1, L) of c at ``theta``: |c| = |amplitude|, without the rotation."""
         window, beam = self._factors(theta)
         return window.ratio * beam.ratio
 
     def evaluate(self, theta: float | np.ndarray) -> RayEval:
-        """Responses c ([K,] 2M+1, L) at ``theta``, with their factors."""
+        """Responses c ([...,] 2M+1, L) at ``theta``, with their factors."""
         cfg = self.cfg
         window, beam = self._factors(theta)
         # the two phase centers exp(j*pi*(n-1)*z/2) combine into one rotation
@@ -361,7 +375,7 @@ class RayKernel:
         return out
 
     def __call__(self, theta: float | np.ndarray) -> np.ndarray:
-        """c ([K,] 2M+1, L) at ``theta``."""
+        """c ([...,] 2M+1, L) at ``theta``."""
         return self.evaluate(theta).c
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "plan_tracking",
     "pilot_normals",
     "run_tracking",
+    "observe",
     "coarse_estimate",
 ]
 
@@ -43,8 +44,10 @@ class TrackingPlan:
     Each slot's center and radius are its pairing's ``theta0`` and ``alpha``
     (``alpha / slots``, or 0 in "sweep" mode); ``slots`` is
     ``len(pairings)``.  ``kernel``, the
-    :class:`RayKernel` over the pairings' slopes, is built on first use and
-    shared by the pilots and the refinement of the frame.
+    :class:`RayKernel` over the pairings' slopes, is built on first use:
+    :func:`run_tracking` and the refinement use it, while a batch of frames
+    (:func:`~thztrack.harness.run_trial`) makes its pilots with one kernel
+    over every frame's slopes.
     """
 
     theta0: float
@@ -56,9 +59,14 @@ class TrackingPlan:
     def slots(self) -> int:
         return len(self.pairings)
 
+    @property
+    def slopes(self) -> tuple[list[float], list[float]]:
+        """The slots' phase slopes psi and delay slopes t_aux, in slot order."""
+        return [pc.psi for pc in self.pairings], [pc.t_aux for pc in self.pairings]
+
     @cached_property
     def kernel(self) -> RayKernel:
-        return RayKernel([pc.psi for pc in self.pairings], [pc.t_aux for pc in self.pairings], self.cfg)
+        return RayKernel(*self.slopes, self.cfg)
 
 
 @dataclass(frozen=True)
@@ -137,16 +145,33 @@ def run_tracking(
 ) -> TrackingObservation:
     """Simulate the received pilot matrix Y, one row per slot, unit pilots.
 
-    Y[l, m] is h_m^H f_{l,m} (closed form, :meth:`ChannelResponse.precoded` of ``plan.kernel``)
-    plus circular complex noise of variance noise_std**2, built from
-    ``normals``, the standard normals of :func:`pilot_normals`: their first
-    ``plan.slots`` slabs are used and left unchanged.  Normals, whenever
-    given, must cover ``plan.slots`` slots of 2*m_half+1 subcarriers; a
-    noisy call needs them, a noiseless one only checks them.
+    Y[l, m] is h_m^H f_{l,m} (closed form, :meth:`ChannelResponse.precoded` of
+    ``plan.kernel``) plus the noise that :func:`observe` adds.
+    """
+    if channel.cfg != plan.cfg:
+        raise ValueError("channel was built for a different system config than the plan")
+    return observe(plan, channel.precoded(plan.kernel), noise_std, normals)
+
+
+def observe(
+    plan: TrackingPlan,
+    response: np.ndarray,
+    noise_std: float = 0.0,
+    normals: np.ndarray | None = None,
+) -> TrackingObservation:
+    """The pilot matrix Y of ``plan`` from its noiseless ``response`` (2M+1, L), h_m^H f_{l,m}.
+
+    Y is the transposed response plus circular complex noise of variance
+    noise_std**2, built from ``normals``, the standard normals of
+    :func:`pilot_normals`: their first ``plan.slots`` slabs are used and left
+    unchanged.  Normals, whenever given, must cover ``plan.slots`` slots of
+    2*m_half+1 subcarriers; a noisy call needs them, a noiseless one only
+    checks them.
     """
     cfg = plan.cfg
-    if channel.cfg != cfg:
-        raise ValueError("channel was built for a different system config than the plan")
+    if response.shape != (cfg.n_subcarriers, plan.slots):
+        raise ValueError(f"a response of shape {response.shape} is not one row of 2*m_half+1 = "
+                         f"{cfg.n_subcarriers} subcarriers by slots = {plan.slots}")
     if not 0.0 <= noise_std < np.inf:
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std!r}")
     if normals is not None:
@@ -154,7 +179,7 @@ def run_tracking(
         if normals.shape[1:] != (cfg.n_subcarriers, 2) or len(normals) < plan.slots:
             raise ValueError(f"pilot normals of shape {normals.shape} do not cover slots = {plan.slots} "
                              f"of 2*m_half+1 = {cfg.n_subcarriers} subcarriers")
-    y = channel.precoded(plan.kernel).T.copy()
+    y = response.T.copy()
     if noise_std > 0:
         if normals is None:
             raise ValueError("noisy pilots need their standard normals: pass normals=pilot_normals(...)")

@@ -77,18 +77,28 @@ class TestBeamformingGain:
         expected = cfg.n_bs * np.mean(
             [dirichlet(cfg.p, (m * cfg.f_d / cfg.f_c) * theta_r) ** 2 for m in cfg.m_indices]
         )
-        assert beamforming_gain(ch, theta_r) == pytest.approx(expected, rel=1e-10)
+        assert beamforming_gain([ch], [theta_r]) == [pytest.approx(expected, rel=1e-10)]
 
     def test_misaligned_beam_is_weak(self, cfg):
         ch = channel_response(PathComponent(1.0 + 0j, 0.3), cfg)
-        assert beamforming_gain(ch, -0.5) < 1.0
+        assert beamforming_gain([ch], [-0.5])[0] < 1.0
 
     def test_alignment_is_local_peak(self, cfg):
         theta_r = 0.37
         ch = channel_response(PathComponent(1.0 + 0j, theta_r), cfg)
-        at_truth = beamforming_gain(ch, theta_r)
-        assert at_truth > beamforming_gain(ch, theta_r + 0.01)
-        assert at_truth > beamforming_gain(ch, theta_r - 0.01)
+        at_truth, right, left = beamforming_gain([ch] * 3, [theta_r, theta_r + 0.01, theta_r - 0.01])
+        assert at_truth > right and at_truth > left
+
+    def test_each_gain_of_a_batch_is_its_own_call(self, cfg):
+        channels = [channel_response(PathComponent(g, t), cfg) for g, t in [(1.0 + 0j, 0.3), (0.5j, -0.7), (2.0, 0.0)]]
+        aims = [0.31, -0.69, 1e-3]
+        assert beamforming_gain(channels, aims) == [beamforming_gain([ch], [a])[0] for ch, a in zip(channels, aims)]
+
+    def test_channels_of_different_configs_rejected(self, cfg):
+        path = PathComponent(1.0 + 0j, 0.3)
+        channels = [channel_response(path, cfg), channel_response(path, replace(cfg, m_half=32))]
+        with pytest.raises(ValueError, match="system configs"):
+            beamforming_gain(channels, [0.3, 0.3])
 
 
 # Fixed before any run.  The ray's closed-form response is within
@@ -129,7 +139,7 @@ class TestBeamformingGainOracle:
         want = np.mean(np.abs(np.einsum("mn,mn->m", ch.h.conj(), f)) ** 2) / system.n_bs
         total = abs(path.gain)
         tol = 2 * _GAIN_TOL_C * system.n_bs**2 * np.finfo(float).eps * total**2
-        assert abs(beamforming_gain(ch, theta_hat) - want) <= tol
+        assert abs(beamforming_gain([ch], [theta_hat])[0] - want) <= tol
 
 
 class TestRunTrial:
@@ -375,7 +385,7 @@ _SMALL = SystemConfig(n_bs=64, n_ttd=8, p=8, f_c=100e9, bandwidth=10e9, m_half=1
 
 @st.composite
 def _sweep_cases(draw):
-    """A small random scenario and one of its sweep axes."""
+    """A small random scenario, of any scheme and with or without a codebook, and one of its sweep axes."""
     p = draw(st.sampled_from([2, 4, 8]))
     n_ttd = draw(st.sampled_from([2, 4, 8]))
     system = SystemConfig(
@@ -389,11 +399,13 @@ def _sweep_cases(draw):
     # off the theta axis, a theta_grid pins every frame's target
     theta_grid = draw(st.lists(st.sampled_from([-0.7, -0.2, 0.0, 0.4, 0.9]),
                                **{**on_axis, "min_size": int(axis == "theta")}))
+    # up to two users past the first block of run_trial's batches
     scn = ScenarioConfig(
-        system=system, users=draw(st.integers(1, 3)), trials=draw(st.integers(1, 3)),
+        system=system, users=draw(st.integers(1, harness._USER_BLOCK + 2)), trials=draw(st.integers(1, 3)),
         snr_db=tuple(snr_db), slots=tuple(slots), theta_grid=tuple(theta_grid),
         zeta_max=draw(st.sampled_from([0.05, 0.2])), gain_sigma=draw(st.sampled_from([0.0, 0.3])),
-        compensation=draw(st.booleans()), seed=draw(st.integers(0, 2**16)),
+        compensation=draw(st.booleans()), codebook=draw(st.booleans()), scheme=draw(st.sampled_from(harness.SCHEMES)),
+        seed=draw(st.integers(0, 2**16)),
     )
     return scn, axis
 
@@ -403,6 +415,7 @@ class TestFrameDraws:
     @settings(max_examples=40, deadline=None)
     @given(case=_sweep_cases())
     def test_sweep_records_equal_frames_drawing_their_own(self, case):
+        # the sweep runs each trial's users as batches (run_trial); run_frame is the batch of one
         scn, axis = case
         key = harness.SWEEP_AXES[axis]
         report = sweep(scn, axis)

@@ -391,3 +391,62 @@ class TestVectorAngles:
         kernel = RayKernel([0.3], [0.3], cfg)
         with pytest.raises(ValueError, match=r"\(2, 3\)"):
             getattr(kernel, method)(np.zeros((2, 3)))
+
+
+@st.composite
+def _batch_cases(draw):
+    """A random array/band of at most 128 antennas, U = 1-6 kernels of 1-8 slots each, and one angle per
+    kernel: on one of its cells (the centre subcarrier at theta = psi_l, so x = 0), inside the slope's
+    near-singular band around it, or anywhere."""
+    p = draw(st.integers(1, 16))
+    n_ttd = draw(st.integers(1, 128 // p))
+    f_c = 100e9
+    system = SystemConfig(
+        n_bs=p * n_ttd, n_ttd=n_ttd, p=p, f_c=f_c, bandwidth=2 * draw(st.floats(0.01, 0.45)) * f_c,
+        m_half=draw(st.integers(1, 32)),
+    )
+    users = draw(st.integers(1, 6))
+    slots = draw(st.integers(1, 8))
+    slopes = st.lists(st.lists(st.floats(-0.9, 0.9), min_size=slots, max_size=slots), min_size=users, max_size=users)
+    psi = np.array(draw(slopes))
+    t_aux = 4.0 * np.array(draw(slopes))
+    thetas = []
+    for row in psi:
+        on_cell = row[draw(st.integers(0, slots - 1))]
+        thetas.append(draw(st.sampled_from([
+            on_cell, on_cell + draw(st.floats(-0.9, 0.9)) / (np.pi * p), draw(st.floats(-1.0, 1.0)),
+        ])))
+    return system, psi, t_aux, np.array(thetas)
+
+
+class TestBatchedSlopes:
+    # The example count was fixed before any run.
+    @settings(max_examples=200, deadline=None)
+    @given(case=_batch_cases())
+    def test_each_row_is_its_own_kernel_at_its_own_angle(self, case):
+        system, psi, t_aux, thetas = case
+        users, slots = psi.shape
+        kernel = RayKernel(psi, t_aux, system)
+        evs = kernel.evaluate(thetas)
+        assert evs.c.shape == (users, system.n_subcarriers, slots)
+        amps = kernel.amplitude(thetas)
+        # a scalar angle broadcasts against every kernel
+        at_first = kernel(thetas[0])
+        for u, theta in enumerate(thetas.tolist()):
+            own = RayKernel(psi[u], t_aux[u], system)
+            one = own.evaluate(theta)
+            assert _same_bits(evs.c[u], one.c)
+            assert _same_bits(amps[u], own.amplitude(theta))
+            assert _same_bits(kernel.slope(evs.at(u)), own.slope(one))
+            assert _same_bits(at_first[u], own(thetas[0]))
+        # 1-D slopes keep the K-angle rule: row k is the one kernel at angle k
+        first = RayKernel(psi[0], t_aux[0], system)
+        many = first(thetas)
+        assert many.shape == (users, system.n_subcarriers, slots)
+        assert all(_same_bits(many[k], first(theta)) for k, theta in enumerate(thetas.tolist()))
+
+    @pytest.mark.parametrize("method", ["evaluate", "amplitude", "__call__"])
+    def test_angles_that_do_not_broadcast_against_the_slopes_are_rejected(self, cfg, method):
+        kernel = RayKernel(np.zeros((3, 2)), np.zeros((3, 2)), cfg)
+        with pytest.raises(ValueError, match=r"\(4,\).*\(3,\)"):
+            getattr(kernel, method)(np.zeros(4))

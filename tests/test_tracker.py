@@ -9,7 +9,9 @@ from thztrack.beampattern import angle_map
 from thztrack.codebook import build_codebook
 from thztrack.pairing import mode_bound
 from thztrack.physmodel import PathComponent, SystemConfig, channel_response, default_config, precoder_matrix
-from thztrack.tracker import TrackingObservation, coarse_estimate, pilot_normals, plan_tracking, run_tracking
+from thztrack.tracker import (
+    TrackingObservation, coarse_estimate, observe, pilot_normals, plan_tracking, run_tracking,
+)
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +236,17 @@ class TestRunTracking:
         bad = channel_response(PathComponent(1.0 + 0j, 0.2), other)
         with pytest.raises(ValueError):
             run_tracking(plan, bad, 0.0)
+
+    def test_observe_takes_one_frames_response(self, cfg):
+        plan = plan_tracking(0.2, 0.1, 2, cfg)
+        ch = channel_response(PathComponent(0.5 - 1j, 0.21), cfg)
+        response = ch.precoded(plan.kernel)
+        assert np.array_equal(observe(plan, response, 1.0, normals(3, plan)).y,
+                              run_tracking(plan, ch, 1.0, normals(3, plan)).y)
+        # a batch's responses, or a response with its axes swapped, are not one frame's
+        for bad in (response[None], response.T):
+            with pytest.raises(ValueError, match=r"2\*m_half\+1.*slots"):
+                observe(plan, bad)
 
 
 class TestSelectStrongest:
