@@ -259,8 +259,8 @@ def _frames(
 ) -> list[Frame]:
     """The frames of ``draws`` (:func:`run_frame`) as one batch, in order.
 
-    Every frame is planned first; one kernel over all frames' slopes then
-    gives every frame's noiseless pilots, and one :func:`beamforming_gain`
+    Every frame is planned first; one kernel over the plans' slope arrays,
+    stacked, then gives every frame's noiseless pilots, and one :func:`beamforming_gain`
     call every frame's gain.  The noise, the coarse estimate and the
     refinement run frame by frame.
     """
@@ -281,8 +281,7 @@ def _frames(
         truths.append(theta_r)
         plans.append(plan_tracking(theta_prev if center is None else center, scn.zeta_max, scn.slots[0], cfg,
                                    codebook=cb, pairing_mode=mode))
-    psi, t_aux = zip(*(plan.slopes for plan in plans))
-    responses = RayKernel(psi, t_aux, cfg)(truths)
+    responses = RayKernel([plan.psi for plan in plans], [plan.t_aux for plan in plans], cfg)(truths)
     channels, aims, parts = [], [], []
     for d, plan, theta_r, response in zip(draws, plans, truths, responses):
         # built just before the frame's selection: span tracers pair each coarse

@@ -25,6 +25,7 @@ __all__ = [
     "PairingConfig",
     "RadiusBounds",
     "make_pairing",
+    "pairing_slopes",
     "mode_bound",
     "forward_bound",
     "backward_bound",
@@ -71,7 +72,8 @@ def make_pairing(theta0: float, alpha: float, cfg: SystemConfig, mode: str = "au
     """Pairing for the interval [theta0 - alpha, theta0 + alpha].
 
     ``mode`` is "forward", "backward" or "auto" (backward for theta0 >= 0,
-    forward otherwise).  The slopes solve the two edge-mapping conditions:
+    forward otherwise).  The slopes, :func:`pairing_slopes`, solve the two
+    edge-mapping conditions:
 
         forward:  psi = theta0 + r*alpha,  t = theta0 + alpha/r
         backward: psi = theta0 - r*alpha,  t = theta0 - alpha/r
@@ -87,16 +89,27 @@ def make_pairing(theta0: float, alpha: float, cfg: SystemConfig, mode: str = "au
         raise ValueError("theta0 must lie in [-1, 1]")
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
-    r = cfg.edge_ratio
-    sign = 1.0 if mode == FORWARD else -1.0
+    psi, t_aux = pairing_slopes(theta0, alpha, 1.0 if mode == FORWARD else -1.0, cfg)
     return PairingConfig(
-        psi=theta0 + sign * r * alpha,
-        t_aux=theta0 + sign * alpha / r,
+        psi=psi,
+        t_aux=t_aux,
         mode=mode,
         theta0=theta0,
         alpha=alpha,
         over_bound=alpha > mode_bound(theta0, mode, cfg),
     )
+
+
+def pairing_slopes(theta0, alpha: float, sign, cfg: SystemConfig):
+    """Slopes (psi, t_aux) of the pairings of radius ``alpha`` centered at ``theta0``.
+
+    ``sign`` is 1.0 for forward and -1.0 for backward pairing (see
+    :func:`make_pairing`).  ``theta0`` and ``sign`` may be arrays, one entry
+    per pairing: every entry gets the arithmetic of the scalar call, so an
+    array of slots equals its scalar pairings bit for bit.
+    """
+    r = cfg.edge_ratio
+    return theta0 + sign * r * alpha, theta0 + sign * alpha / r
 
 
 def mode_bound(theta0: float, mode: str, cfg: SystemConfig) -> float:

@@ -2,26 +2,30 @@
 
 A searched interval of radius alpha is split into L contiguous fractions; each
 timeslot scans one fraction with its own pairing, whose mode follows the sign
-of the fraction center.  The strongest received cell over all (slot,
-subcarrier) pairs yields the coarse angle estimate through the angle map.
+of the fraction center.  A plan holds the L slots as arrays: their centers
+and their two slopes, which one array pass computes and, with a codebook,
+snaps.  The strongest received cell over all (slot, subcarrier) pairs yields
+the coarse angle estimate through the angle map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import pairing as pairing_mod
 from .beampattern import angle_map
-from .codebook import JointCodebook, quantized_pairing
-from .pairing import BACKWARD, PairingConfig
-from .physmodel import ChannelResponse, RayKernel, SystemConfig
+from .codebook import JointCodebook
+from .pairing import BACKWARD, FORWARD, PairingConfig, mode_bound, pairing_slopes
+from .physmodel import ChannelResponse, PrecoderConfig, RayKernel, SystemConfig
 
 # Not called in this module: kept as its attributes only so that span tracers
-# wrapping tracker.forward_bound, tracker.large_angle_bound and
-# tracker.precoder_matrix still find them.
+# wrapping tracker.pairing_mod.make_pairing, tracker.quantized_pairing,
+# tracker.forward_bound, tracker.large_angle_bound and tracker.precoder_matrix
+# still find them.
+from . import pairing as pairing_mod  # noqa: F401
+from .codebook import quantized_pairing  # noqa: F401
 from .pairing import forward_bound, large_angle_bound  # noqa: F401
 from .physmodel import precoder_matrix  # noqa: F401
 
@@ -36,37 +40,57 @@ __all__ = [
     "coarse_estimate",
 ]
 
+_PAIRING_MODES = ("auto", FORWARD, BACKWARD, "sweep")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class TrackingPlan:
-    """Per-slot pairings covering [theta0 - alpha, theta0 + alpha] in L fractions.
+    """L slots covering [theta0 - alpha, theta0 + alpha] in L fractions, as read-only (L,) arrays.
 
-    Each slot's center and radius are its pairing's ``theta0`` and ``alpha``
-    (``alpha / slots``, or 0 in "sweep" mode); ``slots`` is
-    ``len(pairings)``.  ``kernel``, the
-    :class:`RayKernel` over the pairings' slopes, is built on first use:
-    :func:`run_tracking` and the refinement use it, while a batch of frames
-    (:func:`~thztrack.harness.run_trial`) makes its pilots with one kernel
-    over every frame's slopes.
+    Slot l is centered at ``centers[l]`` with radius ``alpha / slots`` and
+    precodes with the slopes ``psi[l]`` and ``t_aux[l]``; ``slots`` is
+    ``len(psi)``.  ``pairing_mode`` is the :func:`plan_tracking` mode that
+    paired the slots.  Two views are built on first use: ``kernel``, the
+    :class:`RayKernel` over the slopes, which :func:`run_tracking` and the
+    refinement use (a batch of frames, :func:`~thztrack.harness.run_trial`,
+    makes its pilots with one kernel over every frame's slopes), and
+    ``pairings``, each slot as a :class:`PairingConfig` with its mode,
+    center, radius and ``over_bound`` flag, which no sweep frame builds.
     """
 
     theta0: float
     alpha: float
-    pairings: tuple[PairingConfig, ...]
+    centers: np.ndarray
+    psi: np.ndarray
+    t_aux: np.ndarray
     cfg: SystemConfig
+    pairing_mode: str = "auto"
 
     @property
     def slots(self) -> int:
-        return len(self.pairings)
-
-    @property
-    def slopes(self) -> tuple[list[float], list[float]]:
-        """The slots' phase slopes psi and delay slopes t_aux, in slot order."""
-        return [pc.psi for pc in self.pairings], [pc.t_aux for pc in self.pairings]
+        return len(self.psi)
 
     @cached_property
     def kernel(self) -> RayKernel:
-        return RayKernel(*self.slopes, self.cfg)
+        return RayKernel(self.psi, self.t_aux, self.cfg)
+
+    @cached_property
+    def pairings(self) -> tuple[PairingConfig, ...]:
+        """Each slot's pairing, equal to its :func:`~thztrack.pairing.make_pairing` (then quantized, with a codebook).
+
+        A "sweep" slot is a backward pairing of radius 0.
+        """
+        slots = zip(self.centers.tolist(), self.psi.tolist(), self.t_aux.tolist())
+        if self.pairing_mode == "sweep":
+            return tuple(PairingConfig(psi, t_aux, BACKWARD, center, 0.0) for center, psi, t_aux in slots)
+        radius = self.alpha / self.slots
+        out = []
+        for center, psi, t_aux in slots:
+            mode = self.pairing_mode
+            if mode == "auto":
+                mode = BACKWARD if center >= 0 else FORWARD
+            out.append(PairingConfig(psi, t_aux, mode, center, radius, radius > mode_bound(center, mode, self.cfg)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -86,6 +110,15 @@ class TrackingEstimate:
     theta_hat: float
 
 
+@lru_cache(maxsize=64)
+def _slot_offsets(alpha: float, slots: int) -> np.ndarray:
+    """Offsets (2l - 1)*alpha/slots, l = 1..slots, of the slot centers from theta0 - alpha; read-only."""
+    l = np.arange(1, slots + 1)
+    offsets = (2 * l - 1) * alpha / slots
+    offsets.flags.writeable = False
+    return offsets
+
+
 def plan_tracking(
     theta0: float,
     alpha: float,
@@ -97,7 +130,12 @@ def plan_tracking(
     """Split [theta0 - alpha, theta0 + alpha] into ``slots`` fractions and pair each.
 
     ``pairing_mode`` is "auto" (sign-of-center rule), "forward"/"backward"
-    (forced, for baselines), or "sweep" (one beam per slot).  A slot radius
+    (forced, for baselines), or "sweep" (one beam per slot).  All slots are
+    paired in one array pass (:func:`~thztrack.pairing.pairing_slopes`) and,
+    given a ``codebook``, their slopes snapped in one
+    (:meth:`~thztrack.codebook.QuantGrid.nearest`); each slot equals its
+    scalar :func:`~thztrack.pairing.make_pairing` and
+    :func:`~thztrack.codebook.quantized_pairing` bit for bit.  A slot radius
     beyond its pairing's :func:`~thztrack.pairing.mode_bound` is allowed and
     flagged by the pairing's ``over_bound``; tracking with it may fail.
     """
@@ -108,21 +146,27 @@ def plan_tracking(
         raise ValueError("alpha must be positive")
     if not abs(theta0) + alpha <= 1 + 1e-12:
         raise ValueError(f"searched interval [{theta0 - alpha}, {theta0 + alpha}] leaves [-1, 1]")
-    l = np.arange(1, slots + 1)
-    centers = theta0 - alpha + (2 * l - 1) * alpha / slots
-    radius = alpha / slots
-    pairings = []
-    for c in centers:
-        if pairing_mode == "sweep":
-            # one beam per slot: both slopes point at the fraction center, so
-            # every subcarrier maps to the same angle
-            pc = PairingConfig(psi=float(c), t_aux=float(c), mode=BACKWARD, theta0=float(c), alpha=0.0)
+    if pairing_mode not in _PAIRING_MODES:
+        raise ValueError(f"unknown pairing mode {pairing_mode!r}")
+    centers = theta0 - alpha + _slot_offsets(alpha, slots)
+    if pairing_mode == "sweep":
+        # one beam per slot: both slopes point at the fraction center, so
+        # every subcarrier maps to the same angle
+        psi = t_aux = centers
+    else:
+        # the centers ascend, so the two ends are the widest
+        if not (abs(centers[0]) <= 1 and abs(centers[-1]) <= 1):
+            raise ValueError("slot centers must lie in [-1, 1]")
+        if pairing_mode == "auto":
+            sign = np.where(centers >= 0, -1.0, 1.0)
         else:
-            pc = pairing_mod.make_pairing(float(c), radius, cfg, pairing_mode)
-        if codebook is not None:
-            pc = quantized_pairing(pc, codebook)
-        pairings.append(pc)
-    return TrackingPlan(theta0=theta0, alpha=alpha, pairings=tuple(pairings), cfg=cfg)
+            sign = 1.0 if pairing_mode == FORWARD else -1.0
+        psi, t_aux = pairing_slopes(centers, alpha / slots, sign, cfg)
+    if codebook is not None:
+        psi, t_aux = codebook.psi_grid.nearest(psi), codebook.t_grid.nearest(t_aux)
+    for row in (centers, psi, t_aux):
+        row.flags.writeable = False
+    return TrackingPlan(theta0, alpha, centers, psi, t_aux, cfg, pairing_mode)
 
 
 def pilot_normals(rng: np.random.Generator | int | list[int], slots: int, n_subcarriers: int) -> np.ndarray:
@@ -190,7 +234,7 @@ def observe(
 
 
 def coarse_estimate(obs: TrackingObservation) -> TrackingEstimate:
-    """The largest |Y|^2 cell (l_hat, m_hat) and the coarse angle its slot's pairing maps it to.
+    """The largest |Y|^2 cell (l_hat, m_hat) and the coarse angle its slot's slopes map it to.
 
     Slots are 1-based, subcarriers signed (-M..M); ties break to the smaller
     slot, then the smaller subcarrier.  The angle is clipped to [-1, 1]:
@@ -203,5 +247,6 @@ def coarse_estimate(obs: TrackingObservation) -> TrackingEstimate:
     n_sub = obs.y.shape[1]
     i, j = divmod(flat, n_sub)
     m_hat = j - (n_sub - 1) // 2
-    theta = float(angle_map(m_hat, obs.plan.pairings[i], obs.plan.cfg))
+    plan = obs.plan
+    theta = float(angle_map(m_hat, PrecoderConfig(plan.psi[i], plan.t_aux[i]), plan.cfg))
     return TrackingEstimate(l_hat=i + 1, m_hat=m_hat, theta_hat=min(max(theta, -1.0), 1.0))

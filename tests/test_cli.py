@@ -73,6 +73,7 @@ class TestBounds:
         assert len(rows) == 5
         # fixed radius column is constant 1/p
         assert all(float(r["fixed"]) == 0.0625 for r in rows)
+        assert "np." not in out.read_text()
 
 
 class TestCodebookDump:
@@ -223,8 +224,10 @@ class TestTrackIsFrameZero:
 
         def refine_on_dead_geometry(prob, theta_init, **kwargs):
             # every slot steers its beam null onto the start angle, so all slot responses vanish there
-            null = (replace(pc, psi=theta_init - 2.0 / prob.cfg.n_bs, t_aux=theta_init) for pc in prob.plan.pairings)
-            return real_refine(replace(prob, plan=replace(prob.plan, pairings=tuple(null))), theta_init, **kwargs)
+            slots = prob.plan.slots
+            null = replace(prob.plan, psi=np.full(slots, theta_init - 2.0 / prob.cfg.n_bs),
+                           t_aux=np.full(slots, theta_init))
+            return real_refine(replace(prob, plan=null), theta_init, **kwargs)
 
         monkeypatch.setattr(harness, "refine", refine_on_dead_geometry)
         trace = tmp_path / "trace.csv"

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import thztrack
 from thztrack.beampattern import angle_map, array_gain, dirichlet, peak_map
-from thztrack.codebook import _uniform_closed, build_codebook, quantized_pairing, snap
+from thztrack.codebook import QuantGrid, _uniform_closed, build_codebook, quantized_pairing, snap
 from thztrack.pairing import make_pairing
 from thztrack.physmodel import PrecoderConfig, SystemConfig, default_config
 
@@ -132,7 +132,61 @@ class TestSnap:
             assert type(got) is float and got == want
 
 
+class TestNearest:
+    """``QuantGrid.nearest`` is :func:`snap` of each entry, bit for bit."""
+
+    @staticmethod
+    def assert_snaps(grid, values):
+        got = grid.nearest(np.asarray(values, dtype=float))
+        assert got.tolist() == [snap(float(v), grid) for v in values]
+
+    def test_exact_midpoints_tie_to_the_smaller_codeword(self):
+        # dyadic codewords, so each midpoint is an exact tie: value - left == right - value
+        grid = QuantGrid(np.array([-1.0, -0.5, 0.0, 0.25, 1.0]))
+        midpoints = [-0.75, -0.25, 0.125, 0.625]
+        assert grid.nearest(np.array(midpoints)).tolist() == [-1.0, -0.5, 0.0, 0.25]
+        self.assert_snaps(grid, midpoints)
+
+    def test_matches_snap_on_both_codebook_grids(self, cb):
+        rng = np.random.default_rng(11)
+        for grid in (cb.psi_grid, cb.t_grid):
+            v = grid.values
+            ends = [v[0] - 1.0, np.nextafter(v[0], -np.inf), v[-1] + 1.0, np.nextafter(v[-1], np.inf), -np.inf, np.inf]
+            values = np.concatenate([v, (v[:-1] + v[1:]) / 2, v[:-1] + np.diff(v) / 2, ends,
+                                     rng.uniform(2 * v[0], 2 * v[-1], 500)])
+            mid = (v[:-1] + v[1:]) / 2
+            assert np.count_nonzero(mid - v[:-1] == v[1:] - mid) > len(v) // 2  # exact ties are among them
+            self.assert_snaps(grid, values)
+
+    def test_values_beyond_both_ends_clamp(self, cb):
+        for grid in (cb.psi_grid, cb.t_grid):
+            v = grid.values
+            beyond = [-np.inf, v[0] - 5.0, v[-1] + 5.0, np.inf]
+            assert grid.nearest(np.array(beyond)).tolist() == [v[0], v[0], v[-1], v[-1]]
+            self.assert_snaps(grid, beyond)
+
+    def test_one_codeword_and_empty_grids(self):
+        self.assert_snaps(QuantGrid(np.array([0.5])), [-2.0, 0.5, 3.0])
+        with pytest.raises(ValueError, match="empty"):
+            QuantGrid(np.array([])).nearest(np.array([0.1]))
+
+    @pytest.mark.parametrize("values", [[np.nan], [0.1, np.nan, 0.3], [np.inf, np.nan]])
+    def test_nan_raises(self, cb, values):
+        with pytest.raises(ValueError, match="nan"):
+            cb.t_grid.nearest(np.array(values))
+
+
 class TestQuantizedPairing:
+    @pytest.mark.parametrize("theta0, alpha, mode", [(0.5, 0.05, "auto"), (-0.3, 0.2, "backward"), (0.6, 0.14, "auto")])
+    def test_equals_the_replace_form_field_for_field(self, cfg, cb, theta0, alpha, mode):
+        pairing = make_pairing(theta0, alpha, cfg, mode)
+        want = replace(pairing, psi=snap(pairing.psi, cb.psi_grid), t_aux=snap(pairing.t_aux, cb.t_grid))
+        got = quantized_pairing(pairing, cb)
+        assert type(got) is type(want)
+        for f in fields(want):
+            assert type(getattr(got, f.name)) is type(getattr(want, f.name))
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
     def test_on_grid_pairing_unchanged(self, cfg, cb):
         # slopes chosen exactly on codewords survive snapping untouched
         psi = float(cb.psi_grid.values[200])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thztrack import harness
+from thztrack import codebook, harness, pairing, tracker
 from thztrack.beampattern import dirichlet
 from thztrack.harness import (
     ScenarioConfig,
@@ -215,6 +215,24 @@ class TestRunTrial:
             assert abs(rec.theta_hat - rec.theta_r) <= 2 * scn.zeta_max
 
 
+class TestPlanningCost:
+    def test_codebook_frames_pair_no_slot_one_at_a_time(self, monkeypatch):
+        # codebook-small's scenario: every slot is paired and snapped in the plan's array pass,
+        # and no frame builds the per-slot pairings or evaluates a radius bound
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a frame took the per-slot pairing path")
+
+        monkeypatch.setattr(pairing, "make_pairing", forbidden)
+        monkeypatch.setattr(codebook, "quantized_pairing", forbidden)
+        monkeypatch.setattr(tracker, "quantized_pairing", forbidden)
+        monkeypatch.setattr(tracker, "mode_bound", forbidden)
+        small = SystemConfig(n_bs=64, n_ttd=8, p=8, f_c=100e9, bandwidth=10e9, m_half=16)
+        for slots in (2, 4, 8):
+            scn = ScenarioConfig(system=small, users=4, trials=1, seed=1, snr_db=(10.0,), slots=(slots,),
+                                 scheme="forward_only", codebook=True)
+            assert len(run_trial(scn, [draw_frame(scn, 0, user) for user in range(4)])) == 4
+
+
 class TestScenarioConfig:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -354,8 +372,10 @@ class TestSweep:
             if len(calls) == 2:
                 # every slot steers its beam null onto the start angle, so all
                 # slot responses vanish there
-                null = (replace(pc, psi=theta_init - 2.0 / cfg.n_bs, t_aux=theta_init) for pc in prob.plan.pairings)
-                prob = replace(prob, plan=replace(prob.plan, pairings=tuple(null)))
+                slots = prob.plan.slots
+                null = replace(prob.plan, psi=np.full(slots, theta_init - 2.0 / cfg.n_bs),
+                               t_aux=np.full(slots, theta_init))
+                prob = replace(prob, plan=null)
             return real_refine(prob, theta_init, **kwargs)
 
         monkeypatch.setattr(harness, "refine", refine_second_on_dead_geometry)

@@ -165,8 +165,8 @@ class TestDegenerateGeometry:
         taus0 = np.zeros(len(freqs))
         prob = synthetic_problem(plan, cfg, freqs, 0.413, 1.0, taus0)
         # every slot steers its beam null onto theta: psi = theta - 2/n_bs, t = theta
-        null = (replace(pc, psi=0.413 - 2.0 / cfg.n_bs, t_aux=0.413) for pc in plan.pairings)
-        dead = replace(prob, plan=replace(plan, pairings=tuple(null)))
+        null = replace(plan, psi=np.full(plan.slots, 0.413 - 2.0 / cfg.n_bs), t_aux=np.full(plan.slots, 0.413))
+        dead = replace(prob, plan=null)
         state = CprState(theta=0.413, g=1.0, taus=taus0, residual=0.0)
         with pytest.raises(ValueError):
             update_gain(dead, state)
@@ -263,13 +263,10 @@ class TestProblemCaches:
         np.testing.assert_array_equal(doubled.abs_y, np.abs(doubled.y_hat))
         assert update_gain(doubled, state) == 2.0 * update_gain(noisy_problem, state)
         # the kernel belongs to the plan, so a problem on a new plan gets that plan's kernel
-        pairings = tuple(replace(pc, psi=pc.psi + 0.01) for pc in noisy_problem.plan.pairings)
-        shifted = replace(noisy_problem, plan=replace(noisy_problem.plan, pairings=pairings))
+        plan = replace(noisy_problem.plan, psi=noisy_problem.plan.psi + 0.01)
+        shifted = replace(noisy_problem, plan=plan)
         assert shifted.kernel is not noisy_problem.kernel
-        np.testing.assert_array_equal(
-            shifted.kernel(0.4321),
-            RayKernel([pc.psi for pc in pairings], [pc.t_aux for pc in pairings], shifted.cfg)(0.4321),
-        )
+        np.testing.assert_array_equal(shifted.kernel(0.4321), RayKernel(plan.psi, plan.t_aux, shifted.cfg)(0.4321))
 
 
 class TestLineSearchCalls:
@@ -297,27 +294,50 @@ class TestLineSearchCalls:
 def _reference_refine(prob, theta_init, max_iter, tol, step=1e-2):
     """refine's iteration rule rebuilt from the public blocks, recomputing everything each time.
 
+    The gain and phases come from ``update_gain`` and ``update_phases``.  The
+    model's phasors are z_m/|z_m|, with z_m = c_m^H y_hat_m, as in refine:
+    ``objective``'s exp(j*tau_m) rounds differently, and over a long
+    noiseless run that rounding alone sends the two loops down different
+    iteration paths.  Each iteration's residual is checked against
+    ``objective`` at its gain and phases instead.
+
     Returns (trace, state) like ``refine(..., trace=trace)``.
     """
+    kernel = prob.kernel
     freqs = prob.cfg.frequencies
     theta, g_prev, taus, eta = float(theta_init), 0.0, np.zeros(len(freqs)), step
     max_move = 0.5 * prob.cfg.f_c / (prob.cfg.n_bs * float(np.max(freqs)))
     trace, best, prev_eps, grow = [], None, np.inf, 0
     iterations, converged, diverged = 0, False, False
-    eps = float(np.sum(np.abs(prob.y_hat) ** 2))
+    scale = float(np.sum(np.abs(prob.y_hat) ** 2))
+    eps = scale
+
+    def residual(theta, model):
+        r = prob.y_hat - model * kernel(theta)
+        return r, float(np.vdot(r, r).real)
+
     for it in range(1, max_iter + 1):
         iterations = it
         at_theta = CprState(theta=theta, g=g_prev, taus=taus, residual=eps)
         g = update_gain(prob, at_theta)
         taus = update_phases(prob, at_theta)
-        eps = objective(prob, theta, g, taus)
-        grad = objective_gradient(prob, CprState(theta=theta, g=g, taus=taus, residual=eps))
+        z = np.einsum("ml,ml->m", kernel(theta).conj(), prob.y_hat)
+        abs_z = np.abs(z)
+        vanished = abs_z == 0.0
+        abs_z[vanished] = 1.0
+        phasors = z / abs_z
+        phasors[vanished] = 1.0
+        np.testing.assert_array_equal(np.angle(z), taus)
+        model = (g * phasors)[:, None]
+        r, eps = residual(theta, model)
+        assert eps == pytest.approx(objective(prob, theta, g, taus), rel=0, abs=_PARITY_RTOL * scale)
+        grad = float(-2.0 * np.vdot(r, model * kernel.slope(kernel.evaluate(theta))).real)
         eta = min(step, 2.0 * eta)
         if grad != 0.0:
             eta = min(eta, max_move / abs(grad))
         theta_new, eps_new, moved = theta, eps, False
         while grad != 0.0 and eta * grad * grad > eps * 1e-14:
-            eps_c = objective(prob, theta - eta * grad, g, taus)
+            eps_c = residual(theta - eta * grad, model)[1]
             if eps_c < eps:
                 theta_new, eps_new, moved = theta - eta * grad, eps_c, True
                 break

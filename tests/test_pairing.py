@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thztrack.beampattern import angle_map, array_gain, sidelobe_locations
 from thztrack.codebook import build_codebook, quantized_pairing
 from thztrack.pairing import (
+    BACKWARD,
+    PairingConfig,
     backward_bound,
     fixed_radius,
     forward_backward_bound,
@@ -98,15 +100,33 @@ _MODES = ("auto", "forward", "backward")
 
 
 @st.composite
-def _systems(draw):
+def _systems(draw, edge_ratios=st.floats(0.01, 0.45)):
     """Random array and band: any (p, n_ttd, m_half), edge ratio m_half*f_d/f_c in [0.01, 0.45]."""
     p = draw(st.integers(1, 32))
     n_ttd = draw(st.integers(1, 32))
-    edge_ratio = draw(st.floats(0.01, 0.45))
+    edge_ratio = draw(edge_ratios)
     return SystemConfig(
         n_bs=p * n_ttd, n_ttd=n_ttd, p=p, f_c=100e9, bandwidth=2 * edge_ratio * 100e9,
         m_half=draw(st.integers(1, 128)),
     )
+
+
+def _slot_loop(theta0, alpha, slots, cfg, codebook, mode):
+    """The slots as paired one at a time: make_pairing per center (a fixed beam in "sweep" mode), then quantized."""
+    l = np.arange(1, slots + 1)
+    out = []
+    for c in theta0 - alpha + (2 * l - 1) * alpha / slots:
+        if mode == "sweep":
+            pc = PairingConfig(psi=float(c), t_aux=float(c), mode=BACKWARD, theta0=float(c), alpha=0.0)
+        else:
+            pc = make_pairing(float(c), alpha / slots, cfg, mode)
+        out.append(pc if codebook is None else quantized_pairing(pc, codebook))
+    return tuple(out)
+
+
+# dyadic centers and radii put slopes exactly halfway between two codewords
+# of a power-of-two array, where the snap rule's tie-break decides
+_DYADIC = st.integers(-120, 120).map(lambda k: k / 128)
 
 
 class TestMakePairingProperties:
@@ -133,18 +153,47 @@ class TestMakePairingProperties:
             # the mode auto picks always gets the enhanced large-angle limit
             assert mode_bound(theta0, pairing.mode, system) == large_angle_bound(theta0, system)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(
-        system=_systems(),
-        theta0=st.floats(-0.9, 0.9),
-        alpha=st.floats(1e-3, 0.1),
-        slots=st.integers(1, 8),
-        mode=st.sampled_from(_MODES),
+        system=_systems(st.one_of(st.floats(0.01, 0.45), st.sampled_from([0.0625, 0.125, 0.25]))),
+        theta0=st.one_of(st.floats(-0.95, 0.95), _DYADIC),
+        alpha=st.one_of(st.floats(1e-4, 1.0), _DYADIC.map(abs).filter(bool)),
+        slots=st.integers(1, 16),
+        mode=st.sampled_from(_MODES + ("sweep",)),
+        quantize=st.booleans(),
     )
-    def test_plan_slots_are_make_pairing(self, system, theta0, alpha, slots, mode):
-        plan = plan_tracking(theta0, alpha, slots, system, pairing_mode=mode)
-        expected = tuple(make_pairing(pc.theta0, alpha / slots, system, mode) for pc in plan.pairings)
-        assert plan.pairings == expected
+    # each slot center lies exactly halfway between two codewords of the 256-antenna psi grid
+    @example(system=default_config(), theta0=1 / 256, alpha=0.125, slots=1, mode="sweep", quantize=True)
+    @example(system=default_config(), theta0=-1 / 256, alpha=0.25, slots=2, mode="sweep", quantize=True)
+    def test_plan_slots_are_make_pairing(self, system, theta0, alpha, slots, mode, quantize):
+        # the plan's slope arrays and pairings view against the slots paired one at a time
+        alpha = min(alpha, 1.0 - abs(theta0))
+        cb = build_codebook(system) if quantize else None
+        plan = plan_tracking(theta0, alpha, slots, system, codebook=cb, pairing_mode=mode)
+        want = _slot_loop(theta0, alpha, slots, system, cb, mode)
+        assert plan.slots == slots
+        assert plan.centers.tolist() == [pc.theta0 for pc in want]
+        assert plan.psi.tolist() == [pc.psi for pc in want]
+        assert plan.t_aux.tolist() == [pc.t_aux for pc in want]
+        assert plan.pairings == want
+        for pc in plan.pairings:
+            assert {type(pc.psi), type(pc.t_aux), type(pc.theta0), type(pc.alpha)} == {float}
+        for row in (plan.centers, plan.psi, plan.t_aux):
+            assert row.shape == (slots,) and not row.flags.writeable
+
+
+class TestScalarEntryPointsReturnFloats:
+    # write_table writes floats with repr, and numpy 2 writes a numpy scalar as np.float64(...)
+    @pytest.mark.parametrize("mode", _MODES)
+    def test_make_pairing(self, cfg, mode):
+        pairing = make_pairing(0.4, 0.05, cfg, mode)
+        assert (type(pairing.psi), type(pairing.t_aux), type(pairing.over_bound)) == (float, float, bool)
+
+    @pytest.mark.parametrize("theta0", [-0.7, 0.0, 0.6])
+    def test_bounds(self, cfg, theta0):
+        bounds = radius_bounds(theta0, cfg, include_extra=True)
+        assert all(type(getattr(bounds, f)) is float for f in vars(bounds))
+        assert type(mode_bound(theta0, "forward", cfg)) is float
 
 
 class TestSimpleBounds:

@@ -53,7 +53,7 @@ class TestPlanTracking:
 
     def test_slots_count_the_pairings(self, cfg):
         plan = plan_tracking(0.3, 0.2, 4, cfg)
-        cut = replace(plan, pairings=plan.pairings[:2])
+        cut = replace(plan, centers=plan.centers[:2], psi=plan.psi[:2], t_aux=plan.t_aux[:2])
         assert (plan.slots, cut.slots) == (4, 2)
         ch = channel_response(PathComponent(1.0, 0.31), cfg)
         assert run_tracking(cut, ch, 1.0, pilot_normals(5, 2, cfg.n_subcarriers)).y.shape == (2, cfg.n_subcarriers)
