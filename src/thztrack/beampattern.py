@@ -89,6 +89,9 @@ def angle_map(m, pc: PrecoderConfig, cfg: SystemConfig):
     Monotone in m (increasing when t_aux > psi, decreasing when t_aux < psi),
     which is the subcarrier-to-angle pairing used for tracking.
     """
+    if isinstance(m, (int, float)):  # a scalar: Python-float arithmetic, the same IEEE operations
+        fb = m * cfg.f_d
+        return float((cfg.f_c * pc.psi + fb * pc.t_aux) / (cfg.f_c + fb))
     m = np.asarray(m, dtype=float)
     fb = m * cfg.f_d
     out = (cfg.f_c * pc.psi + fb * pc.t_aux) / (cfg.f_c + fb)

@@ -162,8 +162,8 @@ class TrialRecord:
         return self.theta_hat if self.theta_refined is None else self.theta_refined
 
 
-def _scheme_mode(scheme: str) -> str:
-    return {"forward_backward": "auto", "forward_only": "forward", "exhaustive_sweep": "sweep"}[scheme]
+# each scheme's plan_tracking pairing mode
+_SCHEME_MODES = {"forward_backward": "auto", "forward_only": "forward", "exhaustive_sweep": "sweep"}
 
 
 def _clamp(value: float, bound: float) -> float:
@@ -248,16 +248,16 @@ class Frame:
 
 # Users per frame-core call in run_trial, which also bounds a trial's arrays.
 # Measured cost per user of one call on a 2-vCPU x86 VM, in microseconds, at
-# 1/2/4/8/16/32 users: 144/107/88/76/72/73 (64 antennas, M = 16, L = 4) and
-# 171/135/115/105/123/125 (256 antennas, M = 64, L = 4): past 8 users the
-# cost per user rises again on the larger array.
+# 1/2/4/8/16/32 users: 127/89/72/59/55/58 (64 antennas, M = 16, codebook,
+# L = 4) and 174/125/110/99/93/113 (256 antennas, M = 64, L = 4): 8 users
+# cost within 7 % of the cheapest block, 16, and 32 cost more again.
 _USER_BLOCK = 8
 
 
 def _frames(
     scn: ScenarioConfig, draws: list[FrameDraws], center: float | None = None, trace: list | None = None,
-) -> list[Frame]:
-    """The frames of ``draws`` (:func:`run_frame`) as one batch, in order.
+) -> list[tuple]:
+    """The frames of ``draws`` (:func:`run_frame`) as one batch, in order, each as its :class:`Frame` fields.
 
     Every frame is planned first; one kernel over the plans' slope arrays,
     stacked, then gives every frame's noiseless pilots, and one :func:`beamforming_gain`
@@ -268,19 +268,21 @@ def _frames(
     cb = build_codebook(cfg) if scn.codebook else None
     cap = scn.center_cap
     noise_std = pilot_noise_std(scn.snr_db[0], cfg)
-    mode = _scheme_mode(scn.scheme)
+    # noiseless data supports convergence to machine precision
+    limits = {"max_iter": 200, "tol": 1e-18} if noise_std == 0.0 else {}
+    mode = _SCHEME_MODES[scn.scheme]
+    slots = scn.slots[0]
+    target = float(scn.theta_grid[0]) if scn.theta_grid else None
     truths, plans = [], []
     for d in draws:
         _check_draws(scn, d)
-        if scn.theta_grid:
-            theta_r = float(scn.theta_grid[0])
-            theta_prev = _clamp(theta_r - d.zeta, cap)
-        else:
+        if target is None:
             theta_prev = _clamp(d.prev, cap)
-            theta_r = _clamp(theta_prev + d.zeta, _DIRECTION_CAP)
-        truths.append(theta_r)
-        plans.append(plan_tracking(theta_prev if center is None else center, scn.zeta_max, scn.slots[0], cfg,
-                                   codebook=cb, pairing_mode=mode))
+            truths.append(_clamp(theta_prev + d.zeta, _DIRECTION_CAP))
+        else:
+            theta_prev = _clamp(target - d.zeta, cap)
+            truths.append(target)
+        plans.append(plan_tracking(theta_prev if center is None else center, scn.zeta_max, slots, cfg, cb, mode))
     responses = RayKernel([plan.psi for plan in plans], [plan.t_aux for plan in plans], cfg)(truths)
     channels, aims, parts = [], [], []
     for d, plan, theta_r, response in zip(draws, plans, truths, responses):
@@ -289,28 +291,24 @@ def _frames(
         channel = channel_response(PathComponent(d.gain, theta_r), cfg)
         obs = observe(plan, channel.received(response), noise_std, d.normals)
         est = coarse_estimate(obs)
-        state = None
-        outcome = {}
+        theta_final = est.theta_hat
+        state, theta_refined, outcome = None, None, ()
         if scn.compensation:
             prob = build_cpr_problem(obs)
-            # noiseless data supports convergence to machine precision
-            limits = {"max_iter": 200, "tol": 1e-18} if noise_std == 0.0 else {}
             try:
-                state = refine(prob, est.theta_hat, trace=trace, **limits)
+                state = refine(prob, theta_final, trace=trace, **limits)
             except DegenerateGeometryError:
-                outcome = {"degenerate": True}
+                outcome = (0, False, False, True)
             else:
-                outcome = {"iterations": state.iterations, "converged": state.converged, "diverged": state.diverged}
-        theta_refined = None if state is None else float(state.theta)
-        theta_final = est.theta_hat if theta_refined is None else theta_refined
+                theta_final = theta_refined = float(state.theta)
+                outcome = (state.iterations, state.converged, state.diverged)
         channels.append(channel)
-        aims.append(snap(theta_final, cb.psi_grid) if cb else theta_final)
+        aims.append(theta_final if cb is None else snap(theta_final, cb.psi_grid))
         parts.append((d, theta_r, theta_refined, outcome, plan, obs, est, state))
-    gains = beamforming_gain(channels, aims)
     return [
-        Frame(TrialRecord(d.trial, d.user, theta_r, est.theta_hat, theta_refined, gain, **outcome),
-              plan, obs, est, state)
-        for (d, theta_r, theta_refined, outcome, plan, obs, est, state), gain in zip(parts, gains)
+        (TrialRecord(d.trial, d.user, theta_r, est.theta_hat, theta_refined, gain, *outcome), plan, obs, est, state)
+        for (d, theta_r, theta_refined, outcome, plan, obs, est, state), gain
+        in zip(parts, beamforming_gain(channels, aims))
     ]
 
 
@@ -330,7 +328,7 @@ def run_frame(scn: ScenarioConfig, draws: FrameDraws, center: float | None = Non
     collects the iterates); a degenerate geometry keeps the coarse estimate.
     The frame is the batch of one of :func:`run_trial`'s frame core.
     """
-    return _frames(scn, [draws], center, trace)[0]
+    return Frame(*_frames(scn, [draws], center, trace)[0])
 
 
 def run_trial(scn: ScenarioConfig, draws: list[FrameDraws]) -> list[TrialRecord]:
@@ -339,11 +337,7 @@ def run_trial(scn: ScenarioConfig, draws: list[FrameDraws]) -> list[TrialRecord]
     The frames run as batches of up to ``_USER_BLOCK``; each record equals
     its frame's :func:`run_frame` record bit for bit.
     """
-    return [
-        frame.record
-        for i in range(0, len(draws), _USER_BLOCK)
-        for frame in _frames(scn, draws[i : i + _USER_BLOCK])
-    ]
+    return [frame[0] for i in range(0, len(draws), _USER_BLOCK) for frame in _frames(scn, draws[i : i + _USER_BLOCK])]
 
 
 def nmse(theta_hat, theta_r) -> tuple[float, int]:
@@ -377,8 +371,13 @@ def beamforming_gain(channels: list[ChannelResponse], aims: list[float]) -> list
     config, carries the 1/sqrt(n_bs) power normalization, so the gain is
     mean_m |h_m^H f_m|^2 / n_bs.  Only the real amplitude of each ray's
     closed-form response is needed: one :meth:`RayKernel.amplitude` call
-    gives every channel's, and each gain sums its own squares.
+    gives every channel's, and each gain sums its own squares.  There is one
+    aim per channel; no channels give no gains.
     """
+    if len(aims) != len(channels):
+        raise ValueError(f"{len(aims)} aims for {len(channels)} channels: each channel needs one aim")
+    if not channels:
+        return []
     cfg = channels[0].cfg
     for ch in channels[1:]:
         if ch.cfg != cfg:

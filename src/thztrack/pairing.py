@@ -109,7 +109,8 @@ def pairing_slopes(theta0, alpha: float, sign, cfg: SystemConfig):
     array of slots equals its scalar pairings bit for bit.
     """
     r = cfg.edge_ratio
-    return theta0 + sign * r * alpha, theta0 + sign * alpha / r
+    # sign is +-1: multiplying by it is exact, so r*alpha and alpha/r can round first
+    return theta0 + sign * (r * alpha), theta0 + sign * (alpha / r)
 
 
 def mode_bound(theta0: float, mode: str, cfg: SystemConfig) -> float:

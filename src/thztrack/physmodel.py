@@ -86,10 +86,19 @@ class SystemConfig:
         """Highest subcarrier frequency f_c + m_half*f_d."""
         return self.f_c + self.m_half * self.f_d
 
-    @property
+    @cached_property
     def edge_ratio(self) -> float:
         """Ratio of the extreme baseband offset to the carrier, m_half*f_d/f_c."""
         return self.m_half * self.f_d / self.f_c
+
+    @cached_property
+    def _ratios(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-subcarrier f_m/f_c, f_b/f_c and (pi/2)*f_m/f_c as read-only columns (2M+1, 1), shared by every kernel."""
+        rho = (self.frequencies / self.f_c)[:, None]
+        ratios = rho, (self.m_indices * self.f_d / self.f_c)[:, None], 0.5 * np.pi * rho
+        for r in ratios:
+            r.setflags(write=False)
+        return ratios
 
 
 def default_config() -> SystemConfig:
@@ -152,7 +161,7 @@ class ChannelResponse:
 
     def received(self, c: np.ndarray) -> np.ndarray:
         """Received responses from ``c``, a kernel's responses at this ray's direction: conj(gain) * c."""
-        return np.conj(self.path.gain) * c
+        return self.path.gain.conjugate() * c
 
 
 @dataclass(frozen=True)
@@ -256,16 +265,6 @@ def _dirichlet_slope(n: int, d: _Dirichlet) -> np.ndarray:
     return slope
 
 
-@lru_cache(maxsize=16)
-def _subcarrier_ratios(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-subcarrier f_m/f_c, f_b/f_c and (pi/2)*f_m/f_c as read-only columns (2M+1, 1), shared by every caller."""
-    rho = (cfg.frequencies / cfg.f_c)[:, None]
-    ratios = rho, (cfg.m_indices * cfg.f_d / cfg.f_c)[:, None], 0.5 * np.pi * rho
-    for r in ratios:
-        r.flags.writeable = False
-    return ratios
-
-
 class RayEval(NamedTuple):
     """One closed-form evaluation: the responses ``c`` = rot * amp and the factors :meth:`RayKernel.slope` reuses.
 
@@ -312,25 +311,23 @@ class RayKernel:
         t_aux = np.array(t_aux, dtype=float, ndmin=1)
         if psi.shape != t_aux.shape:
             raise ValueError(f"slot slope length mismatch: psi {psi.shape} vs t_aux {t_aux.shape}")
-        rho, fb_ratio, self._slope_scale = _subcarrier_ratios(cfg)
+        self._rho, fb_ratio, self._slope_scale = cfg._ratios
         self.cfg = cfg
-        self._lead = psi.shape[:-1]
-        self._rho = rho
         # a subcarrier axis before the slot axis: ([...,] 1, L) and ([...,] 2M+1, L)
         self._psi = psi[..., None, :]
         self._delay = fb_ratio * t_aux[..., None, :]
 
     def _factors(self, theta: float | np.ndarray) -> tuple[_Dirichlet, _Dirichlet]:
         """The window and beam Dirichlet ratios at ``theta`` (see the class for its shapes)."""
-        cfg = self.cfg
+        cfg, psi = self.cfg, self._psi
         theta = np.asarray(theta, dtype=float)
-        if not self._lead and theta.ndim > 1:
+        if theta.ndim > 1 and psi.ndim == 2:
             raise ValueError(f"theta must be a scalar or a 1-D array of angles, got shape {theta.shape}")
         try:
-            x = self._rho * theta[..., None, None] - self._psi
+            x = self._rho * theta[..., None, None] - psi
         except ValueError:
             raise ValueError(
-                f"angles of shape {theta.shape} do not broadcast against slopes of leading shape {self._lead}"
+                f"angles of shape {theta.shape} do not broadcast against slopes of leading shape {psi.shape[:-2]}"
             ) from None
         window = _dirichlet(cfg.p, x)
         # reducing x moves the beam argument by a multiple of 2*p, a period of G_{n_ttd}
@@ -388,7 +385,7 @@ def precoder_matrix(pc: PrecoderConfig, cfg: SystemConfig) -> np.ndarray:
     """
     k = np.arange(cfg.n_bs)
     q = k // cfg.p
-    fb_ratios = _subcarrier_ratios(cfg)[1]
+    fb_ratios = cfg._ratios[1]
     phase = k[None, :] * pc.psi + fb_ratios * (cfg.p * q) * pc.t_aux
     return np.exp(-1j * np.pi * phase)
 

@@ -10,6 +10,7 @@ the coarse angle estimate through the angle map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -158,14 +159,15 @@ def plan_tracking(
         if not (abs(centers[0]) <= 1 and abs(centers[-1]) <= 1):
             raise ValueError("slot centers must lie in [-1, 1]")
         if pairing_mode == "auto":
-            sign = np.where(centers >= 0, -1.0, 1.0)
+            # -1 where centers >= 0: a sum of a float and a positive offset is never -0.0
+            sign = np.copysign(1.0, -centers)
         else:
             sign = 1.0 if pairing_mode == FORWARD else -1.0
         psi, t_aux = pairing_slopes(centers, alpha / slots, sign, cfg)
     if codebook is not None:
         psi, t_aux = codebook.psi_grid.nearest(psi), codebook.t_grid.nearest(t_aux)
     for row in (centers, psi, t_aux):
-        row.flags.writeable = False
+        row.setflags(write=False)
     return TrackingPlan(theta0, alpha, centers, psi, t_aux, cfg, pairing_mode)
 
 
@@ -212,25 +214,24 @@ def observe(
     2*m_half+1 subcarriers; a noisy call needs them, a noiseless one only
     checks them.
     """
-    cfg = plan.cfg
-    if response.shape != (cfg.n_subcarriers, plan.slots):
+    n_sub, slots = plan.cfg.n_subcarriers, len(plan.psi)
+    if response.shape != (n_sub, slots):
         raise ValueError(f"a response of shape {response.shape} is not one row of 2*m_half+1 = "
-                         f"{cfg.n_subcarriers} subcarriers by slots = {plan.slots}")
-    if not 0.0 <= noise_std < np.inf:
+                         f"{n_sub} subcarriers by slots = {slots}")
+    if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std!r}")
     if normals is not None:
         normals = np.asarray(normals)
-        if normals.shape[1:] != (cfg.n_subcarriers, 2) or len(normals) < plan.slots:
-            raise ValueError(f"pilot normals of shape {normals.shape} do not cover slots = {plan.slots} "
-                             f"of 2*m_half+1 = {cfg.n_subcarriers} subcarriers")
+        if normals.shape[1:] != (n_sub, 2) or len(normals) < slots:
+            raise ValueError(f"pilot normals of shape {normals.shape} do not cover slots = {slots} "
+                             f"of 2*m_half+1 = {n_sub} subcarriers")
     y = response.T.copy()
     if noise_std > 0:
         if normals is None:
             raise ValueError("noisy pilots need their standard normals: pass normals=pilot_normals(...)")
-        noise = normals[: plan.slots] * (noise_std / np.sqrt(2.0))
         # each (re, im) pair of draws is read as one complex sample
-        y += noise.view(complex)[..., 0]
-    return TrackingObservation(y=y, plan=plan)
+        y += (normals[:slots] * (noise_std / math.sqrt(2.0))).view(complex)[..., 0]
+    return TrackingObservation(y, plan)
 
 
 def coarse_estimate(obs: TrackingObservation) -> TrackingEstimate:
@@ -240,13 +241,12 @@ def coarse_estimate(obs: TrackingObservation) -> TrackingEstimate:
     slot, then the smaller subcarrier.  The angle is clipped to [-1, 1]:
     codebook-snapped slopes can map an edge subcarrier just past it.
     """
-    if obs.y.size == 0:
+    y, plan = obs.y, obs.plan
+    if y.size == 0:
         raise ValueError("empty observation")
-    power = np.abs(obs.y) ** 2
-    flat = int(np.argmax(power))  # first occurrence: smallest l, then smallest m
-    n_sub = obs.y.shape[1]
-    i, j = divmod(flat, n_sub)
+    n_sub = y.shape[1]
+    # first occurrence: smallest l, then smallest m
+    i, j = divmod(int((np.abs(y) ** 2).argmax()), n_sub)
     m_hat = j - (n_sub - 1) // 2
-    plan = obs.plan
-    theta = float(angle_map(m_hat, PrecoderConfig(plan.psi[i], plan.t_aux[i]), plan.cfg))
-    return TrackingEstimate(l_hat=i + 1, m_hat=m_hat, theta_hat=min(max(theta, -1.0), 1.0))
+    theta = angle_map(m_hat, PrecoderConfig(plan.psi.item(i), plan.t_aux.item(i)), plan.cfg)
+    return TrackingEstimate(i + 1, m_hat, min(max(theta, -1.0), 1.0))

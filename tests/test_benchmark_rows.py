@@ -1,4 +1,7 @@
-"""The benchmark's row check on pool seed 1 of each workload, so that a moved row fails here too.
+"""The benchmark's row check on the first seed of each pool of each workload, so that a moved row fails here too.
+
+The held-out pool's seed is checked as well as the default pool's, so a row
+that moves on inputs no change was tuned for fails here.
 
 The sweeps run through ``thztrack.cli.main`` with the workload's own
 scenario file and arguments, and their CSV rows are compared with the
@@ -18,11 +21,9 @@ from thztrack import cli
 workloads = _load("workloads")
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_pool_seed_1_rows_match_the_reference(name, tmp_path):
+def _check_rows(name, seed, tmp_path):
     workload = workloads.WORKLOADS[name]
     reference = workloads.load_reference(workload)
-    seed = workloads.DEFAULT_POOL[0]
     # a several-user workload also has the one-user reference the frame timings run on
     runs = {"sweep": workload} if workload.users == 1 else {"sweep": workload, "single": workload.single_user()}
     for kind, run in runs.items():
@@ -34,3 +35,13 @@ def test_pool_seed_1_rows_match_the_reference(name, tmp_path):
             rows = list(csv.DictReader(fh))
         expected = reference[kind][str(seed)]
         assert workloads.rows_match(reference["columns"], expected, rows) == [True] * len(expected), kind
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_pool_seed_1_rows_match_the_reference(name, tmp_path):
+    _check_rows(name, workloads.DEFAULT_POOL[0], tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_held_out_seed_1001_rows_match_the_reference(name, tmp_path):
+    _check_rows(name, workloads.HELD_OUT_POOL[0], tmp_path)

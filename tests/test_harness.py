@@ -1,3 +1,4 @@
+import collections
 import inspect
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thztrack import codebook, harness, pairing, tracker
+from thztrack import codebook, harness, pairing, physmodel, tracker
 from thztrack.beampattern import dirichlet
 from thztrack.harness import (
     ScenarioConfig,
@@ -99,6 +100,15 @@ class TestBeamformingGain:
         channels = [channel_response(path, cfg), channel_response(path, replace(cfg, m_half=32))]
         with pytest.raises(ValueError, match="system configs"):
             beamforming_gain(channels, [0.3, 0.3])
+
+    @pytest.mark.parametrize("aims", [[0.3], [0.3, -0.7, 0.1]])
+    def test_one_aim_per_channel(self, cfg, aims):
+        channels = [channel_response(PathComponent(1.0 + 0j, theta), cfg) for theta in (0.3, -0.7)]
+        with pytest.raises(ValueError, match=f"{len(aims)} aims for 2 channels"):
+            beamforming_gain(channels, aims)
+
+    def test_no_channels_give_no_gains(self):
+        assert beamforming_gain([], []) == []
 
 
 # Fixed before any run.  The ray's closed-form response is within
@@ -231,6 +241,39 @@ class TestPlanningCost:
             scn = ScenarioConfig(system=small, users=4, trials=1, seed=1, snr_db=(10.0,), slots=(slots,),
                                  scheme="forward_only", codebook=True)
             assert len(run_trial(scn, [draw_frame(scn, 0, user) for user in range(4)])) == 4
+
+
+class TestFrameCost:
+    """What a one-user frame builds and calls, counted and never timed."""
+
+    def _frame_calls(self, monkeypatch, scn):
+        calls = collections.Counter()
+        init = physmodel.RayKernel.__init__
+
+        def counted_init(kernel, *args, **kwargs):
+            calls["RayKernel"] += 1
+            init(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(physmodel.RayKernel, "__init__", counted_init)
+        for module, name in ((harness, "observe"), (tracker, "angle_map")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls, run_frame(scn, draw_frame(scn, 0, 0))
+
+    def test_coarse_frame_builds_the_pilot_and_gain_kernels(self, monkeypatch, cfg):
+        scn = ScenarioConfig(system=cfg, users=1, trials=1, snr_db=(20.0,), theta_grid=(0.6,))
+        calls, frame = self._frame_calls(monkeypatch, scn)
+        assert calls == {"RayKernel": 2, "observe": 1, "angle_map": 1}
+        assert "kernel" not in vars(frame.plan)
+
+    def test_compensated_frame_adds_only_the_plan_kernel(self, monkeypatch, cfg):
+        scn = ScenarioConfig(system=cfg, users=1, trials=1, snr_db=(20.0,), compensation=True)
+        calls, frame = self._frame_calls(monkeypatch, scn)
+        assert calls == {"RayKernel": 3, "observe": 1, "angle_map": 1}
+        assert "kernel" in vars(frame.plan) and frame.record.iterations > 0
 
 
 class TestScenarioConfig:

@@ -314,3 +314,58 @@ class TestEstimateAngle:
         plan = plan_tracking(0.8, 0.2, 2, cfg, codebook=build_codebook(cfg))
         assert angle_map(-cfg.m_half, plan.pairings[1], cfg) > 1.0
         assert coarse_estimate(spike(plan, 2, -cfg.m_half)).theta_hat == 1.0
+
+
+_SMALL = SystemConfig(n_bs=64, n_ttd=8, p=8, f_c=100e9, bandwidth=10e9, m_half=16)
+
+
+@st.composite
+def _selection_cases(draw):
+    """A plan on one of the benchmark's two arrays, with or without a codebook, and pilots with planted ties.
+
+    The pilots take few distinct values, so |Y|^2 ties arise by themselves,
+    and copies of the strongest value, negated or conjugated (the same
+    modulus), are planted at drawn cells.
+    """
+    system = draw(st.sampled_from([default_config(), _SMALL]))
+    alpha = draw(st.floats(0.01, 0.3))
+    # intervals reaching +-1 give snapped edge subcarriers that map past it
+    theta0 = draw(st.one_of(st.floats(-1.0 + alpha, 1.0 - alpha), st.sampled_from([1.0 - alpha, alpha - 1.0])))
+    slots = draw(st.integers(1, 8))
+    mode = draw(st.sampled_from(["auto", "forward", "backward", "sweep"]))
+    cb = build_codebook(system) if draw(st.booleans()) else None
+    plan = plan_tracking(theta0, alpha, slots, system, codebook=cb, pairing_mode=mode)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (slots, system.n_subcarriers)
+    y = rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape) * draw(st.sampled_from([1.0, 0.1, 1e-3]))
+    top = y.flat[np.argmax(np.abs(y))]
+    for cell, form in draw(st.lists(st.tuples(st.integers(0, y.size - 1), st.sampled_from([1, -1, 0])), max_size=4)):
+        y.flat[cell] = np.conj(top) if form == 0 else form * top
+    return TrackingObservation(y=y, plan=plan)
+
+
+def _first_principles_selection(obs):
+    """(l_hat, m_hat, theta_hat) by a loop over the cells in row-major order; a later cell wins only when stronger."""
+    plan, power = obs.plan, np.abs(obs.y) ** 2
+    best = (0, 0)
+    for l in range(power.shape[0]):
+        for j in range(power.shape[1]):
+            if power[l, j] > power[best]:
+                best = (l, j)
+    l, j = best
+    m = j - plan.cfg.m_half
+    theta = angle_map(np.array([m]), plan.pairings[l], plan.cfg)[0]
+    return l + 1, m, float(np.clip(theta, -1.0, 1.0))
+
+
+class TestCoarseEstimateProperties:
+    # 300 examples, fixed before the first run
+    @settings(max_examples=300, deadline=None)
+    @given(obs=_selection_cases())
+    # the snapped slopes of the second slot map subcarrier -M past 1 (test_snapped_edge_subcarrier_stays_in_range)
+    @example(obs=spike(plan_tracking(0.8, 0.2, 2, default_config(), codebook=build_codebook(default_config())),
+                       2, -default_config().m_half))
+    def test_equals_first_principles_selection(self, obs):
+        est = coarse_estimate(obs)
+        assert (est.l_hat, est.m_hat, est.theta_hat) == _first_principles_selection(obs)
+        assert type(est.theta_hat) is float
