@@ -27,7 +27,7 @@ class QuantGrid:
     """Codewords ``values``, sorted ascending and distinct.
 
     ``points`` holds the same values as a list of floats, built on first use,
-    for snapping one scalar at a time; :meth:`nearest` snaps an array.
+    which :func:`snap` bisects.
     """
 
     values: np.ndarray
@@ -35,34 +35,6 @@ class QuantGrid:
     @cached_property
     def points(self) -> list[float]:
         return self.values.tolist()
-
-    @cached_property
-    def _gaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The inner codewords, whose ``searchsorted`` index i is a gap, and each gap's left and right codeword.
-
-        Gap i runs from ``values[i]`` to ``values[i + 1]``; a value beyond
-        either end falls into the end gap and clamps to its end codeword.
-        """
-        v = self.values
-        if not v.size:
-            raise ValueError("grid is empty")
-        if v.size == 1:
-            return v[:0], v, v
-        return v[1:-1], v[:-1], v[1:]
-
-    def nearest(self, values: np.ndarray) -> np.ndarray:
-        """:func:`snap` of every entry of the 1-D array ``values``, as a new array, with one ``searchsorted`` call.
-
-        Each entry gets snap's comparison with its two neighbouring codewords,
-        so the results equal snap's bit for bit; a nan entry raises.
-        """
-        inner, lefts, rights = self._gaps
-        # the sum of squares is nan exactly when an entry is: inf*inf and overflow give +inf
-        if math.isnan(values @ values):
-            raise ValueError("cannot snap nan to a codeword")
-        i = inner.searchsorted(values)
-        left, right = lefts[i], rights[i]
-        return np.where(values - left <= right - values, left, right)
 
 
 def _uniform_closed(lo: float, hi: float, step: float) -> np.ndarray:

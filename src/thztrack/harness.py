@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -103,7 +104,7 @@ class ScenarioConfig:
         for key in ("snr_db", "slots"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must not be empty")
-        if not all(n >= 1 for n in self.slots):
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1 for n in self.slots):
             raise ValueError(f"slots entries must be positive integers, got {self.slots!r}")
         for snr in self.snr_db:
             if snr == math.inf:  # the noiseless frame: pilot noise exactly 0
@@ -119,8 +120,9 @@ class ScenarioConfig:
             raise ValueError("trials and users must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.gain_sigma < 0:
-            raise ValueError("gain_sigma must be nonnegative")
+        # written so that nan fails it too
+        if not 0 <= self.gain_sigma < math.inf:
+            raise ValueError(f"gain_sigma must be finite and nonnegative, got {self.gain_sigma!r}")
         if not all(abs(theta) <= _DIRECTION_CAP for theta in self.theta_grid):
             cap = _DIRECTION_CAP
             raise ValueError(f"theta_grid entries must lie in [-{cap}, {cap}], got {self.theta_grid!r}")

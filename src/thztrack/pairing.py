@@ -25,6 +25,7 @@ __all__ = [
     "PairingConfig",
     "RadiusBounds",
     "make_pairing",
+    "resolve_mode",
     "pairing_slopes",
     "mode_bound",
     "forward_bound",
@@ -71,25 +72,21 @@ class PairingConfig(PrecoderConfig):
 def make_pairing(theta0: float, alpha: float, cfg: SystemConfig, mode: str = "auto") -> PairingConfig:
     """Pairing for the interval [theta0 - alpha, theta0 + alpha].
 
-    ``mode`` is "forward", "backward" or "auto" (backward for theta0 >= 0,
-    forward otherwise).  The slopes, :func:`pairing_slopes`, solve the two
-    edge-mapping conditions:
+    ``mode`` is "forward", "backward" or "auto" (:func:`resolve_mode`).  The
+    slopes, :func:`pairing_slopes`, solve the two edge-mapping conditions:
 
         forward:  psi = theta0 + r*alpha,  t = theta0 + alpha/r
         backward: psi = theta0 - r*alpha,  t = theta0 - alpha/r
 
     with r = m_half*f_d/f_c.
     """
-    if mode == "auto":
-        mode = BACKWARD if theta0 >= 0 else FORWARD
-    elif mode not in (FORWARD, BACKWARD):
-        raise ValueError(f"unknown pairing mode {mode!r}")
+    mode = resolve_mode(theta0, mode)
     # written so that nan fails them too
     if not abs(theta0) <= 1:
         raise ValueError("theta0 must lie in [-1, 1]")
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
-    psi, t_aux = pairing_slopes(theta0, alpha, 1.0 if mode == FORWARD else -1.0, cfg)
+    psi, t_aux = pairing_slopes(theta0, alpha, mode, cfg)
     return PairingConfig(
         psi=psi,
         t_aux=t_aux,
@@ -100,17 +97,26 @@ def make_pairing(theta0: float, alpha: float, cfg: SystemConfig, mode: str = "au
     )
 
 
-def pairing_slopes(theta0, alpha: float, sign, cfg: SystemConfig):
-    """Slopes (psi, t_aux) of the pairings of radius ``alpha`` centered at ``theta0``.
+def resolve_mode(theta0: float, mode: str) -> str:
+    """The mode a ``mode`` pairing centered at theta0 uses: "auto" is backward for theta0 >= 0, else forward."""
+    if mode == "auto":
+        return BACKWARD if theta0 >= 0 else FORWARD
+    if mode in (FORWARD, BACKWARD):
+        return mode
+    raise ValueError(f"unknown pairing mode {mode!r}")
 
-    ``sign`` is 1.0 for forward and -1.0 for backward pairing (see
-    :func:`make_pairing`).  ``theta0`` and ``sign`` may be arrays, one entry
-    per pairing: every entry gets the arithmetic of the scalar call, so an
-    array of slots equals its scalar pairings bit for bit.
+
+def pairing_slopes(theta0: float, alpha: float, mode: str, cfg: SystemConfig) -> tuple[float, float]:
+    """Slopes (psi, t_aux) of the pairing of radius ``alpha`` at ``theta0``, as in :func:`make_pairing`.
+
+    ``mode`` is resolved, "forward" or "backward" (:func:`resolve_mode`); any other raises.
     """
     r = cfg.edge_ratio
-    # sign is +-1: multiplying by it is exact, so r*alpha and alpha/r can round first
-    return theta0 + sign * (r * alpha), theta0 + sign * (alpha / r)
+    if mode == FORWARD:
+        return theta0 + r * alpha, theta0 + alpha / r
+    if mode == BACKWARD:
+        return theta0 - r * alpha, theta0 - alpha / r
+    raise ValueError(f"unknown pairing mode {mode!r}")
 
 
 def mode_bound(theta0: float, mode: str, cfg: SystemConfig) -> float:

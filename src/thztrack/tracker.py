@@ -2,23 +2,25 @@
 
 A searched interval of radius alpha is split into L contiguous fractions; each
 timeslot scans one fraction with its own pairing, whose mode follows the sign
-of the fraction center.  A plan holds the L slots as arrays: their centers
-and their two slopes, which one array pass computes and, with a codebook,
-snaps.  The strongest received cell over all (slot, subcarrier) pairs yields
-the coarse angle estimate through the angle map.
+of the fraction center.  A plan computes each slot as Python floats, since
+few slots (L = 2, 4 and 8 in the benchmark's workloads) cost less in scalar
+calls than in numpy calls, and holds them as arrays: centers and two slopes.
+The strongest received cell over all (slot, subcarrier) pairs yields the
+coarse angle estimate through the angle map.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .beampattern import angle_map
-from .codebook import JointCodebook
-from .pairing import BACKWARD, FORWARD, PairingConfig, mode_bound, pairing_slopes
+from .codebook import JointCodebook, snap
+from .pairing import BACKWARD, PairingConfig, mode_bound, pairing_slopes, resolve_mode
 from .physmodel import ChannelResponse, PrecoderConfig, RayKernel, SystemConfig
 
 # Not called in this module: kept as its attributes only so that span tracers
@@ -41,22 +43,21 @@ __all__ = [
     "coarse_estimate",
 ]
 
-_PAIRING_MODES = ("auto", FORWARD, BACKWARD, "sweep")
-
 
 @dataclass(frozen=True, eq=False)
 class TrackingPlan:
     """L slots covering [theta0 - alpha, theta0 + alpha] in L fractions, as read-only (L,) arrays.
 
     Slot l is centered at ``centers[l]`` with radius ``alpha / slots`` and
-    precodes with the slopes ``psi[l]`` and ``t_aux[l]``; ``slots`` is
-    ``len(psi)``.  ``pairing_mode`` is the :func:`plan_tracking` mode that
-    paired the slots.  Two views are built on first use: ``kernel``, the
-    :class:`RayKernel` over the slopes, which :func:`run_tracking` and the
-    refinement use (a batch of frames, :func:`~thztrack.harness.run_trial`,
-    makes its pilots with one kernel over every frame's slopes), and
-    ``pairings``, each slot as a :class:`PairingConfig` with its mode,
-    center, radius and ``over_bound`` flag, which no sweep frame builds.
+    precodes with the slopes ``psi[l]`` and ``t_aux[l]``, which
+    :func:`plan_tracking` computes slot by slot as floats; ``slots`` is
+    ``len(psi)`` and ``pairing_mode`` the mode that paired the slots.  Two
+    views are built on first use: ``kernel``, the :class:`RayKernel` over the
+    slopes, which :func:`run_tracking` and the refinement use (a batch of
+    frames, :func:`~thztrack.harness.run_trial`, makes its pilots with one
+    kernel over every frame's slopes), and ``pairings``, each slot as a
+    :class:`PairingConfig` with its mode, center, radius and ``over_bound``
+    flag, which no sweep frame builds.
     """
 
     theta0: float
@@ -87,9 +88,7 @@ class TrackingPlan:
         radius = self.alpha / self.slots
         out = []
         for center, psi, t_aux in slots:
-            mode = self.pairing_mode
-            if mode == "auto":
-                mode = BACKWARD if center >= 0 else FORWARD
+            mode = resolve_mode(center, self.pairing_mode)
             out.append(PairingConfig(psi, t_aux, mode, center, radius, radius > mode_bound(center, mode, self.cfg)))
         return tuple(out)
 
@@ -111,15 +110,6 @@ class TrackingEstimate:
     theta_hat: float
 
 
-@lru_cache(maxsize=64)
-def _slot_offsets(alpha: float, slots: int) -> np.ndarray:
-    """Offsets (2l - 1)*alpha/slots, l = 1..slots, of the slot centers from theta0 - alpha; read-only."""
-    l = np.arange(1, slots + 1)
-    offsets = (2 * l - 1) * alpha / slots
-    offsets.flags.writeable = False
-    return offsets
-
-
 def plan_tracking(
     theta0: float,
     alpha: float,
@@ -131,25 +121,24 @@ def plan_tracking(
     """Split [theta0 - alpha, theta0 + alpha] into ``slots`` fractions and pair each.
 
     ``pairing_mode`` is "auto" (sign-of-center rule), "forward"/"backward"
-    (forced, for baselines), or "sweep" (one beam per slot).  All slots are
-    paired in one array pass (:func:`~thztrack.pairing.pairing_slopes`) and,
-    given a ``codebook``, their slopes snapped in one
-    (:meth:`~thztrack.codebook.QuantGrid.nearest`); each slot equals its
-    scalar :func:`~thztrack.pairing.make_pairing` and
+    (forced, for baselines), or "sweep" (one beam per slot).  Each slot is
+    three Python floats: its center, then its slopes from
+    :func:`~thztrack.pairing.pairing_slopes` and, given a ``codebook``,
+    :func:`~thztrack.codebook.snap`, so it equals its scalar
+    :func:`~thztrack.pairing.make_pairing` and
     :func:`~thztrack.codebook.quantized_pairing` bit for bit.  A slot radius
     beyond its pairing's :func:`~thztrack.pairing.mode_bound` is allowed and
     flagged by the pairing's ``over_bound``; tracking with it may fail.
     """
-    if slots < 1:
-        raise ValueError("slots must be a positive integer")
+    # a Python int first: the Integral check is an ABC check, costing more than a slot
+    if (type(slots) is not int and (isinstance(slots, bool) or not isinstance(slots, numbers.Integral))) or slots < 1:
+        raise ValueError(f"slots must be a positive integer, got {slots!r}")
     # written so that nan fails them too
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     if not abs(theta0) + alpha <= 1 + 1e-12:
         raise ValueError(f"searched interval [{theta0 - alpha}, {theta0 + alpha}] leaves [-1, 1]")
-    if pairing_mode not in _PAIRING_MODES:
-        raise ValueError(f"unknown pairing mode {pairing_mode!r}")
-    centers = theta0 - alpha + _slot_offsets(alpha, slots)
+    centers = [theta0 - alpha + (2 * l - 1) * alpha / slots for l in range(1, slots + 1)]
     if pairing_mode == "sweep":
         # one beam per slot: both slopes point at the fraction center, so
         # every subcarrier maps to the same angle
@@ -158,17 +147,15 @@ def plan_tracking(
         # the centers ascend, so the two ends are the widest
         if not (abs(centers[0]) <= 1 and abs(centers[-1]) <= 1):
             raise ValueError("slot centers must lie in [-1, 1]")
-        if pairing_mode == "auto":
-            # -1 where centers >= 0: a sum of a float and a positive offset is never -0.0
-            sign = np.copysign(1.0, -centers)
-        else:
-            sign = 1.0 if pairing_mode == FORWARD else -1.0
-        psi, t_aux = pairing_slopes(centers, alpha / slots, sign, cfg)
+        radius = alpha / slots
+        psi, t_aux = zip(*[pairing_slopes(c, radius, resolve_mode(c, pairing_mode), cfg) for c in centers])
     if codebook is not None:
-        psi, t_aux = codebook.psi_grid.nearest(psi), codebook.t_grid.nearest(t_aux)
-    for row in (centers, psi, t_aux):
-        row.setflags(write=False)
-    return TrackingPlan(theta0, alpha, centers, psi, t_aux, cfg, pairing_mode)
+        psi = [snap(v, codebook.psi_grid) for v in psi]
+        t_aux = [snap(v, codebook.t_grid) for v in t_aux]
+    # the three rows as slices of one read-only array: one conversion and one flag
+    flat = np.array([*centers, *psi, *t_aux], dtype=float)
+    flat.setflags(write=False)
+    return TrackingPlan(theta0, alpha, flat[:slots], flat[slots:-slots], flat[-slots:], cfg, pairing_mode)
 
 
 def pilot_normals(rng: np.random.Generator | int | list[int], slots: int, n_subcarriers: int) -> np.ndarray:

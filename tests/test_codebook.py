@@ -112,6 +112,11 @@ class TestSnap:
         assert snap(1.5, cb.t_grid) == pytest.approx(1.25)
         assert snap(-7.0, cb.t_grid) == pytest.approx(-1.25)
 
+    def test_one_codeword_and_empty_grids(self):
+        assert [snap(v, QuantGrid(np.array([0.5]))) for v in (-np.inf, -2.0, 0.5, 3.0, np.inf)] == [0.5] * 5
+        with pytest.raises(ValueError, match="empty"):
+            snap(0.1, QuantGrid(np.array([])))
+
     def test_tie_breaks_to_smaller(self, cb):
         step = 2.0 / 256
         midpoint = 0.0 + step / 2
@@ -124,7 +129,7 @@ class TestSnap:
     def test_matches_nearest_codeword_search(self, cb):
         rng = np.random.default_rng(5)
         values = cb.t_grid.values
-        for v in np.concatenate([rng.uniform(-2.0, 2.0, 500), values, values[:-1] + np.diff(values) / 2]):
+        for v in np.concatenate([rng.uniform(-2.0, 2.0, 500), values, values[:-1] + np.diff(values) / 2, [-np.inf, np.inf]]):
             i = int(np.searchsorted(values, v))
             lo, hi = values[max(i - 1, 0)], values[min(i, len(values) - 1)]
             want = lo if v - lo <= hi - v else hi
@@ -133,47 +138,13 @@ class TestSnap:
 
 
 class TestNearest:
-    """``QuantGrid.nearest`` is :func:`snap` of each entry, bit for bit."""
-
-    @staticmethod
-    def assert_snaps(grid, values):
-        got = grid.nearest(np.asarray(values, dtype=float))
-        assert got.tolist() == [snap(float(v), grid) for v in values]
-
-    def test_exact_midpoints_tie_to_the_smaller_codeword(self):
-        # dyadic codewords, so each midpoint is an exact tie: value - left == right - value
-        grid = QuantGrid(np.array([-1.0, -0.5, 0.0, 0.25, 1.0]))
-        midpoints = [-0.75, -0.25, 0.125, 0.625]
-        assert grid.nearest(np.array(midpoints)).tolist() == [-1.0, -0.5, 0.0, 0.25]
-        self.assert_snaps(grid, midpoints)
-
-    def test_matches_snap_on_both_codebook_grids(self, cb):
-        rng = np.random.default_rng(11)
-        for grid in (cb.psi_grid, cb.t_grid):
-            v = grid.values
-            ends = [v[0] - 1.0, np.nextafter(v[0], -np.inf), v[-1] + 1.0, np.nextafter(v[-1], np.inf), -np.inf, np.inf]
-            values = np.concatenate([v, (v[:-1] + v[1:]) / 2, v[:-1] + np.diff(v) / 2, ends,
-                                     rng.uniform(2 * v[0], 2 * v[-1], 500)])
-            mid = (v[:-1] + v[1:]) / 2
-            assert np.count_nonzero(mid - v[:-1] == v[1:] - mid) > len(v) // 2  # exact ties are among them
-            self.assert_snaps(grid, values)
+    """:func:`snap` gives the nearest codeword, clamping to the end codewords."""
 
     def test_values_beyond_both_ends_clamp(self, cb):
         for grid in (cb.psi_grid, cb.t_grid):
-            v = grid.values
+            v = grid.points
             beyond = [-np.inf, v[0] - 5.0, v[-1] + 5.0, np.inf]
-            assert grid.nearest(np.array(beyond)).tolist() == [v[0], v[0], v[-1], v[-1]]
-            self.assert_snaps(grid, beyond)
-
-    def test_one_codeword_and_empty_grids(self):
-        self.assert_snaps(QuantGrid(np.array([0.5])), [-2.0, 0.5, 3.0])
-        with pytest.raises(ValueError, match="empty"):
-            QuantGrid(np.array([])).nearest(np.array([0.1]))
-
-    @pytest.mark.parametrize("values", [[np.nan], [0.1, np.nan, 0.3], [np.inf, np.nan]])
-    def test_nan_raises(self, cb, values):
-        with pytest.raises(ValueError, match="nan"):
-            cb.t_grid.nearest(np.array(values))
+            assert [snap(x, grid) for x in beyond] == [v[0], v[0], v[-1], v[-1]]
 
 
 class TestQuantizedPairing:

@@ -285,6 +285,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="gain_sigma"):
             ScenarioConfig(gain_sigma=-0.5)
 
+    @pytest.mark.parametrize("gain_sigma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_gain_sigma(self, gain_sigma):
+        # either makes every gain draw nan
+        with pytest.raises(ValueError, match="gain_sigma must be finite and nonnegative"):
+            ScenarioConfig(gain_sigma=gain_sigma)
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             ScenarioConfig(seed=-1)
@@ -308,6 +314,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="snr_db entry|'snr_db' must be a finite number"):
             scenario_from_mapping({"snr_db": [snr_db]})
         assert ScenarioConfig(snr_db=(-3000.0, 3000.0)).snr_db == (-3000.0, 3000.0)
+
+    @pytest.mark.parametrize("slots", [(2.5,), (2, 4.0), (True,)])
+    def test_rejects_slot_counts_that_are_not_integers(self, slots):
+        with pytest.raises(ValueError, match="slots entries must be positive integers"):
+            ScenarioConfig(slots=slots)
+        assert ScenarioConfig(slots=(np.int64(2), 4)).slots == (2, 4)
 
     @pytest.mark.parametrize("slots", [[4, 0], [4, -2], [0]])
     def test_rejects_slot_counts_below_one_before_any_frame(self, cfg, monkeypatch, slots):

@@ -82,6 +82,13 @@ class TestPlanTracking:
         with pytest.raises(ValueError, match="pairing mode"):
             plan_tracking(0.4, 0.2, 4, cfg, pairing_mode="sideways")
 
+    @pytest.mark.parametrize("slots", [2.5, 3.0, True, 0, -1])
+    def test_slot_count_that_is_not_a_positive_integer_raises(self, cfg, slots):
+        # 2.5 would tile the interval with 3 slots, the last centred on its edge
+        with pytest.raises(ValueError, match="slots must be a positive integer"):
+            plan_tracking(0.3, 0.2, slots, cfg)
+        assert plan_tracking(0.3, 0.2, np.int64(3), cfg).centers.tolist() == plan_tracking(0.3, 0.2, 3, cfg).centers.tolist()
+
     # an over-bound slot is reported by its pairing's over_bound flag alone:
     # plan_tracking does not warn, and the suite turns any RuntimeWarning into an error
 
