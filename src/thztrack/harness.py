@@ -36,12 +36,7 @@ import numpy as np
 from .codebook import build_codebook, snap
 from .leakage import CprState, DegenerateGeometryError, build_cpr_problem, refine
 from .physmodel import (
-    ChannelResponse,
-    PathComponent,
-    RayKernel,
-    SystemConfig,
-    channel_response,
-    default_config,
+    ChannelResponse, PathComponent, RayKernel, SystemConfig, channel_response, default_config,
 )
 from .tracker import (
     TrackingEstimate, TrackingObservation, TrackingPlan, coarse_estimate, observe, pilot_normals, plan_tracking,
@@ -116,10 +111,14 @@ class ScenarioConfig:
             raise ValueError(f"snr_db entry {snr!r} gives a pilot noise that is not finite and positive")
         if not 0 < self.zeta_max < 1:
             raise ValueError("zeta_max must lie in (0, 1)")
-        if self.trials < 1 or self.users < 1:
-            raise ValueError("trials and users must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for key, low in (("users", 1), ("trials", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                rule = "trials and users must be positive integers" if low else "seed must be a nonnegative integer"
+                raise ValueError(f"{rule}: {key} is {value!r}")
+        for key in ("compensation", "codebook"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValueError(f"{key} must be True or False, got {getattr(self, key)!r}")
         # written so that nan fails it too
         if not 0 <= self.gain_sigma < math.inf:
             raise ValueError(f"gain_sigma must be finite and nonnegative, got {self.gain_sigma!r}")

@@ -5,7 +5,7 @@ This module removes that bias by fitting the single-ray model
 
     y_hat_m  ~=  g * exp(j*tau_m) * c_m(theta),      m = -M..M
 
-to the stacked per-subcarrier observations, where c_m(theta)[l] =
+to y_hat_m, column m of the pilot matrix Y (L, 2M+1), where c_m(theta)[l] =
 a_m(theta)^H f_{l,m} is the noiseless unit-gain response of slot l.  The
 common amplitude g, the per-subcarrier phases tau_m and the angle theta are
 updated in turn: g by scalar least squares on the moduli, tau_m in closed
@@ -39,12 +39,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CprProblem:
-    """Stacked observations y_hat (2M+1, L) and the tracking plan whose slots produced them.
+    """Observations y_hat (L, 2M+1), the pilot matrix Y itself, and the tracking plan whose slots produced them.
 
     The solver evaluates the slot responses in closed form through
     ``kernel``, the plan's :class:`RayKernel`, and reuses ``abs_y`` =
     |y_hat|, built on first use for this instance.  ``b_mats``, the dense
-    precoders of shape (2M+1, n_bs, L), is built on first use as an oracle
+    precoders of shape (L, 2M+1, n_bs), is built on first use as an oracle
     view.
     """
 
@@ -61,7 +61,7 @@ class CprProblem:
 
     @cached_property
     def b_mats(self) -> np.ndarray:
-        return np.stack([precoder_matrix(pc, self.cfg) for pc in self.plan.pairings], axis=-1)
+        return np.stack([precoder_matrix(pc, self.cfg) for pc in self.plan.pairings])
 
     @cached_property
     def abs_y(self) -> np.ndarray:
@@ -69,9 +69,8 @@ class CprProblem:
 
 
 def build_cpr_problem(obs: TrackingObservation) -> CprProblem:
-    """Reshape a tracking observation into per-subcarrier stacks: y_hat[m, l] equals obs.y[l, m] exactly."""
-    # copied to C order: each subcarrier's row is contiguous, and the problem shares no memory with obs.y
-    return CprProblem(obs.y.T.copy(), obs.plan)
+    """The CPR problem of a tracking observation: y_hat is obs.y, read-only, with no copy."""
+    return CprProblem(obs.y, obs.plan)
 
 
 @dataclass(frozen=True)
@@ -96,11 +95,6 @@ _EPS = float_info.epsilon
 _MAX_STEP = 1e-2
 
 
-def _model(g: float, phasors: np.ndarray) -> np.ndarray:
-    """The per-subcarrier factor g*exp(j*tau_m) of the single-ray model, as a column, from the phasors exp(j*tau_m)."""
-    return (g * phasors)[:, None]
-
-
 def _residual_matrix(prob: CprProblem, c: np.ndarray, model: np.ndarray) -> np.ndarray:
     return prob.y_hat - model * c
 
@@ -123,7 +117,7 @@ def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A vanished z_m has tau_m = angle(0) = 0, so its phasor is 1.
     """
-    z = np.einsum("ml,ml->m", c.conj(), prob.y_hat)
+    z = np.einsum("lm,lm->m", c.conj(), prob.y_hat)
     abs_z = np.abs(z)
     if np.count_nonzero(abs_z) == abs_z.size:
         return z, z / abs_z
@@ -136,7 +130,7 @@ def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def objective(prob: CprProblem, theta: float, g: float, taus: np.ndarray) -> float:
     """Sum of squared residuals of the single-ray fit at the given parameters."""
-    return _sum_sq(_residual_matrix(prob, prob.kernel(theta), _model(g, np.exp(1j * taus))))
+    return _sum_sq(_residual_matrix(prob, prob.kernel(theta), g * np.exp(1j * taus)))
 
 
 def modulus_objective(prob: CprProblem, theta: float, g: float) -> float:
@@ -171,7 +165,7 @@ def _gradient(r: np.ndarray, model: np.ndarray, dc: np.ndarray) -> float:
 def objective_gradient(prob: CprProblem, state: CprState) -> float:
     """Derivative of the residual with respect to the angle at the current state."""
     ev = prob.kernel.evaluate(state.theta)
-    model = _model(state.g, np.exp(1j * state.taus))
+    model = state.g * np.exp(1j * state.taus)
     return _gradient(_residual_matrix(prob, ev.c, model), model, prob.kernel.slope(ev))
 
 
@@ -224,7 +218,8 @@ def refine(
         # ev and dc belong to theta: the start's, or the last accepted candidate's
         g = _gain(prob, ev.amp)
         z, phasors = _phases(prob, ev.c)
-        model = _model(g, phasors)
+        # the model's per-subcarrier factor g*exp(j*tau_m), a row against the (L, 2M+1) responses
+        model = g * phasors
         r = _residual_matrix(prob, ev.c, model)
         eps = _sum_sq(r)
         grad = _gradient(r, model, dc)

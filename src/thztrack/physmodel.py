@@ -7,6 +7,8 @@ are spatial directions in [-1, 1] (normalized sine of the physical angle).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -49,12 +51,15 @@ class SystemConfig:
     m_half: int
 
     def __post_init__(self):
-        if min(self.n_bs, self.n_ttd, self.p, self.m_half) <= 0:
-            raise ValueError("array and subcarrier counts must be positive")
+        for key in ("n_bs", "n_ttd", "p", "m_half"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{key} must be a positive integer, got {value!r}")
         if self.n_ttd * self.p != self.n_bs:
             raise ValueError(f"n_ttd*p = {self.n_ttd * self.p} != n_bs = {self.n_bs}")
-        if self.f_c <= 0 or self.bandwidth <= 0:
-            raise ValueError("f_c and bandwidth must be positive")
+        for key in ("f_c", "bandwidth"):  # written so that nan fails the check too
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)!r}")
         if self.m_half * self.f_d >= self.f_c:
             raise ValueError("half-band m_half*f_d must stay below the carrier f_c")
 
@@ -93,9 +98,9 @@ class SystemConfig:
 
     @cached_property
     def _ratios(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-subcarrier f_m/f_c, f_b/f_c and (pi/2)*f_m/f_c as read-only columns (2M+1, 1), shared by every kernel."""
-        rho = (self.frequencies / self.f_c)[:, None]
-        ratios = rho, (self.m_indices * self.f_d / self.f_c)[:, None], 0.5 * np.pi * rho
+        """Per-subcarrier f_m/f_c, f_b/f_c and (pi/2)*f_m/f_c as read-only rows (2M+1,), shared by every kernel."""
+        rho = self.frequencies / self.f_c
+        ratios = rho, self.m_indices * self.f_d / self.f_c, 0.5 * np.pi * rho
         for r in ratios:
             r.setflags(write=False)
         return ratios
@@ -120,9 +125,6 @@ class SubcarrierGrid:
     def from_config(cls, cfg: SystemConfig) -> "SubcarrierGrid":
         m = cfg.m_indices
         return cls(frequencies=cfg.frequencies, baseband=m * cfg.f_d, m_indices=m)
-
-    def __len__(self) -> int:
-        return len(self.m_indices)
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ class ChannelResponse:
         return self.path.gain * steering_vector(cfg.frequencies, self.path.direction, cfg.n_bs, cfg.f_c)
 
     def precoded(self, kernel: "RayKernel") -> np.ndarray:
-        """Received responses h_m^H f_{l,m} against the slots of ``kernel``; shape (2M+1, L)."""
+        """Received responses h_m^H f_{l,m} against the slots of ``kernel``; shape (L, 2M+1)."""
         return self.received(kernel(self.path.direction))
 
     def received(self, c: np.ndarray) -> np.ndarray:
@@ -289,7 +291,7 @@ class RayEval(NamedTuple):
 class RayKernel:
     """Closed-form responses of one ray against fixed slot slopes ``psi``, ``t_aux`` ([...,] L).
 
-    The n_bs-term inner product c[m, l] = a_m(theta)^H f_{l,m} factors into a
+    The n_bs-term inner product c[l, m] = a_m(theta)^H f_{l,m} factors into a
     p-element phase-shifter window and an n_ttd-element delay beam,
 
         c = G_p(x) * G_{n_ttd}(p*(x - (f_b/f_c)*t_aux)),  x = (f_m/f_c)*theta - psi,
@@ -298,12 +300,13 @@ class RayKernel:
     not depend on theta; :meth:`evaluate` keeps the factors of c so that
     :meth:`slope` adds dc/dtheta without evaluating c again.
 
-    With 1-D slopes, ``theta`` is a scalar or a 1-D array of K angles; K
-    angles give (K, 2M+1, L) arrays.  Slopes with leading axes, say (U, L),
-    are U kernels at once: their leading shape broadcasts against the
-    angle's, so U angles give (U, 2M+1, L) arrays whose row u is kernel u at
-    angle u.  Either way a slice equals the call of its own slopes at its own
-    angle bit for bit, as every element gets the same arithmetic.
+    Every array has a slot axis, then a subcarrier axis, (L, 2M+1): the
+    order of the pilot matrix Y.  With 1-D slopes, ``theta`` is a scalar or a
+    1-D array of K angles; K angles give (K, L, 2M+1) arrays.  Slopes with
+    leading axes, say (U, L), are U kernels at once: their leading shape
+    broadcasts against the angle's, so U angles give (U, L, 2M+1) arrays whose
+    entry u is kernel u at angle u.  Either way a slice equals the call of its
+    own slopes at its own angle bit for bit, as every element gets the same arithmetic.
     """
 
     def __init__(self, psi, t_aux, cfg: SystemConfig):
@@ -313,9 +316,9 @@ class RayKernel:
             raise ValueError(f"slot slope length mismatch: psi {psi.shape} vs t_aux {t_aux.shape}")
         self._rho, fb_ratio, self._slope_scale = cfg._ratios
         self.cfg = cfg
-        # a subcarrier axis before the slot axis: ([...,] 1, L) and ([...,] 2M+1, L)
-        self._psi = psi[..., None, :]
-        self._delay = fb_ratio * t_aux[..., None, :]
+        # a slot axis before the subcarrier axis: ([...,] L, 1) and ([...,] L, 2M+1)
+        self._psi = psi[..., :, None]
+        self._delay = fb_ratio * t_aux[..., :, None]
 
     def _factors(self, theta: float | np.ndarray) -> tuple[_Dirichlet, _Dirichlet]:
         """The window and beam Dirichlet ratios at ``theta`` (see the class for its shapes)."""
@@ -334,12 +337,12 @@ class RayKernel:
         return window, _dirichlet(cfg.n_ttd, cfg.p * (window.z - self._delay))
 
     def amplitude(self, theta: float | np.ndarray) -> np.ndarray:
-        """Real amplitude D_p * D_N ([...,] 2M+1, L) of c at ``theta``: |c| = |amplitude|, without the rotation."""
+        """Real amplitude D_p * D_N ([...,] L, 2M+1) of c at ``theta``: |c| = |amplitude|, without the rotation."""
         window, beam = self._factors(theta)
         return window.ratio * beam.ratio
 
     def evaluate(self, theta: float | np.ndarray) -> RayEval:
-        """Responses c ([...,] 2M+1, L) at ``theta``, with their factors."""
+        """Responses c ([...,] L, 2M+1) at ``theta``, with their factors."""
         cfg = self.cfg
         window, beam = self._factors(theta)
         # the two phase centers exp(j*pi*(n-1)*z/2) combine into one rotation
@@ -372,7 +375,7 @@ class RayKernel:
         return out
 
     def __call__(self, theta: float | np.ndarray) -> np.ndarray:
-        """c ([...,] 2M+1, L) at ``theta``."""
+        """c ([...,] L, 2M+1) at ``theta``."""
         return self.evaluate(theta).c
 
 
@@ -385,8 +388,8 @@ def precoder_matrix(pc: PrecoderConfig, cfg: SystemConfig) -> np.ndarray:
     """
     k = np.arange(cfg.n_bs)
     q = k // cfg.p
-    fb_ratios = cfg._ratios[1]
-    phase = k[None, :] * pc.psi + fb_ratios * (cfg.p * q) * pc.t_aux
+    fb_ratios = cfg._ratios[1][:, None]
+    phase = k * pc.psi + fb_ratios * (cfg.p * q) * pc.t_aux
     return np.exp(-1j * np.pi * phase)
 
 

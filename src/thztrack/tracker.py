@@ -192,32 +192,34 @@ def observe(
     noise_std: float = 0.0,
     normals: np.ndarray | None = None,
 ) -> TrackingObservation:
-    """The pilot matrix Y of ``plan`` from its noiseless ``response`` (2M+1, L), h_m^H f_{l,m}.
+    """The pilot matrix Y (L, 2M+1) of ``plan`` from its noiseless ``response`` h_m^H f_{l,m}, in Y's order.
 
-    Y is the transposed response plus circular complex noise of variance
-    noise_std**2, built from ``normals``, the standard normals of
-    :func:`pilot_normals`: their first ``plan.slots`` slabs are used and left
-    unchanged.  Normals, whenever given, must cover ``plan.slots`` slots of
-    2*m_half+1 subcarriers; a noisy call needs them, a noiseless one only
-    checks them.
+    Y is the response plus circular complex noise of variance noise_std**2,
+    built from ``normals``, the standard normals of :func:`pilot_normals`:
+    their first ``plan.slots`` slabs are used and left unchanged.  Normals,
+    whenever given, must cover ``plan.slots`` slots of 2*m_half+1
+    subcarriers; a noisy call needs them, a noiseless one only checks them.
+    Y is read-only; a noiseless Y is a view of the response.
     """
     n_sub, slots = plan.cfg.n_subcarriers, len(plan.psi)
-    if response.shape != (n_sub, slots):
-        raise ValueError(f"a response of shape {response.shape} is not one row of 2*m_half+1 = "
-                         f"{n_sub} subcarriers by slots = {slots}")
+    if response.shape != (slots, n_sub):
+        raise ValueError(f"a response of shape {response.shape} is not one row of 2*m_half+1 = {n_sub} "
+                         f"subcarriers for each of slots = {slots}")
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std!r}")
+    if noise_std > 0 and normals is None:
+        raise ValueError("noisy pilots need their standard normals: pass normals=pilot_normals(...)")
     if normals is not None:
         normals = np.asarray(normals)
         if normals.shape[1:] != (n_sub, 2) or len(normals) < slots:
             raise ValueError(f"pilot normals of shape {normals.shape} do not cover slots = {slots} "
                              f"of 2*m_half+1 = {n_sub} subcarriers")
-    y = response.T.copy()
     if noise_std > 0:
-        if normals is None:
-            raise ValueError("noisy pilots need their standard normals: pass normals=pilot_normals(...)")
         # each (re, im) pair of draws is read as one complex sample
-        y += (normals[:slots] * (noise_std / math.sqrt(2.0))).view(complex)[..., 0]
+        y = response + (normals[:slots] * (noise_std / math.sqrt(2.0))).view(complex)[..., 0]
+    else:
+        y = response.view()
+    y.setflags(write=False)
     return TrackingObservation(y, plan)
 
 

@@ -1,7 +1,9 @@
-"""The benchmark's row check on the first seed of each pool of each workload, so that a moved row fails here too.
+"""The benchmark's row check on every seed of both pools of each workload, so that a moved row fails here too.
 
-The held-out pool's seed is checked as well as the default pool's, so a row
-that moves on inputs no change was tuned for fails here.
+Any row the benchmark would count as a failed frame fails here: the
+held-out pool is checked as well as the default one, so a row that moves on
+inputs no change was tuned for fails too.  The first seed of each pool keeps
+its own test; the other seeds share one.
 
 The sweeps run through ``thztrack.cli.main`` with the workload's own
 scenario file and arguments, and their CSV rows are compared with the
@@ -45,3 +47,9 @@ def test_pool_seed_1_rows_match_the_reference(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_held_out_seed_1001_rows_match_the_reference(name, tmp_path):
     _check_rows(name, workloads.HELD_OUT_POOL[0], tmp_path)
+
+
+@pytest.mark.parametrize("seed", workloads.DEFAULT_POOL[1:] + workloads.HELD_OUT_POOL[1:])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_other_pool_seed_rows_match_the_reference(name, seed, tmp_path):
+    _check_rows(name, seed, tmp_path)

@@ -2,6 +2,7 @@ import collections
 import inspect
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -294,6 +295,24 @@ class TestScenarioConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             ScenarioConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("users", 1.5), ("users", True), ("users", 2.0), ("trials", 2.5), ("trials", False), ("seed", 1.5),
+         ("seed", True), ("seed", "3")],
+    )
+    def test_rejects_counts_that_are_not_integers(self, key, value):
+        # a float count used to pass and fail later with a TypeError, and True counted as 1
+        with pytest.raises(ValueError, match=rf"must be (positive|a nonnegative) integers?: {key} is {re.escape(repr(value))}$"):
+            ScenarioConfig(**{key: value})
+        assert ScenarioConfig(users=np.int64(2), trials=np.int64(3), seed=np.int64(0)).users == 2
+
+    @pytest.mark.parametrize("key", ["compensation", "codebook"])
+    @pytest.mark.parametrize("value", ["no", "false", 1, 0, None, np.float64(1.0)])
+    def test_rejects_flags_that_are_not_bools(self, key, value):
+        # the truthy string "no" used to turn compensation on
+        with pytest.raises(ValueError, match=f"^{key} must be True or False, got {re.escape(repr(value))}$"):
+            ScenarioConfig(**{key: value})
 
     @pytest.mark.parametrize("theta_grid", [(0.3, 1.5), (-0.995,), (float("nan"),)])
     def test_rejects_theta_grid_beyond_direction_cap(self, theta_grid):

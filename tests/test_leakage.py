@@ -55,9 +55,8 @@ def synthetic_problem(plan, cfg, freqs, theta, g0, taus0):
     c = np.stack(
         [np.einsum("mn,mn->m", a.conj(), precoder_matrix(pc, cfg))
          for pc in plan.pairings],
-        axis=1,
     )
-    y_hat = g0 * np.exp(1j * taus0)[:, None] * c
+    y_hat = g0 * np.exp(1j * taus0) * c
     obs = run_tracking(plan, channel_response(PathComponent(1.0 + 0j, theta), cfg), 0.0)
     return replace(build_cpr_problem(obs), y_hat=y_hat)
 
@@ -74,8 +73,17 @@ class TestBuildProblem:
         ch = channel_response(PathComponent(1.0 + 0j, 0.4), cfg)
         obs = run_tracking(plan, ch, noise_std=3.0, normals=pilot_normals(8, plan.slots, cfg.n_subcarriers))
         prob = build_cpr_problem(obs)
-        np.testing.assert_array_equal(prob.y_hat, obs.y.T)
+        np.testing.assert_array_equal(prob.y_hat, obs.y)
         assert prob.y_hat.flags.c_contiguous
+
+    @pytest.mark.parametrize("noise_std", [0.0, 3.0])
+    def test_problem_holds_the_read_only_pilots_themselves(self, cfg, plan, noise_std):
+        ch = channel_response(PathComponent(1.0 + 0j, 0.4), cfg)
+        obs = run_tracking(plan, ch, noise_std, pilot_normals(8, plan.slots, cfg.n_subcarriers))
+        assert not obs.y.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            obs.y[0, 0] = 0.0
+        assert build_cpr_problem(obs).y_hat is obs.y
 
     def test_problem_is_the_observation_and_its_plan(self, cfg, plan):
         obs = run_tracking(plan, channel_response(PathComponent(1.0 + 0j, 0.4), cfg), 0.0)
@@ -88,16 +96,16 @@ class TestBuildProblem:
     def test_dimensions(self, cfg, plan):
         ch = channel_response(PathComponent(1.0 + 0j, 0.4), cfg)
         prob = build_cpr_problem(run_tracking(plan, ch, 0.0))
-        assert prob.y_hat.shape == (cfg.n_subcarriers, plan.slots)
-        assert prob.b_mats.shape == (cfg.n_subcarriers, cfg.n_bs, plan.slots)
+        assert prob.y_hat.shape == (plan.slots, cfg.n_subcarriers)
+        assert prob.b_mats.shape == (plan.slots, cfg.n_subcarriers, cfg.n_bs)
 
     def test_single_slot_columns(self, cfg):
         plan1 = plan_tracking(0.42, 0.05, 1, cfg)
         ch = channel_response(PathComponent(1.0 + 0j, 0.4), cfg)
         prob = build_cpr_problem(run_tracking(plan1, ch, 0.0))
-        assert prob.y_hat.shape[1] == 1
+        assert prob.y_hat.shape[0] == 1
         expected = precoder_matrix(plan1.pairings[0], cfg)[0]
-        np.testing.assert_allclose(prob.b_mats[0, :, 0], expected)
+        np.testing.assert_allclose(prob.b_mats[0, 0, :], expected)
 
 
 class TestUpdateGain:
@@ -321,14 +329,14 @@ def _reference_refine(prob, theta_init, max_iter, tol, step=1e-2):
         at_theta = CprState(theta=theta, g=g_prev, taus=taus, residual=eps)
         g = update_gain(prob, at_theta)
         taus = update_phases(prob, at_theta)
-        z = np.einsum("ml,ml->m", kernel(theta).conj(), prob.y_hat)
+        z = np.einsum("lm,lm->m", kernel(theta).conj(), prob.y_hat)
         abs_z = np.abs(z)
         vanished = abs_z == 0.0
         abs_z[vanished] = 1.0
         phasors = z / abs_z
         phasors[vanished] = 1.0
         np.testing.assert_array_equal(np.angle(z), taus)
-        model = (g * phasors)[:, None]
+        model = g * phasors
         r, eps = residual(theta, model)
         assert eps == pytest.approx(objective(prob, theta, g, taus), rel=0, abs=_PARITY_RTOL * scale)
         grad = float(-2.0 * np.vdot(r, model * kernel.slope(kernel.evaluate(theta))).real)
@@ -432,7 +440,7 @@ class TestTrajectoryParity:
 def _profile(prob, theta):
     """J(theta) = ||Y||^2 - (sum_m |z_m|)^2 / sum_m ||c_m||^2: the residual at the best gain and phases."""
     c = prob.kernel(theta)
-    z = np.einsum("ml,ml->m", c.conj(), prob.y_hat)
+    z = np.einsum("lm,lm->m", c.conj(), prob.y_hat)
     return float(np.vdot(prob.y_hat, prob.y_hat).real) - float(np.sum(np.abs(z))) ** 2 / float(np.vdot(c, c).real)
 
 

@@ -1,8 +1,9 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thztrack.beampattern import peak_map
@@ -38,6 +39,22 @@ class TestSystemConfig:
     def test_group_product_enforced(self):
         with pytest.raises(ValueError):
             SystemConfig(n_bs=256, n_ttd=16, p=15, f_c=100e9, bandwidth=10e9, m_half=64)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_bs", 256.0), ("n_ttd", 16.0), ("p", True), ("m_half", 64.5), ("m_half", 64.0), ("m_half", 0),
+         ("n_bs", "256")],
+    )
+    def test_counts_must_be_positive_integers(self, key, value):
+        # m_half = 64.5 used to give 130.0 subcarriers
+        with pytest.raises(ValueError, match=rf"^{key} must be a positive integer, got {re.escape(repr(value))}$"):
+            replace(default_config(), **{key: value})
+
+    @pytest.mark.parametrize("key", ["f_c", "bandwidth"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1e9])
+    def test_frequencies_must_be_finite_and_positive(self, key, value):
+        with pytest.raises(ValueError, match=rf"^{key} must be finite and positive, got {re.escape(repr(value))}$"):
+            replace(default_config(), **{key: value})
 
     def test_half_band_below_carrier(self):
         with pytest.raises(ValueError):
@@ -153,12 +170,12 @@ class TestSimulateRx:
 
     def test_aligned_inner_product(self, cfg):
         ch = channel_response(PathComponent(1.0 + 0j, 0.3), cfg)
-        assert ch.precoded(RayKernel([0.3], [0.3], cfg))[cfg.m_half, 0] == pytest.approx(cfg.n_bs)
+        assert ch.precoded(RayKernel([0.3], [0.3], cfg))[0, cfg.m_half] == pytest.approx(cfg.n_bs)
 
     def test_orthogonal_beams(self, cfg):
         ch = channel_response(PathComponent(1.0 + 0j, 0.5), cfg)
         psi = 0.5 + 2.0 / cfg.n_bs
-        assert abs(ch.precoded(RayKernel([psi], [psi], cfg))[cfg.m_half, 0]) == pytest.approx(0.0, abs=1e-9)
+        assert abs(ch.precoded(RayKernel([psi], [psi], cfg))[0, cfg.m_half]) == pytest.approx(0.0, abs=1e-9)
 
     def test_noise_reproducible(self, cfg):
         plan = plan_tracking(0.2, 0.05, 2, cfg)
@@ -208,7 +225,7 @@ _EPS = np.finfo(float).eps
 
 @st.composite
 def _ray_cases(draw):
-    """Random array/band and slot slopes, a third of them exactly on and a third within 1e-9 of
+    """Random array/band and 1-8 slots of slopes, a third of them exactly on and a third within 1e-9 of
     the removable singularities theta = psi = t."""
     p = draw(st.integers(1, 16))
     n_ttd = draw(st.integers(1, 16))
@@ -220,7 +237,7 @@ def _ray_cases(draw):
     )
     theta = draw(st.floats(-1.0, 1.0))
     kind = draw(st.sampled_from(("random", "singular", "near")))
-    slots = 3
+    slots = draw(st.integers(1, 8))
     if kind == "random":
         psi = draw(st.lists(st.floats(-1.0, 1.0), min_size=slots, max_size=slots))
         t_aux = draw(st.lists(st.floats(-4.0, 4.0), min_size=slots, max_size=slots))
@@ -238,24 +255,30 @@ def _dense_ray_response(system, theta, psi, t_aux):
     k = np.arange(system.n_bs)
     a = steering_vector(system.frequencies, theta, system.n_bs, system.f_c)
     da = 1j * np.pi * (system.frequencies / system.f_c)[:, None] * k * a.conj()
-    c = np.empty((system.n_subcarriers, len(psi)), dtype=complex)
+    c = np.empty((len(psi), system.n_subcarriers), dtype=complex)
     dc = np.empty_like(c)
     for l, (ps, t) in enumerate(zip(psi, t_aux)):
         f = precoder_matrix(PrecoderConfig(ps, t), system)
-        c[:, l] = np.einsum("mn,mn->m", a.conj(), f)
-        dc[:, l] = np.einsum("mn,mn->m", da, f)
+        c[l] = np.einsum("mn,mn->m", a.conj(), f)
+        dc[l] = np.einsum("mn,mn->m", da, f)
     return c, dc
 
 
 class TestRayResponse:
     @settings(max_examples=400, deadline=None)
     @given(case=_ray_cases())
+    # L = 2M+1 = 3: the responses are square, so only their values tell the slot axis from the subcarrier axis
+    @example(case=(
+        SystemConfig(n_bs=16, n_ttd=4, p=4, f_c=100e9, bandwidth=10e9, m_half=1), 0.3,
+        np.array([0.21, -0.35, 0.3]), np.array([0.6, -1.1, 0.3]),
+    ))
     def test_matches_dense_inner_products(self, case):
         system, theta, psi, t_aux = case
         kernel = RayKernel(psi, t_aux, system)
         ev = kernel.evaluate(theta)
         c, dc = ev.c, kernel.slope(ev)
         want_c, want_dc = _dense_ray_response(system, theta, psi, t_aux)
+        assert c.shape == dc.shape == want_c.shape == (len(psi), system.n_subcarriers)
         n = system.n_bs
         assert np.max(np.abs(c - want_c)) <= _RAY_TOL_C * n**2 * _EPS
         assert np.max(np.abs(dc - want_dc)) <= _RAY_TOL_C * np.pi * n**3 * _EPS
@@ -270,8 +293,8 @@ class TestRayResponse:
 
     def test_full_array_gain_at_exact_singularity(self, cfg):
         c = RayKernel([0.3, 0.3], [0.3, 0.3], cfg)(0.3)
-        assert c.shape == (cfg.n_subcarriers, 2)
-        assert c[cfg.m_half, 0] == cfg.n_bs
+        assert c.shape == (2, cfg.n_subcarriers)
+        assert c[0, cfg.m_half] == cfg.n_bs
 
     def test_channel_pilots_match_dense_channel(self, cfg):
         ch = channel_response(PathComponent(0.8 - 0.3j, 0.2), cfg)
@@ -279,7 +302,6 @@ class TestRayResponse:
         dense = np.stack(
             [np.einsum("mn,mn->m", ch.h.conj(), precoder_matrix(PrecoderConfig(ps, t), cfg))
              for ps, t in zip(psi, t_aux)],
-            axis=1,
         )
         atol = 2 * _RAY_TOL_C * cfg.n_bs**2 * _EPS
         np.testing.assert_allclose(ch.precoded(RayKernel(psi, t_aux, cfg)), dense, rtol=0, atol=atol)
@@ -331,8 +353,8 @@ class TestSlopeBranches:
         terms = np.exp(1j * np.pi * np.outer(rho * theta - psi, i))
         want_c = terms.sum(axis=1)
         want_dc = 1j * np.pi * rho * (terms @ i)
-        assert np.max(np.abs(c[:, 0] - want_c)) <= _BRANCH_TOL_C * n**2 * _EPS
-        assert np.max(np.abs(dc[:, 0] - want_dc)) <= _BRANCH_TOL_C * np.pi * n**3 * _EPS
+        assert np.max(np.abs(c[0] - want_c)) <= _BRANCH_TOL_C * n**2 * _EPS
+        assert np.max(np.abs(dc[0] - want_dc)) <= _BRANCH_TOL_C * np.pi * n**3 * _EPS
 
 
 @st.composite
@@ -377,7 +399,7 @@ class TestVectorAngles:
         kernel = RayKernel(psi, t_aux, system)
         for angles in (thetas, thetas[:1]):
             evs = kernel.evaluate(angles)
-            assert evs.c.shape == (len(angles), system.n_subcarriers, len(psi))
+            assert evs.c.shape == (len(angles), len(psi), system.n_subcarriers)
             amps, cs = kernel.amplitude(angles), kernel(angles)
             for k, theta in enumerate(angles.tolist()):
                 one = kernel.evaluate(theta)
@@ -428,7 +450,7 @@ class TestBatchedSlopes:
         users, slots = psi.shape
         kernel = RayKernel(psi, t_aux, system)
         evs = kernel.evaluate(thetas)
-        assert evs.c.shape == (users, system.n_subcarriers, slots)
+        assert evs.c.shape == (users, slots, system.n_subcarriers)
         amps = kernel.amplitude(thetas)
         # a scalar angle broadcasts against every kernel
         at_first = kernel(thetas[0])
@@ -442,7 +464,7 @@ class TestBatchedSlopes:
         # 1-D slopes keep the K-angle rule: row k is the one kernel at angle k
         first = RayKernel(psi[0], t_aux[0], system)
         many = first(thetas)
-        assert many.shape == (users, system.n_subcarriers, slots)
+        assert many.shape == (users, slots, system.n_subcarriers)
         assert all(_same_bits(many[k], first(theta)) for k, theta in enumerate(thetas.tolist()))
 
     @pytest.mark.parametrize("method", ["evaluate", "amplitude", "__call__"])
