@@ -86,8 +86,8 @@ def build_codebook(cfg: SystemConfig) -> JointCodebook:
 def snap(value: float, grid: QuantGrid) -> float:
     """Nearest codeword to ``value``; ties break toward the smaller codeword.
 
-    Values outside the grid range clamp to the extreme codeword; nan has no
-    nearest codeword and raises ``ValueError``.
+    Values outside the grid range clamp to the extreme codeword; nan, which
+    has no nearest codeword, and an empty grid raise ``ValueError``.
     """
     v = grid.points
     if not v:

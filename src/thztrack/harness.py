@@ -76,6 +76,10 @@ _NMSE_DB_FLOOR = -120.0
 _DIRECTION_CAP = 0.99
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One experiment description; list-valued fields are sweep axes."""
@@ -99,6 +103,13 @@ class ScenarioConfig:
         for key in ("snr_db", "slots"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must not be empty")
+        # real-valued keys are numbers before any comparison, so a string or None names its key
+        for key in ("zeta_max", "gain_sigma"):
+            if not _is_real(getattr(self, key)):
+                raise ValueError(f"{key} must be a real number, got {getattr(self, key)!r}")
+        for key in ("snr_db", "theta_grid"):
+            if not all(map(_is_real, getattr(self, key))):
+                raise ValueError(f"{key} entries must be real numbers, got {getattr(self, key)!r}")
         if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1 for n in self.slots):
             raise ValueError(f"slots entries must be positive integers, got {self.slots!r}")
         for snr in self.snr_db:
@@ -211,8 +222,8 @@ class FrameDraws:
 def draw_frame(scn: ScenarioConfig, trial: int, user: int) -> FrameDraws:
     """The draws of frame (``scn.seed``, ``trial``, ``user``), the same at every point of a sweep of ``scn``.
 
-    The normals are drawn for a noiseless frame too; nothing is drawn after
-    them, so no other value depends on the SNR.
+    The one place that seeds a frame's generator, with [seed, trial, user].  The normals are drawn
+    for a noiseless frame too; nothing is drawn after them, so no other value depends on the SNR.
     """
     rng = np.random.default_rng([scn.seed, trial, user])
     gain = _draw_gain(rng, scn.gain_sigma)
@@ -262,8 +273,9 @@ def _frames(
 
     Every frame is planned first; one kernel over the plans' slope arrays,
     stacked, then gives every frame's noiseless pilots, and one :func:`beamforming_gain`
-    call every frame's gain.  The noise, the coarse estimate and the
-    refinement run frame by frame.
+    call every frame's gain.  The channel, noise, coarse estimate and refinement run frame by frame, so a
+    one-user frame without refinement builds two :class:`RayKernel` (pilots, gain) and calls ``observe``
+    and ``angle_map`` once each; refinement adds only ``plan.kernel``.
     """
     cfg = scn.system
     cb = build_codebook(cfg) if scn.codebook else None
@@ -372,8 +384,8 @@ def beamforming_gain(channels: list[ChannelResponse], aims: list[float]) -> list
     config, carries the 1/sqrt(n_bs) power normalization, so the gain is
     mean_m |h_m^H f_m|^2 / n_bs.  Only the real amplitude of each ray's
     closed-form response is needed: one :meth:`RayKernel.amplitude` call
-    gives every channel's, and each gain sums its own squares.  There is one
-    aim per channel; no channels give no gains.
+    gives every channel's, and each gain sums its own squares.  There is one aim per channel, on
+    one system config, or a ValueError names what differs; no channels give no gains.
     """
     if len(aims) != len(channels):
         raise ValueError(f"{len(aims)} aims for {len(channels)} channels: each channel needs one aim")

@@ -9,7 +9,9 @@ to y_hat_m, column m of the pilot matrix Y (L, 2M+1), where c_m(theta)[l] =
 a_m(theta)^H f_{l,m} is the noiseless unit-gain response of slot l.  The
 common amplitude g, the per-subcarrier phases tau_m and the angle theta are
 updated in turn: g by scalar least squares on the moduli, tau_m in closed
-form, theta by a gradient step with a backtracking line search.
+form, theta by a gradient step with a backtracking line search.  The public
+objective, update_gain, update_phases and objective_gradient share refine's
+blocks; objective passes exp(j*tau_m) as the phasors.
 """
 
 from __future__ import annotations
@@ -184,9 +186,9 @@ def refine(
     accepted one and capped both at ``_MAX_STEP`` = 1e-2 and at a trust region of a
     quarter beam semi-width per move, which keeps the search short when the
     residual scale is large.  Each kernel call (:meth:`RayKernel.evaluate`)
-    holds two line-search angles, the trial step and its half, tested in
-    that order, so the half costs an evaluation even when the full step is
-    accepted; the accepted angle's evaluation serves the
+    holds two line-search angles, the trial step and its half (when the step
+    guard admits it), tested in that order, so the half costs an evaluation
+    even when the full step is accepted; the accepted angle's evaluation serves the
     next iteration's gain, phases and residual, and only its derivative is
     added.  Each iteration forms the residual once, for both the objective
     and the gradient.  Stops when the squared change of [g, theta]

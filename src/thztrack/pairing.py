@@ -78,7 +78,7 @@ def make_pairing(theta0: float, alpha: float, cfg: SystemConfig, mode: str = "au
         forward:  psi = theta0 + r*alpha,  t = theta0 + alpha/r
         backward: psi = theta0 - r*alpha,  t = theta0 - alpha/r
 
-    with r = m_half*f_d/f_c.
+    with r = m_half*f_d/f_c.  A theta0 outside [-1, 1] or an alpha not in (0, inf), nan included, raises.
     """
     mode = resolve_mode(theta0, mode)
     # written so that nan fails them too

@@ -57,9 +57,12 @@ class SystemConfig:
                 raise ValueError(f"{key} must be a positive integer, got {value!r}")
         if self.n_ttd * self.p != self.n_bs:
             raise ValueError(f"n_ttd*p = {self.n_ttd * self.p} != n_bs = {self.n_bs}")
-        for key in ("f_c", "bandwidth"):  # written so that nan fails the check too
-            if not 0 < getattr(self, key) < math.inf:
-                raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)!r}")
+        for key in ("f_c", "bandwidth"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
+            if not 0 < value < math.inf:  # written so that nan fails the check too
+                raise ValueError(f"{key} must be finite and positive, got {value!r}")
         if self.m_half * self.f_d >= self.f_c:
             raise ValueError("half-band m_half*f_d must stay below the carrier f_c")
 
@@ -129,7 +132,7 @@ class SubcarrierGrid:
 
 @dataclass(frozen=True)
 class PathComponent:
-    """The line-of-sight ray: complex gain and spatial direction."""
+    """The line-of-sight ray, with no excess delay: complex gain and spatial direction."""
 
     gain: complex
     direction: float
@@ -143,9 +146,9 @@ class PathComponent:
 class ChannelResponse:
     """One ray on the subcarrier grid of ``cfg``.
 
-    Only the ray is stored: :meth:`precoded` evaluates the pilot response
-    in closed form.  ``h``, the dense per-subcarrier channel matrix of shape
-    (2M+1, n_bs), is built on first use and serves as the brute-force oracle.
+    Only the ray is stored: :meth:`received` turns a closed-form response at
+    its direction into pilots.  ``h``, the dense per-subcarrier channel matrix
+    of shape (2M+1, n_bs), is built on first use as the brute-force oracle.
     """
 
     path: PathComponent
@@ -153,13 +156,9 @@ class ChannelResponse:
 
     @cached_property
     def h(self) -> np.ndarray:
-        """Dense channel vectors h_m as rows (2M+1, n_bs); the oracle of :meth:`precoded`."""
+        """Dense channel vectors h_m as rows (2M+1, n_bs); the oracle of :meth:`received`."""
         cfg = self.cfg
         return self.path.gain * steering_vector(cfg.frequencies, self.path.direction, cfg.n_bs, cfg.f_c)
-
-    def precoded(self, kernel: "RayKernel") -> np.ndarray:
-        """Received responses h_m^H f_{l,m} against the slots of ``kernel``; shape (L, 2M+1)."""
-        return self.received(kernel(self.path.direction))
 
     def received(self, c: np.ndarray) -> np.ndarray:
         """Received responses from ``c``, a kernel's responses at this ray's direction: conj(gain) * c."""
@@ -296,17 +295,17 @@ class RayKernel:
 
         c = G_p(x) * G_{n_ttd}(p*(x - (f_b/f_c)*t_aux)),  x = (f_m/f_c)*theta - psi,
 
-    so an evaluation costs O(L*(2M+1)).  The kernel holds the terms that do
-    not depend on theta; :meth:`evaluate` keeps the factors of c so that
-    :meth:`slope` adds dc/dtheta without evaluating c again.
+    so an evaluation costs O(L*(2M+1)), in few numpy calls for its small arrays (L x 129 at
+    M = 64).  The kernel holds the terms that do not depend on theta; :meth:`evaluate` keeps
+    the factors of c so that :meth:`slope` adds dc/dtheta without evaluating c again.
 
     Every array has a slot axis, then a subcarrier axis, (L, 2M+1): the
     order of the pilot matrix Y.  With 1-D slopes, ``theta`` is a scalar or a
     1-D array of K angles; K angles give (K, L, 2M+1) arrays.  Slopes with
     leading axes, say (U, L), are U kernels at once: their leading shape
-    broadcasts against the angle's, so U angles give (U, L, 2M+1) arrays whose
-    entry u is kernel u at angle u.  Either way a slice equals the call of its
-    own slopes at its own angle bit for bit, as every element gets the same arithmetic.
+    broadcasts against the angle's (else a ValueError names both shapes), so U
+    angles give (U, L, 2M+1) arrays whose entry u is kernel u at angle u.  A
+    slice equals the call of its own slopes at its own angle bit for bit.
     """
 
     def __init__(self, psi, t_aux, cfg: SystemConfig):

@@ -57,7 +57,7 @@ class TrackingPlan:
     frames, :func:`~thztrack.harness.run_trial`, makes its pilots with one
     kernel over every frame's slopes), and ``pairings``, each slot as a
     :class:`PairingConfig` with its mode, center, radius and ``over_bound``
-    flag, which no sweep frame builds.
+    flag, which no sweep frame builds, so no frame evaluates a radius bound.
     """
 
     theta0: float
@@ -120,15 +120,14 @@ def plan_tracking(
 ) -> TrackingPlan:
     """Split [theta0 - alpha, theta0 + alpha] into ``slots`` fractions and pair each.
 
-    ``pairing_mode`` is "auto" (sign-of-center rule), "forward"/"backward"
-    (forced, for baselines), or "sweep" (one beam per slot).  Each slot is
-    three Python floats: its center, then its slopes from
-    :func:`~thztrack.pairing.pairing_slopes` and, given a ``codebook``,
-    :func:`~thztrack.codebook.snap`, so it equals its scalar
-    :func:`~thztrack.pairing.make_pairing` and
-    :func:`~thztrack.codebook.quantized_pairing` bit for bit.  A slot radius
-    beyond its pairing's :func:`~thztrack.pairing.mode_bound` is allowed and
-    flagged by the pairing's ``over_bound``; tracking with it may fail.
+    ``pairing_mode`` is "auto" (:func:`~thztrack.pairing.resolve_mode`), "forward"/"backward" (forced,
+    for baselines), or "sweep" (one beam per slot); a ``slots`` that is not an int >= 1, a bool
+    included, raises a ValueError naming it.  Each slot is three Python floats: its center, then its
+    slopes from :func:`~thztrack.pairing.pairing_slopes` and, given a ``codebook``,
+    :func:`~thztrack.codebook.snap`, so it equals its scalar :func:`~thztrack.pairing.make_pairing`
+    and :func:`~thztrack.codebook.quantized_pairing` bit for bit.  A slot radius beyond its
+    pairing's :func:`~thztrack.pairing.mode_bound` is allowed and flagged by the pairing's
+    ``over_bound``; tracking with it may fail.
     """
     # a Python int first: the Integral check is an ABC check, costing more than a slot
     if (type(slots) is not int and (isinstance(slots, bool) or not isinstance(slots, numbers.Integral))) or slots < 1:
@@ -178,12 +177,12 @@ def run_tracking(
 ) -> TrackingObservation:
     """Simulate the received pilot matrix Y, one row per slot, unit pilots.
 
-    Y[l, m] is h_m^H f_{l,m} (closed form, :meth:`ChannelResponse.precoded` of
-    ``plan.kernel``) plus the noise that :func:`observe` adds.
+    Y[l, m] is h_m^H f_{l,m}, :meth:`ChannelResponse.received` of ``plan.kernel`` at the ray's
+    direction, plus the noise that :func:`observe` adds.  A channel on another system config raises.
     """
     if channel.cfg != plan.cfg:
         raise ValueError("channel was built for a different system config than the plan")
-    return observe(plan, channel.precoded(plan.kernel), noise_std, normals)
+    return observe(plan, channel.received(plan.kernel(channel.path.direction)), noise_std, normals)
 
 
 def observe(
@@ -194,12 +193,12 @@ def observe(
 ) -> TrackingObservation:
     """The pilot matrix Y (L, 2M+1) of ``plan`` from its noiseless ``response`` h_m^H f_{l,m}, in Y's order.
 
-    Y is the response plus circular complex noise of variance noise_std**2,
-    built from ``normals``, the standard normals of :func:`pilot_normals`:
-    their first ``plan.slots`` slabs are used and left unchanged.  Normals,
-    whenever given, must cover ``plan.slots`` slots of 2*m_half+1
-    subcarriers; a noisy call needs them, a noiseless one only checks them.
-    Y is read-only; a noiseless Y is a view of the response.
+    Y is the response plus circular complex noise of variance noise_std**2, built from ``normals``,
+    the standard normals of :func:`pilot_normals`: their first ``plan.slots`` slabs are used and
+    left unchanged, and nothing is drawn.  Normals, whenever given, must cover ``plan.slots`` slots
+    of 2*m_half+1 subcarriers; a noisy call needs them, a noiseless one only checks them.  A response
+    or normals of another shape raise a ValueError naming ``slots`` and ``m_half``.  Y is read-only;
+    a noiseless Y is a view of the response.
     """
     n_sub, slots = plan.cfg.n_subcarriers, len(plan.psi)
     if response.shape != (slots, n_sub):
@@ -226,8 +225,8 @@ def observe(
 def coarse_estimate(obs: TrackingObservation) -> TrackingEstimate:
     """The largest |Y|^2 cell (l_hat, m_hat) and the coarse angle its slot's slopes map it to.
 
-    Slots are 1-based, subcarriers signed (-M..M); ties break to the smaller
-    slot, then the smaller subcarrier.  The angle is clipped to [-1, 1]:
+    Slots are 1-based, subcarriers signed (-M..M); ties break to the smaller slot, then the smaller
+    subcarrier.  The angle, from one :func:`angle_map` call on Python floats, is clipped to [-1, 1]:
     codebook-snapped slopes can map an edge subcarrier just past it.
     """
     y, plan = obs.y, obs.plan

@@ -1,4 +1,5 @@
 import json
+import pkgutil
 import re
 import shlex
 from dataclasses import fields, replace
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import thztrack
 from thztrack import cli, harness
 from thztrack.cli import _COMMANDS, build_parser, main
 from thztrack.harness import CONFIG_PARSERS, ScenarioConfig, draw_frame, run_trial, scenario_from_file
@@ -696,3 +698,11 @@ class TestReadme:
             if not argv[0].startswith("sweep"):
                 assert main(argv) == 0
         assert {p.name for p in tmp_path.iterdir()} >= {"pattern.csv", "bounds.csv", "codebook.csv", "trace.csv", "y.csv"}
+
+    def test_overview_lists_each_module_once(self):
+        # the overview, above "## Install and test", has one "- `module`: ..." line per module
+        overview = README.read_text().split("\n## Install and test\n", 1)[0]
+        listed = re.findall(r"^- `(\w+)`", overview, re.M)
+        modules = sorted(m.name for m in pkgutil.iter_modules(thztrack.__path__))
+        assert sorted(listed) == modules
+        assert set(re.findall(r"thztrack\.(\w+)", overview)) <= set(modules)

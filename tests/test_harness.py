@@ -3,7 +3,7 @@ import inspect
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -313,6 +313,20 @@ class TestScenarioConfig:
         # the truthy string "no" used to turn compensation on
         with pytest.raises(ValueError, match=f"^{key} must be True or False, got {re.escape(repr(value))}$"):
             ScenarioConfig(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("f_c", "1e11"), ("bandwidth", None), ("zeta_max", "0.2"), ("gain_sigma", "0"), ("snr_db", ("10",)),
+         ("theta_grid", ("0.3",))],
+    )
+    def test_rejects_real_values_that_are_not_numbers(self, key, value):
+        # each used to raise a TypeError naming no key, from a comparison or arithmetic on the value
+        system_keys = {f.name for f in fields(SystemConfig)}
+        with pytest.raises(ValueError, match=rf"^{key} (entries )?must be (a )?real numbers?, got {re.escape(repr(value))}$"):
+            if key in system_keys:
+                replace(default_config(), **{key: value})
+            else:
+                ScenarioConfig(**{key: value})
 
     @pytest.mark.parametrize("theta_grid", [(0.3, 1.5), (-0.995,), (float("nan"),)])
     def test_rejects_theta_grid_beyond_direction_cap(self, theta_grid):

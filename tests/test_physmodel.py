@@ -166,16 +166,16 @@ class TestEquivalentModelBijection:
 
 
 class TestSimulateRx:
-    """Received pilot samples: h^H f from ChannelResponse.precoded, noise from run_tracking."""
+    """Received pilot samples: h^H f from ChannelResponse.received, noise from run_tracking."""
 
     def test_aligned_inner_product(self, cfg):
         ch = channel_response(PathComponent(1.0 + 0j, 0.3), cfg)
-        assert ch.precoded(RayKernel([0.3], [0.3], cfg))[0, cfg.m_half] == pytest.approx(cfg.n_bs)
+        assert ch.received(RayKernel([0.3], [0.3], cfg)(0.3))[0, cfg.m_half] == pytest.approx(cfg.n_bs)
 
     def test_orthogonal_beams(self, cfg):
         ch = channel_response(PathComponent(1.0 + 0j, 0.5), cfg)
         psi = 0.5 + 2.0 / cfg.n_bs
-        assert abs(ch.precoded(RayKernel([psi], [psi], cfg))[0, cfg.m_half]) == pytest.approx(0.0, abs=1e-9)
+        assert abs(ch.received(RayKernel([psi], [psi], cfg)(0.5))[0, cfg.m_half]) == pytest.approx(0.0, abs=1e-9)
 
     def test_noise_reproducible(self, cfg):
         plan = plan_tracking(0.2, 0.05, 2, cfg)
@@ -304,7 +304,7 @@ class TestRayResponse:
              for ps, t in zip(psi, t_aux)],
         )
         atol = 2 * _RAY_TOL_C * cfg.n_bs**2 * _EPS
-        np.testing.assert_allclose(ch.precoded(RayKernel(psi, t_aux, cfg)), dense, rtol=0, atol=atol)
+        np.testing.assert_allclose(ch.received(RayKernel(psi, t_aux, cfg)(0.2)), dense, rtol=0, atol=atol)
 
 
 # Fixed before any run, on the same scale as the tolerances above: the term

@@ -247,7 +247,7 @@ class TestRunTracking:
     def test_observe_takes_one_frames_response(self, cfg):
         plan = plan_tracking(0.2, 0.1, 2, cfg)
         ch = channel_response(PathComponent(0.5 - 1j, 0.21), cfg)
-        response = ch.precoded(plan.kernel)
+        response = ch.received(plan.kernel(0.21))
         assert np.array_equal(observe(plan, response, 1.0, normals(3, plan)).y,
                               run_tracking(plan, ch, 1.0, normals(3, plan)).y)
         # a batch's responses, or a response with its axes swapped, are not one frame's
