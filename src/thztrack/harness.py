@@ -100,6 +100,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
+        # a bare number names its key instead of failing to iterate
+        for key in ("snr_db", "slots", "theta_grid"):
+            if not isinstance(getattr(self, key), (tuple, list)):
+                raise ValueError(f"{key} must be a tuple or a list, got {getattr(self, key)!r}")
         for key in ("snr_db", "slots"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must not be empty")

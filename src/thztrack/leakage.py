@@ -10,7 +10,7 @@ a_m(theta)^H f_{l,m} is the noiseless unit-gain response of slot l.  The
 common amplitude g, the per-subcarrier phases tau_m and the angle theta are
 updated in turn: g by scalar least squares on the moduli, tau_m in closed
 form, theta by a gradient step with a backtracking line search.  The public
-objective, update_gain, update_phases and objective_gradient share refine's
+objective and objective_gradient share refine's residual and gradient
 blocks; objective passes exp(j*tau_m) as the phasors.
 """
 
@@ -31,9 +31,6 @@ __all__ = [
     "DegenerateGeometryError",
     "build_cpr_problem",
     "objective",
-    "modulus_objective",
-    "update_gain",
-    "update_phases",
     "objective_gradient",
     "refine",
 ]
@@ -106,7 +103,7 @@ def _sum_sq(r: np.ndarray) -> float:
 
 
 def _gain(prob: CprProblem, amp: np.ndarray) -> float:
-    """Modulus-fit amplitude from the real amplitudes ``amp`` of the responses (|c| = |amp|)."""
+    """Modulus-fit amplitude <|y_hat|, |c|> / ||c||^2, nonnegative, from the real amplitudes ``amp`` (|c| = |amp|)."""
     abs_amp = np.abs(amp)
     # below n_bs^2*eps a closed-form response is rounding error of an exact zero
     if abs_amp.max() < prob.cfg.n_bs**2 * _EPS:
@@ -133,30 +130,6 @@ def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def objective(prob: CprProblem, theta: float, g: float, taus: np.ndarray) -> float:
     """Sum of squared residuals of the single-ray fit at the given parameters."""
     return _sum_sq(_residual_matrix(prob, prob.kernel(theta), g * np.exp(1j * taus)))
-
-
-def modulus_objective(prob: CprProblem, theta: float, g: float) -> float:
-    """Phase-blind objective sum_m || |y_hat_m| - g*|c_m(theta)| ||^2."""
-    c = prob.kernel(theta)
-    d = prob.abs_y - g * np.abs(c)
-    return float(np.sum(d**2))
-
-
-def update_gain(prob: CprProblem, state: CprState) -> float:
-    """Scalar least-squares amplitude of the modulus fit at the current angle.
-
-    g = sum_m <|y_hat_m|, |c_m|> / sum_m ||c_m||^2; nonnegative because both
-    factors in the numerator are.
-    """
-    return _gain(prob, prob.kernel.evaluate(state.theta).amp)
-
-
-def update_phases(prob: CprProblem, state: CprState) -> np.ndarray:
-    """Closed-form per-subcarrier phases tau_m = angle(c_m^H y_hat_m).
-
-    A zero inner product leaves tau_m = 0.
-    """
-    return np.angle(_phases(prob, prob.kernel(state.theta))[0])
 
 
 def _gradient(r: np.ndarray, model: np.ndarray, dc: np.ndarray) -> float:
@@ -194,7 +167,8 @@ def refine(
     and the gradient.  Stops when the squared change of [g, theta]
     drops below ``tol`` or after ``max_iter`` iterations.  If the residual
     grows over five consecutive iterations the best state seen so far is
-    returned with ``diverged`` set.
+    returned with ``diverged`` set.  So ``max_iter=1`` returns the closed-form
+    amplitude and phases at ``theta_init`` as ``g`` and ``taus``.
     """
     kernel = prob.kernel
     theta = float(theta_init)

@@ -168,10 +168,15 @@ def large_angle_bound(theta0: float, cfg: SystemConfig) -> float:
     """
     t0 = abs(theta0)
     r = cfg.edge_ratio
-    edge = cfg.m_half * cfg.f_d
     inter = _SIDELOBE_CROSSING / cfg.p + r * t0
-    intra = 2.0 / cfg.p + edge**2 / (cfg.p * (cfg.f_c**2 - edge**2)) + r / 2 * t0
+    intra = 2.0 / cfg.p + _extra_term(cfg) + r / 2 * t0
     return min(inter, intra)
+
+
+def _extra_term(cfg: SystemConfig) -> float:
+    """The radius bounds' small extra term e^2/(p*(f_c^2 - e^2)) = e^2/(p*f_low*f_high), e = m_half*f_d."""
+    edge = cfg.m_half * cfg.f_d
+    return edge**2 / (cfg.p * (cfg.f_c**2 - edge**2))
 
 
 def fixed_radius(cfg: SystemConfig) -> float:
@@ -196,7 +201,7 @@ def quasi_fixed_radius(
         return _SIDELOBE_CROSSING / cfg.p
     out = 2.0 / cfg.p
     if include_extra:
-        out += (cfg.m_half * cfg.f_d) ** 2 / (cfg.p * cfg.f_low * cfg.f_high)
+        out += _extra_term(cfg)
     return out
 
 

@@ -328,6 +328,13 @@ class TestScenarioConfig:
             else:
                 ScenarioConfig(**{key: value})
 
+    @pytest.mark.parametrize("key, value", [("snr_db", 10.0), ("slots", 4), ("theta_grid", 0.3)])
+    def test_rejects_list_keys_that_are_not_lists(self, key, value):
+        # each used to raise "TypeError: '...' object is not iterable", naming no key
+        with pytest.raises(ValueError, match=rf"^{key} must be a tuple or a list, got {re.escape(repr(value))}$"):
+            ScenarioConfig(**{key: value})
+        assert getattr(ScenarioConfig(**{key: [value]}), key) == [value]
+
     @pytest.mark.parametrize("theta_grid", [(0.3, 1.5), (-0.995,), (float("nan"),)])
     def test_rejects_theta_grid_beyond_direction_cap(self, theta_grid):
         with pytest.raises(ValueError, match="theta_grid entries must lie in"):

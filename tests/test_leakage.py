@@ -11,12 +11,9 @@ from thztrack.leakage import (
     CprState,
     DegenerateGeometryError,
     build_cpr_problem,
-    modulus_objective,
     objective,
     objective_gradient,
     refine,
-    update_gain,
-    update_phases,
 )
 from thztrack.physmodel import (
     PathComponent,
@@ -109,60 +106,60 @@ class TestBuildProblem:
 
 
 class TestUpdateGain:
+    """refine's amplitude block: one iteration returns the modulus fit at the start angle as ``g``."""
+
     def test_recovers_generating_amplitude(self, cfg, freqs, plan):
         taus0 = np.linspace(-2.0, 2.0, len(freqs))
         prob = synthetic_problem(plan, cfg, freqs, 0.413, 1.7, taus0)
-        state = CprState(theta=0.413, g=0.0, taus=np.zeros(len(freqs)), residual=0.0)
-        assert update_gain(prob, state) == pytest.approx(1.7, abs=1e-9)
+        assert refine(prob, 0.413, max_iter=1).g == pytest.approx(1.7, abs=1e-9)
 
     def test_zero_data_gives_zero(self, cfg, freqs, plan):
-        taus0 = np.zeros(len(freqs))
-        prob = synthetic_problem(plan, cfg, freqs, 0.413, 0.0, taus0)
-        state = CprState(theta=0.413, g=0.0, taus=taus0, residual=0.0)
-        assert update_gain(prob, state) == 0.0
+        prob = synthetic_problem(plan, cfg, freqs, 0.413, 0.0, np.zeros(len(freqs)))
+        assert refine(prob, 0.413, max_iter=1).g == 0.0
 
-    def test_homogeneous_in_data_scale(self, noisy_problem, freqs):
-        state = CprState(theta=0.4321, g=0.0, taus=np.zeros(len(freqs)), residual=0.0)
-        g1 = update_gain(noisy_problem, state)
+    def test_homogeneous_in_data_scale(self, noisy_problem):
+        g1 = refine(noisy_problem, 0.4321, max_iter=1).g
         doubled = replace(noisy_problem, y_hat=2.0 * noisy_problem.y_hat)
-        assert update_gain(doubled, state) == pytest.approx(2.0 * g1, rel=1e-12)
+        assert refine(doubled, 0.4321, max_iter=1).g == pytest.approx(2.0 * g1, rel=1e-12)
 
-    def test_never_increases_modulus_objective(self, noisy_problem, freqs):
-        state = CprState(theta=0.4325, g=0.37, taus=np.zeros(len(freqs)), residual=0.0)
-        before = modulus_objective(noisy_problem, state.theta, state.g)
-        g_new = update_gain(noisy_problem, state)
-        after = modulus_objective(noisy_problem, state.theta, g_new)
+    def test_never_increases_modulus_residual(self, noisy_problem):
+        theta = 0.4325
+        abs_c = np.abs(noisy_problem.kernel(theta))
+
+        def modulus_residual(g):
+            return float(np.sum((np.abs(noisy_problem.y_hat) - g * abs_c) ** 2))
+
+        before = modulus_residual(0.37)
+        after = modulus_residual(refine(noisy_problem, theta, max_iter=1).g)
         assert after <= before + 1e-9
 
 
 class TestUpdatePhases:
+    """refine's phase block: one iteration returns tau_m = angle(c_m^H y_hat_m) at the start angle as ``taus``."""
+
     def test_recovers_generating_phases(self, cfg, freqs, plan):
         rng = np.random.default_rng(2)
         taus0 = rng.uniform(-np.pi, np.pi, len(freqs))
         prob = synthetic_problem(plan, cfg, freqs, 0.413, 1.3, taus0)
-        state = CprState(theta=0.413, g=1.3, taus=np.zeros(len(freqs)), residual=0.0)
-        recovered = update_phases(prob, state)
+        recovered = refine(prob, 0.413, max_iter=1).taus
         wrapped = np.angle(np.exp(1j * (recovered - taus0)))
         np.testing.assert_allclose(wrapped, 0.0, atol=1e-9)
 
-    def test_global_phase_shift_equivariance(self, noisy_problem, freqs):
-        state = CprState(theta=0.4321, g=1.0, taus=np.zeros(len(freqs)), residual=0.0)
-        base = update_phases(noisy_problem, state)
+    def test_global_phase_shift_equivariance(self, noisy_problem):
+        base = refine(noisy_problem, 0.4321, max_iter=1).taus
         shifted_prob = replace(noisy_problem, y_hat=np.exp(1j * 0.71) * noisy_problem.y_hat)
-        shifted = update_phases(shifted_prob, state)
+        shifted = refine(shifted_prob, 0.4321, max_iter=1).taus
         wrapped = np.angle(np.exp(1j * (shifted - base - 0.71)))
         np.testing.assert_allclose(wrapped, 0.0, atol=1e-12)
 
     def test_real_positive_projection_gives_zero(self, cfg, freqs, plan):
         prob = synthetic_problem(plan, cfg, freqs, 0.413, 2.0, np.zeros(len(freqs)))
-        state = CprState(theta=0.413, g=2.0, taus=np.zeros(len(freqs)), residual=0.0)
-        np.testing.assert_allclose(update_phases(prob, state), 0.0, atol=1e-12)
+        np.testing.assert_allclose(refine(prob, 0.413, max_iter=1).taus, 0.0, atol=1e-12)
 
     def test_never_increases_objective(self, noisy_problem, freqs):
         theta, g = 0.4325, 1.1
         taus_old = np.full(len(freqs), 0.4)
-        state = CprState(theta=theta, g=g, taus=taus_old, residual=0.0)
-        taus_new = update_phases(noisy_problem, state)
+        taus_new = refine(noisy_problem, theta, max_iter=1).taus
         assert objective(noisy_problem, theta, g, taus_new) <= objective(
             noisy_problem, theta, g, taus_old
         ) + 1e-9
@@ -170,14 +167,12 @@ class TestUpdatePhases:
 
 class TestDegenerateGeometry:
     def test_all_zero_responses_raise(self, cfg, freqs, plan):
-        taus0 = np.zeros(len(freqs))
-        prob = synthetic_problem(plan, cfg, freqs, 0.413, 1.0, taus0)
+        prob = synthetic_problem(plan, cfg, freqs, 0.413, 1.0, np.zeros(len(freqs)))
         # every slot steers its beam null onto theta: psi = theta - 2/n_bs, t = theta
         null = replace(plan, psi=np.full(plan.slots, 0.413 - 2.0 / cfg.n_bs), t_aux=np.full(plan.slots, 0.413))
         dead = replace(prob, plan=null)
-        state = CprState(theta=0.413, g=1.0, taus=taus0, residual=0.0)
         with pytest.raises(ValueError):
-            update_gain(dead, state)
+            refine(dead, 0.413, max_iter=1)
 
 
 class TestObjectiveGradient:
@@ -263,13 +258,12 @@ class TestRefine:
 
 
 class TestProblemCaches:
-    def test_cached_arrays_follow_replace(self, noisy_problem, freqs):
-        state = CprState(theta=0.4321, g=1.0, taus=np.zeros(len(freqs)), residual=0.0)
+    def test_cached_arrays_follow_replace(self, noisy_problem):
         # fill the caches of the original before deriving new problems from it
-        update_gain(noisy_problem, state)
+        refine(noisy_problem, 0.4321, max_iter=1)
         doubled = replace(noisy_problem, y_hat=2.0 * noisy_problem.y_hat)
         np.testing.assert_array_equal(doubled.abs_y, np.abs(doubled.y_hat))
-        assert update_gain(doubled, state) == 2.0 * update_gain(noisy_problem, state)
+        assert refine(doubled, 0.4321, max_iter=1).g == 2.0 * refine(noisy_problem, 0.4321, max_iter=1).g
         # the kernel belongs to the plan, so a problem on a new plan gets that plan's kernel
         plan = replace(noisy_problem.plan, psi=noisy_problem.plan.psi + 0.01)
         shifted = replace(noisy_problem, plan=plan)
@@ -302,8 +296,10 @@ class TestLineSearchCalls:
 def _reference_refine(prob, theta_init, max_iter, tol, step=1e-2):
     """refine's iteration rule rebuilt from the public blocks, recomputing everything each time.
 
-    The gain and phases come from ``update_gain`` and ``update_phases``.  The
-    model's phasors are z_m/|z_m|, with z_m = c_m^H y_hat_m, as in refine:
+    The gain is the modulus fit <|y_hat|, |c|> / ||c||^2, written out here
+    rather than taken from refine's own helper, and the phases are
+    tau_m = angle(z_m), with z_m = c_m^H y_hat_m.  The model's phasors are
+    z_m/|z_m|, as in refine:
     ``objective``'s exp(j*tau_m) rounds differently, and over a long
     noiseless run that rounding alone sends the two loops down different
     iteration paths.  Each iteration's residual is checked against
@@ -326,16 +322,17 @@ def _reference_refine(prob, theta_init, max_iter, tol, step=1e-2):
 
     for it in range(1, max_iter + 1):
         iterations = it
-        at_theta = CprState(theta=theta, g=g_prev, taus=taus, residual=eps)
-        g = update_gain(prob, at_theta)
-        taus = update_phases(prob, at_theta)
+        amp = kernel.evaluate(theta).amp
+        if np.abs(amp).max() < prob.cfg.n_bs**2 * np.finfo(float).eps:
+            raise DegenerateGeometryError("all slot responses vanish at this angle")
+        g = float(np.vdot(np.abs(prob.y_hat), np.abs(amp)) / np.vdot(amp, amp))
         z = np.einsum("lm,lm->m", kernel(theta).conj(), prob.y_hat)
+        taus = np.angle(z)
         abs_z = np.abs(z)
         vanished = abs_z == 0.0
         abs_z[vanished] = 1.0
         phasors = z / abs_z
         phasors[vanished] = 1.0
-        np.testing.assert_array_equal(np.angle(z), taus)
         model = g * phasors
         r, eps = residual(theta, model)
         assert eps == pytest.approx(objective(prob, theta, g, taus), rel=0, abs=_PARITY_RTOL * scale)

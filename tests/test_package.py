@@ -69,3 +69,40 @@ def test_unused_imports_finds_what_a_module_does_not_use():
 def test_module_uses_every_name_it_imports(name):
     source = (Path(SRC) / "thztrack" / f"{name}.py").read_text()
     assert unused_imports(source) == []
+
+
+# exported functions that nothing under src/thztrack calls, each with the reason it stays
+_ANALYSIS_ONLY = {
+    "lobe_geometry": "paper analysis: the window and beam lobe periods and semi-widths at one subcarrier",
+    "sidelobe_locations": "paper analysis: where the window replicas of a backward pairing sit",
+    "window_mainlobe_inverse": "paper analysis: the window mainlobe argument at a given kernel level",
+    "sidelobe_mainlobe_frequency": "paper analysis: the subcarrier whose beam lands on the high-band replica",
+    "inter_fraction_ok": "paper analysis: the inter-fraction condition behind the large-angle bound",
+    "to_physical": "paper analysis: the slopes as per-antenna PS phases and per-line TTD delays",
+    "from_physical": "paper analysis: the inverse of to_physical",
+    "quantized_pairing": "the benchmark's tracer still wraps it; it goes with the tracer's hook (ROADMAP item 7)",
+}
+
+
+def called_names(source: str) -> set[str]:
+    """Names ``source`` calls, as ``f(...)`` or ``obj.f(...)``."""
+    calls = (node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call))
+    return {f.id if isinstance(f, ast.Name) else f.attr for f in calls if isinstance(f, (ast.Name, ast.Attribute))}
+
+
+def test_called_names_finds_plain_and_attribute_calls():
+    assert called_names("import m\nf(1)\nm.g(h)\nx = k\n") == {"f", "g"}
+
+
+def test_exported_functions_have_a_src_caller():
+    called = set().union(*(called_names(path.read_text()) for path in (Path(SRC) / "thztrack").glob("*.py")))
+    uncalled = set()
+    for name in MODULES:
+        module = importlib.import_module(f"thztrack.{name}")
+        for export in getattr(module, "__all__", ()):
+            value = getattr(module, export)
+            if callable(value) and not inspect.isclass(value) and export not in called:
+                uncalled.add(export)
+    assert sorted(uncalled - set(_ANALYSIS_ONLY)) == []
+    # an entry that gained a caller or left the exports leaves the set too
+    assert sorted(set(_ANALYSIS_ONLY) - uncalled) == []
