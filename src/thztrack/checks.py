@@ -11,7 +11,7 @@ import numpy as np
 
 from .beampattern import angle_map, array_gain, peak_map
 from .harness import pilot_noise_std
-from .leakage import CprState, build_cpr_problem, objective, objective_gradient, refine
+from .leakage import CprState, objective, objective_gradient, refine
 from .physmodel import (
     PathComponent,
     PrecoderConfig,
@@ -56,7 +56,7 @@ def angle_map_deviation(pc: PrecoderConfig, grid_step: float) -> float:
 def gradient_error(draws: int) -> float:
     """Criterion 6: largest relative gap between ``objective_gradient`` and a central difference of ``objective``.
 
-    The problem is one 10 dB pilot frame (noise seed 66) of a ray at 0.4321,
+    The observation is one 10 dB pilot frame (noise seed 66) of a ray at 0.4321,
     searched over [0.38, 0.48] in three slots; each draw (seed 67) moves the
     angle by up to 2e-3 and picks the amplitude and the per-subcarrier phases
     at random, so fewer draws take the first of more.
@@ -65,7 +65,7 @@ def gradient_error(draws: int) -> float:
     plan = plan_tracking(0.43, 0.05, 3, cfg)
     channel = channel_response(PathComponent(1.0 + 0j, 0.4321), cfg)
     normals = pilot_normals(66, plan.slots, cfg.n_subcarriers)
-    prob = build_cpr_problem(run_tracking(plan, channel, pilot_noise_std(10.0, cfg), normals))
+    obs = run_tracking(plan, channel, pilot_noise_std(10.0, cfg), normals)
     rng = np.random.default_rng(67)
     h = 1e-6
     worst = 0.0
@@ -76,10 +76,10 @@ def gradient_error(draws: int) -> float:
             taus=rng.uniform(-np.pi, np.pi, cfg.n_subcarriers),
             residual=0.0,
         )
-        grad = objective_gradient(prob, state)
+        grad = objective_gradient(obs, state)
         fd = (
-            objective(prob, state.theta + h, state.g, state.taus)
-            - objective(prob, state.theta - h, state.g, state.taus)
+            objective(obs, state.theta + h, state.g, state.taus)
+            - objective(obs, state.theta - h, state.g, state.taus)
         ) / (2 * h)
         worst = max(worst, abs(grad - fd) / max(abs(grad), abs(fd)))
     return worst
@@ -100,5 +100,5 @@ def recovery_errors() -> tuple[float, float]:
     theta_r = target + 2.9e-4
     channel = channel_response(PathComponent(np.exp(0.7j), theta_r), cfg)
     obs = run_tracking(plan, channel, 0.0)
-    state = refine(build_cpr_problem(obs), coarse_estimate(obs).theta_hat, max_iter=300, tol=1e-18)
+    state = refine(obs, coarse_estimate(obs).theta_hat, max_iter=300, tol=1e-18)
     return on_grid, abs(state.theta - theta_r)

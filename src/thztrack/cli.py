@@ -188,7 +188,7 @@ def _cmd_track(args, scn: ScenarioConfig) -> int:
             print(f"track: {key} lists {len(entries)} entries; ran only {key} = {entries[0]!r}", file=sys.stderr)
     trace: list = []
     frame = run_frame(scn, draw_frame(scn, 0, 0), center=args.center, trace=trace)
-    plan, est, rec, state = frame.plan, frame.estimate, frame.record, frame.state
+    plan, est, rec, state = frame.obs.plan, frame.estimate, frame.record, frame.state
     print(
         f"tracking theta_r={rec.theta_r:.6f} over [{plan.theta0 - plan.alpha:.4f}, "
         f"{plan.theta0 + plan.alpha:.4f}], L={plan.slots}"

@@ -38,11 +38,7 @@ class QuantGrid:
 
 
 def _uniform_closed(lo: float, hi: float, step: float) -> np.ndarray:
-    """Uniform grid from lo with the given step, always including hi."""
-    if hi <= lo:
-        raise ValueError("segment must have hi > lo")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    """Uniform grid from lo with the given step (> 0), always including hi (> lo)."""
     n = int(np.floor((hi - lo) / step + 1e-9))
     pts = lo + step * np.arange(n + 1)
     if hi - pts[-1] > 1e-9 * step:

@@ -39,7 +39,7 @@ from .physmodel import (
     ChannelResponse, PathComponent, RayKernel, SystemConfig, channel_response, default_config,
 )
 from .tracker import (
-    TrackingEstimate, TrackingObservation, TrackingPlan, coarse_estimate, observe, pilot_normals, plan_tracking,
+    TrackingEstimate, TrackingObservation, coarse_estimate, observe, pilot_normals, plan_tracking,
 )
 
 # Not called in this module: kept as its attributes only so that span tracers
@@ -250,13 +250,12 @@ def _check_draws(scn: ScenarioConfig, draws: FrameDraws) -> None:
 
 @dataclass(frozen=True)
 class Frame:
-    """One tracking frame: its record, plan, pilots, coarse estimate and CPR ``state``.
+    """One tracking frame: its record, pilots (with their plan), coarse estimate and CPR ``state``.
 
     ``state`` is None without compensation or on a degenerate geometry.
     """
 
     record: TrialRecord
-    plan: TrackingPlan
     obs: TrackingObservation
     estimate: TrackingEstimate
     state: CprState | None
@@ -311,9 +310,8 @@ def _frames(
         theta_final = est.theta_hat
         state, theta_refined, outcome = None, None, ()
         if scn.compensation:
-            prob = build_cpr_problem(obs)
             try:
-                state = refine(prob, theta_final, trace=trace, **limits)
+                state = refine(build_cpr_problem(obs), theta_final, trace=trace, **limits)
             except DegenerateGeometryError:
                 outcome = (0, False, False, True)
             else:
@@ -321,10 +319,10 @@ def _frames(
                 outcome = (state.iterations, state.converged, state.diverged)
         channels.append(channel)
         aims.append(theta_final if cb is None else snap(theta_final, cb.psi_grid))
-        parts.append((d, theta_r, theta_refined, outcome, plan, obs, est, state))
+        parts.append((d, theta_r, theta_refined, outcome, obs, est, state))
     return [
-        (TrialRecord(d.trial, d.user, theta_r, est.theta_hat, theta_refined, gain, *outcome), plan, obs, est, state)
-        for (d, theta_r, theta_refined, outcome, plan, obs, est, state), gain
+        (TrialRecord(d.trial, d.user, theta_r, est.theta_hat, theta_refined, gain, *outcome), obs, est, state)
+        for (d, theta_r, theta_refined, outcome, obs, est, state), gain
         in zip(parts, beamforming_gain(channels, aims))
     ]
 

@@ -3,10 +3,12 @@
 The coarse tracker quantizes the angle to the finite subcarrier-angle grid.
 This module removes that bias by fitting the single-ray model
 
-    y_hat_m  ~=  g * exp(j*tau_m) * c_m(theta),      m = -M..M
+    y_m  ~=  g * exp(j*tau_m) * c_m(theta),      m = -M..M
 
-to y_hat_m, column m of the pilot matrix Y (L, 2M+1), where c_m(theta)[l] =
-a_m(theta)^H f_{l,m} is the noiseless unit-gain response of slot l.  The
+to y_m, column m of the pilot matrix Y (L, 2M+1) of a
+:class:`~thztrack.tracker.TrackingObservation`, where c_m(theta)[l] =
+a_m(theta)^H f_{l,m} is the noiseless unit-gain response of slot l, which
+the observation's plan evaluates in closed form through its kernel.  The
 common amplitude g, the per-subcarrier phases tau_m and the angle theta are
 updated in turn: g by scalar least squares on the moduli, tau_m in closed
 form, theta by a gradient step with a backtracking line search.  The public
@@ -17,16 +19,17 @@ blocks; objective passes exp(j*tau_m) as the phasors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from sys import float_info
 
 import numpy as np
 
-from .physmodel import RayKernel, SystemConfig, precoder_matrix
-from .tracker import TrackingObservation, TrackingPlan
+from .tracker import TrackingObservation
+
+# Not called in this module: kept as its attribute only so that span tracers
+# wrapping leakage.precoder_matrix still find it.
+from .physmodel import precoder_matrix  # noqa: F401
 
 __all__ = [
-    "CprProblem",
     "CprState",
     "DegenerateGeometryError",
     "build_cpr_problem",
@@ -36,40 +39,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CprProblem:
-    """Observations y_hat (L, 2M+1), the pilot matrix Y itself, and the tracking plan whose slots produced them.
-
-    The solver evaluates the slot responses in closed form through
-    ``kernel``, the plan's :class:`RayKernel`, and reuses ``abs_y`` =
-    |y_hat|, built on first use for this instance.  ``b_mats``, the dense
-    precoders of shape (L, 2M+1, n_bs), is built on first use as an oracle
-    view.
-    """
-
-    y_hat: np.ndarray
-    plan: TrackingPlan
-
-    @property
-    def cfg(self) -> SystemConfig:
-        return self.plan.cfg
-
-    @property
-    def kernel(self) -> RayKernel:
-        return self.plan.kernel
-
-    @cached_property
-    def b_mats(self) -> np.ndarray:
-        return np.stack([precoder_matrix(pc, self.cfg) for pc in self.plan.pairings])
-
-    @cached_property
-    def abs_y(self) -> np.ndarray:
-        return np.abs(self.y_hat)
-
-
-def build_cpr_problem(obs: TrackingObservation) -> CprProblem:
-    """The CPR problem of a tracking observation: y_hat is obs.y, read-only, with no copy."""
-    return CprProblem(obs.y, obs.plan)
+def build_cpr_problem(obs: TrackingObservation) -> TrackingObservation:
+    """The observation itself, which CPR refines."""
+    # the frame core calls this only so that span tracers wrapping
+    # harness.build_cpr_problem see the CPR stage
+    return obs
 
 
 @dataclass(frozen=True)
@@ -94,29 +68,29 @@ _EPS = float_info.epsilon
 _MAX_STEP = 1e-2
 
 
-def _residual_matrix(prob: CprProblem, c: np.ndarray, model: np.ndarray) -> np.ndarray:
-    return prob.y_hat - model * c
+def _residual_matrix(obs: TrackingObservation, c: np.ndarray, model: np.ndarray) -> np.ndarray:
+    return obs.y - model * c
 
 
 def _sum_sq(r: np.ndarray) -> float:
     return float(np.vdot(r, r).real)
 
 
-def _gain(prob: CprProblem, amp: np.ndarray) -> float:
-    """Modulus-fit amplitude <|y_hat|, |c|> / ||c||^2, nonnegative, from the real amplitudes ``amp`` (|c| = |amp|)."""
+def _gain(obs: TrackingObservation, amp: np.ndarray) -> float:
+    """Modulus-fit amplitude <|Y|, |c|> / ||c||^2, nonnegative, from the real amplitudes ``amp`` (|c| = |amp|)."""
     abs_amp = np.abs(amp)
     # below n_bs^2*eps a closed-form response is rounding error of an exact zero
-    if abs_amp.max() < prob.cfg.n_bs**2 * _EPS:
+    if abs_amp.max() < obs.plan.cfg.n_bs**2 * _EPS:
         raise DegenerateGeometryError("degenerate geometry: all slot responses vanish at this angle")
-    return float(np.vdot(prob.abs_y, abs_amp) / np.vdot(amp, amp))
+    return float(np.vdot(obs.abs_y, abs_amp) / np.vdot(amp, amp))
 
 
-def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inner products z_m = c_m^H y_hat_m and their phasors exp(j*tau_m) = z_m/|z_m|.
+def _phases(obs: TrackingObservation, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inner products z_m = c_m^H y_m and their phasors exp(j*tau_m) = z_m/|z_m|.
 
     A vanished z_m has tau_m = angle(0) = 0, so its phasor is 1.
     """
-    z = np.einsum("lm,lm->m", c.conj(), prob.y_hat)
+    z = np.einsum("lm,lm->m", c.conj(), obs.y)
     abs_z = np.abs(z)
     if np.count_nonzero(abs_z) == abs_z.size:
         return z, z / abs_z
@@ -127,9 +101,9 @@ def _phases(prob: CprProblem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, phasors
 
 
-def objective(prob: CprProblem, theta: float, g: float, taus: np.ndarray) -> float:
+def objective(obs: TrackingObservation, theta: float, g: float, taus: np.ndarray) -> float:
     """Sum of squared residuals of the single-ray fit at the given parameters."""
-    return _sum_sq(_residual_matrix(prob, prob.kernel(theta), g * np.exp(1j * taus)))
+    return _sum_sq(_residual_matrix(obs, obs.plan.kernel(theta), g * np.exp(1j * taus)))
 
 
 def _gradient(r: np.ndarray, model: np.ndarray, dc: np.ndarray) -> float:
@@ -137,15 +111,15 @@ def _gradient(r: np.ndarray, model: np.ndarray, dc: np.ndarray) -> float:
     return float(-2.0 * np.vdot(r, model * dc).real)
 
 
-def objective_gradient(prob: CprProblem, state: CprState) -> float:
+def objective_gradient(obs: TrackingObservation, state: CprState) -> float:
     """Derivative of the residual with respect to the angle at the current state."""
-    ev = prob.kernel.evaluate(state.theta)
+    ev = obs.plan.kernel.evaluate(state.theta)
     model = state.g * np.exp(1j * state.taus)
-    return _gradient(_residual_matrix(prob, ev.c, model), model, prob.kernel.slope(ev))
+    return _gradient(_residual_matrix(obs, ev.c, model), model, obs.plan.kernel.slope(ev))
 
 
 def refine(
-    prob: CprProblem,
+    obs: TrackingObservation,
     theta_init: float,
     max_iter: int = 50,
     tol: float = 1e-10,
@@ -170,13 +144,13 @@ def refine(
     returned with ``diverged`` set.  So ``max_iter=1`` returns the closed-form
     amplitude and phases at ``theta_init`` as ``g`` and ``taus``.
     """
-    kernel = prob.kernel
+    kernel = obs.plan.kernel
     theta = float(theta_init)
     ev = kernel.evaluate(theta)
     dc = kernel.slope(ev)
     g_prev = 0.0
     # the phases are kept as the inner products z_m, tau_m = angle(z_m); angle(1) = 0 before the first update
-    cfg = prob.cfg
+    cfg = obs.plan.cfg
     z = np.ones(cfg.n_subcarriers)
     eta = _MAX_STEP
     # largest useful theta move: a fraction of the narrowest beam semi-width (top subcarrier)
@@ -184,7 +158,7 @@ def refine(
     best: tuple[float, float, float, np.ndarray] | None = None
     prev_eps = np.inf
     grow_streak = 0
-    eps = _sum_sq(prob.y_hat)
+    eps = _sum_sq(obs.y)
     iterations = 0
     converged = False
     diverged = False
@@ -192,11 +166,11 @@ def refine(
     for it in range(1, max_iter + 1):
         iterations = it
         # ev and dc belong to theta: the start's, or the last accepted candidate's
-        g = _gain(prob, ev.amp)
-        z, phasors = _phases(prob, ev.c)
+        g = _gain(obs, ev.amp)
+        z, phasors = _phases(obs, ev.c)
         # the model's per-subcarrier factor g*exp(j*tau_m), a row against the (L, 2M+1) responses
         model = g * phasors
-        r = _residual_matrix(prob, ev.c, model)
+        r = _residual_matrix(obs, ev.c, model)
         eps = _sum_sq(r)
         grad = _gradient(r, model, dc)
 
@@ -216,7 +190,7 @@ def refine(
             cands = [theta - e * grad for e in etas]
             evs = kernel.evaluate(np.array(cands))
             for k, cand in enumerate(cands):
-                eps_c = _sum_sq(_residual_matrix(prob, evs.c[k], model))
+                eps_c = _sum_sq(_residual_matrix(obs, evs.c[k], model))
                 if eps_c < eps:
                     theta_new, eps_new, ev = cand, eps_c, evs.at(k)
                     moved = True

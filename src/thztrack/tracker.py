@@ -21,16 +21,14 @@ import numpy as np
 from .beampattern import angle_map
 from .codebook import JointCodebook, snap
 from .pairing import BACKWARD, PairingConfig, mode_bound, pairing_slopes, resolve_mode
-from .physmodel import ChannelResponse, PrecoderConfig, RayKernel, SystemConfig
+from .physmodel import ChannelResponse, PrecoderConfig, RayKernel, SystemConfig, precoder_matrix
 
 # Not called in this module: kept as its attributes only so that span tracers
 # wrapping tracker.pairing_mod.make_pairing, tracker.quantized_pairing,
-# tracker.forward_bound, tracker.large_angle_bound and tracker.precoder_matrix
-# still find them.
+# tracker.forward_bound and tracker.large_angle_bound still find them.
 from . import pairing as pairing_mod  # noqa: F401
 from .codebook import quantized_pairing  # noqa: F401
 from .pairing import forward_bound, large_angle_bound  # noqa: F401
-from .physmodel import precoder_matrix  # noqa: F401
 
 __all__ = [
     "TrackingPlan",
@@ -95,10 +93,23 @@ class TrackingPlan:
 
 @dataclass(frozen=True)
 class TrackingObservation:
-    """Received pilot matrix, shape (L, 2M+1), along with the plan that produced it."""
+    """Received pilot matrix, shape (L, 2M+1), along with the plan that produced it: what CPR refines.
+
+    Two views are built on first use for this instance: ``abs_y`` = |y|,
+    which both the coarse selection and the refinement's amplitude fit read,
+    and ``b_mats``, the dense precoders of shape (L, 2M+1, n_bs), an oracle view.
+    """
 
     y: np.ndarray
     plan: TrackingPlan
+
+    @cached_property
+    def abs_y(self) -> np.ndarray:
+        return np.abs(self.y)
+
+    @cached_property
+    def b_mats(self) -> np.ndarray:
+        return np.stack([precoder_matrix(pc, self.plan.cfg) for pc in self.plan.pairings])
 
 
 @dataclass(frozen=True)
@@ -234,7 +245,7 @@ def coarse_estimate(obs: TrackingObservation) -> TrackingEstimate:
         raise ValueError("empty observation")
     n_sub = y.shape[1]
     # first occurrence: smallest l, then smallest m
-    i, j = divmod(int((np.abs(y) ** 2).argmax()), n_sub)
+    i, j = divmod(int((obs.abs_y ** 2).argmax()), n_sub)
     m_hat = j - (n_sub - 1) // 2
     theta = angle_map(m_hat, PrecoderConfig(plan.psi.item(i), plan.t_aux.item(i)), plan.cfg)
     return TrackingEstimate(i + 1, m_hat, min(max(theta, -1.0), 1.0))

@@ -74,6 +74,11 @@ class TestLobeGeometry:
         geo = lobe_geometry(cfg.f_c + 31 * cfg.f_d, PrecoderConfig(0.45, 0.45), cfg)
         assert geo.theta_c2 == pytest.approx(0.45, rel=1e-14)
 
+    @pytest.mark.parametrize("f_m", [0.0, -1e9])
+    def test_non_positive_frequency_raises(self, cfg, f_m):
+        with pytest.raises(ValueError, match="subcarrier frequency must be positive"):
+            lobe_geometry(f_m, PrecoderConfig(0.3, -0.2), cfg)
+
 
 class TestAngleMap:
     def test_center_subcarrier_gives_psi(self, cfg):

@@ -224,12 +224,12 @@ class TestTrackIsFrameZero:
     def test_degenerate_refinement_keeps_the_coarse_estimate(self, tmp_path, capsys, monkeypatch):
         real_refine = harness.refine
 
-        def refine_on_dead_geometry(prob, theta_init, **kwargs):
+        def refine_on_dead_geometry(obs, theta_init, **kwargs):
             # every slot steers its beam null onto the start angle, so all slot responses vanish there
-            slots = prob.plan.slots
-            null = replace(prob.plan, psi=np.full(slots, theta_init - 2.0 / prob.cfg.n_bs),
+            slots = obs.plan.slots
+            null = replace(obs.plan, psi=np.full(slots, theta_init - 2.0 / obs.plan.cfg.n_bs),
                            t_aux=np.full(slots, theta_init))
-            return real_refine(replace(prob, plan=null), theta_init, **kwargs)
+            return real_refine(replace(obs, plan=null), theta_init, **kwargs)
 
         monkeypatch.setattr(harness, "refine", refine_on_dead_geometry)
         trace = tmp_path / "trace.csv"
@@ -239,7 +239,7 @@ class TestTrackIsFrameZero:
         assert "refined estimate" not in out and not trace.exists()
 
     def test_a_failing_refinement_is_not_a_usage_error(self, monkeypatch):
-        def broken_refine(prob, theta_init, **kwargs):
+        def broken_refine(obs, theta_init, **kwargs):
             raise ValueError("broken refinement")
 
         monkeypatch.setattr(harness, "refine", broken_refine)

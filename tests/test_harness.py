@@ -71,6 +71,10 @@ class TestNmse:
         lab, _ = nmse(a_hat + b_hat, a_r + b_r)
         assert lab == pytest.approx((2 * la + lb) / 3)
 
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="estimate/truth length mismatch"):
+            nmse([0.1, 0.2], [0.1])
+
 
 class TestBeamformingGain:
     def test_aligned_gain_matches_window_average(self, cfg):
@@ -177,14 +181,14 @@ class TestRunTrial:
         frames = [run_frame(scn, draw_frame(scn, 2, user)) for user in range(3)]
         assert _trial(scn, 2) == [frame.record for frame in frames]
         frame = frames[1]
-        assert frame.plan.slots == 2 and frame.obs.y.shape == (2, cfg.n_subcarriers)
+        assert frame.obs.plan.slots == 2 and frame.obs.y.shape == (2, cfg.n_subcarriers)
         assert (frame.estimate.theta_hat, float(frame.state.theta)) == (frame.record.theta_hat, frame.record.theta_refined)
 
     def test_center_moves_only_the_searched_interval(self, cfg):
         scn = ScenarioConfig(system=cfg, users=1, seed=4, compensation=True, snr_db=(20.0,), slots=(4,))
         trace = []
         frame = run_frame(scn, draw_frame(scn, 0, 0), center=0.25, trace=trace)
-        assert frame.plan.theta0 == 0.25 and frame.plan.alpha == scn.zeta_max
+        assert frame.obs.plan.theta0 == 0.25 and frame.obs.plan.alpha == scn.zeta_max
         assert frame.record.theta_r == _trial(scn, 0)[0].theta_r
         # the trace collects one row per refine iteration, ending at the refined angle
         assert len(trace) == frame.record.iterations and trace[-1][1] == frame.state.theta
@@ -268,13 +272,13 @@ class TestFrameCost:
         scn = ScenarioConfig(system=cfg, users=1, trials=1, snr_db=(20.0,), theta_grid=(0.6,))
         calls, frame = self._frame_calls(monkeypatch, scn)
         assert calls == {"RayKernel": 2, "observe": 1, "angle_map": 1}
-        assert "kernel" not in vars(frame.plan)
+        assert "kernel" not in vars(frame.obs.plan)
 
     def test_compensated_frame_adds_only_the_plan_kernel(self, monkeypatch, cfg):
         scn = ScenarioConfig(system=cfg, users=1, trials=1, snr_db=(20.0,), compensation=True)
         calls, frame = self._frame_calls(monkeypatch, scn)
         assert calls == {"RayKernel": 3, "observe": 1, "angle_map": 1}
-        assert "kernel" in vars(frame.plan) and frame.record.iterations > 0
+        assert "kernel" in vars(frame.obs.plan) and frame.record.iterations > 0
 
 
 class TestScenarioConfig:
@@ -446,6 +450,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(scn, "users")
 
+    def test_empty_axis_raises(self):
+        # the default theta_grid is empty; the CLI checks this before calling sweep
+        with pytest.raises(ValueError, match="a theta sweep needs theta_grid"):
+            sweep(ScenarioConfig(), "theta")
+
     def test_refine_outcome_columns(self, cfg):
         scn = ScenarioConfig(system=cfg, users=1, trials=3, seed=9, snr_db=(10.0,), compensation=True)
         rep = sweep(scn, "snr")
@@ -462,16 +471,16 @@ class TestSweep:
         real_refine = harness.refine
         calls = []
 
-        def refine_second_on_dead_geometry(prob, theta_init, **kwargs):
+        def refine_second_on_dead_geometry(obs, theta_init, **kwargs):
             calls.append(theta_init)
             if len(calls) == 2:
                 # every slot steers its beam null onto the start angle, so all
                 # slot responses vanish there
-                slots = prob.plan.slots
-                null = replace(prob.plan, psi=np.full(slots, theta_init - 2.0 / cfg.n_bs),
+                slots = obs.plan.slots
+                null = replace(obs.plan, psi=np.full(slots, theta_init - 2.0 / cfg.n_bs),
                                t_aux=np.full(slots, theta_init))
-                prob = replace(prob, plan=null)
-            return real_refine(prob, theta_init, **kwargs)
+                obs = replace(obs, plan=null)
+            return real_refine(obs, theta_init, **kwargs)
 
         monkeypatch.setattr(harness, "refine", refine_second_on_dead_geometry)
         scn = ScenarioConfig(system=cfg, users=1, trials=3, seed=9, snr_db=(10.0,), compensation=True)
@@ -485,7 +494,7 @@ class TestSweep:
         assert not any(r.degenerate for i, r in enumerate(rep.records[10.0]) if i != 1)
 
     def test_other_refine_errors_propagate(self, cfg, monkeypatch):
-        def broken_refine(prob, theta_init, **kwargs):
+        def broken_refine(obs, theta_init, **kwargs):
             raise ValueError("broken refinement")
 
         monkeypatch.setattr(harness, "refine", broken_refine)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from thztrack.pairing import (
     large_angle_bound,
     make_pairing,
     mode_bound,
+    pairing_slopes,
     quasi_fixed_radius,
     radius_bounds,
     sidelobe_mainlobe_frequency,
@@ -74,6 +77,13 @@ class TestMakePairing:
             make_pairing(0.5, 0.0, cfg)
         with pytest.raises(ValueError, match="pairing mode"):
             make_pairing(0.5, 0.05, cfg, "sideways")
+
+    @pytest.mark.parametrize("mode", ["auto", "sideways"])
+    def test_slopes_and_bound_reject_unresolved_modes(self, cfg, mode):
+        with pytest.raises(ValueError, match=f"unknown pairing mode '{mode}'"):
+            pairing_slopes(0.5, 0.05, mode, cfg)
+        with pytest.raises(ValueError, match=f"unknown pairing mode '{mode}'"):
+            mode_bound(0.5, mode, cfg)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_inputs(self, cfg, value):
@@ -261,6 +271,11 @@ class TestLargeAngleBound:
             x = window_mainlobe_inverse(p, level)
             assert x * p == pytest.approx(1.620, rel=0.01)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5])
+    def test_window_inversion_rejects_levels_outside_the_open_unit_interval(self, level):
+        with pytest.raises(ValueError, match="level must lie strictly between 0 and 1"):
+            window_mainlobe_inverse(16, level)
+
     def test_sidelobe_level_converges_to_sinc_value(self):
         assert window_sidelobe_level(256) == pytest.approx(0.2172, abs=5e-4)
 
@@ -315,8 +330,12 @@ class TestSidelobeMainlobeFrequency:
         assert mapped == pytest.approx(side_plus, abs=1e-12)
 
     def test_rejects_forward_or_zero_radius(self, cfg):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="defined for backward pairings"):
             sidelobe_mainlobe_frequency(make_pairing(-0.5, 0.05, cfg), cfg)
+        pairing = make_pairing(0.5, 0.05, cfg)
+        for alpha in (0.0, -0.05):
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                sidelobe_mainlobe_frequency(replace(pairing, alpha=alpha), cfg)
 
 
 class TestInterFractionCheck:

@@ -71,6 +71,12 @@ class TestPlanTracking:
         with pytest.raises(ValueError):
             plan_tracking(0.9, 0.2, 4, cfg)
 
+    @pytest.mark.parametrize("theta0", [1.0, -1.0])
+    def test_slot_center_rounding_past_the_domain_raises(self, cfg, theta0):
+        # the interval passes the 1e-12 tolerance, but an end slot's centre rounds past +-1
+        with pytest.raises(ValueError, match=r"slot centers must lie in \[-1, 1\]"):
+            plan_tracking(theta0, 5e-13, 2, cfg)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_inputs_raise(self, cfg, value):
         with pytest.raises(ValueError, match="leaves"):
@@ -271,6 +277,11 @@ class TestSelectStrongest:
     def test_all_equal_tie_breaks_low(self, cfg):
         y = np.ones((3, cfg.n_subcarriers), dtype=complex)
         assert self._cell(cfg, y) == (1, -cfg.m_half)
+
+    def test_empty_observation_raises(self, cfg):
+        with pytest.raises(ValueError, match="empty observation"):
+            coarse_estimate(TrackingObservation(y=np.zeros((0, cfg.n_subcarriers), dtype=complex),
+                                                plan=plan_tracking(0.0, 0.1, 1, cfg)))
 
     def test_tie_within_row_prefers_smaller_subcarrier(self, cfg):
         y = np.zeros((2, cfg.n_subcarriers), dtype=complex)
