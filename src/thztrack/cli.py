@@ -25,6 +25,7 @@ from .harness import (
 )
 from .pairing import RadiusBounds, make_pairing, radius_bounds
 from .physmodel import PrecoderConfig, SystemConfig, default_config
+from .tracker import plan_tracking
 
 
 def _flag_type(parse):
@@ -87,8 +88,8 @@ def _scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig | None:
     """The ``--config`` file with the config flags on top; None for a command without them.
 
     An unreadable file, a rejected value, a sweep whose axis key is empty, ``track --theta0`` beyond the
-    centre cap, ``beam-pattern`` with one of ``--psi``/``--t``, a ``beam-pattern`` pairing interval that
-    leaves [-1, 1] and ``track --trace`` without compensation are usage errors.
+    centre cap and ``track --trace`` without compensation are usage errors; ``beam-pattern`` checks its
+    own options.
     """
     opts = vars(args)
     if "config" not in opts:
@@ -103,13 +104,6 @@ def _scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig | None:
         cap = scn.center_cap
         if center is not None and not abs(center) <= cap:
             raise ValueError(f"argument --theta0: must lie in [-{cap:g}, {cap:g}], got {center!r}")
-        # beam-pattern pairs [theta0 - alpha, theta0 + alpha] unless both slopes are given: plan_tracking's rule
-        if "theta0" in opts and None in (args.psi, args.t):
-            lo, hi = args.theta0 - args.alpha, args.theta0 + args.alpha
-            if not abs(args.theta0) + args.alpha <= 1 + 1e-12:
-                raise ValueError(f"arguments --theta0/--alpha: the searched interval [{lo:g}, {hi:g}] leaves [-1, 1]")
-            if (args.psi, args.t) != (None, None):
-                raise ValueError("arguments --psi/--t: give both slopes or neither")
         if opts.get("trace") is not None and not scn.compensation:
             raise ValueError("argument --trace: traces the refinement, which needs --compensation")
     except OSError as exc:
@@ -126,11 +120,17 @@ def _save_csv(path: Path, header: list[str], rows) -> None:
 
 def _cmd_beam_pattern(args, scn: ScenarioConfig) -> int:
     cfg = scn.system
-    if args.psi is not None:  # _scenario requires --t along with --psi
+    if None not in (args.psi, args.t):
         pc = PrecoderConfig(args.psi, args.t)
         label = f"psi={args.psi} t={args.t}"
     else:
-        pc = make_pairing(args.theta0, args.alpha, cfg)
+        try:
+            # a one-slot plan, so its interval rule is plan_tracking's and its pairing make_pairing's
+            pc = plan_tracking(args.theta0, args.alpha, 1, cfg).pairings[0]
+        except ValueError as exc:
+            args.subparser.error(f"arguments --theta0/--alpha: {exc}")
+        if (args.psi, args.t) != (None, None):
+            args.subparser.error("arguments --psi/--t: give both slopes or neither")
         label = f"{pc.mode} pairing theta0={args.theta0} alpha={args.alpha}"
     if args.peaks_only:
         pm = peak_map(pc, cfg, grid_step=args.grid_step)

@@ -76,13 +76,13 @@ def _sum_sq(r: np.ndarray) -> float:
     return float(np.vdot(r, r).real)
 
 
-def _gain(obs: TrackingObservation, amp: np.ndarray) -> float:
-    """Modulus-fit amplitude <|Y|, |c|> / ||c||^2, nonnegative, from the real amplitudes ``amp`` (|c| = |amp|)."""
+def _gain(obs: TrackingObservation, abs_y: np.ndarray, amp: np.ndarray) -> float:
+    """Modulus-fit amplitude <|Y|, |c|> / ||c||^2, nonnegative, from ``abs_y`` = |Y| and the real amplitudes ``amp``."""
     abs_amp = np.abs(amp)
     # below n_bs^2*eps a closed-form response is rounding error of an exact zero
     if abs_amp.max() < obs.plan.cfg.n_bs**2 * _EPS:
         raise DegenerateGeometryError("degenerate geometry: all slot responses vanish at this angle")
-    return float(np.vdot(obs.abs_y, abs_amp) / np.vdot(amp, amp))
+    return float(np.vdot(abs_y, abs_amp) / np.vdot(amp, amp))
 
 
 def _phases(obs: TrackingObservation, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,6 +145,8 @@ def refine(
     amplitude and phases at ``theta_init`` as ``g`` and ``taus``.
     """
     kernel = obs.plan.kernel
+    # every iteration's amplitude fit reads |Y|
+    abs_y = np.abs(obs.y)
     theta = float(theta_init)
     ev = kernel.evaluate(theta)
     dc = kernel.slope(ev)
@@ -166,7 +168,7 @@ def refine(
     for it in range(1, max_iter + 1):
         iterations = it
         # ev and dc belong to theta: the start's, or the last accepted candidate's
-        g = _gain(obs, ev.amp)
+        g = _gain(obs, abs_y, ev.amp)
         z, phasors = _phases(obs, ev.c)
         # the model's per-subcarrier factor g*exp(j*tau_m), a row against the (L, 2M+1) responses
         model = g * phasors

@@ -13,19 +13,20 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .beampattern import angle_map
 from .codebook import JointCodebook, snap
-from .pairing import BACKWARD, PairingConfig, mode_bound, pairing_slopes, resolve_mode
+from .pairing import BACKWARD, PairingConfig, make_pairing, pairing_slopes, resolve_mode
 from .physmodel import ChannelResponse, PrecoderConfig, RayKernel, SystemConfig, precoder_matrix
 
 # Not called in this module: kept as its attributes only so that span tracers
 # wrapping tracker.pairing_mod.make_pairing, tracker.quantized_pairing,
-# tracker.forward_bound and tracker.large_angle_bound still find them.
+# tracker.forward_bound and tracker.large_angle_bound still find them (the
+# pairings view calls make_pairing by its own import, which no such wrap replaces).
 from . import pairing as pairing_mod  # noqa: F401
 from .codebook import quantized_pairing  # noqa: F401
 from .pairing import forward_bound, large_angle_bound  # noqa: F401
@@ -46,16 +47,17 @@ __all__ = [
 class TrackingPlan:
     """L slots covering [theta0 - alpha, theta0 + alpha] in L fractions, as read-only (L,) arrays.
 
-    Slot l is centered at ``centers[l]`` with radius ``alpha / slots`` and
-    precodes with the slopes ``psi[l]`` and ``t_aux[l]``, which
-    :func:`plan_tracking` computes slot by slot as floats; ``slots`` is
+    Slot l is centered at ``centers[l]``, which lies in [-1, 1], with radius
+    ``alpha / slots`` and precodes with the slopes ``psi[l]`` and ``t_aux[l]``,
+    which :func:`plan_tracking` computes slot by slot as floats; ``slots`` is
     ``len(psi)`` and ``pairing_mode`` the mode that paired the slots.  Two
     views are built on first use: ``kernel``, the :class:`RayKernel` over the
     slopes, which :func:`run_tracking` and the refinement use (a batch of
     frames, :func:`~thztrack.harness.run_trial`, makes its pilots with one
     kernel over every frame's slopes), and ``pairings``, each slot as a
-    :class:`PairingConfig` with its mode, center, radius and ``over_bound``
-    flag, which no sweep frame builds, so no frame evaluates a radius bound.
+    :class:`PairingConfig` whose mode and ``over_bound`` flag are
+    :func:`~thztrack.pairing.make_pairing`'s, which no sweep frame builds, so
+    no frame evaluates a radius bound.
     """
 
     theta0: float
@@ -76,7 +78,7 @@ class TrackingPlan:
 
     @cached_property
     def pairings(self) -> tuple[PairingConfig, ...]:
-        """Each slot's pairing, equal to its :func:`~thztrack.pairing.make_pairing` (then quantized, with a codebook).
+        """Each slot's pairing: its :func:`~thztrack.pairing.make_pairing` with the plan's (maybe snapped) slopes.
 
         A "sweep" slot is a backward pairing of radius 0.
         """
@@ -84,28 +86,20 @@ class TrackingPlan:
         if self.pairing_mode == "sweep":
             return tuple(PairingConfig(psi, t_aux, BACKWARD, center, 0.0) for center, psi, t_aux in slots)
         radius = self.alpha / self.slots
-        out = []
-        for center, psi, t_aux in slots:
-            mode = resolve_mode(center, self.pairing_mode)
-            out.append(PairingConfig(psi, t_aux, mode, center, radius, radius > mode_bound(center, mode, self.cfg)))
-        return tuple(out)
+        return tuple(replace(make_pairing(center, radius, self.cfg, self.pairing_mode), psi=psi, t_aux=t_aux)
+                     for center, psi, t_aux in slots)
 
 
 @dataclass(frozen=True)
 class TrackingObservation:
     """Received pilot matrix, shape (L, 2M+1), along with the plan that produced it: what CPR refines.
 
-    Two views are built on first use for this instance: ``abs_y`` = |y|,
-    which both the coarse selection and the refinement's amplitude fit read,
-    and ``b_mats``, the dense precoders of shape (L, 2M+1, n_bs), an oracle view.
+    ``b_mats``, the dense precoders of shape (L, 2M+1, n_bs), is an oracle
+    view built on first use for this instance.
     """
 
     y: np.ndarray
     plan: TrackingPlan
-
-    @cached_property
-    def abs_y(self) -> np.ndarray:
-        return np.abs(self.y)
 
     @cached_property
     def b_mats(self) -> np.ndarray:
@@ -136,28 +130,30 @@ def plan_tracking(
     included, raises a ValueError naming it.  Each slot is three Python floats: its center, then its
     slopes from :func:`~thztrack.pairing.pairing_slopes` and, given a ``codebook``,
     :func:`~thztrack.codebook.snap`, so it equals its scalar :func:`~thztrack.pairing.make_pairing`
-    and :func:`~thztrack.codebook.quantized_pairing` bit for bit.  A slot radius beyond its
-    pairing's :func:`~thztrack.pairing.mode_bound` is allowed and flagged by the pairing's
-    ``over_bound``; tracking with it may fail.
+    and :func:`~thztrack.codebook.quantized_pairing` bit for bit.  This is the one check that the
+    interval lies in [-1, 1], to within 1e-12 (``beam-pattern`` plans its interval as one slot), and
+    every mode clips the slot centers to [-1, 1].  A slot radius beyond its pairing's
+    :func:`~thztrack.pairing.mode_bound` is allowed and flagged by its ``over_bound``; tracking with
+    it may fail.
     """
     # a Python int first: the Integral check is an ABC check, costing more than a slot
     if (type(slots) is not int and (isinstance(slots, bool) or not isinstance(slots, numbers.Integral))) or slots < 1:
         raise ValueError(f"slots must be a positive integer, got {slots!r}")
-    # written so that nan fails them too
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    # written so that nan fails them too; a subnormal alpha can leave a slot radius of 0
+    radius = alpha / slots
+    if not radius > 0:
+        raise ValueError("alpha must be positive, and so must its slot radius alpha / slots")
     if not abs(theta0) + alpha <= 1 + 1e-12:
-        raise ValueError(f"searched interval [{theta0 - alpha}, {theta0 + alpha}] leaves [-1, 1]")
+        raise ValueError(f"the searched interval [{theta0 - alpha:.15g}, {theta0 + alpha:.15g}] leaves [-1, 1]")
     centers = [theta0 - alpha + (2 * l - 1) * alpha / slots for l in range(1, slots + 1)]
+    # within the 1e-12 slack a center can round past +-1, so every mode clips them; they ascend, so check the ends
+    if centers[0] < -1 or centers[-1] > 1:
+        centers = [min(max(c, -1.0), 1.0) for c in centers]
     if pairing_mode == "sweep":
         # one beam per slot: both slopes point at the fraction center, so
         # every subcarrier maps to the same angle
         psi = t_aux = centers
     else:
-        # the centers ascend, so the two ends are the widest
-        if not (abs(centers[0]) <= 1 and abs(centers[-1]) <= 1):
-            raise ValueError("slot centers must lie in [-1, 1]")
-        radius = alpha / slots
         psi, t_aux = zip(*[pairing_slopes(c, radius, resolve_mode(c, pairing_mode), cfg) for c in centers])
     if codebook is not None:
         psi = [snap(v, codebook.psi_grid) for v in psi]
@@ -245,7 +241,7 @@ def coarse_estimate(obs: TrackingObservation) -> TrackingEstimate:
         raise ValueError("empty observation")
     n_sub = y.shape[1]
     # first occurrence: smallest l, then smallest m
-    i, j = divmod(int((obs.abs_y ** 2).argmax()), n_sub)
+    i, j = divmod(int((np.abs(y) ** 2).argmax()), n_sub)
     m_hat = j - (n_sub - 1) // 2
     theta = angle_map(m_hat, PrecoderConfig(plan.psi.item(i), plan.t_aux.item(i)), plan.cfg)
     return TrackingEstimate(i + 1, m_hat, min(max(theta, -1.0), 1.0))

@@ -12,7 +12,8 @@ import thztrack
 from thztrack import cli, harness
 from thztrack.cli import _COMMANDS, build_parser, main
 from thztrack.harness import CONFIG_PARSERS, ScenarioConfig, draw_frame, run_trial, scenario_from_file
-from thztrack.physmodel import SystemConfig
+from thztrack.physmodel import SystemConfig, default_config
+from thztrack.tracker import plan_tracking
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -63,6 +64,33 @@ class TestBeamPattern:
     def test_paired_interval_may_reach_the_unit_range_edge(self, tmp_path):
         out = tmp_path / "edge.csv"
         assert main(["beam-pattern", "--theta0", "0.95", "--alpha", "0.05", "--grid-step", "0.5", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "theta0, alpha, accepted",
+        [
+            (0.6, 0.05, True),  # inside
+            (1.0, 1e-12, True),  # on the 1e-12 slack
+            (1.0000000000005, 5e-13, True),  # a centre past 1 within the slack
+            (1.0, 1.5e-12, False),  # just past it
+            (0.95, 0.05 + 2e-12, False),
+        ],
+    )
+    def test_accepts_the_intervals_plan_tracking_accepts(self, tmp_path, capsys, sign, theta0, alpha, accepted):
+        # one interval rule: the command's verdict and message are plan_tracking's
+        theta0 *= sign
+        argv = ["beam-pattern", f"--theta0={theta0!r}", f"--alpha={alpha!r}", "--grid-step", "0.5",
+                "--out", str(tmp_path / "p.csv")]
+        if accepted:
+            plan_tracking(theta0, alpha, 1, default_config())
+            assert main(argv) == 0
+            return
+        with pytest.raises(ValueError) as planned:
+            plan_tracking(theta0, alpha, 1, default_config())
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: arguments --theta0/--alpha: {planned.value}\n")
 
 
 class TestBounds:

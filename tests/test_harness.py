@@ -238,9 +238,10 @@ class TestPlanningCost:
             raise AssertionError("a frame took the per-slot pairing path")
 
         monkeypatch.setattr(pairing, "make_pairing", forbidden)
+        monkeypatch.setattr(tracker, "make_pairing", forbidden)
         monkeypatch.setattr(codebook, "quantized_pairing", forbidden)
         monkeypatch.setattr(tracker, "quantized_pairing", forbidden)
-        monkeypatch.setattr(tracker, "mode_bound", forbidden)
+        monkeypatch.setattr(pairing, "mode_bound", forbidden)
         small = SystemConfig(n_bs=64, n_ttd=8, p=8, f_c=100e9, bandwidth=10e9, m_half=16)
         for slots in (2, 4, 8):
             scn = ScenarioConfig(system=small, users=4, trials=1, seed=1, snr_db=(10.0,), slots=(slots,),

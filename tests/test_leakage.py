@@ -258,7 +258,6 @@ class TestProblemCaches:
         # fill the caches of the original before deriving new observations from it
         refine(noisy_obs, 0.4321, max_iter=1)
         doubled = replace(noisy_obs, y=2.0 * noisy_obs.y)
-        np.testing.assert_array_equal(doubled.abs_y, np.abs(doubled.y))
         assert refine(doubled, 0.4321, max_iter=1).g == 2.0 * refine(noisy_obs, 0.4321, max_iter=1).g
         # the kernel belongs to the plan, so an observation on a new plan gets that plan's kernel
         plan = replace(noisy_obs.plan, psi=noisy_obs.plan.psi + 0.01)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thztrack.beampattern import angle_map
@@ -17,6 +17,11 @@ from thztrack.tracker import (
 @pytest.fixture(scope="module")
 def cfg():
     return default_config()
+
+
+_MODES = ("auto", "forward", "backward", "sweep")
+# the benchmark's small array (codebook-small)
+_SMALL = SystemConfig(n_bs=64, n_ttd=8, p=8, f_c=100e9, bandwidth=10e9, m_half=16)
 
 
 def centers(plan):
@@ -71,11 +76,17 @@ class TestPlanTracking:
         with pytest.raises(ValueError):
             plan_tracking(0.9, 0.2, 4, cfg)
 
+    @pytest.mark.parametrize("mode", _MODES)
     @pytest.mark.parametrize("theta0", [1.0, -1.0])
-    def test_slot_center_rounding_past_the_domain_raises(self, cfg, theta0):
-        # the interval passes the 1e-12 tolerance, but an end slot's centre rounds past +-1
-        with pytest.raises(ValueError, match=r"slot centers must lie in \[-1, 1\]"):
-            plan_tracking(theta0, 5e-13, 2, cfg)
+    def test_slot_center_rounding_past_the_domain_is_clipped(self, cfg, theta0, mode):
+        # the interval passes the 1e-12 tolerance, but an end slot's centre rounds past +-1: it lands on it
+        plan = plan_tracking(theta0, 5e-13, 2, cfg, pairing_mode=mode)
+        inner = theta0 - np.sign(theta0) * 2.5e-13
+        assert plan.centers.tolist() == pytest.approx(sorted([inner, theta0]), rel=0, abs=1e-15)
+        assert theta0 in plan.centers.tolist()
+        assert [pc.theta0 for pc in plan.pairings] == plan.centers.tolist()
+        if mode == "sweep":
+            assert plan.psi.tolist() == plan.t_aux.tolist() == plan.centers.tolist()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_inputs_raise(self, cfg, value):
@@ -83,6 +94,12 @@ class TestPlanTracking:
             plan_tracking(value, 0.05, 2, cfg)
         with pytest.raises(ValueError, match="alpha must be positive|leaves"):
             plan_tracking(0.5, value, 2, cfg)
+
+    def test_slot_radius_that_underflows_raises(self, cfg):
+        # a subnormal alpha is positive, but its slot radius alpha / 2 rounds to 0
+        with pytest.raises(ValueError, match="slot radius"):
+            plan_tracking(0.5, 5e-324, 2, cfg)
+        assert plan_tracking(0.5, 5e-324, 1, cfg).pairings[0].alpha == 5e-324
 
     def test_unknown_pairing_mode_raises(self, cfg):
         with pytest.raises(ValueError, match="pairing mode"):
@@ -126,6 +143,41 @@ class TestPlanTracking:
         for p, c in zip(plan.pairings, [0.25, 0.35, 0.45, 0.55]):
             assert p.psi == pytest.approx(c)
             assert p.t_aux == pytest.approx(c)
+
+
+@st.composite
+def _edge_reaching_plans(draw):
+    """(theta0, alpha, slots) with |theta0| + alpha within plan_tracking's 1e-12 slack, so an interval may reach +-1."""
+    theta0 = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([1.0, -1.0])))
+    alpha = draw(st.one_of(st.floats(0.0, 1.0 + 1e-12 - abs(theta0), exclude_min=True),
+                           st.just(1.0 + 1e-12 - abs(theta0))))
+    slots = draw(st.integers(1, 16))
+    assume(alpha / slots > 0 and abs(theta0) + alpha <= 1 + 1e-12)
+    return theta0, alpha, slots
+
+
+class TestSlotCenterProperties:
+    # 300 examples, fixed before the first run
+    @settings(max_examples=300, deadline=None)
+    @given(interval=_edge_reaching_plans(), mode=st.sampled_from(_MODES),
+           system=st.sampled_from([default_config(), _SMALL]), quantize=st.booleans())
+    # an end slot's centre rounds past +-1 (test_slot_center_rounding_past_the_domain_is_clipped)
+    @example(interval=(1.0, 5e-13, 2), mode="auto", system=default_config(), quantize=False)
+    @example(interval=(1.0, 5e-13, 2), mode="forward", system=default_config(), quantize=False)
+    @example(interval=(1.0, 5e-13, 2), mode="backward", system=default_config(), quantize=False)
+    @example(interval=(1.0, 5e-13, 2), mode="sweep", system=default_config(), quantize=False)
+    @example(interval=(-1.0, 5e-13, 2), mode="auto", system=default_config(), quantize=False)
+    @example(interval=(-1.0, 5e-13, 2), mode="forward", system=default_config(), quantize=False)
+    @example(interval=(-1.0, 5e-13, 2), mode="backward", system=default_config(), quantize=False)
+    @example(interval=(-1.0, 5e-13, 2), mode="sweep", system=default_config(), quantize=False)
+    def test_slot_centers_and_sweep_slopes_lie_in_the_unit_range(self, interval, mode, system, quantize):
+        theta0, alpha, slots = interval
+        cb = build_codebook(system) if quantize else None
+        plan = plan_tracking(theta0, alpha, slots, system, codebook=cb, pairing_mode=mode)
+        assert all(-1.0 <= c <= 1.0 for c in plan.centers.tolist())
+        assert [pc.theta0 for pc in plan.pairings] == plan.centers.tolist()
+        if mode == "sweep":
+            assert all(-1.0 <= v <= 1.0 for v in plan.psi.tolist() + plan.t_aux.tolist())
 
 
 # Fixed before any run, on the scale of test_physmodel's TestRayResponse: the
@@ -332,9 +384,6 @@ class TestEstimateAngle:
         plan = plan_tracking(0.8, 0.2, 2, cfg, codebook=build_codebook(cfg))
         assert angle_map(-cfg.m_half, plan.pairings[1], cfg) > 1.0
         assert coarse_estimate(spike(plan, 2, -cfg.m_half)).theta_hat == 1.0
-
-
-_SMALL = SystemConfig(n_bs=64, n_ttd=8, p=8, f_c=100e9, bandwidth=10e9, m_half=16)
 
 
 @st.composite
