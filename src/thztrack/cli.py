@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -54,6 +55,19 @@ def _count(text: str) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
+
+
+def _out_path(text: str) -> Path:
+    """argparse type of an output file: a path that is not a directory, in a directory that exists.
+
+    Parsing checks it, so a bad path fails before any work and no file is written.
+    """
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"{str(path.parent)!r} is not an existing directory")
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return path
 
 
 def _direction(text: str) -> float:
@@ -270,7 +284,7 @@ def _beam_pattern_args(p: argparse.ArgumentParser):
     p.add_argument("--t", type=_finite_float)
     p.add_argument("--grid-step", type=_positive_float, default=2e-3)
     p.add_argument("--peaks-only", action="store_true")
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=_out_path, required=True)
 
 
 def _bounds_args(p: argparse.ArgumentParser):
@@ -279,26 +293,26 @@ def _bounds_args(p: argparse.ArgumentParser):
     p.add_argument("--theta-max", type=_direction, default=1.0)
     p.add_argument("--points", type=_count, default=81)
     p.add_argument("--include-extra", action="store_true")
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=_out_path, required=True)
 
 
 def _codebook_args(p: argparse.ArgumentParser):
     _add_config_args(p, _SYSTEM_KEYS)
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=_out_path, required=True)
 
 
 def _track_args(p: argparse.ArgumentParser):
     _add_config_args(p, _FRAME_KEYS)
     p.add_argument("--theta0", type=_finite_float, dest="center", metavar="THETA0", help="search centre")
-    p.add_argument("--trace", type=Path, help="CSV of refinement iterations")
-    p.add_argument("--dump-y", type=Path, dest="dump_y", help="CSV heatmap of |Y|")
+    p.add_argument("--trace", type=_out_path, help="CSV of refinement iterations")
+    p.add_argument("--dump-y", type=_out_path, dest="dump_y", help="CSV heatmap of |Y|")
 
 
 def _sweep_args(p: argparse.ArgumentParser, axis: str):
     _add_config_args(p, CONFIG_PARSERS)
     p.add_argument("--axis", choices=list(SWEEP_AXES), default=axis)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--full", type=Path, help="also write per-trial records as JSON")
+    p.add_argument("--out", type=_out_path, required=True)
+    p.add_argument("--full", type=_out_path, help="also write per-trial records as JSON")
 
 
 # name: (help, adds the command's arguments, handler)
@@ -318,7 +332,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     With a known ``command`` only that subcommand is built, which is all a
     call needs; otherwise every subcommand is, so that help and usage errors
-    list them all.
+    list them all.  Each call builds a new parser; :func:`main` builds one
+    per command and process.
     """
     # allow_abbrev=False: a prefix of a flag is not a second spelling of it
     parser = argparse.ArgumentParser(prog="thztrack", description=__doc__, allow_abbrev=False)
@@ -333,9 +348,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """``build_parser(command)``, built once per process: parsing leaves a parser as it was, so ``main`` reuses it.
+
+    ``command`` is a key of ``_COMMANDS`` or None, so at most one parser per command and the full one are kept.
+    """
+    return build_parser(command)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
+    # every argv that does not start with a command gets the full parser
+    parser = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args, unknown = parser.parse_known_args(argv)
     if unknown:
         # the invoked command's usage, where parse_args would print the top-level one

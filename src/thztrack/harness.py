@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -36,7 +35,7 @@ import numpy as np
 from .codebook import build_codebook, snap
 from .leakage import CprState, DegenerateGeometryError, build_cpr_problem, refine
 from .physmodel import (
-    ChannelResponse, PathComponent, RayKernel, SystemConfig, channel_response, default_config,
+    ChannelResponse, PathComponent, RayKernel, SystemConfig, _is_int, _is_real, channel_response, default_config,
 )
 from .tracker import (
     TrackingEstimate, TrackingObservation, coarse_estimate, observe, pilot_normals, plan_tracking,
@@ -76,10 +75,6 @@ _NMSE_DB_FLOOR = -120.0
 _DIRECTION_CAP = 0.99
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One experiment description; list-valued fields are sweep axes."""
@@ -114,21 +109,22 @@ class ScenarioConfig:
         for key in ("snr_db", "theta_grid"):
             if not all(map(_is_real, getattr(self, key))):
                 raise ValueError(f"{key} entries must be real numbers, got {getattr(self, key)!r}")
-        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1 for n in self.slots):
+        if not all(_is_int(n) and n >= 1 for n in self.slots):
             raise ValueError(f"slots entries must be positive integers, got {self.slots!r}")
-        for snr in self.snr_db:
-            if snr == math.inf:  # the noiseless frame: pilot noise exactly 0
-                continue
-            # a huge SNR overflows the power ratio, a hugely negative one underflows it to 0
-            with contextlib.suppress(OverflowError), np.errstate(divide="ignore", over="ignore"):
-                if 0 < pilot_noise_std(snr, self.system) < math.inf:
+        # a huge SNR overflows the power ratio, a hugely negative one underflows it to 0
+        with np.errstate(divide="ignore", over="ignore"):
+            for snr in self.snr_db:
+                if snr == math.inf:  # the noiseless frame: pilot noise exactly 0
                     continue
-            raise ValueError(f"snr_db entry {snr!r} gives a pilot noise that is not finite and positive")
+                with contextlib.suppress(OverflowError):
+                    if 0 < pilot_noise_std(snr, self.system) < math.inf:
+                        continue
+                raise ValueError(f"snr_db entry {snr!r} gives a pilot noise that is not finite and positive")
         if not 0 < self.zeta_max < 1:
             raise ValueError("zeta_max must lie in (0, 1)")
         for key, low in (("users", 1), ("trials", 1), ("seed", 0)):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            if not _is_int(value) or value < low:
                 rule = "trials and users must be positive integers" if low else "seed must be a nonnegative integer"
                 raise ValueError(f"{rule}: {key} is {value!r}")
         for key in ("compensation", "codebook"):
@@ -365,11 +361,18 @@ def nmse(theta_hat, theta_r) -> tuple[float, int]:
     if theta_hat.shape != theta_r.shape:
         raise ValueError("estimate/truth length mismatch")
     keep = theta_r != 0.0
-    excluded = int(np.sum(~keep))
-    if not np.any(keep):
+    kept = int(np.count_nonzero(keep))
+    excluded = keep.size - kept
+    if not kept:
         return 0.0, excluded
-    ratio = (theta_hat[keep] - theta_r[keep]) ** 2 / theta_r[keep] ** 2
-    return float(np.mean(ratio)), excluded
+    if excluded:
+        theta_hat, theta_r = theta_hat[keep], theta_r[keep]
+    return _mean((theta_hat - theta_r) ** 2 / theta_r ** 2), excluded
+
+
+def _mean(values: np.ndarray) -> float:
+    """``np.mean`` of a float array: the same sum over the same division, without its Python-level overhead."""
+    return float(values.sum() / values.size)
 
 
 def nmse_db(linear: float) -> float:
@@ -406,11 +409,10 @@ def beamforming_gain(channels: list[ChannelResponse], aims: list[float]) -> list
 def write_table(path, header, rows) -> int:
     """Write a CSV file: the header line, then one line per row; returns the row count.
 
-    Floats are written with ``repr`` (round-trip exact), every other cell with ``str``.
+    Every cell is written with ``str``, which for a float is its round-trip exact ``repr``.
     """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    lines.extend(",".join(map(str, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
     return len(lines) - 1
 
@@ -465,35 +467,38 @@ def sweep(scn: ScenarioConfig, axis: str) -> MetricsReport:
         draws = [draw_frame(scn, trial, user) for user in range(scn.users)]
         for value, point in points.items():
             all_records[value].extend(run_trial(point, draws))
-    rows = []
-    for value, records in all_records.items():
-        finals = [r.theta_final for r in records]
-        coarse = [r.theta_hat for r in records]
-        truths = [r.theta_r for r in records]
-        lin, excluded = nmse(finals, truths)
-        lin_coarse, _ = nmse(coarse, truths)
-        rows.append(
-            {
-                "axis": axis,
-                "value": value,
-                "scheme": scn.scheme,
-                "compensation": scn.compensation,
-                "nmse_linear": lin,
-                "nmse_db": nmse_db(lin),
-                "nmse_coarse_linear": lin_coarse,
-                "nmse_coarse_db": nmse_db(lin_coarse),
-                "mean_gain": float(np.mean([r.gain for r in records])),
-                "n_records": len(records),
-                "n_excluded": excluded,
-                "mean_iterations": float(np.mean([r.iterations for r in records])),
-                "n_unconverged": sum(
-                    r.theta_refined is not None and not (r.converged or r.diverged) for r in records
-                ),
-                "n_diverged": sum(r.diverged for r in records),
-                "n_degenerate": sum(r.degenerate for r in records),
-            }
-        )
+    rows = [
+        {"axis": axis, "value": value, "scheme": scn.scheme, "compensation": scn.compensation, **_row_metrics(records)}
+        for value, records in all_records.items()
+    ]
     return MetricsReport(axis=axis, rows=rows, records=all_records)
+
+
+def _row_metrics(records: list[TrialRecord]) -> dict:
+    """A sweep row's metric columns over a point's ``records``, in CSV order.
+
+    The records' truths, estimates, gains and iteration counts become one
+    array first; each column equals :func:`nmse`, :func:`nmse_db` or
+    ``np.mean`` over the records' own values bit for bit.
+    """
+    truths, coarse, finals, gains, iterations = np.array(
+        [(r.theta_r, r.theta_hat, r.theta_final, r.gain, r.iterations) for r in records], dtype=float,
+    ).T.copy()  # one contiguous row per field, summed as np.mean sums the array of a list
+    lin, excluded = nmse(finals, truths)
+    lin_coarse, _ = nmse(coarse, truths)
+    return {
+        "nmse_linear": lin,
+        "nmse_db": nmse_db(lin),
+        "nmse_coarse_linear": lin_coarse,
+        "nmse_coarse_db": nmse_db(lin_coarse),
+        "mean_gain": _mean(gains),
+        "n_records": len(records),
+        "n_excluded": excluded,
+        "mean_iterations": _mean(iterations),
+        "n_unconverged": sum(r.theta_refined is not None and not (r.converged or r.diverged) for r in records),
+        "n_diverged": sum(r.diverged for r in records),
+        "n_degenerate": sum(r.degenerate for r in records),
+    }
 
 
 # --- configuration files ---------------------------------------------------
@@ -603,6 +608,10 @@ CONFIG_PARSERS = {
 }
 
 
+# the system keys of default_config(), which a mapping's system keys overlay
+_REFERENCE_SYSTEM = {f.name: getattr(default_config(), f.name) for f in fields(SystemConfig)}
+
+
 def scenario_from_mapping(data: dict) -> ScenarioConfig:
     """Build a scenario from a flat mapping of config keys; a value that does not parse raises naming its key.
 
@@ -617,8 +626,8 @@ def scenario_from_mapping(data: dict) -> ScenarioConfig:
             values[key] = CONFIG_PARSERS[key](value)
         except ValueError as exc:
             raise ValueError(f"{key!r} {exc}") from None
-    system = {f.name: values.pop(f.name) for f in fields(SystemConfig) if f.name in values}
-    return ScenarioConfig(system=replace(default_config(), **system), **values)
+    system = {key: values.pop(key) for key in _REFERENCE_SYSTEM if key in values}
+    return ScenarioConfig(system=SystemConfig(**{**_REFERENCE_SYSTEM, **system}), **values)
 
 
 def scenario_from_file(path, overrides: dict | None = None) -> ScenarioConfig:

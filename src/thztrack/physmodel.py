@@ -32,6 +32,18 @@ __all__ = [
 ]
 
 
+# Plain ints and floats are told apart by their type first: the ABC check
+# behind isinstance(value, numbers.Integral) costs several times more.
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer and not a bool."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool."""
+    return type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Array and frequency-plan parameters.
@@ -53,13 +65,13 @@ class SystemConfig:
     def __post_init__(self):
         for key in ("n_bs", "n_ttd", "p", "m_half"):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"{key} must be a positive integer, got {value!r}")
         if self.n_ttd * self.p != self.n_bs:
             raise ValueError(f"n_ttd*p = {self.n_ttd * self.p} != n_bs = {self.n_bs}")
         for key in ("f_c", "bandwidth"):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise ValueError(f"{key} must be a real number, got {value!r}")
             if not 0 < value < math.inf:  # written so that nan fails the check too
                 raise ValueError(f"{key} must be finite and positive, got {value!r}")

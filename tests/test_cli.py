@@ -1,3 +1,4 @@
+import collections
 import json
 import pkgutil
 import re
@@ -448,6 +449,109 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("usage: thztrack [-h]")
         assert all(name in err for name in _COMMANDS)
+
+
+class _Parsed(Exception):
+    pass
+
+
+def _main_namespace(monkeypatch, argv):
+    """The Namespace that ``main(argv)`` parses, taken before its scenario is built or its command runs."""
+
+    def stop(parser, args):
+        raise _Parsed(args)
+
+    with monkeypatch.context() as patch, pytest.raises(_Parsed) as exc:
+        patch.setattr(cli, "_scenario", stop)
+        main(argv)
+    return exc.value.args[0]
+
+
+class TestParserReuse:
+    """``main`` builds each command's parser once per process, and no call can tell."""
+
+    def test_repeated_sweeps_write_identical_bytes(self, tmp_path):
+        out, full = tmp_path / "g.csv", tmp_path / "g.json"
+        argv = ["sweep-gain", "--seed", "4", "--trials", "2", "--users", "2", "--theta-grid", "0.3,-0.5",
+                "--compensation", "--out", str(out), "--full", str(full)]
+        assert main(argv) == 0
+        first = out.read_bytes(), full.read_bytes()
+        # a usage error and a help screen in between leave the parser as it was
+        for between, code in ((argv + ["--snr-db", "nan"], 2), (["sweep-gain", "-h"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(between)
+            assert exc.value.code == code
+        out.unlink()
+        full.unlink()
+        assert main(argv) == 0
+        assert (out.read_bytes(), full.read_bytes()) == first
+
+    @pytest.mark.parametrize("command", sorted(_ARGV))
+    def test_main_parses_as_a_fresh_parser(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        argv = _ARGV[command]
+        fresh = vars(build_parser().parse_args(argv))
+        for _ in range(2):  # the first call may build the parser, the second reuses it
+            parsed = vars(_main_namespace(monkeypatch, argv))
+            assert parsed.pop("subparser").format_usage() == fresh["subparser"].format_usage()
+            assert parsed == {key: value for key, value in fresh.items() if key != "subparser"}
+
+    def test_one_parser_build_per_command(self, tmp_path, monkeypatch):
+        builds = []
+        real = cli.build_parser
+
+        def counting(command=None):
+            builds.append(command)
+            return real(command)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                for argv in _ARGV.values():
+                    _main_namespace(monkeypatch, argv)
+                for argv in (["-h"], ["trak"]):
+                    with pytest.raises(SystemExit):
+                        main(argv)
+        finally:
+            cli._parser.cache_clear()
+        # one build per command, and one full parser for every argv that names none
+        assert collections.Counter(builds) == collections.Counter([*_ARGV, None])
+
+
+class TestOutputPaths:
+    """A bad output path is a usage error that names its flag, before any work and with no file written."""
+
+    _TRACK = ["track", "--seed", "3", "--theta-grid", "0.41", "--slots", "2", "--compensation"]
+    _SWEEP = ["sweep-gain", "--seed", "1", "--trials", "1", "--users", "1", "--theta-grid", "0.3"]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["beam-pattern", "--grid-step", "0.1"], "--out"), (["bounds"], "--out"), (["codebook"], "--out"),
+         (["sweep-nmse", "--seed", "1", "--trials", "1", "--users", "1"], "--out"),
+         (_SWEEP, "--out"), (_SWEEP + ["--out", "g.csv"], "--full"),
+         (_TRACK, "--trace"), (_TRACK, "--dump-y")],
+    )
+    @pytest.mark.parametrize("bad", ["missing/x.csv", "afile/x.csv", "adir"])
+    def test_bad_output_path_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, flag, bad):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, bad])
+        assert exc.value.code == 2
+        message = "'adir' is a directory" if bad == "adir" else f"'{bad.split('/')[0]}' is not an existing directory"
+        assert f"thztrack {argv[0]}: error: argument {flag}: {message}\n" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+        assert not any((tmp_path / "adir").iterdir())
+
+    def test_existing_directories_are_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(self._SWEEP + ["--out", "sub/g.csv", "--full", str(tmp_path / "g.json")]) == 0
+        assert main(self._TRACK + ["--trace", "sub/t.csv", "--dump-y", "./y.csv"]) == 0
+        assert {"sub/g.csv", "g.json", "sub/t.csv", "y.csv"} <= {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")}
 
 
 class TestFiniteOptions:

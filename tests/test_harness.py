@@ -7,13 +7,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from thztrack import codebook, harness, pairing, physmodel, tracker
 from thztrack.beampattern import dirichlet
 from thztrack.harness import (
     ScenarioConfig,
+    TrialRecord,
     beamforming_gain,
     draw_frame,
     load_key_values,
@@ -74,6 +75,65 @@ class TestNmse:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="estimate/truth length mismatch"):
             nmse([0.1, 0.2], [0.1])
+
+
+def _masked_nmse(theta_hat, theta_r):
+    """The NMSE oracle: every record masked by its truth, then one ``np.mean``."""
+    theta_hat, theta_r = np.asarray(theta_hat, dtype=float), np.asarray(theta_r, dtype=float)
+    keep = theta_r != 0.0
+    if not np.any(keep):
+        return 0.0, int(np.sum(~keep))
+    return float(np.mean((theta_hat[keep] - theta_r[keep]) ** 2 / theta_r[keep] ** 2)), int(np.sum(~keep))
+
+
+def _oracle_row(records):
+    """A sweep row's metric columns from ``nmse``, ``nmse_db`` and ``np.mean`` over per-field lists."""
+    truths = [r.theta_r for r in records]
+    finals, coarse = [r.theta_final for r in records], [r.theta_hat for r in records]
+    lin, excluded = nmse(finals, truths)
+    lin_coarse, _ = nmse(coarse, truths)
+    assert (lin, excluded) == _masked_nmse(finals, truths)
+    assert lin_coarse == _masked_nmse(coarse, truths)[0]
+    return {
+        "nmse_linear": lin,
+        "nmse_db": nmse_db(lin),
+        "nmse_coarse_linear": lin_coarse,
+        "nmse_coarse_db": nmse_db(lin_coarse),
+        "mean_gain": float(np.mean([r.gain for r in records])),
+        "n_records": len(records),
+        "n_excluded": excluded,
+        "mean_iterations": float(np.mean([r.iterations for r in records])),
+        "n_unconverged": sum(r.theta_refined is not None and not (r.converged or r.diverged) for r in records),
+        "n_diverged": sum(r.diverged for r in records),
+        "n_degenerate": sum(r.degenerate for r in records),
+    }
+
+
+# a truth is 0 (an excluded record) or at least 1e-3 from it, as the squared ratio stays finite
+_truths = st.one_of(st.just(0.0), st.floats(1e-3, 0.99), st.floats(-0.99, -1e-3))
+_directions = st.floats(-1.0, 1.0)
+_records = st.builds(
+    TrialRecord, trial=st.integers(0, 9), user=st.integers(0, 3), theta_r=_truths, theta_hat=_directions,
+    theta_refined=st.one_of(st.none(), _directions), gain=st.floats(0.0, 1.0), iterations=st.integers(0, 200),
+    converged=st.booleans(), diverged=st.booleans(), degenerate=st.booleans(),
+)
+
+
+class TestRowMetrics:
+    """``sweep``'s row code equals ``nmse``, ``nmse_db`` and ``np.mean`` over the records bit for bit."""
+
+    # no shrink phase: a list of a few hundred records shrinks for minutes, and the first failing list says enough
+    @settings(max_examples=300, deadline=None, phases=(Phase.explicit, Phase.generate))
+    @given(records=st.lists(_records, min_size=1, max_size=300))
+    @example(records=[TrialRecord(0, 0, 0.0, 0.1, 0.2, 0.5, 3), TrialRecord(1, 0, 0.0, -0.3, None, 0.25)])
+    def test_equals_the_oracle(self, records):
+        assert harness._row_metrics(records) == _oracle_row(records)
+
+    def test_equals_the_oracle_on_a_sweep(self, cfg):
+        scn = ScenarioConfig(system=cfg, users=3, trials=4, seed=2, snr_db=(-10.0, 10.0, 30.0), compensation=True)
+        report = sweep(scn, "snr")
+        for row, records in zip(report.rows, report.records.values()):
+            assert {key: row[key] for key in _oracle_row(records)} == _oracle_row(records)
 
 
 class TestBeamformingGain:
