@@ -16,8 +16,9 @@ from .harness import (
     CONFIG_PARSERS,
     SWEEP_AXES,
     ScenarioConfig,
-    _as_bool,
+    _KINDS,
     _as_float,
+    _parser,
     draw_frame,
     run_frame,
     scenario_from_file,
@@ -40,14 +41,8 @@ def _flag_type(parse):
 
 
 _finite_float = _flag_type(_as_float)
-
-
-def _positive_float(text: str) -> float:
-    """argparse type of a finite option that must be positive."""
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+_positive_float = _flag_type(_parser(_as_float, lambda value: value > 0, "a finite number > 0"))
+_direction = _flag_type(_parser(_as_float, lambda value: -1 <= value <= 1, "a number in [-1, 1]"))
 
 
 def _count(text: str) -> int:
@@ -70,14 +65,6 @@ def _out_path(text: str) -> Path:
     return path
 
 
-def _direction(text: str) -> float:
-    """argparse type of a direction: a finite value in [-1, 1]."""
-    value = _finite_float(text)
-    if not -1 <= value <= 1:
-        raise argparse.ArgumentTypeError(f"must lie in [-1, 1], got {text!r}")
-    return value
-
-
 # The config keys each command takes as flags: the system keys, every key a
 # frame reads (all but the frame counts users and trials), or every key.
 _SYSTEM_KEYS = tuple(f.name for f in fields(SystemConfig))
@@ -89,7 +76,7 @@ def _add_config_args(parser: argparse.ArgumentParser, keys):
     parser.add_argument("--config", type=Path, help="key=value scenario/system file")
     for key in keys:
         flag = "--" + key.replace("_", "-")
-        if CONFIG_PARSERS[key] is _as_bool:
+        if _KINDS[key] == "bool":
             parser.add_argument(flag, dest=key, action="store_true", default=None)
             if key == "compensation":
                 parser.add_argument("--no-compensation", dest=key, action="store_false")
@@ -357,6 +344,15 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
     return build_parser(command)
 
 
+def _check_files_distinct(parser: argparse.ArgumentParser, args) -> None:
+    """Two flags that name one file, ``--config`` or an output, are a usage error naming both."""
+    named = {}
+    for dest in ("config", "out", "full", "trace", "dump_y"):
+        path, flag = getattr(args, dest, None), "--" + dest.replace("_", "-")
+        if path is not None and named.setdefault(path.resolve(), flag) != flag:
+            parser.error(f"arguments {named[path.resolve()]}/{flag}: both name the file {str(path)!r}")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # every argv that does not start with a command gets the full parser
@@ -365,6 +361,7 @@ def main(argv=None) -> int:
     if unknown:
         # the invoked command's usage, where parse_args would print the top-level one
         args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    _check_files_distinct(args.subparser, args)
     return args.func(args, _scenario(args.subparser, args))
 
 

@@ -35,7 +35,8 @@ import numpy as np
 from .codebook import build_codebook, snap
 from .leakage import CprState, DegenerateGeometryError, build_cpr_problem, refine
 from .physmodel import (
-    ChannelResponse, PathComponent, RayKernel, SystemConfig, _is_int, _is_real, channel_response, default_config,
+    _COUNT_RULE, _MAX_COUNT, _SYSTEM_DOMAIN, ChannelResponse, PathComponent, RayKernel, SystemConfig, _check_domain,
+    _is_count, _is_int, _is_real, channel_response, default_config,
 )
 from .tracker import (
     TrackingEstimate, TrackingObservation, coarse_estimate, observe, pilot_normals, plan_tracking,
@@ -70,9 +71,45 @@ __all__ = [
     "sweep",
 ]
 
-SCHEMES = ("forward_backward", "forward_only", "exhaustive_sweep")
+# each scheme's plan_tracking pairing mode
+_SCHEME_MODES = {"forward_backward": "auto", "forward_only": "forward", "exhaustive_sweep": "sweep"}
+SCHEMES = tuple(_SCHEME_MODES)
 _NMSE_DB_FLOOR = -120.0
 _DIRECTION_CAP = 0.99
+
+
+def _is_list_of(test, min_size: int = 0):
+    """Test of a list key: a tuple or list of >= ``min_size`` entries that pass ``test``, none repeated."""
+    def is_list(value) -> bool:
+        # a sweep keys its records by axis value, so a repeated entry would collide
+        return (isinstance(value, (tuple, list)) and len(value) >= min_size and all(map(test, value))
+                and len(set(value)) == len(value))
+    return is_list
+
+
+_BOOL_RULE = "True or False (true/false, yes/no or 1/0 in files)"
+
+# Each scenario key's (test, rule), in field order.  With physmodel's system keys
+# this is every config key's one domain: ScenarioConfig and SystemConfig check
+# it, and so does each key's parser (CONFIG_PARSERS) for files and flags.
+_SCENARIO_DOMAIN = {
+    "users": (_is_count, _COUNT_RULE),
+    "snr_db": (_is_list_of(_is_real, 1), "a non-empty list of distinct numbers (finite in files and flags)"),
+    "slots": (_is_list_of(_is_count, 1), f"a non-empty list of distinct entries, each {_COUNT_RULE}"),
+    "trials": (_is_count, _COUNT_RULE),
+    "zeta_max": (lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)"),
+    "scheme": (lambda v: isinstance(v, str) and v in _SCHEME_MODES, f"one of {', '.join(SCHEMES)}"),
+    "compensation": (lambda v: isinstance(v, bool), _BOOL_RULE),
+    "codebook": (lambda v: isinstance(v, bool), _BOOL_RULE),
+    # written so that nan fails it too
+    "gain_sigma": (lambda v: _is_real(v) and 0 <= v < math.inf, "a finite number >= 0"),
+    "theta_grid": (
+        _is_list_of(lambda t: _is_real(t) and abs(t) <= _DIRECTION_CAP),
+        f"a list of distinct numbers in [-{_DIRECTION_CAP}, {_DIRECTION_CAP}]",
+    ),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0 (as a float, at most 2**53)"),
+}
+_CONFIG_DOMAIN = {**_SYSTEM_DOMAIN, **_SCENARIO_DOMAIN}
 
 
 @dataclass(frozen=True)
@@ -93,24 +130,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        # a bare number names its key instead of failing to iterate
-        for key in ("snr_db", "slots", "theta_grid"):
-            if not isinstance(getattr(self, key), (tuple, list)):
-                raise ValueError(f"{key} must be a tuple or a list, got {getattr(self, key)!r}")
-        for key in ("snr_db", "slots"):
-            if not getattr(self, key):
-                raise ValueError(f"{key} must not be empty")
-        # real-valued keys are numbers before any comparison, so a string or None names its key
-        for key in ("zeta_max", "gain_sigma"):
-            if not _is_real(getattr(self, key)):
-                raise ValueError(f"{key} must be a real number, got {getattr(self, key)!r}")
-        for key in ("snr_db", "theta_grid"):
-            if not all(map(_is_real, getattr(self, key))):
-                raise ValueError(f"{key} entries must be real numbers, got {getattr(self, key)!r}")
-        if not all(_is_int(n) and n >= 1 for n in self.slots):
-            raise ValueError(f"slots entries must be positive integers, got {self.slots!r}")
+        _check_domain(self, _SCENARIO_DOMAIN)
         # a huge SNR overflows the power ratio, a hugely negative one underflows it to 0
         with np.errstate(divide="ignore", over="ignore"):
             for snr in self.snr_db:
@@ -120,27 +140,6 @@ class ScenarioConfig:
                     if 0 < pilot_noise_std(snr, self.system) < math.inf:
                         continue
                 raise ValueError(f"snr_db entry {snr!r} gives a pilot noise that is not finite and positive")
-        if not 0 < self.zeta_max < 1:
-            raise ValueError("zeta_max must lie in (0, 1)")
-        for key, low in (("users", 1), ("trials", 1), ("seed", 0)):
-            value = getattr(self, key)
-            if not _is_int(value) or value < low:
-                rule = "trials and users must be positive integers" if low else "seed must be a nonnegative integer"
-                raise ValueError(f"{rule}: {key} is {value!r}")
-        for key in ("compensation", "codebook"):
-            if not isinstance(getattr(self, key), bool):
-                raise ValueError(f"{key} must be True or False, got {getattr(self, key)!r}")
-        # written so that nan fails it too
-        if not 0 <= self.gain_sigma < math.inf:
-            raise ValueError(f"gain_sigma must be finite and nonnegative, got {self.gain_sigma!r}")
-        if not all(abs(theta) <= _DIRECTION_CAP for theta in self.theta_grid):
-            cap = _DIRECTION_CAP
-            raise ValueError(f"theta_grid entries must lie in [-{cap}, {cap}], got {self.theta_grid!r}")
-        # a sweep keys its records by axis value, so a repeated entry would collide
-        for key in ("snr_db", "slots", "theta_grid"):
-            entries = getattr(self, key)
-            if len(set(entries)) < len(entries):
-                raise ValueError(f"{key} entries must be distinct, got {entries!r}")
 
     @property
     def center_cap(self) -> float:
@@ -172,10 +171,6 @@ class TrialRecord:
     @property
     def theta_final(self) -> float:
         return self.theta_hat if self.theta_refined is None else self.theta_refined
-
-
-# each scheme's plan_tracking pairing mode
-_SCHEME_MODES = {"forward_backward": "auto", "forward_only": "forward", "exhaustive_sweep": "sweep"}
 
 
 def _clamp(value: float, bound: float) -> float:
@@ -352,22 +347,23 @@ def run_trial(scn: ScenarioConfig, draws: list[FrameDraws]) -> list[TrialRecord]
 
 
 def nmse(theta_hat, theta_r) -> tuple[float, int]:
-    """Mean of |error|^2 / |theta_r|^2; records with theta_r == 0 are excluded.
+    """Mean of |error|^2 / |theta_r|^2; records whose |theta_r|^2 is 0 (|theta_r| below about 1e-162) are excluded.
 
-    Returns (linear NMSE, number of excluded records).
+    Returns (linear NMSE, number of excluded records); the NMSE is +inf when an error over a tiny |theta_r|^2 overflows.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     theta_r = np.asarray(theta_r, dtype=float)
     if theta_hat.shape != theta_r.shape:
         raise ValueError("estimate/truth length mismatch")
-    keep = theta_r != 0.0
+    keep = theta_r ** 2 != 0.0
     kept = int(np.count_nonzero(keep))
     excluded = keep.size - kept
     if not kept:
         return 0.0, excluded
     if excluded:
         theta_hat, theta_r = theta_hat[keep], theta_r[keep]
-    return _mean((theta_hat - theta_r) ** 2 / theta_r ** 2), excluded
+    with np.errstate(over="ignore"):
+        return _mean((theta_hat - theta_r) ** 2 / theta_r ** 2), excluded
 
 
 def _mean(values: np.ndarray) -> float:
@@ -527,30 +523,20 @@ def load_key_values(path) -> dict:
     return out
 
 
-def _as_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, str)) and str(value) in _BOOL_WORDS:
-        return _BOOL_WORDS[str(value)]
-    raise ValueError(f"must be true/false, yes/no or 0/1, got {value!r}")
-
-
-def _number(value) -> float:
-    """``value`` as a float: an int, a float or a numeric string, never a bool; nan otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str, np.integer, np.floating)):
-        return math.nan
-    try:
-        return float(value)
-    except (ValueError, OverflowError):
-        return math.nan
+def _as_bool(value):
+    """The bool that ``value`` spells (true/false, yes/no or 1/0, bare or quoted), else ``value`` itself."""
+    return _BOOL_WORDS.get(str(value), value) if isinstance(value, (int, str)) else value
 
 
 def _as_float(value) -> float:
-    """A finite real value."""
-    number = _number(value)
-    if not math.isfinite(number):
-        raise ValueError(f"must be a finite number, got {value!r}")
-    return number
+    """A finite number: an int, a float or a numeric string, never a bool."""
+    if isinstance(value, (int, float, str, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(number := float(value)):
+                return number
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"must be a finite number, got {value!r}")
 
 
 def _as_int(value) -> int:
@@ -562,50 +548,41 @@ def _as_int(value) -> int:
     if isinstance(value, (int, str, np.integer)) and not isinstance(value, bool):
         with contextlib.suppress(ValueError):
             return int(value)  # exact at any size
-    number = _number(value)
-    if not number.is_integer():
-        raise ValueError(f"must be an integer, got {value!r}")
-    if abs(number) > 2**53:
-        raise ValueError(f"must be an integer, got {value!r}: a float beyond 2**53 names no one integer")
+    number = _as_float(value)
+    if not (number.is_integer() and abs(number) <= _MAX_COUNT):
+        raise ValueError(f"not an integer within 2**53: {value!r}")
     return int(number)
 
 
-def _as_scheme(value) -> str:
-    if value not in SCHEMES:
-        raise ValueError(f"must be one of {', '.join(SCHEMES)}, got {value!r}")
-    return value
-
-
 def _list_of(parse):
-    """Parser of a list key: a list, a comma-separated string or a single value."""
+    """Reader of a list key: a list, a comma-separated string or a single value."""
     def parse_list(value) -> tuple:
         items = value.split(",") if isinstance(value, str) else value
         return tuple(map(parse, items if isinstance(items, (list, tuple, range, np.ndarray)) else [items]))
     return parse_list
 
 
-# Every config key and the parser of its value.  A parser reads a value as a
-# file or the key's one flag gives it, or raises a ValueError saying what the
-# value must be; scenario_from_mapping names the key, argparse the flag.
-CONFIG_PARSERS = {
-    "n_bs": _as_int,
-    "n_ttd": _as_int,
-    "p": _as_int,
-    "f_c": _as_float,
-    "bandwidth": _as_float,
-    "m_half": _as_int,
-    "users": _as_int,
-    "snr_db": _list_of(_as_float),
-    "slots": _list_of(_as_int),
-    "trials": _as_int,
-    "zeta_max": _as_float,
-    "scheme": _as_scheme,
-    "compensation": _as_bool,
-    "codebook": _as_bool,
-    "gain_sigma": _as_float,
-    "theta_grid": _list_of(_as_float),
-    "seed": _as_int,
-}
+# how a file's or a flag's value is read, by the type its dataclass field is annotated with
+_READERS = {"int": _as_int, "float": _as_float, "bool": _as_bool, "str": str,
+            "tuple[int, ...]": _list_of(_as_int), "tuple[float, ...]": _list_of(_as_float)}
+_KINDS = {f.name: f.type for cls in (SystemConfig, ScenarioConfig) for f in fields(cls) if f.name in _CONFIG_DOMAIN}
+
+
+def _parser(read, test, rule):
+    """Parser of a file's or a flag's value: ``read`` it and check it with ``test``, else raise the ``rule``."""
+    def parse(value):
+        try:
+            if test(parsed := read(value)):
+                return parsed
+        except ValueError:
+            pass
+        raise ValueError(f"must be {rule}, got {value!r}")
+    return parse
+
+
+# Every config key and the parser of its value as a file or its one flag gives it;
+# scenario_from_mapping names the key of a value it rejects, argparse the flag.
+CONFIG_PARSERS = {key: _parser(_READERS[_KINDS[key]], *domain) for key, domain in _CONFIG_DOMAIN.items()}
 
 
 # the system keys of default_config(), which a mapping's system keys overlay
@@ -613,7 +590,7 @@ _REFERENCE_SYSTEM = {f.name: getattr(default_config(), f.name) for f in fields(S
 
 
 def scenario_from_mapping(data: dict) -> ScenarioConfig:
-    """Build a scenario from a flat mapping of config keys; a value that does not parse raises naming its key.
+    """Build a scenario from a flat mapping of config keys; a value outside its key's domain raises naming the key.
 
     System keys overlay the reference setup of :func:`default_config`.
     """
@@ -625,7 +602,7 @@ def scenario_from_mapping(data: dict) -> ScenarioConfig:
         try:
             values[key] = CONFIG_PARSERS[key](value)
         except ValueError as exc:
-            raise ValueError(f"{key!r} {exc}") from None
+            raise ValueError(f"{key} {exc}") from None
     system = {key: values.pop(key) for key in _REFERENCE_SYSTEM if key in values}
     return ScenarioConfig(system=SystemConfig(**{**_REFERENCE_SYSTEM, **system}), **values)
 

@@ -44,6 +44,39 @@ def _is_real(value) -> bool:
     return type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
+# A count's upper bound: every integer up to 2**53 converts to a float exactly.
+_MAX_COUNT = 2**53
+_COUNT_RULE = "an integer in [1, 2**53]"
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and 1 <= value <= _MAX_COUNT
+
+
+def _is_positive(value) -> bool:
+    # written so that nan fails it too
+    return _is_real(value) and 0 < value < math.inf
+
+
+def _check_domain(config, domain: dict) -> None:
+    """Raise ``"<key> must be <rule>, got <value>"`` for the first field of ``config`` failing its ``domain`` test."""
+    for key, (test, rule) in domain.items():
+        value = getattr(config, key)
+        if not test(value):
+            raise ValueError(f"{key} must be {rule}, got {value!r}")
+
+
+# Each system key's (test, rule), in field order; the cross-key rules stay in SystemConfig.
+_SYSTEM_DOMAIN = {
+    "n_bs": (_is_count, _COUNT_RULE),
+    "n_ttd": (_is_count, _COUNT_RULE),
+    "p": (_is_count, _COUNT_RULE),
+    "f_c": (_is_positive, "a finite number > 0"),
+    "bandwidth": (_is_positive, "a finite number > 0"),
+    "m_half": (_is_count, _COUNT_RULE),
+}
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Array and frequency-plan parameters.
@@ -63,20 +96,11 @@ class SystemConfig:
     m_half: int
 
     def __post_init__(self):
-        for key in ("n_bs", "n_ttd", "p", "m_half"):
-            value = getattr(self, key)
-            if not _is_int(value) or value < 1:
-                raise ValueError(f"{key} must be a positive integer, got {value!r}")
+        _check_domain(self, _SYSTEM_DOMAIN)
         if self.n_ttd * self.p != self.n_bs:
             raise ValueError(f"n_ttd*p = {self.n_ttd * self.p} != n_bs = {self.n_bs}")
-        for key in ("f_c", "bandwidth"):
-            value = getattr(self, key)
-            if not _is_real(value):
-                raise ValueError(f"{key} must be a real number, got {value!r}")
-            if not 0 < value < math.inf:  # written so that nan fails the check too
-                raise ValueError(f"{key} must be finite and positive, got {value!r}")
         if self.m_half * self.f_d >= self.f_c:
-            raise ValueError("half-band m_half*f_d must stay below the carrier f_c")
+            raise ValueError(f"m_half*f_d = {self.m_half * self.f_d!r} must stay below f_c = {self.f_c!r}")
 
     @cached_property
     def f_d(self) -> float:

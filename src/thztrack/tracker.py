@@ -12,7 +12,6 @@ coarse angle estimate through the angle map.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -21,7 +20,7 @@ import numpy as np
 from .beampattern import angle_map
 from .codebook import JointCodebook, snap
 from .pairing import BACKWARD, PairingConfig, make_pairing, pairing_slopes, resolve_mode
-from .physmodel import ChannelResponse, PrecoderConfig, RayKernel, SystemConfig, precoder_matrix
+from .physmodel import ChannelResponse, PrecoderConfig, RayKernel, SystemConfig, _is_int, precoder_matrix
 
 # Not called in this module: kept as its attributes only so that span tracers
 # wrapping tracker.pairing_mod.make_pairing, tracker.quantized_pairing,
@@ -136,8 +135,7 @@ def plan_tracking(
     :func:`~thztrack.pairing.mode_bound` is allowed and flagged by its ``over_bound``; tracking with
     it may fail.
     """
-    # a Python int first: the Integral check is an ABC check, costing more than a slot
-    if (type(slots) is not int and (isinstance(slots, bool) or not isinstance(slots, numbers.Integral))) or slots < 1:
+    if not _is_int(slots) or slots < 1:
         raise ValueError(f"slots must be a positive integer, got {slots!r}")
     # written so that nan fails them too; a subnormal alpha can leave a slot radius of 0
     radius = alpha / slots

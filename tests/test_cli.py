@@ -276,6 +276,17 @@ class TestTrackIsFrameZero:
             main(["track", "--seed", "3", "--compensation"])
 
 
+# the rules of the list keys and of the real-valued options, as their messages state them
+_SNR = "a non-empty list of distinct numbers (finite in files and flags)"
+_SLOTS = "a non-empty list of distinct entries, each an integer in [1, 2**53]"
+_THETA = "a list of distinct numbers in [-0.99, 0.99]"
+_OPTION_RULES = {
+    "--theta-grid": _THETA, "--zeta-max": "a number in (0, 1)", "--snr-db": _SNR,
+    "--alpha": "a finite number > 0", "--grid-step": "a finite number > 0",
+    "--theta-min": "a number in [-1, 1]", "--theta-max": "a number in [-1, 1]",
+}
+
+
 class TestSweeps:
     def test_sweep_nmse_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -330,7 +341,7 @@ class TestSweeps:
         with pytest.raises(SystemExit) as exc:
             main(args + ["--slots", "2.5,4"])
         assert exc.value.code == 2
-        assert "argument --slots: must be an integer, got '2.5'" in capsys.readouterr().err
+        assert f"argument --slots: must be {_SLOTS}, got '2.5,4'" in capsys.readouterr().err
         assert not out.exists()
         assert main(args + ["--slots", "2.0,4"]) == 0
         _, rows = read_csv(out)
@@ -356,7 +367,7 @@ class TestSweeps:
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
-        assert "argument --snr-db: must be a finite number, got " in capsys.readouterr().err
+        assert f"argument --snr-db: must be {_SNR}, got '{values}'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -546,6 +557,26 @@ class TestOutputPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
         assert not any((tmp_path / "adir").iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, flags, name",
+        [(_SWEEP + ["--out", "x.csv", "--full", "x.csv"], "--out/--full", "x.csv"),
+         (_SWEEP + ["--out", "sub/../x.csv", "--full", "./x.csv"], "--out/--full", "x.csv"),
+         (_TRACK + ["--trace", "t.csv", "--dump-y", "t.csv"], "--trace/--dump-y", "t.csv"),
+         (_SWEEP + ["--config", "s.cfg", "--out", "s.cfg"], "--config/--out", "s.cfg"),
+         (["codebook", "--out", "s.cfg", "--config", "s.cfg"], "--config/--out", "s.cfg")],
+    )
+    def test_two_flags_naming_one_file_are_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, flags, name):
+        # a sweep whose --out and --full named one file used to leave the JSON in place of the CSV
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "s.cfg").write_text("users = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"thztrack {argv[0]}: error: arguments {flags}: both name the file '{name}'\n" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg", "sub"]
+        assert (tmp_path / "s.cfg").read_text() == "users = 1\n"
+
     def test_existing_directories_are_accepted(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
@@ -568,14 +599,16 @@ class TestFiniteOptions:
         with pytest.raises(SystemExit) as exc:
             main(argv + [f"{flag}={value}"])
         assert exc.value.code == 2
-        assert f"argument {flag}: must be a finite number, got '{value}'" in capsys.readouterr().err
+        # an option that takes any finite value states the rule "a finite number"
+        rule = _OPTION_RULES.get(flag, "a finite number")
+        assert f"argument {flag}: must be {rule}, got '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "argv, flag, value, error",
-        [(["beam-pattern", "--out", "x.csv"], "--grid-step", v, "must be positive") for v in ("0", "-0.1")]
+        [(["beam-pattern", "--out", "x.csv"], "--grid-step", v, "must be a finite number > 0") for v in ("0", "-0.1")]
         + [(["bounds", "--out", "x.csv"], "--points", v, "must be an integer >= 1") for v in ("0", "-3", "2.5")]
-        + [(["beam-pattern", "--out", "x.csv"], "--alpha", v, "must be positive") for v in ("0", "-0.1")],
+        + [(["beam-pattern", "--out", "x.csv"], "--alpha", v, "must be a finite number > 0") for v in ("0", "-0.1")],
     )
     def test_nonpositive_step_or_count_rejected_naming_the_flag(
         self, tmp_path, monkeypatch, capsys, argv, flag, value, error
@@ -594,23 +627,25 @@ class TestFiniteOptions:
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--points", "3", "--out", "x.csv", f"{flag}={value}"])
         assert exc.value.code == 2
-        assert f"argument {flag}: must lie in [-1, 1], got '{value}'" in capsys.readouterr().err
+        assert f"argument {flag}: must be a number in [-1, 1], got '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
 
 class TestBadScenario:
-    """A config value that parses but breaks a scenario rule exits 2 with the rule's message, writing nothing."""
+    """A config value outside its key's domain, or one that breaks a cross-key or option rule, exits 2 with the rule's
+    message, writing nothing."""
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["sweep-nmse", "--seed", "1", "--zeta-max", "1.5", "--out", "x.csv"], "zeta_max must lie in (0, 1)"),
-            (["sweep-nmse", "--seed", "1", "--users", "0", "--out", "x.csv"], "trials and users must be positive"),
+            (["sweep-nmse", "--seed", "1", "--zeta-max", "1.5", "--out", "x.csv"],
+             "argument --zeta-max: must be a number in (0, 1), got '1.5'"),
+            (["sweep-nmse", "--seed", "1", "--users", "0", "--out", "x.csv"],
+             "argument --users: must be an integer in [1, 2**53], got '0'"),
             (["sweep-nmse", "--seed", "1", "--n-bs", "100", "--out", "x.csv"], "n_ttd*p = 256 != n_bs = 100"),
             (["sweep-gain", "--seed", "1", "--theta-grid", "0.3,1.5", "--out", "x.csv"],
-             "theta_grid entries must lie in [-0.99, 0.99], got (0.3, 1.5)"),
-            (["track", "--seed", "3", "--theta-grid", "0.3,1.5"],
-             "theta_grid entries must lie in [-0.99, 0.99], got (0.3, 1.5)"),
+             f"argument --theta-grid: must be {_THETA}, got '0.3,1.5'"),
+            (["track", "--seed", "3", "--theta-grid", "0.3,1.5"], f"argument --theta-grid: must be {_THETA}, got '0.3,1.5'"),
             (["sweep-gain", "--seed", "1", "--out", "x.csv"], "a theta sweep needs --theta-grid or a file's theta_grid"),
             (["sweep-nmse", "--seed", "1", "--config", "nope.cfg", "--out", "x.csv"],
              "argument --config: No such file or directory: 'nope.cfg'"),
@@ -622,8 +657,8 @@ class TestBadScenario:
              "snr_db entry -4000.0 gives a pilot noise that is not finite and positive"),
             (["track", "--seed", "3", "--snr-db", "1e300"],
              "snr_db entry 1e+300 gives a pilot noise that is not finite and positive"),
-            (["track", "--seed", "3", "--theta-grid", "5"], "theta_grid entries must lie in [-0.99, 0.99], got (5.0,)"),
-            (["track", "--seed", "3", "--zeta-max", "1.5"], "zeta_max must lie in (0, 1)"),
+            (["track", "--seed", "3", "--theta-grid", "5"], f"argument --theta-grid: must be {_THETA}, got '5'"),
+            (["track", "--seed", "3", "--zeta-max", "1.5"], "argument --zeta-max: must be a number in (0, 1), got '1.5'"),
             (["track", "--seed", "3", "--theta0", "0.95", "--zeta-max", "0.1"],
              "argument --theta0: must lie in [-0.9, 0.9], got 0.95"),
             (["track", "--seed", "3", "--theta0=-0.81"], "argument --theta0: must lie in [-0.8, 0.8], got -0.81"),
@@ -633,9 +668,8 @@ class TestBadScenario:
             (["track", "--seed", "3", "--no-compensation", "--trace", "x.csv"],
              "argument --trace: traces the refinement, which needs --compensation"),
             (["sweep-nmse", "--seed", "1", "--trials", "1", "--users", "1", "--axis", "slots", "--slots", "4,-2",
-              "--out", "x.csv"], "slots entries must be positive integers, got (4, -2)"),
-            (["sweep-nmse", "--seed", "1", "--slots", "4,0", "--out", "x.csv"],
-             "slots entries must be positive integers, got (4, 0)"),
+              "--out", "x.csv"], f"argument --slots: must be {_SLOTS}, got '4,-2'"),
+            (["sweep-nmse", "--seed", "1", "--slots", "4,0", "--out", "x.csv"], f"argument --slots: must be {_SLOTS}, got '4,0'"),
             (["beam-pattern", "--theta0", "3", "--out", "x.csv"],
              "arguments --theta0/--alpha: the searched interval [2.95, 3.05] leaves [-1, 1]"),
             (["beam-pattern", "--theta0", "0.95", "--alpha", "0.5", "--out", "x.csv"],
@@ -646,14 +680,14 @@ class TestBadScenario:
              "arguments --psi/--t: give both slopes or neither"),
             (["beam-pattern", "--t", "0.3", "--grid-step", "0.5", "--out", "x.csv"],
              "arguments --psi/--t: give both slopes or neither"),
-            (["track", "--seed", "3", "--zeta-max=0"], "zeta_max must lie in (0, 1)"),
-            (["track", "--seed", "3", "--zeta-max=-0.1"], "zeta_max must lie in (0, 1)"),
+            (["track", "--seed", "3", "--zeta-max=0"], "argument --zeta-max: must be a number in (0, 1), got '0'"),
+            (["track", "--seed", "3", "--zeta-max=-0.1"], "argument --zeta-max: must be a number in (0, 1), got '-0.1'"),
             # a sweep keys its records by axis value, so no list key may repeat an entry
             (["sweep-nmse", "--seed", "1", "--snr-db", "10,10", "--out", "x.csv"],
-             "snr_db entries must be distinct, got (10.0, 10.0)"),
+             f"argument --snr-db: must be {_SNR}, got '10,10'"),
             (["sweep-nmse", "--seed", "1", "--axis", "slots", "--slots", "2,4,2", "--out", "x.csv"],
-             "slots entries must be distinct, got (2, 4, 2)"),
-            (["track", "--seed", "3", "--theta-grid", "0.3,0.3"], "theta_grid entries must be distinct, got (0.3, 0.3)"),
+             f"argument --slots: must be {_SLOTS}, got '2,4,2'"),
+            (["track", "--seed", "3", "--theta-grid", "0.3,0.3"], f"argument --theta-grid: must be {_THETA}, got '0.3,0.3'"),
         ],
     )
     def test_exits_2_with_the_message(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -697,6 +731,29 @@ _KEY_FLAGS = {
 _OTHER_KEYS = {"compensation", "codebook"}
 
 
+# Every config key: a value outside its domain as code and a mapping pass it, and as its flag's text
+# (None for the switches, which take no value).
+_OUTSIDE = {
+    "n_bs": (2**1100, "0"),
+    "n_ttd": (0, "9007199254740993"),
+    "p": (True, "2.5"),
+    "f_c": (-1.0, "0"),
+    "bandwidth": (float("nan"), "-1e9"),
+    "m_half": (64.5, "1e300"),
+    "users": (10**30, "0"),
+    "snr_db": ((), "10,10"),
+    "slots": ((4, 0), "4,-2"),
+    "trials": (0, "1e18"),
+    "zeta_max": (1.5, "1"),
+    "scheme": ("forward", "sideways"),
+    "compensation": ("maybe", None),
+    "codebook": (None, None),
+    "gain_sigma": (-1.0, "inf"),
+    "theta_grid": ((0.3, 1.5), "0.3,0.3"),
+    "seed": (-1, "2.5"),
+}
+
+
 class _Swept(Exception):
     pass
 
@@ -715,7 +772,7 @@ def _swept_scenario(monkeypatch, argv):
 
 class TestOneParserPerKey:
     def test_every_key_is_covered(self):
-        assert set(_KEY_FLAGS) | _OTHER_KEYS == set(CONFIG_PARSERS)
+        assert set(_KEY_FLAGS) | _OTHER_KEYS == set(CONFIG_PARSERS) == set(_OUTSIDE) == set(harness._CONFIG_DOMAIN)
 
     def test_flags_and_file_give_equal_scenarios(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -740,12 +797,37 @@ class TestOneParserPerKey:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert re.search(f"argument {flag}: must be .*, got '", capsys.readouterr().err)
+        rule = harness._CONFIG_DOMAIN[key][1]
+        assert f"argument {flag}: must be {rule}, got '{bad}'" in capsys.readouterr().err
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"{key} = {bad}\n")
-        with pytest.raises(ValueError, match=f"^'{key}' must be "):
+        message = f"{key} must be {rule}, got {harness.load_key_values(cfgfile)[key]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             scenario_from_file(cfgfile)
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("key", list(_OUTSIDE))
+    def test_every_key_states_its_rule_in_one_form(self, tmp_path, monkeypatch, capsys, key):
+        # "<key> must be <rule>, got <value>" from the dataclass and the mapping, "argument --<flag>: must be <rule>,
+        # got '<text>'" from the flag, with the rule of the key's one entry in the domain table
+        rule = harness._CONFIG_DOMAIN[key][1]
+        value, text = _OUTSIDE[key]
+        message = f"^{re.escape(f'{key} must be {rule}, got {value!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            if key in {f.name for f in fields(SystemConfig)}:
+                replace(default_config(), **{key: value})
+            else:
+                ScenarioConfig(**{key: value})
+        with pytest.raises(ValueError, match=message):
+            harness.scenario_from_mapping({key: value})
+        if text is not None:
+            monkeypatch.chdir(tmp_path)
+            flag = "--" + key.replace("_", "-")
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep-nmse", "--out", "x.csv", f"{flag}={text}"] + (["--seed", "1"] if key != "seed" else []))
+            assert exc.value.code == 2
+            assert f"thztrack sweep-nmse: error: argument {flag}: must be {rule}, got {text!r}\n" in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("key", ["snr_db", "slots"])
     def test_empty_axis_list_rejected(self, tmp_path, capsys, key):
@@ -755,7 +837,7 @@ class TestOneParserPerKey:
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--config", str(cfgfile), "--seed", "1"])
             assert exc.value.code == 2
-            assert f"{key} must not be empty" in capsys.readouterr().err
+            assert f"{key} must be {harness._CONFIG_DOMAIN[key][1]}, got []" in capsys.readouterr().err
 
 
 # a sweep of one frame, quick to run should a flag be taken where it must not
@@ -830,6 +912,16 @@ class TestReadme:
             if not argv[0].startswith("sweep"):
                 assert main(argv) == 0
         assert {p.name for p in tmp_path.iterdir()} >= {"pattern.csv", "bounds.csv", "codebook.csv", "trace.csv", "y.csv"}
+
+    def test_configuration_section_states_each_rule_once(self):
+        # one "| `key`, ... | `rule` |" row per rule, in the words of the domain table, covering every key once
+        section = README.read_text().split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| (`\w+`(?:, `\w+`)*) \| `([^`]+)` \|$", section, re.M)
+        keys = [key for listed, _ in rows for key in re.findall(r"`(\w+)`", listed)]
+        assert sorted(keys) == sorted(harness._CONFIG_DOMAIN)
+        assert {key: rule for listed, rule in rows for key in re.findall(r"`(\w+)`", listed)} == {
+            key: rule for key, (_, rule) in harness._CONFIG_DOMAIN.items()
+        }
 
     def test_overview_lists_each_module_once(self):
         # the overview, above "## Install and test", has one "- `module`: ..." line per module

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -64,6 +65,14 @@ class TestNmse:
         assert excluded == 1
         assert lin == pytest.approx(0.01)
 
+    def test_truth_near_zero_is_excluded_or_gives_inf(self):
+        # a theta_grid target may be tiny: its square underflows to 0 (excluded, as 0 is) or an error
+        # over it overflows (+inf); neither divides by zero or warns
+        lin, excluded = nmse([0.27, 0.55], [9e-178, 0.5])
+        assert (lin, excluded) == (pytest.approx(0.01), 1)
+        assert nmse([0.27, 0.55], [1e-160, 0.5]) == (math.inf, 0)
+        assert nmse_db(math.inf) == math.inf
+
     def test_mean_is_linear_over_concatenation(self):
         a_hat, a_r = [0.52, 0.61], [0.5, 0.6]
         b_hat, b_r = [0.22], [0.2]
@@ -80,7 +89,7 @@ class TestNmse:
 def _masked_nmse(theta_hat, theta_r):
     """The NMSE oracle: every record masked by its truth, then one ``np.mean``."""
     theta_hat, theta_r = np.asarray(theta_hat, dtype=float), np.asarray(theta_r, dtype=float)
-    keep = theta_r != 0.0
+    keep = theta_r ** 2 != 0.0
     if not np.any(keep):
         return 0.0, int(np.sum(~keep))
     return float(np.mean((theta_hat[keep] - theta_r[keep]) ** 2 / theta_r[keep] ** 2)), int(np.sum(~keep))
@@ -342,6 +351,28 @@ class TestFrameCost:
         assert "kernel" in vars(frame.obs.plan) and frame.record.iterations > 0
 
 
+# Each config key's rule, as its message states it: "<key> must be <rule>, got <value>".
+_COUNT = "an integer in [1, 2**53]"
+_RULES = {
+    "n_bs": _COUNT, "n_ttd": _COUNT, "p": _COUNT, "m_half": _COUNT, "users": _COUNT, "trials": _COUNT, "seed": "an integer >= 0 (as a float, at most 2**53)",
+    "f_c": "a finite number > 0", "bandwidth": "a finite number > 0",
+    "zeta_max": "a number in (0, 1)", "gain_sigma": "a finite number >= 0",
+    "compensation": "True or False (true/false, yes/no or 1/0 in files)",
+    "codebook": "True or False (true/false, yes/no or 1/0 in files)",
+    "snr_db": "a non-empty list of distinct numbers (finite in files and flags)",
+    "slots": "a non-empty list of distinct entries, each an integer in [1, 2**53]",
+    "theta_grid": "a list of distinct numbers in [-0.99, 0.99]",
+}
+
+
+_SYSTEM_KEYS = {f.name for f in fields(SystemConfig)}
+
+
+def _rejects(key, value):
+    """The full-match pattern of the message rejecting ``value`` for ``key``."""
+    return f"^{re.escape(f'{key} must be {_RULES[key]}, got {value!r}')}$"
+
+
 class TestScenarioConfig:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -354,7 +385,7 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("gain_sigma", [float("nan"), float("inf")])
     def test_rejects_non_finite_gain_sigma(self, gain_sigma):
         # either makes every gain draw nan
-        with pytest.raises(ValueError, match="gain_sigma must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=_rejects("gain_sigma", gain_sigma)):
             ScenarioConfig(gain_sigma=gain_sigma)
 
     def test_rejects_negative_seed(self):
@@ -368,7 +399,7 @@ class TestScenarioConfig:
     )
     def test_rejects_counts_that_are_not_integers(self, key, value):
         # a float count used to pass and fail later with a TypeError, and True counted as 1
-        with pytest.raises(ValueError, match=rf"must be (positive|a nonnegative) integers?: {key} is {re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=_rejects(key, value)):
             ScenarioConfig(**{key: value})
         assert ScenarioConfig(users=np.int64(2), trials=np.int64(3), seed=np.int64(0)).users == 2
 
@@ -376,7 +407,7 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("value", ["no", "false", 1, 0, None, np.float64(1.0)])
     def test_rejects_flags_that_are_not_bools(self, key, value):
         # the truthy string "no" used to turn compensation on
-        with pytest.raises(ValueError, match=f"^{key} must be True or False, got {re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=_rejects(key, value)):
             ScenarioConfig(**{key: value})
 
     @pytest.mark.parametrize(
@@ -387,7 +418,7 @@ class TestScenarioConfig:
     def test_rejects_real_values_that_are_not_numbers(self, key, value):
         # each used to raise a TypeError naming no key, from a comparison or arithmetic on the value
         system_keys = {f.name for f in fields(SystemConfig)}
-        with pytest.raises(ValueError, match=rf"^{key} (entries )?must be (a )?real numbers?, got {re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=_rejects(key, value)):
             if key in system_keys:
                 replace(default_config(), **{key: value})
             else:
@@ -396,13 +427,13 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("key, value", [("snr_db", 10.0), ("slots", 4), ("theta_grid", 0.3)])
     def test_rejects_list_keys_that_are_not_lists(self, key, value):
         # each used to raise "TypeError: '...' object is not iterable", naming no key
-        with pytest.raises(ValueError, match=rf"^{key} must be a tuple or a list, got {re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=_rejects(key, value)):
             ScenarioConfig(**{key: value})
         assert getattr(ScenarioConfig(**{key: [value]}), key) == [value]
 
     @pytest.mark.parametrize("theta_grid", [(0.3, 1.5), (-0.995,), (float("nan"),)])
     def test_rejects_theta_grid_beyond_direction_cap(self, theta_grid):
-        with pytest.raises(ValueError, match="theta_grid entries must lie in"):
+        with pytest.raises(ValueError, match=_rejects("theta_grid", theta_grid)):
             ScenarioConfig(theta_grid=theta_grid)
         assert ScenarioConfig(theta_grid=(-0.99, 0.99)).theta_grid == (-0.99, 0.99)
 
@@ -416,23 +447,24 @@ class TestScenarioConfig:
             with pytest.raises(ValueError, match=r"snr_db entry .* gives a pilot noise that is not finite and positive"):
                 ScenarioConfig(snr_db=(10.0, snr_db))
         # files and flags read the key with a parser that rejects non-finite numbers itself
-        with pytest.raises(ValueError, match="snr_db entry|'snr_db' must be a finite number"):
+        noise_rule = r"^snr_db entry .* gives a pilot noise that is not finite and positive$"
+        with pytest.raises(ValueError, match=noise_rule if math.isfinite(snr_db) else _rejects("snr_db", [snr_db])):
             scenario_from_mapping({"snr_db": [snr_db]})
         assert ScenarioConfig(snr_db=(-3000.0, 3000.0)).snr_db == (-3000.0, 3000.0)
 
     @pytest.mark.parametrize("slots", [(2.5,), (2, 4.0), (True,)])
     def test_rejects_slot_counts_that_are_not_integers(self, slots):
-        with pytest.raises(ValueError, match="slots entries must be positive integers"):
+        with pytest.raises(ValueError, match=_rejects("slots", slots)):
             ScenarioConfig(slots=slots)
         assert ScenarioConfig(slots=(np.int64(2), 4)).slots == (2, 4)
 
     @pytest.mark.parametrize("slots", [[4, 0], [4, -2], [0]])
     def test_rejects_slot_counts_below_one_before_any_frame(self, cfg, monkeypatch, slots):
-        with pytest.raises(ValueError, match="slots entries must be positive integers"):
+        with pytest.raises(ValueError, match=_rejects("slots", slots)):
             scenario_from_mapping({"slots": slots})
         frames = []
         monkeypatch.setattr(harness, "run_frame", lambda *args, **kwargs: frames.append(args))
-        with pytest.raises(ValueError, match="slots entries must be positive integers"):
+        with pytest.raises(ValueError, match=_rejects("slots", tuple(slots))):
             sweep(replace(ScenarioConfig(system=cfg, users=1, trials=1), slots=tuple(slots)), "slots")
         assert frames == []
 
@@ -442,9 +474,9 @@ class TestScenarioConfig:
     )
     def test_rejects_repeated_list_entries(self, key, entries):
         # a sweep keys its records by axis value, so a repeated entry would lose its records
-        with pytest.raises(ValueError, match=rf"^{key} entries must be distinct, got "):
+        with pytest.raises(ValueError, match=_rejects(key, entries)):
             ScenarioConfig(**{key: entries})
-        with pytest.raises(ValueError, match=rf"^{key} entries must be distinct"):
+        with pytest.raises(ValueError, match=_rejects(key, list(entries))):
             scenario_from_mapping({key: list(entries)})
 
     def test_center_cap(self):
@@ -593,6 +625,51 @@ def _sweep_cases(draw):
         seed=draw(st.integers(0, 2**16)),
     )
     return scn, axis
+
+
+@st.composite
+def _domain_cases(draw):
+    """A scenario, built in code, over the config domain's fuzz ranges (ROADMAP item 19), and one of its sweep axes."""
+    p, n_ttd, f_c = draw(st.integers(1, 16)), draw(st.integers(1, 16)), draw(st.floats(10e9, 1e12))
+    system = dict(
+        n_bs=p * n_ttd, n_ttd=n_ttd, p=p, f_c=f_c, bandwidth=f_c * draw(st.floats(0.01, 0.6)),
+        m_half=draw(st.integers(1, 39)),
+    )
+    axis = draw(st.sampled_from(sorted(harness.SWEEP_AXES)))
+    on_axis = {"min_size": 1, "max_size": 3, "unique": True}
+    scenario = dict(
+        snr_db=tuple(draw(st.lists(st.sampled_from([-30.0, 0.0, 20.0, 60.0, math.inf]), **on_axis))),
+        slots=tuple(draw(st.lists(st.integers(1, 8), **on_axis))),
+        theta_grid=tuple(draw(st.lists(st.floats(-0.99, 0.99), **{**on_axis, "min_size": int(axis == "theta")}))),
+        zeta_max=draw(st.floats(0.001, 0.95)), scheme=draw(st.sampled_from(harness.SCHEMES)),
+        compensation=draw(st.booleans()), codebook=draw(st.booleans()), gain_sigma=draw(st.sampled_from([0.0, 0.5])),
+        users=draw(st.integers(1, 2)), trials=draw(st.integers(1, 2)), seed=draw(st.integers(0, 2**32)),
+    )
+    return system, scenario, axis
+
+
+class TestConfigDomain:
+    # The example count was fixed before any run.
+    @settings(max_examples=100, deadline=None)
+    @given(case=_domain_cases())
+    def test_sweep_rejects_naming_a_key_or_gives_finite_rows(self, case):
+        # a warning is an error here, so a numpy overflow or invalid value fails the case
+        system, scenario, axis = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = sweep(ScenarioConfig(system=SystemConfig(**system), **scenario), axis)
+            except ValueError as exc:
+                assert re.match(r"\w+", str(exc)).group() in harness.CONFIG_PARSERS, str(exc)
+                return
+        for row, records in zip(report.rows, report.records.values()):
+            # README: an snr_db entry of +inf is the noiseless frame, and a target so near 0 that an error over
+            # its square overflows makes the NMSE +inf
+            infinite = {"value"} if axis == "snr" else set()
+            if min(abs(r.theta_r) for r in records) < 1e-150:
+                infinite |= {"nmse_linear", "nmse_db", "nmse_coarse_linear", "nmse_coarse_db"}
+            assert all(math.isfinite(v) or (k in infinite and v == math.inf)
+                       for k, v in row.items() if isinstance(v, float)), row
 
 
 class TestFrameDraws:
@@ -828,12 +905,31 @@ seed = 3
     )
     def test_integral_floats_beyond_2_pow_53_rejected(self, key, value):
         # beyond 2**53 a float no longer names one integer
-        with pytest.raises(ValueError, match=rf"^'{key}' must be an integer, got .*: a float beyond 2\*\*53"):
+        with pytest.raises(ValueError, match=_rejects(key, value)):
             scenario_from_mapping({key: value})
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [({"users": 10**30}, "users"), ({"n_bs": 2**1100, "n_ttd": 2**1100, "p": 1}, "n_bs"),
+         ({"m_half": 2**53 + 1}, "m_half"), ({"slots": [2, 2**60]}, "slots"), ({"trials": 2**53 + 1}, "trials")],
+    )
+    def test_counts_beyond_2_pow_53_rejected_naming_the_key(self, data, key):
+        # users = 10**30 used to build a scenario, and n_bs = 2**1100 to be reported as an snr_db error
+        with pytest.raises(ValueError, match=_rejects(key, data[key])):
+            scenario_from_mapping(data)
+        value = tuple(data[key]) if key == "slots" else data[key]
+        with pytest.raises(ValueError, match=_rejects(key, value)):
+            if key in _SYSTEM_KEYS:
+                replace(default_config(), **{key: value})
+            else:
+                ScenarioConfig(**{key: value})
+        assert scenario_from_mapping({"users": 2**53, "slots": [2**53]}).users == 2**53
+
     def test_exact_integers_are_unbounded(self):
-        scn = scenario_from_mapping({"seed": 10**30, "trials": str(2**53 + 1)})
-        assert (scn.seed, scn.trials) == (10**30, 2**53 + 1)
+        # only for seed: a count is capped at 2**53 however it is spelled
+        assert scenario_from_mapping({"seed": 10**30}).seed == 10**30
+        with pytest.raises(ValueError, match=_rejects("trials", str(2**53 + 1))):
+            scenario_from_mapping({"trials": str(2**53 + 1)})
 
     @pytest.mark.parametrize(
         "key, value",
