@@ -18,6 +18,7 @@ from .harness import (
     ScenarioConfig,
     _KINDS,
     _as_float,
+    _as_int,
     _parser,
     draw_frame,
     run_frame,
@@ -43,13 +44,11 @@ def _flag_type(parse):
 _finite_float = _flag_type(_as_float)
 _positive_float = _flag_type(_parser(_as_float, lambda value: value > 0, "a finite number > 0"))
 _direction = _flag_type(_parser(_as_float, lambda value: -1 <= value <= 1, "a number in [-1, 1]"))
-
-
-def _count(text: str) -> int:
-    """argparse type of a count: an integer of at least 1."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+# Size caps, so that a value past one is a usage error and not an allocation that fails or never ends: a grid
+# step gives 2 to 10001 angles on [-1, 1] per subcarrier (validate's peak-map resolution at most; 1.29M rows for
+# the reference system's full surface), and bounds writes at most 100000 rows.
+_grid_step = _flag_type(_parser(_as_float, lambda value: 2e-4 <= value <= 2, "a number in [0.0002, 2]"))
+_points = _flag_type(_parser(_as_int, lambda value: 1 <= value <= 100_000, "an integer in [1, 100000]"))
 
 
 def _out_path(text: str) -> Path:
@@ -72,14 +71,15 @@ _FRAME_KEYS = tuple(key for key in CONFIG_PARSERS if key not in ("users", "trial
 
 
 def _add_config_args(parser: argparse.ArgumentParser, keys):
-    """``--config`` and one flag per config key, ``--`` + the key with ``_`` as ``-``, read by the key's parser."""
+    """``--config`` and one flag per config key, ``--`` + the key with ``_`` as ``-``, read by the key's parser.
+
+    A bool key's flag also has its negation, ``--no-`` + the key, so a flag can turn off a file's ``true``.
+    """
     parser.add_argument("--config", type=Path, help="key=value scenario/system file")
     for key in keys:
         flag = "--" + key.replace("_", "-")
         if _KINDS[key] == "bool":
-            parser.add_argument(flag, dest=key, action="store_true", default=None)
-            if key == "compensation":
-                parser.add_argument("--no-compensation", dest=key, action="store_false")
+            parser.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
         else:
             # every command that takes --seed requires it
             parser.add_argument(flag, dest=key, type=_flag_type(CONFIG_PARSERS[key]), required=key == "seed")
@@ -88,30 +88,19 @@ def _add_config_args(parser: argparse.ArgumentParser, keys):
 def _scenario(parser: argparse.ArgumentParser, args) -> ScenarioConfig | None:
     """The ``--config`` file with the config flags on top; None for a command without them.
 
-    An unreadable file, a rejected value, a sweep whose axis key is empty, ``track --theta0`` beyond the
-    centre cap and ``track --trace`` without compensation are usage errors; ``beam-pattern`` checks its
-    own options.
+    An unreadable file and a rejected value are usage errors.
     """
     opts = vars(args)
     if "config" not in opts:
         return None
-    flags = {key: value for key, value in opts.items() if key in CONFIG_PARSERS}
-    axis_key = SWEEP_AXES.get(opts.get("axis"))
-    center = opts.get("center")
     try:
-        scn = scenario_from_file(args.config, flags)
-        if axis_key and not getattr(scn, axis_key):
-            raise ValueError(f"a {args.axis} sweep needs --{axis_key.replace('_', '-')} or a file's {axis_key}")
-        cap = scn.center_cap
-        if center is not None and not abs(center) <= cap:
-            raise ValueError(f"argument --theta0: must lie in [-{cap:g}, {cap:g}], got {center!r}")
-        if opts.get("trace") is not None and not scn.compensation:
-            raise ValueError("argument --trace: traces the refinement, which needs --compensation")
+        return scenario_from_file(args.config, {key: value for key, value in opts.items() if key in CONFIG_PARSERS})
     except OSError as exc:
         parser.error(f"argument --config: {exc.strerror}: {exc.filename!r}")
+    except UnicodeDecodeError as exc:
+        parser.error(f"argument --config: not UTF-8 text ({exc.reason} at byte {exc.start}): {str(args.config)!r}")
     except ValueError as exc:
         parser.error(str(exc))
-    return scn
 
 
 def _save_csv(path: Path, header: list[str], rows) -> None:
@@ -182,6 +171,11 @@ def _cmd_codebook(args, scn: ScenarioConfig) -> int:
 
 
 def _cmd_track(args, scn: ScenarioConfig) -> int:
+    cap = scn.center_cap
+    if args.center is not None and not abs(args.center) <= cap:
+        args.subparser.error(f"argument --theta0: must lie in [-{cap:g}, {cap:g}], got {args.center!r}")
+    if args.trace is not None and not scn.compensation:
+        args.subparser.error("argument --trace: traces the refinement, which needs --compensation")
     # the frame reads the first entry of each list key; say which entries it leaves out
     for key in SWEEP_AXES.values():
         entries = getattr(scn, key)
@@ -219,6 +213,9 @@ def _cmd_track(args, scn: ScenarioConfig) -> int:
 
 
 def _cmd_sweep(args, scn: ScenarioConfig) -> int:
+    axis_key = SWEEP_AXES[args.axis]
+    if not getattr(scn, axis_key):
+        args.subparser.error(f"a {args.axis} sweep needs --{axis_key.replace('_', '-')} or a file's {axis_key}")
     report = sweep(scn, args.axis)
     report.write_csv(args.out)
     if args.full:
@@ -269,7 +266,7 @@ def _beam_pattern_args(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=_positive_float, default=0.05)
     p.add_argument("--psi", type=_finite_float)
     p.add_argument("--t", type=_finite_float)
-    p.add_argument("--grid-step", type=_positive_float, default=2e-3)
+    p.add_argument("--grid-step", type=_grid_step, default=2e-3)
     p.add_argument("--peaks-only", action="store_true")
     p.add_argument("--out", type=_out_path, required=True)
 
@@ -278,7 +275,7 @@ def _bounds_args(p: argparse.ArgumentParser):
     _add_config_args(p, _SYSTEM_KEYS)
     p.add_argument("--theta-min", type=_direction, default=-1.0)
     p.add_argument("--theta-max", type=_direction, default=1.0)
-    p.add_argument("--points", type=_count, default=81)
+    p.add_argument("--points", type=_points, default=81)
     p.add_argument("--include-extra", action="store_true")
     p.add_argument("--out", type=_out_path, required=True)
 
@@ -314,21 +311,12 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``thztrack`` parser.
-
-    With a known ``command`` only that subcommand is built, which is all a
-    call needs; otherwise every subcommand is, so that help and usage errors
-    list them all.  Each call builds a new parser; :func:`main` builds one
-    per command and process.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The ``thztrack`` parser with every subcommand; each call builds a new one."""
     # allow_abbrev=False: a prefix of a flag is not a second spelling of it
     parser = argparse.ArgumentParser(prog="thztrack", description=__doc__, allow_abbrev=False)
-    # the usage line names every command whichever subparsers are built
-    sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}")
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    for name in names:
-        help_text, add_arguments, handler = _COMMANDS[name]
+    sub = parser.add_subparsers(required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         add_arguments(p)
         p.set_defaults(func=handler, subparser=p)
@@ -336,12 +324,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """``build_parser(command)``, built once per process: parsing leaves a parser as it was, so ``main`` reuses it.
-
-    ``command`` is a key of ``_COMMANDS`` or None, so at most one parser per command and the full one are kept.
-    """
-    return build_parser(command)
+def _main_parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves a parser as it was, so ``main`` reuses it."""
+    return build_parser()
 
 
 def _check_files_distinct(parser: argparse.ArgumentParser, args) -> None:
@@ -354,10 +339,7 @@ def _check_files_distinct(parser: argparse.ArgumentParser, args) -> None:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # every argv that does not start with a command gets the full parser
-    parser = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args, unknown = parser.parse_known_args(argv)
+    args, unknown = _main_parser().parse_known_args(argv)
     if unknown:
         # the invoked command's usage, where parse_args would print the top-level one
         args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")

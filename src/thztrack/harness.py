@@ -503,15 +503,15 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False
 
 
 def load_key_values(path) -> dict:
-    """Parse a ``key = value`` text file; values are JSON literals or bare strings, each key set once."""
+    """Parse a ``key = value`` UTF-8 text file; values are JSON literals or bare strings, each key set once."""
     out = {}
     line_of = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
+            raise ValueError(f"malformed config line {lineno}: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in line_of:
             raise ValueError(f"config key {key!r} is set twice, on lines {line_of[key]} and {lineno}")

@@ -1,4 +1,4 @@
-import collections
+import argparse
 import json
 import pkgutil
 import re
@@ -139,6 +139,7 @@ class TestConfigChecks:
                 id="m_half = 32\nf_d = 78125000.0\n-f_d",
             ),
             ("n_bss = 64\n", "unknown config keys"),
+            ("n_bs = 64\n\nusers2\n", "malformed config line 3: 'users2'"),
         ],
     )
     def test_bad_config_file_rejected(self, tmp_path, capsys, command, text, match):
@@ -151,6 +152,17 @@ class TestConfigChecks:
             main(args)
         assert exc.value.code == 2
         assert re.search(match, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["codebook", "track"])
+    def test_undecodable_config_file_names_the_flag(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        Path("bin.cfg").write_bytes(b"users = 1\n\xff\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "bin.cfg", "--seed" if command == "track" else "--out", "1"])
+        assert exc.value.code == 2
+        message = "argument --config: not UTF-8 text (invalid start byte at byte 10): 'bin.cfg'"
+        assert capsys.readouterr().err.endswith(f"thztrack {command}: error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bin.cfg"]
 
 
 class TestTrack:
@@ -282,7 +294,7 @@ _SLOTS = "a non-empty list of distinct entries, each an integer in [1, 2**53]"
 _THETA = "a list of distinct numbers in [-0.99, 0.99]"
 _OPTION_RULES = {
     "--theta-grid": _THETA, "--zeta-max": "a number in (0, 1)", "--snr-db": _SNR,
-    "--alpha": "a finite number > 0", "--grid-step": "a finite number > 0",
+    "--alpha": "a finite number > 0", "--grid-step": "a number in [0.0002, 2]",
     "--theta-min": "a number in [-1, 1]", "--theta-max": "a number in [-1, 1]",
 }
 
@@ -372,7 +384,7 @@ class TestSweeps:
 
 
 def _subparsers(parser):
-    (action,) = [a for a in parser._actions if a.dest == "command"]
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
 
 
@@ -433,25 +445,6 @@ class TestParser:
         for option in options:
             assert option in out
 
-    @pytest.mark.parametrize("command", sorted(_ARGV))
-    def test_lazy_parser_matches_full_parser(self, command):
-        argv = _ARGV[command]
-        assert list(_subparsers(build_parser(command))) == [command]
-        lazy, full = (vars(parser.parse_args(argv)) for parser in (build_parser(command), build_parser()))
-        # each namespace carries the subparser that parsed it, built once per parser
-        assert lazy.pop("subparser").format_usage() == full.pop("subparser").format_usage()
-        assert lazy == full
-
-    def test_lazy_usage_error_matches_full_parser(self, capsys):
-        argv = ["track", "--seed", "1", "--bogus"]
-        errors = []
-        for parser in (build_parser("track"), build_parser()):
-            with pytest.raises(SystemExit):
-                parser.parse_args(argv)
-            errors.append(capsys.readouterr().err)
-        assert "unrecognized arguments: --bogus" in errors[0]
-        assert errors[0] == errors[1]
-
     @pytest.mark.parametrize("argv", [[], ["trak"], ["--seed", "1"]])
     def test_missing_or_unknown_command_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -479,7 +472,7 @@ def _main_namespace(monkeypatch, argv):
 
 
 class TestParserReuse:
-    """``main`` builds each command's parser once per process, and no call can tell."""
+    """``main`` builds its parser once per process, and no call can tell."""
 
     def test_repeated_sweeps_write_identical_bytes(self, tmp_path):
         out, full = tmp_path / "g.csv", tmp_path / "g.json"
@@ -507,17 +500,17 @@ class TestParserReuse:
             assert parsed.pop("subparser").format_usage() == fresh["subparser"].format_usage()
             assert parsed == {key: value for key, value in fresh.items() if key != "subparser"}
 
-    def test_one_parser_build_per_command(self, tmp_path, monkeypatch):
+    def test_one_parser_build_per_process(self, tmp_path, monkeypatch):
         builds = []
         real = cli.build_parser
 
-        def counting(command=None):
-            builds.append(command)
-            return real(command)
+        def counting():
+            builds.append(None)
+            return real()
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "build_parser", counting)
-        cli._parser.cache_clear()
+        cli._main_parser.cache_clear()
         try:
             for _ in range(3):
                 for argv in _ARGV.values():
@@ -526,9 +519,9 @@ class TestParserReuse:
                     with pytest.raises(SystemExit):
                         main(argv)
         finally:
-            cli._parser.cache_clear()
-        # one build per command, and one full parser for every argv that names none
-        assert collections.Counter(builds) == collections.Counter([*_ARGV, None])
+            cli._main_parser.cache_clear()
+        # one full parser serves every command and every argv that names none
+        assert len(builds) == 1
 
 
 class TestOutputPaths:
@@ -606,11 +599,16 @@ class TestFiniteOptions:
 
     @pytest.mark.parametrize(
         "argv, flag, value, error",
-        [(["beam-pattern", "--out", "x.csv"], "--grid-step", v, "must be a finite number > 0") for v in ("0", "-0.1")]
-        + [(["bounds", "--out", "x.csv"], "--points", v, "must be an integer >= 1") for v in ("0", "-3", "2.5")]
-        + [(["beam-pattern", "--out", "x.csv"], "--alpha", v, "must be a finite number > 0") for v in ("0", "-0.1")],
+        [(["beam-pattern", "--out", "x.csv"], "--grid-step", v, "must be a number in [0.0002, 2]") for v in ("0", "-0.1")]
+        + [(["bounds", "--out", "x.csv"], "--points", v, "must be an integer in [1, 100000]") for v in ("0", "-3", "2.5")]
+        + [(["beam-pattern", "--out", "x.csv"], "--alpha", v, "must be a finite number > 0") for v in ("0", "-0.1")]
+        # past the size caps: an angle grid finer than 10001 points (or of one point), more than 100000 bounds rows
+        + [(["beam-pattern", "--peaks-only", "--out", "x.csv"], "--grid-step", v, "must be a number in [0.0002, 2]")
+           for v in ("1e-300", "1.9e-4", "2.5", "5")]
+        + [(["bounds", "--out", "x.csv"], "--points", v, "must be an integer in [1, 100000]")
+           for v in ("100001", "1e300", "9" * 5000)],
     )
-    def test_nonpositive_step_or_count_rejected_naming_the_flag(
+    def test_step_or_count_outside_its_rule_rejected_naming_the_flag(
         self, tmp_path, monkeypatch, capsys, argv, flag, value, error
     ):
         monkeypatch.chdir(tmp_path)
@@ -619,6 +617,15 @@ class TestFiniteOptions:
         assert exc.value.code == 2
         assert f"argument {flag}: {error}, got '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, dest, value",
+        [(["beam-pattern", "--grid-step", "2e-4"], "grid_step", 2e-4), (["beam-pattern", "--grid-step", "2"], "grid_step", 2.0),
+         (["bounds", "--points", "100000"], "points", 100000)],
+    )
+    def test_size_caps_are_inclusive(self, argv, dest, value):
+        # parsed, never run: a run at a cap writes up to 1.29M rows
+        assert getattr(build_parser().parse_args(argv + ["--out", "x.csv"]), dest) == value
 
     @pytest.mark.parametrize("flag", ["--theta-min", "--theta-max"])
     @pytest.mark.parametrize("value", ["3", "5", "-1.5", "1.0001"])
@@ -785,9 +792,13 @@ class TestOneParserPerKey:
         )
         assert from_flags == scenario_from_file(cfgfile)
         assert (from_flags.system.n_bs, from_flags.snr_db, from_flags.slots) == (64, (0.0, 10.5), (2, 4))
-        # a flag overrides the file, and --no-compensation a file's compensation = true
-        overridden = _swept_scenario(monkeypatch, ["--config", str(cfgfile), "--trials", "9", "--no-compensation", "--seed", "8"])
-        assert (overridden.trials, overridden.compensation, overridden.seed, overridden.users) == (9, False, 8, 2)
+        # a flag overrides the file, and --no-compensation and --no-codebook a file's true
+        overridden = _swept_scenario(
+            monkeypatch, ["--config", str(cfgfile), "--trials", "9", "--no-compensation", "--no-codebook", "--seed", "8"]
+        )
+        assert (overridden.trials, overridden.compensation, overridden.codebook, overridden.seed, overridden.users) == (
+            9, False, False, 8, 2,
+        )
 
     @pytest.mark.parametrize("key", sorted(_KEY_FLAGS))
     def test_bad_value_names_the_flag_or_the_key(self, tmp_path, monkeypatch, capsys, key):
@@ -856,8 +867,8 @@ class TestOneFlagPerKey:
                 spellings.setdefault(action.dest, []).extend(action.option_strings)
         for key, options in spellings.items():
             flag = "--" + key.replace("_", "-")
-            # --no-compensation is the one negation
-            assert options == ([flag, "--no-compensation"] if key == "compensation" else [flag])
+            # every bool key, and only a bool key, has its negation --no-<key>
+            assert options == ([flag, "--no-" + flag[2:]] if key in _OTHER_KEYS else [flag])
         # the key set of each command: the system keys, every key a frame reads, or every key
         system = {f.name for f in fields(SystemConfig)}
         expected = {

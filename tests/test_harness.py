@@ -875,8 +875,8 @@ seed = 3
 
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
-        p.write_text("this is not a key value pair\n")
-        with pytest.raises(ValueError):
+        p.write_text("users = 2\n# a comment\nthis is not a key value pair\n")
+        with pytest.raises(ValueError, match=r"^malformed config line 3: 'this is not a key value pair'$"):
             load_key_values(p)
 
     @pytest.mark.parametrize(
