@@ -1,4 +1,4 @@
-"""Closed-form array gain, lobe geometry, the subcarrier-angle map and brute-force peak oracles.
+"""Closed-form array gain, lobe geometry, the subcarrier-angle map, gain surfaces and brute-force peak oracles.
 
 The array gain of the delay-aided precoder factors into two normalized
 Dirichlet kernels: a P-element "window" set by the phase-shifter ramp and an
@@ -9,6 +9,7 @@ frequency-scanning tracking possible.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "array_gain",
     "lobe_geometry",
     "angle_map",
+    "gain_surface",
     "peak_map",
     "sidelobe_locations",
 ]
@@ -98,6 +100,24 @@ def angle_map(m, pc: PrecoderConfig, cfg: SystemConfig):
     return float(out) if out.ndim == 0 else out
 
 
+def gain_surface(pc: PrecoderConfig, cfg: SystemConfig, grid_step: float) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The angle grid of ``grid_step`` and the gains over it, one :func:`array_gain` array per subcarrier.
+
+    The grid is round(2/grid_step) + 1 evenly spaced angles from -1 to exactly 1; a step that gives
+    fewer than 2, or is 0, negative or nan, raises a ValueError naming ``grid_step`` before any gain
+    is computed.  The gains come lazily, in ``cfg.frequencies`` order, so a caller holds one
+    subcarrier's at a time.
+    """
+    try:
+        n = round(2.0 / float(grid_step)) + 1
+    except (ZeroDivisionError, ValueError, OverflowError):  # 0, nan, or a step so small that 2/step is inf
+        n = 0
+    if n < 2:
+        raise ValueError(f"grid_step must give round(2/grid_step) + 1 >= 2 angles on [-1, 1], got {grid_step!r}")
+    thetas = np.linspace(-1.0, 1.0, n)
+    return thetas, (array_gain(f_m, thetas, pc, cfg) for f_m in cfg.frequencies)
+
+
 @dataclass(frozen=True)
 class PeakMap:
     """Per-subcarrier argmax direction and gain over a uniform angle grid."""
@@ -109,25 +129,20 @@ class PeakMap:
 
 
 def peak_map(pc: PrecoderConfig, cfg: SystemConfig, grid_step: float = 1e-4) -> PeakMap:
-    """Brute-force per-subcarrier argmax of the gain over theta in [-1, 1].
+    """Brute-force per-subcarrier argmax of the gain over the :func:`gain_surface` grid of ``grid_step``.
 
     Ties resolve to the smallest angle.  Note that for f_m > f_c the gain is
     periodic in theta with period 2*f_c/f_m < 2, so a grating replica of the
     peak can re-enter near the opposite edge at extreme angles.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    n = int(round(2.0 / grid_step)) + 1
-    thetas = np.linspace(-1.0, 1.0, n)
-    step = thetas[1] - thetas[0]
+    thetas, surface = gain_surface(pc, cfg, grid_step)
     angles = np.empty(cfg.n_subcarriers)
     gains = np.empty(cfg.n_subcarriers)
-    for i, f_m in enumerate(cfg.frequencies):
-        g = array_gain(f_m, thetas, pc, cfg)
+    for i, g in enumerate(surface):
         j = int(np.argmax(g))
         angles[i] = thetas[j]
         gains[i] = g[j]
-    return PeakMap(m_indices=cfg.m_indices, angles=angles, gains=gains, grid_step=step)
+    return PeakMap(m_indices=cfg.m_indices, angles=angles, gains=gains, grid_step=thetas[1] - thetas[0])
 
 
 def sidelobe_locations(pairing, cfg: SystemConfig) -> tuple[float, float, float]:

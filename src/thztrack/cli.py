@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 
-from .beampattern import array_gain, peak_map
-from .codebook import build_codebook
+from .beampattern import gain_surface, peak_map
+from .codebook import _check_size, build_codebook
 from .harness import (
     CONFIG_PARSERS,
     SWEEP_AXES,
@@ -124,16 +125,13 @@ def _cmd_beam_pattern(args, scn: ScenarioConfig) -> int:
         label = f"{pc.mode} pairing theta0={args.theta0} alpha={args.alpha}"
     if args.peaks_only:
         pm = peak_map(pc, cfg, grid_step=args.grid_step)
-        rows = [
-            (int(m), float(f), float(th), float(g))
-            for m, f, th, g in zip(pm.m_indices, cfg.frequencies, pm.angles, pm.gains)
-        ]
+        rows = zip(pm.m_indices.tolist(), cfg.frequencies.tolist(), pm.angles.tolist(), pm.gains.tolist())
     else:
-        thetas = np.arange(-1.0, 1.0 + args.grid_step / 2, args.grid_step)
-        rows = []
-        for m, f in zip(cfg.m_indices, cfg.frequencies):
-            gains = array_gain(f, thetas, pc, cfg)
-            rows.extend((int(m), float(f), float(th), float(g)) for th, g in zip(thetas, gains))
+        # one subcarrier's gains at a time, written as they come
+        thetas, surface = gain_surface(pc, cfg, args.grid_step)
+        angles = thetas.tolist()
+        rows = ((m, f, theta, g) for m, f, gains in zip(cfg.m_indices.tolist(), cfg.frequencies.tolist(), surface)
+                for theta, g in zip(angles, gains.tolist()))
     print(f"beam pattern for {label}")
     _save_csv(args.out, ["m", "f_m", "theta", "gain"], rows)
     return 0
@@ -149,23 +147,20 @@ def _cmd_bounds(args, scn: ScenarioConfig) -> int:
 
 def _cmd_codebook(args, scn: ScenarioConfig) -> int:
     cfg = scn.system
+    try:
+        _check_size(cfg)
+    except ValueError as exc:
+        args.subparser.error(str(exc))
     cb = build_codebook(cfg)
-    rows = []
-    for i, v in enumerate(cb.psi_grid.values):
-        rows.append((i, "psi", float(v), "inner"))
-    coarse = 2.0 / cfg.p
-    for i, v in enumerate(cb.t_grid.values):
-        if v < -1.0:
-            seg = "outer-"
-        elif v > 1.0:
-            seg = "outer+"
-        else:
-            seg = "inner"
-        rows.append((i, "t", float(v), seg))
+    psi, t = cb.psi_grid.points, cb.t_grid.points
+    rows = itertools.chain(
+        ((i, "psi", v, "inner") for i, v in enumerate(psi)),
+        ((i, "t", v, "outer-" if v < -1.0 else "outer+" if v > 1.0 else "inner") for i, v in enumerate(t)),
+    )
     _save_csv(args.out, ["index", "psi_or_t", "value", "segment"], rows)
     print(
-        f"psi codewords: {len(cb.psi_grid.values)}, t codewords: {len(cb.t_grid.values)}, "
-        f"t range [{cb.t_grid.values[0]:.6g}, {cb.t_grid.values[-1]:.6g}], coarse step {coarse:.6g}"
+        f"psi codewords: {len(psi)}, t codewords: {len(t)}, "
+        f"t range [{t[0]:.6g}, {t[-1]:.6g}], coarse step {2.0 / cfg.p:.6g}"
     )
     return 0
 

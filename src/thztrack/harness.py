@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import build_codebook, snap
+from .codebook import _check_size, build_codebook, snap
 from .leakage import CprState, DegenerateGeometryError, build_cpr_problem, refine
 from .physmodel import (
     _COUNT_RULE, _MAX_COUNT, _SYSTEM_DOMAIN, ChannelResponse, PathComponent, RayKernel, SystemConfig, _check_domain,
@@ -131,6 +131,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_domain(self, _SCENARIO_DOMAIN)
+        if self.codebook:
+            _check_size(self.system)
         # a huge SNR overflows the power ratio, a hugely negative one underflows it to 0
         with np.errstate(divide="ignore", over="ignore"):
             for snr in self.snr_db:
@@ -403,14 +405,18 @@ def beamforming_gain(channels: list[ChannelResponse], aims: list[float]) -> list
 
 
 def write_table(path, header, rows) -> int:
-    """Write a CSV file: the header line, then one line per row; returns the row count.
+    """Write a CSV file: the header line, then one line per row as ``rows`` yields it; returns the row count.
 
-    Every cell is written with ``str``, which for a float is its round-trip exact ``repr``.
+    Every cell is written with ``str``, which for a float is its round-trip exact ``repr``.  The file
+    is opened before the first row is made, so a caller checks its inputs before the call.
     """
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
-    return len(lines) - 1
+    n_rows = 0
+    with open(path, "w") as out:
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(",".join(map(str, row)) + "\n")
+            n_rows += 1
+    return n_rows
 
 
 @dataclass

@@ -12,20 +12,20 @@ coarse angle estimate through the angle map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .beampattern import angle_map
 from .codebook import JointCodebook, snap
-from .pairing import BACKWARD, PairingConfig, make_pairing, pairing_slopes, resolve_mode
+from .pairing import BACKWARD, PairingConfig, mode_bound, pairing_slopes, resolve_mode
 from .physmodel import ChannelResponse, PrecoderConfig, RayKernel, SystemConfig, _is_int, precoder_matrix
 
 # Not called in this module: kept as its attributes only so that span tracers
 # wrapping tracker.pairing_mod.make_pairing, tracker.quantized_pairing,
 # tracker.forward_bound and tracker.large_angle_bound still find them (the
-# pairings view calls make_pairing by its own import, which no such wrap replaces).
+# pairings view calls mode_bound, which looks its bounds up in pairing).
 from . import pairing as pairing_mod  # noqa: F401
 from .codebook import quantized_pairing  # noqa: F401
 from .pairing import forward_bound, large_angle_bound  # noqa: F401
@@ -77,16 +77,21 @@ class TrackingPlan:
 
     @cached_property
     def pairings(self) -> tuple[PairingConfig, ...]:
-        """Each slot's pairing: its :func:`~thztrack.pairing.make_pairing` with the plan's (maybe snapped) slopes.
+        """Each slot's pairing with the plan's (maybe snapped) slopes, radius alpha/slots and :func:`mode_bound` flag.
 
-        A "sweep" slot is a backward pairing of radius 0.
+        It equals the slot's :func:`~thztrack.pairing.make_pairing` with the plan's slopes.  A "sweep"
+        slot is a backward pairing of radius 0.
         """
         slots = zip(self.centers.tolist(), self.psi.tolist(), self.t_aux.tolist())
         if self.pairing_mode == "sweep":
             return tuple(PairingConfig(psi, t_aux, BACKWARD, center, 0.0) for center, psi, t_aux in slots)
         radius = self.alpha / self.slots
-        return tuple(replace(make_pairing(center, radius, self.cfg, self.pairing_mode), psi=psi, t_aux=t_aux)
-                     for center, psi, t_aux in slots)
+        pairings = []
+        for center, psi, t_aux in slots:
+            mode = resolve_mode(center, self.pairing_mode)
+            over_bound = radius > mode_bound(center, mode, self.cfg)
+            pairings.append(PairingConfig(psi, t_aux, mode, center, radius, over_bound))
+        return tuple(pairings)
 
 
 @dataclass(frozen=True)

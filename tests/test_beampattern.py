@@ -3,8 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thztrack import checks
-from thztrack.beampattern import angle_map, array_gain, dirichlet, lobe_geometry, peak_map, sidelobe_locations
+from thztrack import beampattern, checks
+from thztrack.beampattern import (
+    angle_map, array_gain, dirichlet, gain_surface, lobe_geometry, peak_map, sidelobe_locations,
+)
 from thztrack.pairing import BACKWARD, FORWARD, forward_bound, make_pairing, mode_bound
 from thztrack.physmodel import PrecoderConfig, SystemConfig, default_config
 
@@ -134,9 +136,33 @@ class TestPeakMap:
         w2_worst = 2.0 / cfg.n_bs * cfg.f_c / (cfg.f_c - cfg.m_half * cfg.f_d)
         assert np.max(np.abs(pm.angles - mapped)) > w2_worst
 
-    def test_rejects_bad_step(self, cfg):
-        with pytest.raises(ValueError):
-            peak_map(PrecoderConfig(0.0, 0.0), cfg, grid_step=0.0)
+    @pytest.mark.parametrize("grid_step", [4.0, 5.0, float("inf"), float("nan"), 0.0, -1.0])
+    def test_rejects_bad_step(self, cfg, grid_step):
+        # round(2/4) is 0, so a step of exactly 4 gives one angle, as does any larger one
+        with pytest.raises(ValueError, match="^grid_step must give round"):
+            peak_map(PrecoderConfig(0.0, 0.0), cfg, grid_step=grid_step)
+
+
+class TestGainSurface:
+    @pytest.mark.parametrize("grid_step, n", [(3.9, 2), (2.0, 2), (0.5, 5), (3e-3, 668), (2e-3, 1001)])
+    def test_grid_is_round_two_over_step_plus_one_angles_from_minus_one_to_exactly_one(self, cfg, grid_step, n):
+        thetas, _ = gain_surface(PrecoderConfig(0.3, 0.3), cfg, grid_step)
+        assert thetas.tobytes() == np.linspace(-1.0, 1.0, n).tobytes()
+        assert thetas[0] == -1.0 and thetas[-1] == 1.0
+
+    def test_yields_each_subcarriers_array_gain_in_order(self, cfg):
+        pc = make_pairing(0.6, 0.04, cfg)
+        thetas, surface = gain_surface(pc, cfg, 0.01)
+        rows = list(surface)
+        assert len(rows) == cfg.n_subcarriers
+        for f_m, gains in zip(cfg.frequencies, rows):
+            assert gains.tobytes() == array_gain(f_m, thetas, pc, cfg).tobytes()
+
+    def test_rejects_a_step_on_the_call_before_any_gain(self, cfg, monkeypatch):
+        # the gains are lazy, the check is not: a caller learns of a bad step before it opens a file
+        monkeypatch.setattr(beampattern, "array_gain", None)
+        with pytest.raises(ValueError, match=r"^grid_step .* got 4\.0$"):
+            gain_surface(PrecoderConfig(0.3, 0.3), cfg, 4.0)
 
 
 def _pairing_case(draw):

@@ -1,8 +1,11 @@
 import argparse
 import json
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -62,6 +65,38 @@ class TestBeamPattern:
         # with both slopes given no interval is paired, so --theta0 is not read
         assert main(["beam-pattern", "--psi", "0.3", "--t", "0.3", "--theta0", "3", "--grid-step", "0.5", "--out", str(out)]) == 0
 
+    def test_full_surface_and_peaks_share_one_grid_from_minus_one_to_exactly_one(self, tmp_path):
+        # 3e-3 does not divide 2: the grid is still round(2/step) + 1 = 668 angles, the last exactly 1
+        full, peaks = tmp_path / "full.csv", tmp_path / "peaks.csv"
+        argv = ["beam-pattern", "--theta0", "0.8", "--alpha", "0.08", "--grid-step", "3e-3"]
+        assert main(argv + ["--out", str(full)]) == 0
+        assert main(argv + ["--peaks-only", "--out", str(peaks)]) == 0
+        _, rows = read_csv(full)
+        thetas = [float(r["theta"]) for r in rows[:668]]
+        assert thetas[0] == -1.0 and thetas[-1] == 1.0 and rows[668]["theta"] == "-1.0"
+        assert all(-1.0 <= float(r["theta"]) <= 1.0 for r in rows)
+        _, peak_rows = read_csv(peaks)
+        assert len(peak_rows) == 129 and {r["theta"] for r in peak_rows} <= {r["theta"] for r in rows}
+
+    def test_full_surface_memory_is_within_a_bound_of_peaks_only(self, tmp_path):
+        # each run in its own interpreter, which prints its own peak RSS; a surface held as one table
+        # read 137.7 MB against 30.3 MB for --peaks-only on a 2-core x86 VM, and written row by row it
+        # holds one subcarrier's 2001 angles at a time
+        code = ("import resource, sys\nfrom thztrack.cli import main\nmain(sys.argv[1:])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        src = str(Path(thztrack.__file__).resolve().parents[1])
+
+        def peak_rss_mb(*flags):
+            argv = ["beam-pattern", "--grid-step", "1e-3", *flags, "--out", str(tmp_path / "p.csv")]
+            run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": src})
+            assert run.returncode == 0, run.stderr
+            # ru_maxrss is in KiB, on macOS in bytes
+            return int(run.stdout.split()[-1]) / (2**20 if sys.platform == "darwin" else 2**10)
+
+        full, peaks = peak_rss_mb(), peak_rss_mb("--peaks-only")
+        assert full <= peaks + 16.0, (full, peaks)
+
     def test_paired_interval_may_reach_the_unit_range_edge(self, tmp_path):
         out = tmp_path / "edge.csv"
         assert main(["beam-pattern", "--theta0", "0.95", "--alpha", "0.05", "--grid-step", "0.5", "--out", str(out)]) == 0
@@ -118,6 +153,23 @@ class TestCodebookDump:
         t_rows = [r for r in rows if r["psi_or_t"] == "t"]
         assert len(psi_rows) == 257
         assert {r["segment"] for r in t_rows} == {"outer-", "inner", "outer+"}
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [(["codebook", "--bandwidth", "1000"], "200,000,498"),
+         (["codebook", "--n-bs", str(2**30), "--n-ttd", str(2**30), "--p", "1"], "2,147,483,670"),
+         (["sweep-nmse", "--seed", "1", "--codebook", "--bandwidth", "1000"], "200,000,498")],
+    )
+    def test_codebook_past_the_cap_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, count):
+        # counted, never built: the builders are replaced by a name that fails if called
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "build_codebook", None)
+        monkeypatch.setattr(harness, "build_codebook", None)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", "c.csv"])
+        assert exc.value.code == 2
+        assert f"error: n_bs, p, f_c and bandwidth give a codebook of {count} codewords" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_partial_system_flag_overlays_reference_setup(self, tmp_path):
         out = tmp_path / "cb32.csv"
@@ -922,7 +974,9 @@ class TestReadme:
             build_parser().parse_args(argv)
             if not argv[0].startswith("sweep"):
                 assert main(argv) == 0
-        assert {p.name for p in tmp_path.iterdir()} >= {"pattern.csv", "bounds.csv", "codebook.csv", "trace.csv", "y.csv"}
+        assert {p.name for p in tmp_path.iterdir()} >= {
+            "pattern.csv", "peaks.csv", "bounds.csv", "codebook.csv", "trace.csv", "y.csv",
+        }
 
     def test_configuration_section_states_each_rule_once(self):
         # one "| `key`, ... | `rule` |" row per rule, in the words of the domain table, covering every key once

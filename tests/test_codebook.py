@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 import thztrack
 from thztrack.beampattern import angle_map, array_gain, dirichlet, peak_map
-from thztrack.codebook import QuantGrid, _uniform_closed, build_codebook, quantized_pairing, snap
+from thztrack import codebook
+from thztrack.codebook import (
+    _MAX_CODEWORDS, QuantGrid, _check_size, _grid_sizes, _uniform_closed, build_codebook, quantized_pairing, snap,
+)
 from thztrack.pairing import make_pairing
 from thztrack.physmodel import PrecoderConfig, SystemConfig, default_config
 
@@ -75,8 +78,11 @@ class TestBuildCodebook:
             pos = _uniform_closed(1.0, t_max, 2.0 / cfg.p)
             want = np.unique(np.concatenate([-pos[::-1], inner, pos]))
         # the uncached builder: 200 configs would evict the shared codebooks other tests hold
-        got = build_codebook.__wrapped__(cfg).t_grid.values
+        built = build_codebook.__wrapped__(cfg)
+        got = built.t_grid.values
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # the size check counts what the builder builds
+        assert _grid_sizes(cfg) == (len(built.psi_grid.values), len(got))
 
     def test_building_a_codebook_loads_no_masked_arrays(self):
         # np.unique imports numpy.ma on first use, which costs ~10 ms in a fresh interpreter
@@ -98,6 +104,35 @@ class TestBuildCodebook:
         for grid in (cb.psi_grid, cb.t_grid):
             with pytest.raises(ValueError, match="read-only"):
                 grid.values[0] = 0.0
+
+
+class TestCodebookSize:
+    """The codeword cap, checked on counts alone: no test here builds a codebook past it."""
+
+    def test_reference_grids_hold_257_and_261_codewords(self, cfg):
+        assert _grid_sizes(cfg) == (257, 261)
+
+    def test_cap_is_inclusive(self, cfg):
+        # a 200.1 kHz band gives 257 + 999,743 codewords, exactly the cap; a 200 kHz band more
+        at_cap = replace(cfg, bandwidth=200.1e3)
+        assert sum(_grid_sizes(at_cap)) == _MAX_CODEWORDS == 1_000_000
+        _check_size(at_cap)
+        with pytest.raises(ValueError, match=r"^n_bs, p, f_c and bandwidth give a codebook of 1,000,\d{3} codewords"):
+            _check_size(replace(cfg, bandwidth=200e3))
+
+    @pytest.mark.parametrize(
+        "changes, count",
+        [({"bandwidth": 1000.0}, "200,000,498"),  # t_max = 1.25e7 at step 2/16
+         ({"n_bs": 2**30, "n_ttd": 2**30, "p": 1}, "2,147,483,670"),
+         ({"f_c": 1e300, "bandwidth": 1e-10}, "inf")],  # t_max overflows to inf
+    )
+    def test_builder_rejects_a_codebook_past_the_cap_before_building(self, cfg, monkeypatch, changes, count):
+        def forbidden(*args):
+            raise AssertionError("a grid past the cap was built")
+
+        monkeypatch.setattr(codebook, "_uniform_closed", forbidden)
+        with pytest.raises(ValueError, match=f"^n_bs, p, f_c and bandwidth give a codebook of {count} codewords"):
+            build_codebook.__wrapped__(replace(cfg, **changes))
 
 
 class TestSnap:

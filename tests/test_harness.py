@@ -307,10 +307,10 @@ class TestPlanningCost:
             raise AssertionError("a frame took the per-slot pairing path")
 
         monkeypatch.setattr(pairing, "make_pairing", forbidden)
-        monkeypatch.setattr(tracker, "make_pairing", forbidden)
         monkeypatch.setattr(codebook, "quantized_pairing", forbidden)
         monkeypatch.setattr(tracker, "quantized_pairing", forbidden)
         monkeypatch.setattr(pairing, "mode_bound", forbidden)
+        monkeypatch.setattr(tracker, "mode_bound", forbidden)
         small = SystemConfig(n_bs=64, n_ttd=8, p=8, f_c=100e9, bandwidth=10e9, m_half=16)
         for slots in (2, 4, 8):
             scn = ScenarioConfig(system=small, users=4, trials=1, seed=1, snr_db=(10.0,), slots=(slots,),
@@ -391,6 +391,14 @@ class TestScenarioConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             ScenarioConfig(seed=-1)
+
+    def test_codebook_scenario_rejects_a_codebook_past_the_cap(self, monkeypatch):
+        # counted, never built: a 1 kHz band would give 2e8 delay codewords
+        monkeypatch.setattr(harness, "build_codebook", None)
+        narrow = SystemConfig(n_bs=256, n_ttd=16, p=16, f_c=100e9, bandwidth=1000.0, m_half=64)
+        assert not ScenarioConfig(system=narrow).codebook
+        with pytest.raises(ValueError, match=r"^n_bs, p, f_c and bandwidth give a codebook of 200,000,498 codewords"):
+            ScenarioConfig(system=narrow, codebook=True)
 
     @pytest.mark.parametrize(
         "key, value",
